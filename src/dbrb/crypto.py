@@ -4,8 +4,10 @@ Two interchangeable schemes: an HMAC scheme for fast deterministic test
 runs, and Ed25519 for end-to-end realism.  Both are deterministic so a
 rerun of the same scenario and seed produces byte-identical traces.
 
-A node only ever holds a Signer bound to its own identity; verification
-goes through a shared Verifier.  Adversary code gets the same split, so
+A node only ever holds a Signer bound to its own identity.  Each engine
+(every node and every adversary) verifies through its own memoizing
+Verifier, so no engine relies on a check another engine made; the key
+material behind them is shared.  Adversary code gets the same split, so
 it cannot sign for anyone else.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -117,13 +118,24 @@ class Signer:
 
 
 class Verifier:
-    """Signature verification over any process identity."""
+    """Signature verification over any process identity, for one engine.
+
+    Successful checks are remembered, so a signature relayed to the same
+    engine again costs a set lookup.  A failed check is never remembered.
+    """
 
     def __init__(self, keyring: Keyring) -> None:
         self._keyring = keyring
+        self._verified: set[tuple[ProcessId, bytes, bytes]] = set()
 
     def verify(self, pid: ProcessId, payload: bytes, sig: bytes) -> bool:
-        return self._keyring.verify(pid, payload, sig)
+        key = (pid, payload, sig)
+        if key in self._verified:
+            return True
+        if not self._keyring.verify(pid, payload, sig):
+            return False
+        self._verified.add(key)
+        return True
 
 
 def ack_payload(message_digest: bytes, view: View) -> bytes:
@@ -138,17 +150,6 @@ class MessageCertificate:
     message_digest: bytes
     view: View
     signatures: tuple[tuple[ProcessId, bytes], ...]
-
-    def serialize(self) -> bytes:
-        parts = [self.message_digest, self.view.canonical_bytes,
-                 struct.pack(">I", len(self.signatures))]
-        for pid, sig in sorted(self.signatures):
-            raw = pid.encode()
-            parts.append(struct.pack(">B", len(raw)))
-            parts.append(raw)
-            parts.append(struct.pack(">I", len(sig)))
-            parts.append(sig)
-        return b"".join(parts)
 
 
 def build_certificate(message_digest: bytes, view: View,

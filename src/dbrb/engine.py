@@ -23,6 +23,7 @@ from .messages import (
     CodecError,
     Commit,
     Converged,
+    Decoded,
     Deliver,
     HistoryGossip,
     HistoryRequest,
@@ -191,6 +192,8 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.pending_store: list = []
 
         self._outputs: list[OutputAction] = []
+        # raw -> Decoded for every message that decoded; not protocol state
+        self._decoded: dict[bytes, Decoded] = {}
 
     # -- emit helpers -----------------------------------------------------------
 
@@ -248,11 +251,16 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         return out
 
     def _receive(self, event: Receive) -> None:
-        try:
-            decoded = decode(event.raw, self.verifier)
-        except CodecError as exc:
-            self._note("Drop", detail=f"undecodable message: {exc}")
-            return
+        # Echoes and gossip deliver the same bytes many times; decoding is a
+        # pure function of them, so each distinct message is parsed once.
+        decoded = self._decoded.get(event.raw)
+        if decoded is None:
+            try:
+                decoded = decode(event.raw, self.verifier)
+            except CodecError as exc:
+                self._note("Drop", detail=f"undecodable message: {exc}")
+                return
+            self._decoded[event.raw] = decoded
         if not self.joined and not self.join_invoked:
             return  # dormant until the join operation starts
         msg, author = decoded.msg, decoded.author
@@ -308,7 +316,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
 
     # -- snapshot support ----------------------------------------------------------
 
-    _SNAP_SKIP = ("signer", "verifier", "_outputs")
+    _SNAP_SKIP = ("signer", "verifier", "_outputs", "_decoded")
 
     def snapshot(self) -> dict:
         state = {k: copy.deepcopy(v) for k, v in self.__dict__.items()
@@ -328,6 +336,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         node.signer = snap["signer"]
         node.verifier = snap["verifier"]
         node._outputs = []
+        node._decoded = {}
         return node
 
     def state_digest(self) -> str:

@@ -193,6 +193,9 @@ class MembershipMixin:
         if not is_sequence(msg.seq) or not msg.seq:
             self._note("Flag", msg_kind="PROPOSE", detail="proposal is not a sequence")
             return
+        if not all(v.changes < w.changes for w in msg.seq):
+            self._note("Flag", msg_kind="PROPOSE", detail="proposal not above its view")
+            return
         needed: set[Change] = set()
         for w in msg.seq:
             needed |= w.changes - v.changes

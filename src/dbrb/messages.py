@@ -6,12 +6,13 @@ Layout of a framed message:
 
 The author signs version|tag|body|author, so a message cannot be
 re-attributed.  All collections inside bodies are canonically ordered,
-making the encoding bit-exact for equal values.
+making the encoding bit-exact for equal values, and `decode` accepts
+only that canonical encoding: a decoded body always equals the
+re-encoding of the message parsed from it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -24,6 +25,7 @@ from .views import (
     ProcessId,
     View,
     ViewError,
+    seq_sort_key,
     seq_sorted,
 )
 
@@ -193,8 +195,9 @@ def write_seq(w: Writer, seq: frozenset[View]) -> None:
 def read_seq(r: Reader) -> frozenset[View]:
     count = r.u32()
     views = [read_view(r) for _ in range(count)]
-    if len(set(views)) != len(views):
-        raise CodecError("duplicate views in sequence")
+    keys = [seq_sort_key(v) for v in views]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise CodecError("sequence views not canonical")
     return frozenset(views)
 
 
@@ -244,15 +247,23 @@ def read_proof(r: Reader) -> ReconfigProof:
     return ReconfigProof(read_change(r), read_view(r), r.blob())
 
 
+def _proof_key(p: ReconfigProof) -> tuple[ProcessId, str]:
+    return (p.change.process, p.change.sign)
+
+
 def write_proofs(w: Writer, proofs: tuple[ReconfigProof, ...]) -> None:
-    ordered = sorted(proofs, key=lambda p: (p.change.process, p.change.sign))
+    ordered = sorted(proofs, key=_proof_key)
     w.u32(len(ordered))
     for p in ordered:
         write_proof(w, p)
 
 
 def read_proofs(r: Reader) -> tuple[ReconfigProof, ...]:
-    return tuple(read_proof(r) for _ in range(r.u32()))
+    proofs = tuple(read_proof(r) for _ in range(r.u32()))
+    keys = [_proof_key(p) for p in proofs]
+    if keys != sorted(keys):
+        raise CodecError("reconfig proofs not canonical")
+    return proofs
 
 
 @dataclass(frozen=True)
@@ -316,6 +327,8 @@ def write_state_record(w: Writer, rec: StateRecord) -> None:
 
 def read_state_record(r: Reader) -> StateRecord:
     flags = r.u8()
+    if flags > 7:
+        raise CodecError("unknown state record flags")
     ack = read_prep_evidence(r) if flags & 1 else None
     conflicting = (read_prep_evidence(r), read_prep_evidence(r)) if flags & 2 else None
     stored = read_stored_evidence(r) if flags & 4 else None
@@ -330,7 +343,10 @@ def write_pids(w: Writer, pids: tuple[ProcessId, ...]) -> None:
 
 
 def read_pids(r: Reader) -> tuple[ProcessId, ...]:
-    return tuple(r.text() for _ in range(r.u32()))
+    pids = tuple(r.text() for _ in range(r.u32()))
+    if list(pids) != sorted(pids):
+        raise CodecError("process ids not canonical")
+    return pids
 
 
 # --- message bodies ---------------------------------------------------------
@@ -424,13 +440,10 @@ class Install:
         seq = read_seq(r)
         view = read_view(r)
         sigs = tuple((r.text(), r.blob()) for _ in range(r.u32()))
+        if list(sigs) != sorted(sigs):
+            raise CodecError("converged signatures not canonical")
         proofs = read_proofs(r)
         return cls(psi, omega, seq, view, sigs, proofs)
-
-    def body_digest(self) -> bytes:
-        w = Writer()
-        self.write_body(w)
-        return hashlib.sha256(w.getvalue()).digest()
 
 
 @dataclass(frozen=True)
@@ -633,6 +646,7 @@ class Decoded:
     author: ProcessId
     kind: str
     signature: bytes
+    body: bytes  # as received; equal to body_bytes(msg)
 
 
 def decode(raw: bytes, verifier: Verifier) -> Decoded:
@@ -658,7 +672,7 @@ def decode(raw: bytes, verifier: Verifier) -> Decoded:
     except ViewError as exc:  # oversized or malformed view payloads
         raise CodecError(str(exc)) from exc
     br.expect_done()
-    return Decoded(msg, author, KIND_NAMES[tag], sig)
+    return Decoded(msg, author, KIND_NAMES[tag], sig, body)
 
 
 def reconfig_signed_bytes(change: Change, view: View, author: ProcessId) -> bytes:

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import hashlib
 
-from .messages import Decoded, Install, StateUpdate, body_bytes, message_meta
+from .messages import Decoded, Install, StateUpdate, message_meta
 from .discovery import verify_install_proof
 
 
-def _rm_key(msg, author: str) -> bytes:
+def _rm_key(decoded: Decoded) -> bytes:
     # Installs are author-agnostic (the converged quorum speaks for them);
     # a state update is identified by its originator as well as its body.
-    tail = author.encode() if isinstance(msg, StateUpdate) else b""
-    return hashlib.sha256(bytes([msg.TAG]) + body_bytes(msg) + tail).digest()
+    # The received body is canonical (`decode` rejects any other), so equal
+    # messages always hash equal.
+    msg = decoded.msg
+    tail = decoded.author.encode() if isinstance(msg, StateUpdate) else b""
+    return hashlib.sha256(bytes([msg.TAG]) + decoded.body + tail).digest()
 
 
 class RMulticastMixin:
@@ -33,7 +36,7 @@ class RMulticastMixin:
         if self.pid not in msg.psi:
             self._note("Drop", msg_kind=decoded.kind, detail="not in target set")
             return
-        key = _rm_key(msg, decoded.author)
+        key = _rm_key(decoded)
         if key in self.rm_received:
             return
         if isinstance(msg, Install):

@@ -168,7 +168,6 @@ class _Run:
         self.seed = seed
         self.rng = random.Random(f"dbrb:{seed}")
         self.keyring = make_keyring(scenario.crypto)
-        self.verifier = self.keyring.verifier()
         self.initial_view = View.initial(scenario.initial_members)
         self.engines: dict[str, object] = {}
         for pid in scenario.universe:
@@ -176,12 +175,12 @@ class _Run:
             if role is None:
                 self.engines[pid] = Node(
                     pid, self.initial_view, scenario.sender,
-                    self.keyring.signer_for(pid), self.verifier,
+                    self.keyring.signer_for(pid), self.keyring.verifier(),
                     initial_member=pid in scenario.initial_members)
             else:
                 self.engines[pid] = make_adversary(
                     role["strategy"], pid, self.initial_view, scenario.sender,
-                    self.keyring.signer_for(pid), self.verifier,
+                    self.keyring.signer_for(pid), self.keyring.verifier(),
                     random.Random(f"adv:{seed}:{pid}"), role.get("params"))
         self.queue: list = []
         self.seqno = 0

@@ -20,7 +20,6 @@ ProcessId = str
 PLUS = "+"
 MINUS = "-"
 _SIGN_BYTE = {PLUS: b"\x2b", MINUS: b"\x2d"}
-_BYTE_SIGN = {b"\x2b": PLUS, b"\x2d": MINUS}
 
 # Upper bound on changes per view; keeps adversarial messages from ballooning.
 MAX_CHANGES = 1024
@@ -186,8 +185,12 @@ def most_recent(seq: Iterable[View]) -> View:
     return candidates[0]
 
 
+def seq_sort_key(v: View) -> tuple[int, bytes]:
+    return (len(v.changes), v.canonical_bytes)
+
+
 def seq_sorted(views: Iterable[View]) -> list[View]:
-    return sorted(views, key=lambda v: (len(v.changes), v.canonical_bytes))
+    return sorted(views, key=seq_sort_key)
 
 
 def seq_canonical_bytes(views: Iterable[View]) -> bytes:

@@ -16,13 +16,12 @@ class Bench:
         self.sender = sender
         self.nodes = {}
         for pid in universe or members:
-            self.nodes[pid] = Node(pid, self.initial_view, sender,
-                                   self.keyring.signer_for(pid), self.verifier,
-                                   initial_member=pid in members)
+            self.add_node(pid, initial_member=pid in members)
 
     def add_node(self, pid, initial_member=False):
+        # each node verifies through its own memo, as in the simulator
         self.nodes[pid] = Node(pid, self.initial_view, self.sender,
-                               self.keyring.signer_for(pid), self.verifier,
+                               self.keyring.signer_for(pid), self.keyring.verifier(),
                                initial_member=initial_member)
         return self.nodes[pid]
 

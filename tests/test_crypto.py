@@ -6,6 +6,7 @@ verification accepts exactly the subsets the quorum rule allows.
 """
 
 import hashlib
+import struct
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from dbrb.crypto import (
     make_keyring,
     verify_certificate,
 )
+from dbrb.messages import Writer, write_cert
 from dbrb.views import View, plus
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
@@ -116,11 +118,48 @@ def test_verification_is_pure(keyring):
     assert results == [True, True, True]
 
 
+def cert_bytes(cert):
+    w = Writer()
+    write_cert(w, cert)
+    return w.getvalue()
+
+
 def test_certificate_serialization_layout(keyring):
     cert = make_cert(keyring, ["p3", "p1", "p2"])
-    blob = cert.serialize()
-    assert blob == make_cert(keyring, ["p1", "p2", "p3"]).serialize()
-    assert blob.startswith(DIGEST + V0.canonical_bytes)
+    blob = cert_bytes(cert)
+    assert blob == cert_bytes(make_cert(keyring, ["p1", "p2", "p3"]))
+    view_block = struct.pack(">I", len(V0.canonical_bytes)) + V0.canonical_bytes
+    assert blob.startswith(struct.pack(">I", len(DIGEST)) + DIGEST + view_block)
     # signer identities appear in sorted order after the view block
-    tail = blob[len(DIGEST) + len(V0.canonical_bytes):]
+    tail = blob[4 + len(DIGEST) + len(view_block):]
     assert tail.find(b"p1") < tail.find(b"p2") < tail.find(b"p3")
+
+
+def test_verifier_remembers_only_successes(keyring):
+    verifier = keyring.verifier()
+    good = keyring.sign("p1", b"blob")
+    bad = keyring.sign("p2", b"blob")
+    assert not verifier.verify("p1", b"blob", bad)
+    assert verifier.verify("p1", b"blob", good)
+    # same (pid, payload) after a good check: a wrong signature still fails
+    assert not verifier.verify("p1", b"blob", bad)
+    assert verifier.verify("p1", b"blob", good)
+    assert verifier._verified == {("p1", b"blob", good)}
+
+
+def test_verifier_memo_is_per_instance(keyring):
+    calls = []
+    real = keyring.verify
+
+    def counting(pid, payload, sig):
+        calls.append(pid)
+        return real(pid, payload, sig)
+
+    keyring.verify = counting
+    sig = keyring.sign("p1", b"blob")
+    first, second = keyring.verifier(), keyring.verifier()
+    assert first.verify("p1", b"blob", sig) and first.verify("p1", b"blob", sig)
+    assert calls == ["p1"]
+    # a second verifier never relies on a check the first one made
+    assert second.verify("p1", b"blob", sig)
+    assert calls == ["p1", "p1"]

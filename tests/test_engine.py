@@ -141,3 +141,51 @@ def test_discovery_reply_injection_extends_trust():
     assert node._is_trusted(v1)
     reconfigs = sends_of(actions, "RECONFIG")
     assert sorted(r.to for r in reconfigs) == sorted(v1.members)
+
+
+def test_repeated_message_is_decoded_once_and_handled_again(monkeypatch):
+    import dbrb.engine as engine
+
+    bench, _ = fresh_pair()
+    node = bench.nodes["p2"]
+    decodes = []
+    real = engine.decode
+    monkeypatch.setattr(engine, "decode",
+                        lambda raw, verifier: decodes.append(raw) or real(raw, verifier))
+    msg = Reconfig(plus("p5"), bench.initial_view)
+    event = Receive("p5", bench.raw("p5", msg), message_meta(msg))
+    first = node.step(event)
+    again = node.step(event)
+    assert decodes == [event.raw]
+    assert list(node._decoded) == [event.raw]
+    # the handler still runs: a repeated reconfig is confirmed again
+    assert [s.to for s in sends_of(first, "REC-CONFIRM")] == ["p5"]
+    assert [s.to for s in sends_of(again, "REC-CONFIRM")] == ["p5"]
+
+
+def test_undecodable_message_is_never_cached():
+    from conftest import notes_of
+
+    bench, _ = fresh_pair()
+    node = bench.nodes["p2"]
+    raw = bytearray(bench.raw("p1", Prepare(b"m", bench.initial_view)))
+    raw[-1] ^= 0x01
+    notes = [notes_of(node.step(Receive("p1", bytes(raw), {"msg": "PREPARE"})), "Drop")
+             for _ in range(3)]
+    assert notes[0] == notes[1] == notes[2]
+    assert [n.detail for n in notes[0]] == ["undecodable message: bad envelope signature"]
+    assert node._decoded == {}
+
+
+def test_decode_memo_is_not_protocol_state():
+    bench, _ = fresh_pair()
+    node = bench.nodes["p2"]
+    node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
+                      {"msg": "PREPARE"}))
+    assert node._decoded
+    digest = node.state_digest()
+    snap = node.snapshot()
+    assert "_decoded" not in snap["state"]
+    assert Node.restore(snap)._decoded == {}
+    node._decoded.clear()
+    assert node.state_digest() == digest == snap["digest"]

@@ -141,6 +141,19 @@ def test_propose_not_more_recent_than_cv_ignored(bench4):
     assert not node.seqs.get(v0)
 
 
+def test_propose_containing_its_own_view_flagged(bench4):
+    # a Byzantine member proposes a sequence that holds the view it replaces
+    node = bench4.nodes["p2"]
+    v0 = bench4.initial_view
+    v1 = View(v0.changes | {plus("p5")})
+    actions = bench4.deliver("p2", "p4", proofed_propose(bench4, {v0, v1}, v0))
+    assert [n.detail for n in notes_of(actions, "Flag")] == ["proposal not above its view"]
+    assert not sends_of(actions)
+    assert v0 not in node.propose_votes
+    assert not node.propose_buffer
+    assert not node.seqs.get(v0)
+
+
 def test_propose_without_change_proof_rejected(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view

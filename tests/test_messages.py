@@ -1,9 +1,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dbrb.crypto import build_certificate, make_keyring, ack_payload
+from dbrb.crypto import MessageCertificate, build_certificate, make_keyring, ack_payload
 from dbrb.messages import (
+    TAG_CONVERGED,
+    TAG_INSTALL,
+    TAG_PROPOSE,
+    TAG_STATE_UPDATE,
     Ack,
     CodecError,
     Commit,
@@ -22,10 +27,19 @@ from dbrb.messages import (
     PrepareEvidence,
     StoredEvidence,
     ViewHistory,
+    Writer,
+    _signed_content,
+    body_bytes,
     converged_signed_bytes,
     decode,
     encode,
     reconfig_signed_bytes,
+    write_pids,
+    write_proof,
+    write_proofs,
+    write_seq,
+    write_state_record,
+    write_view,
 )
 from dbrb.views import View, plus, minus
 
@@ -181,3 +195,162 @@ def test_oversized_view_decodes_as_codec_error():
     out.blob(sig)
     with pytest.raises(CodecError):
         decode(out.getvalue(), VERIFIER)
+
+
+# --- canonical encoding -------------------------------------------------------
+
+PIDS = ["p1", "p2", "p3", "p4", "p5", "q"]
+pids = st.sampled_from(PIDS)
+changes = st.builds(lambda sign, pid: plus(pid) if sign else minus(pid), st.booleans(), pids)
+views = st.frozensets(changes, min_size=1, max_size=6).map(View)
+seqs = st.frozensets(views, max_size=3)
+blobs = st.binary(max_size=8)
+proofs = st.lists(st.builds(ReconfigProof, changes, views, blobs), max_size=3).map(tuple)
+sig_pairs = st.lists(st.tuples(pids, blobs), max_size=3).map(tuple)
+pid_tuples = st.lists(pids, max_size=4).map(tuple)
+certs = st.builds(MessageCertificate, blobs, views, sig_pairs)
+prep_evidence = st.builds(PrepareEvidence, blobs, views, blobs)
+records = st.builds(StateRecord, st.none() | prep_evidence,
+                    st.none() | st.tuples(prep_evidence, prep_evidence),
+                    st.none() | st.builds(StoredEvidence, blobs, certs, views, views))
+installs = st.builds(Install, pid_tuples, views, seqs, views, sig_pairs, proofs)
+histories = st.builds(lambda v0, links: ViewHistory((v0,) + tuple(l.omega for l in links),
+                                                    tuple(links)),
+                      views, st.lists(installs, max_size=2))
+messages = st.one_of(
+    st.builds(Reconfig, changes, views),
+    st.builds(RecConfirm, views),
+    st.builds(Propose, seqs, views, proofs),
+    st.builds(Converged, seqs, views),
+    installs,
+    st.builds(StateUpdate, pid_tuples, views, views, records, proofs),
+    st.builds(Prepare, blobs, views),
+    st.builds(Ack, blobs, blobs, views),
+    st.builds(Commit, blobs, certs, views, views),
+    st.builds(Deliver, blobs, views),
+    st.just(HistoryRequest()),
+    st.builds(HistoryGossip, histories),
+)
+
+
+def frame(tag, body, author="p1"):
+    """Sign and frame a hand-written body, as `encode` does a canonical one."""
+    content = _signed_content(tag, body, author)
+    w = Writer()
+    w.raw(content)
+    w.blob(KEYRING.sign(author, content))
+    return w.getvalue()
+
+
+@given(messages, pids)
+@settings(max_examples=200, deadline=None)
+def test_decoded_body_is_the_canonical_encoding(msg, author):
+    # collections are drawn in any order; the body on the wire is canonical
+    decoded = decode(encode(msg, KEYRING.signer_for(author)), VERIFIER)
+    assert body_bytes(decoded.msg) == decoded.body
+    assert body_bytes(msg) == decoded.body
+
+
+@given(messages, st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_accepted_body_is_canonical(msg, data):
+    # flip one byte of a valid body and re-sign it: whatever still decodes
+    # must re-encode to exactly the bytes received
+    body = bytearray(body_bytes(msg))
+    if body:
+        i = data.draw(st.integers(0, len(body) - 1))
+        body[i] = data.draw(st.integers(0, 255))
+    try:
+        decoded = decode(frame(msg.TAG, bytes(body)), VERIFIER)
+    except CodecError:
+        return
+    assert body_bytes(decoded.msg) == decoded.body == bytes(body)
+
+
+V2 = View(V1.changes | {plus("p6")})
+
+
+def test_sequence_out_of_order_rejected():
+    w = Writer()
+    w.u32(2)
+    write_view(w, V2)
+    write_view(w, V1)
+    write_view(w, V0)
+    with pytest.raises(CodecError, match="sequence views not canonical"):
+        decode(frame(TAG_CONVERGED, w.getvalue()), VERIFIER)
+
+
+def test_sequence_with_repeated_view_rejected():
+    w = Writer()
+    w.u32(2)
+    write_view(w, V1)
+    write_view(w, V1)
+    write_view(w, V0)
+    with pytest.raises(CodecError, match="sequence views not canonical"):
+        decode(frame(TAG_CONVERGED, w.getvalue()), VERIFIER)
+
+
+def write_install_body(w, psi, sigs, proofs):
+    # Install.write_body, but with the collections in the order given
+    w.u32(len(psi))
+    for pid in psi:
+        w.text(pid)
+    write_view(w, V1)
+    write_seq(w, SEQ)
+    write_view(w, V0)
+    w.u32(len(sigs))
+    for pid, sig in sigs:
+        w.text(pid)
+        w.blob(sig)
+    w.u32(len(proofs))
+    for p in proofs:
+        write_proof(w, p)
+
+
+def test_target_set_out_of_order_rejected():
+    install = make_install()
+    w = Writer()
+    write_install_body(w, tuple(reversed(install.psi)), install.converged_sigs, install.proofs)
+    with pytest.raises(CodecError, match="process ids not canonical"):
+        decode(frame(TAG_INSTALL, w.getvalue()), VERIFIER)
+
+
+def test_converged_signatures_out_of_order_rejected():
+    install = make_install()
+    w = Writer()
+    write_install_body(w, install.psi, tuple(reversed(install.converged_sigs)), install.proofs)
+    with pytest.raises(CodecError, match="converged signatures not canonical"):
+        decode(frame(TAG_INSTALL, w.getvalue()), VERIFIER)
+
+
+def test_reconfig_proofs_out_of_order_rejected():
+    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c.process, reconfig_signed_bytes(c, V0, c.process)))
+    proofs = (make(plus("p6")), make(plus("p5")))
+    w = Writer()
+    write_seq(w, frozenset({View(V0.changes | {plus("p5"), plus("p6")})}))
+    write_view(w, V0)
+    w.u32(len(proofs))
+    for p in proofs:
+        write_proof(w, p)
+    with pytest.raises(CodecError, match="reconfig proofs not canonical"):
+        decode(frame(TAG_PROPOSE, w.getvalue()), VERIFIER)
+
+
+def test_state_record_unknown_flags_rejected():
+    install = make_install()
+    for flags, ok in ((0, True), (8, False), (0x80, False)):
+        w = Writer()
+        write_pids(w, install.psi)
+        write_view(w, V0)
+        write_view(w, V1)
+        if flags:
+            w.u8(flags)
+        else:
+            write_state_record(w, StateRecord())
+        write_proofs(w, ())
+        raw = frame(TAG_STATE_UPDATE, w.getvalue())
+        if ok:
+            decode(raw, VERIFIER)
+        else:
+            with pytest.raises(CodecError, match="unknown state record flags"):
+                decode(raw, VERIFIER)

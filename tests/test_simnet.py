@@ -1,10 +1,13 @@
 """Simulator semantics: reliability, determinism, truncation, validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from dbrb import simnet
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
 
 def static_scenario(**overrides):
@@ -116,3 +119,13 @@ def test_after_first_deliver_trigger_fires_once():
     first_deliver = next(e["step"] for e in trace.events
                          if e["kind"] == "Callback" and e["detail"] == "Delivered")
     assert invokes[0]["step"] > first_deliver
+
+
+def test_engines_share_no_verifier():
+    sc = simnet.Scenario.load(SCENARIO_DIR / "equivocating_n7.json")
+    run = simnet._Run(sc, seed=0)
+    assert sc.roles  # adversaries get their own verifier too
+    verifiers = [engine.verifier for engine in run.engines.values()]
+    assert len({id(v) for v in verifiers}) == len(verifiers) == len(sc.universe)
+    # key material stays shared
+    assert {id(v._keyring) for v in verifiers} == {id(run.keyring)}

@@ -110,8 +110,8 @@ class BroadcastMixin:
             sigs = {q: self.ack_sigs[(q, v)] for q in sorted(senders)}
             self.cer = build_certificate(digest, v, sigs)
             self.v_cer = v
-            self._note("StateNote", view=v.short,
-                       detail=f"certificate v_cer={v.canon_str} payload={short_digest(payload)}")
+            self._note("StateNote", view=v.short, payload=short_digest(payload),
+                       detail="certificate", views={"v_cer": v})
             if self.installed.get(self.cv, False):
                 self._disseminate(Commit(payload, self.cer, self.v_cer, self.cv))
             return True
@@ -137,7 +137,7 @@ class BroadcastMixin:
             return
         self._note("StateNote", view=msg.v_cer.short,
                    payload=short_digest(msg.payload),
-                   detail=f"commit-accepted v_cer={msg.v_cer.canon_str}")
+                   detail="commit-accepted", views={"v_cer": msg.v_cer})
         if not self.stored:
             self.stored = True
             self.stored_value = StoredEvidence(msg.payload, msg.cert, msg.v_cer, msg.view)

@@ -9,12 +9,10 @@ their callbacks are ignored.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .simnet import Scenario, Trace
-from .views import View, comparable, seq_key, view_from_canon_str
 
 PROPERTIES = (
     "Validity",
@@ -51,16 +49,20 @@ class MalformedTrace(ValueError):
     pass
 
 
-_INSTALL_ACCEPT = re.compile(
-    r"install-accepted omega=(?P<omega>[^ ]*) v=(?P<v>[^ ]*) seq=(?P<seq>.*)$")
-_CONVERGED_ON = re.compile(r"converged-on v=(?P<v>[^ ]*) seq=(?P<seq>.*)$")
-_COMMIT_ACCEPT = re.compile(r"commit-accepted v_cer=(?P<vcer>[^ ]*)")
+# A view is the frozenset of its change tokens ("+p1", "-p2"), so inclusion
+# of views is inclusion of sets, and a sequence is a set of such views.
+ViewSet = frozenset[str]
 
 
-def _parse_seq(text: str) -> list[View]:
-    if not text:
-        return []
-    return [view_from_canon_str(part) for part in text.split("|")]
+def _read_views(e: dict, *names: str) -> list:
+    """The named views of a note; "seq" names a sequence, in trace order."""
+    try:
+        views = e["views"]
+        return [tuple(frozenset(v) for v in views[n]) if n == "seq" else frozenset(views[n])
+                for n in names]
+    except (KeyError, TypeError) as exc:
+        name = e.get("detail") or e["kind"]
+        raise MalformedTrace(f"{name} note without views {names} at step {e['step']}") from exc
 
 
 @dataclass
@@ -86,9 +88,11 @@ def check(trace: Trace, scenario: Scenario) -> list[Verdict]:
     for p in scenario.initial_members:
         timelines[p].joined_at = 0
 
-    installs: list[tuple[int, str, View]] = []
-    valid_views: list[tuple[int, View]] = []
-    converged: dict[bytes, list[tuple[int, frozenset[View]]]] = {}
+    installs: list[tuple[int, ViewSet]] = []
+    unaccepted: list[tuple[int, str]] = []
+    accepted: set[tuple[str, ViewSet]] = set()
+    valid_views: list[tuple[int, ViewSet]] = []
+    converged: dict[ViewSet, list[tuple[int, frozenset[ViewSet]]]] = {}
 
     for e in events:
         actor = e["actor"]
@@ -96,48 +100,44 @@ def check(trace: Trace, scenario: Scenario) -> list[Verdict]:
         if tl is None:
             raise MalformedTrace(f"unknown actor {actor} at step {e['step']}")
         kind = e["kind"]
+        step = e["step"]
         detail = e.get("detail") or ""
         if kind == "Invoke":
             if detail == "join":
-                tl.join_invoked_at = e["step"]
+                tl.join_invoked_at = step
             elif detail == "leave":
-                tl.leave_invoked_at = e["step"]
+                tl.leave_invoked_at = step
             elif detail == "broadcast":
-                tl.broadcasts.append((e["step"], e.get("payload_digest")))
+                tl.broadcasts.append((step, e.get("payload_digest")))
         elif kind == "Callback":
             if detail == "Delivered":
-                tl.deliveries.append((e["step"], e.get("payload_digest")))
+                tl.deliveries.append((step, e.get("payload_digest")))
             elif detail == "JoinComplete":
-                tl.joined_at = e["step"]
+                tl.joined_at = step
             elif detail == "LeaveComplete":
-                tl.leave_done_at = e["step"]
+                tl.leave_done_at = step
         elif kind == "Send":
-            tl.sends.append(e["step"])
+            tl.sends.append(step)
         elif actor in byzantine:
             continue
         elif kind == "Install":
-            installs.append((e["step"], actor, view_from_canon_str(detail)))
-        elif kind == "StateNote":
-            m = _INSTALL_ACCEPT.search(detail)
-            if m:
-                omega = view_from_canon_str(m.group("omega"))
-                v = view_from_canon_str(m.group("v"))
-                seq = frozenset(_parse_seq(m.group("seq")))
-                valid_views.append((e["step"], omega))
-                valid_views.append((e["step"], v))
-                for w in seq:
-                    valid_views.append((e["step"], w))
-                converged.setdefault(v.digest, []).append((e["step"], seq))
-                continue
-            m = _CONVERGED_ON.search(detail)
-            if m:
-                v = view_from_canon_str(m.group("v"))
-                seq = frozenset(_parse_seq(m.group("seq")))
-                converged.setdefault(v.digest, []).append((e["step"], seq))
-                continue
-            m = _COMMIT_ACCEPT.search(detail)
-            if m:
-                valid_views.append((e["step"], view_from_canon_str(m.group("vcer"))))
+            (cv,) = _read_views(e, "cv")
+            installs.append((step, cv))
+            if (actor, cv) not in accepted:
+                unaccepted.append((step, actor))
+        elif kind != "StateNote":
+            continue
+        elif detail == "install-accepted":
+            omega, v, seq = _read_views(e, "omega", "v", "seq")
+            accepted.add((actor, omega))
+            valid_views += [(step, w) for w in (omega, v) + seq]
+            converged.setdefault(v, []).append((step, frozenset(seq)))
+        elif detail == "converged-on":
+            v, seq = _read_views(e, "v", "seq")
+            converged.setdefault(v, []).append((step, frozenset(seq)))
+        elif detail == "commit-accepted":
+            (v_cer,) = _read_views(e, "v_cer")
+            valid_views.append((step, v_cer))
 
     verdicts = [
         _check_validity(trace, correct, timelines, scenario),
@@ -147,7 +147,7 @@ def check(trace: Trace, scenario: Scenario) -> list[Verdict]:
         _check_consistency(correct, timelines),
         _check_liveness(trace, correct, timelines, scenario),
         _check_non_triviality(correct, timelines, scenario),
-        _check_installed_chain(installs),
+        _check_installed_chain(events, installs, unaccepted),
         _check_valid_comparable(valid_views),
         _check_converged_order(converged),
     ]
@@ -275,39 +275,46 @@ def _check_non_triviality(correct, timelines, scenario) -> Verdict:
     return Verdict("NonTriviality", PASS)
 
 
-def _check_installed_chain(installs) -> Verdict:
-    for i, (step_a, pa, va) in enumerate(installs):
-        for step_b, pb, vb in installs[i + 1:]:
-            if not comparable(va, vb):
-                return Verdict("InstalledViewsChain", FAIL, evidence=[step_a, step_b],
-                               detail=f"incomparable installed views at {pa} and {pb}")
+def _first_incomparable(entries: list[tuple[int, frozenset]]) -> Optional[list[int]]:
+    """Steps of the first two sets seen, neither of which contains the other."""
+    first_seen: dict[frozenset, int] = {}
+    for step, x in entries:
+        first_seen.setdefault(x, step)
+    items = list(first_seen.items())
+    for i, (a, step_a) in enumerate(items):
+        for b, step_b in items[i + 1:]:
+            if not (a <= b or b <= a):
+                return [step_a, step_b]
+    return None
+
+
+def _check_installed_chain(events, installs, unaccepted) -> Verdict:
+    if unaccepted:
+        step, p = unaccepted[0]
+        return Verdict("InstalledViewsChain", FAIL, evidence=[step],
+                       detail=f"{p} installed a view it never accepted an install of")
+    pair = _first_incomparable(installs)
+    if pair:
+        pa, pb = (events[step]["actor"] for step in pair)
+        return Verdict("InstalledViewsChain", FAIL, evidence=pair,
+                       detail=f"incomparable installed views at {pa} and {pb}")
     return Verdict("InstalledViewsChain", PASS)
 
 
 def _check_valid_comparable(valid_views) -> Verdict:
-    uniq: dict[bytes, tuple[int, View]] = {}
-    for step, v in valid_views:
-        uniq.setdefault(v.digest, (step, v))
-    items = list(uniq.values())
-    for i, (step_a, va) in enumerate(items):
-        for step_b, vb in items[i + 1:]:
-            if not comparable(va, vb):
-                return Verdict("ValidViewsComparable", FAIL, evidence=[step_a, step_b],
-                               detail="incomparable views in accepted installs/commits")
+    pair = _first_incomparable(valid_views)
+    if pair:
+        return Verdict("ValidViewsComparable", FAIL, evidence=pair,
+                       detail="incomparable views in accepted installs/commits")
     return Verdict("ValidViewsComparable", PASS)
 
 
 def _check_converged_order(converged) -> Verdict:
-    for digest, entries in converged.items():
-        uniq: dict[bytes, tuple[int, frozenset[View]]] = {}
-        for step, seq in entries:
-            uniq.setdefault(seq_key(seq), (step, seq))
-        items = list(uniq.values())
-        for i, (step_a, sa) in enumerate(items):
-            for step_b, sb in items[i + 1:]:
-                if not (sa <= sb or sb <= sa):
-                    return Verdict("ConvergedTotalOrder", FAIL, evidence=[step_a, step_b],
-                                   detail="converged sequences not inclusion-ordered")
+    for entries in converged.values():
+        pair = _first_incomparable(entries)
+        if pair:
+            return Verdict("ConvergedTotalOrder", FAIL, evidence=pair,
+                           detail="converged sequences not inclusion-ordered")
     return Verdict("ConvergedTotalOrder", PASS)
 
 

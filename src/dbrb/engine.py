@@ -8,7 +8,6 @@ live in buffers that `step` re-polls to a fixpoint after every event.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -41,8 +40,6 @@ from .messages import (
 )
 from .rmulticast import RMulticastMixin
 from .views import ProcessId, View
-
-SNAPSHOT_VERSION = 1
 
 
 class HaltedError(RuntimeError):
@@ -116,6 +113,7 @@ class Note:
     view: Optional[str]
     payload: Optional[str]
     detail: Optional[str]
+    views: Optional[dict]  # name -> View, or a frozenset of Views for a sequence
 
 
 OutputAction = Send | Flood | Callback | Halt | Note
@@ -224,8 +222,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self._outputs.append(Halt())
 
     def _note(self, kind: str, msg_kind: str | None = None, view: str | None = None,
-              payload: str | None = None, detail: str | None = None) -> None:
-        self._outputs.append(Note(kind, msg_kind, view, payload, detail))
+              payload: str | None = None, detail: str | None = None,
+              views: dict | None = None) -> None:
+        self._outputs.append(Note(kind, msg_kind, view, payload, detail, views))
 
     # -- event entry point -------------------------------------------------------
 
@@ -314,30 +313,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
                 return
         raise AssertionError("repoll did not reach a fixpoint")
 
-    # -- snapshot support ----------------------------------------------------------
-
-    _SNAP_SKIP = ("signer", "verifier", "_outputs", "_decoded")
-
-    def snapshot(self) -> dict:
-        state = {k: copy.deepcopy(v) for k, v in self.__dict__.items()
-                 if k not in self._SNAP_SKIP}
-        return {"version": SNAPSHOT_VERSION,
-                "state": state,
-                "signer": self.signer,
-                "verifier": self.verifier,
-                "digest": self.state_digest()}
-
-    @classmethod
-    def restore(cls, snap: dict) -> "Node":
-        if snap.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"snapshot version mismatch: {snap.get('version')}")
-        node = cls.__new__(cls)
-        node.__dict__.update(copy.deepcopy(snap["state"]))
-        node.signer = snap["signer"]
-        node.verifier = snap["verifier"]
-        node._outputs = []
-        node._decoded = {}
-        return node
+    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded")
 
     def state_digest(self) -> str:
         """Platform-stable digest over every mutable state field."""
@@ -345,10 +321,8 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             if isinstance(x, bytes):
                 return x.hex()
             if isinstance(x, View):
-                return x.canon_str
-            if isinstance(x, frozenset):
-                return sorted(enc(e) for e in x)
-            if isinstance(x, (set,)):
+                return x.canonical_bytes.hex()
+            if isinstance(x, (set, frozenset)):
                 return sorted(enc(e) for e in x)
             if isinstance(x, (list, tuple)):
                 return [enc(e) for e in x]
@@ -359,6 +333,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             return repr(x)
 
         payload = {k: enc(v) for k, v in self.__dict__.items()
-                   if k not in self._SNAP_SKIP}
+                   if k not in self._DIGEST_SKIP}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()

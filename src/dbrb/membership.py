@@ -20,7 +20,6 @@ from .messages import (
     HistoryRequest,
     StateRecord,
     StateUpdate,
-    reconfig_signed_bytes,
 )
 from .views import (
     Change,
@@ -32,7 +31,6 @@ from .views import (
     most_recent,
     plus,
     seq_key,
-    seq_str,
 )
 
 
@@ -73,10 +71,6 @@ class MembershipMixin:
             raise ContractError("leave already invoked")
         self.leave_invoked = True
         self.rec_confirms.clear()
-
-    def _make_reconfig_proof(self, change: Change, view: View) -> ReconfigProof:
-        sig = self.signer.sign(reconfig_signed_bytes(change, view, self.pid))
-        return ReconfigProof(change, view, sig)
 
     def _send_reconfig(self, change: Change, target: View) -> None:
         msg = Reconfig(change, target)
@@ -314,7 +308,7 @@ class MembershipMixin:
                            for c in sorted(needed, key=lambda c: (c.process, c.sign)))
             install = Install(psi, omega, seq, v, conv_sigs, proofs)
             self.install_sent.add((v, k))
-            self._note("StateNote", detail=f"converged-on v={v.canon_str} seq={seq_str(seq)}")
+            self._note("StateNote", detail="converged-on", views={"v": v, "seq": seq})
             self._r_multicast(install)
             changed = True
         return changed
@@ -337,10 +331,8 @@ class MembershipMixin:
 
     def _handle_install(self, msg: Install) -> None:
         omega, seq, v = msg.omega, msg.seq, msg.view
-        self._note("StateNote",
-                   view=omega.short,
-                   detail=f"install-accepted omega={omega.canon_str} "
-                          f"v={v.canon_str} seq={seq_str(seq)}")
+        self._note("StateNote", view=omega.short, detail="install-accepted",
+                   views={"omega": omega, "v": v, "seq": seq})
         self._absorb_install(msg)
         for proof in msg.proofs:
             if proof.change not in self.pool and proof.verify(self.verifier):
@@ -443,7 +435,7 @@ class MembershipMixin:
         self._state_transfer([upd.record for upd in updates])
         if self.pid in omega.member_set:
             self.cv = omega
-            self._note("StateNote", view=omega.short, detail=f"cv={omega.canon_str}")
+            self._note("StateNote", view=omega.short, detail="cv", views={"cv": omega})
             if self.pid not in v.member_set and not self.joined:
                 self.joined = True
                 self._callback("JoinComplete", None)
@@ -457,7 +449,7 @@ class MembershipMixin:
                 if self.suspended:
                     self.suspended = False
                     self._note("StateNote", detail="resume")
-                self._note("Install", view=self.cv.short, detail=self.cv.canon_str)
+                self._note("Install", view=self.cv.short, views={"cv": self.cv})
                 self._new_view()
                 self._leave_resend_on_install()
         else:

@@ -557,10 +557,6 @@ class ViewHistory:
         if len(self.views) != len(self.links) + 1:
             raise CodecError("history arity mismatch")
 
-    @property
-    def last(self) -> View:
-        return self.views[-1]
-
     def extended(self, link: Install) -> "ViewHistory":
         return ViewHistory(self.views + (link.omega,), self.links + (link,))
 

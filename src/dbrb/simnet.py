@@ -30,9 +30,9 @@ from .engine import (
     Receive,
     Send,
 )
-from .views import View, short_digest
+from .views import View, seq_sorted, short_digest
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 
 class ScenarioError(ValueError):
@@ -151,9 +151,23 @@ class Trace:
     @classmethod
     def read(cls, path: str | Path) -> "Trace":
         lines = [json.loads(line) for line in Path(path).read_text().splitlines() if line]
-        if len(lines) < 2 or lines[0].get("schema") != TRACE_SCHEMA:
+        if len(lines) < 2 or not isinstance(lines[0], dict):
             raise ValueError("not a recognizable trace file")
+        if lines[0].get("schema") != TRACE_SCHEMA:
+            raise ValueError(f"trace schema {lines[0].get('schema')}, expected {TRACE_SCHEMA}")
         return cls(lines[0], lines[1:-1], lines[-1])
+
+
+def _tokens(v: View) -> list[str]:
+    return [c.token for c in v.sorted_changes]
+
+
+def _trace_views(views: Optional[dict]) -> Optional[dict]:
+    """A view as its sorted change tokens; a sequence as its views in seq order."""
+    if views is None:
+        return None
+    return {name: _tokens(x) if isinstance(x, View) else [_tokens(v) for v in seq_sorted(x)]
+            for name, x in views.items()}
 
 
 _INVOKE_EVENTS = {
@@ -209,7 +223,8 @@ class _Run:
 
     def _trace(self, kind: str, actor: str, peer: Optional[str] = None,
                msg_kind: Optional[str] = None, view: Optional[str] = None,
-               payload: Optional[str] = None, detail: Optional[str] = None) -> None:
+               payload: Optional[str] = None, detail: Optional[str] = None,
+               views: Optional[dict] = None) -> None:
         self.events.append({
             "step": len(self.events),
             "t": self.t,
@@ -220,6 +235,7 @@ class _Run:
             "view_digest": view,
             "payload_digest": payload,
             "detail": detail,
+            "views": views,
         })
 
     def _enqueue_send(self, frm: str, to: str, raw: bytes, meta: dict) -> None:
@@ -257,7 +273,7 @@ class _Run:
                     self.installs += 1
                 self._trace(action.kind, actor, msg_kind=action.msg_kind,
                             view=action.view, payload=action.payload,
-                            detail=action.detail)
+                            detail=action.detail, views=_trace_views(action.views))
 
     def _fire_after_triggers(self) -> None:
         for entry in self.pending_after:

@@ -83,9 +83,6 @@ class View:
     def member_set(self) -> frozenset[ProcessId]:
         return frozenset(self.members)
 
-    def has_member(self, p: ProcessId) -> bool:
-        return p in self.member_set
-
     @property
     def quorum_size(self) -> int:
         n = len(self.members)
@@ -115,24 +112,11 @@ class View:
     def short(self) -> str:
         return self.digest[:8].hex()
 
-    @cached_property
-    def canon_str(self) -> str:
-        return ",".join(c.token for c in self.sorted_changes)
-
     def union(self, other: "View") -> "View":
         return View(self.changes | other.changes)
 
-    def subset_of(self, other: "View") -> bool:
-        return self.changes <= other.changes
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"View({self.canon_str})"
-
-
-def view_from_canon_str(s: str) -> View:
-    if not s:
-        return View(frozenset())
-    return View.of(Change(tok[0], tok[1:]) for tok in s.split(","))
+        return f"View({','.join(c.token for c in self.sorted_changes)})"
 
 
 class Comparison(Enum):
@@ -203,10 +187,6 @@ def seq_canonical_bytes(views: Iterable[View]) -> bytes:
 
 def seq_key(views: Iterable[View]) -> bytes:
     return hashlib.sha256(seq_canonical_bytes(views)).digest()
-
-
-def seq_str(views: Iterable[View]) -> str:
-    return "|".join(v.canon_str for v in seq_sorted(views))
 
 
 def payload_digest(payload: bytes) -> bytes:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from conftest import Bench, callbacks_of, notes_of, sends_of
+from conftest import callbacks_of, notes_of, sends_of
 from dbrb.broadcast import ALLOW_ANY, ALLOW_NONE
 from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import InvokeBroadcast

@@ -21,15 +21,26 @@ def scenario(**overrides):
 
 
 def synthetic(events, truncated=False):
+    """Rows from (kind, actor[, payload_digest[, detail[, views]]]) tuples."""
     rows = []
     for i, e in enumerate(events):
         row = {"step": i, "t": i, "kind": e[0], "actor": e[1], "peer": None,
                "msg_kind": None, "view_digest": None,
                "payload_digest": e[2] if len(e) > 2 else None,
-               "detail": e[3] if len(e) > 3 else None}
+               "detail": e[3] if len(e) > 3 else None,
+               "views": e[4] if len(e) > 4 else None}
         rows.append(row)
-    return simnet.Trace({"schema": 1, "scenario": "t-check", "seed": 0},
+    return simnet.Trace({"schema": 2, "scenario": "t-check", "seed": 0},
                         rows, {"truncated": truncated})
+
+
+def view(*members):
+    return [f"+{p}" for p in members]
+
+
+def accepted_install(actor, omega, v):
+    return ("StateNote", actor, None, "install-accepted",
+            {"omega": omega, "v": v, "seq": [omega]})
 
 
 def by_prop(verdicts):
@@ -177,33 +188,95 @@ def test_truncated_trace_inconclusive_for_eventual_props():
 
 
 def test_incomparable_installed_views_detected():
+    v0 = view("p1", "p2", "p3", "p4")
+    a, b = view("p1", "p2", "p3", "p4", "p5"), view("p1", "p2", "p3", "p4", "p6")
     trace = synthetic([
-        ("Install", "p1", None, "+p1,+p2,+p3,+p4,+p5"),
-        ("Install", "p2", None, "+p1,+p2,+p3,+p4,+p6"),
+        accepted_install("p1", a, v0),
+        accepted_install("p2", b, v0),
+        ("Install", "p1", None, None, {"cv": a}),
+        ("Install", "p2", None, None, {"cv": b}),
     ])
     v = by_prop(checker.check(trace, scenario()))["InstalledViewsChain"]
+    assert v.status == checker.FAIL
+    assert v.evidence == [2, 3]
+
+
+def test_install_without_accepted_install_fails_chain():
+    v0, v1 = view("p1", "p2", "p3", "p4"), view("p1", "p2", "p3", "p4", "p5")
+    install = ("Install", "p1", None, None, {"cv": v1})
+    backed = synthetic([accepted_install("p1", v1, v0), install])
+    assert by_prop(checker.check(backed, scenario()))["InstalledViewsChain"].status \
+        == checker.PASS
+    # the same install accepted by another node, or after the fact, backs nothing
+    for events, install_step in (([accepted_install("p2", v1, v0), install], 1),
+                                 ([install, accepted_install("p1", v1, v0)], 0)):
+        v = by_prop(checker.check(synthetic(events), scenario()))["InstalledViewsChain"]
+        assert v.status == checker.FAIL
+        assert "never accepted" in v.detail
+        assert v.evidence == [install_step]
+
+
+def test_byzantine_install_carries_no_obligation():
+    sc = scenario(roles={"p4": {"strategy": "silent"}})
+    trace = synthetic([("Install", "p4", None, None, {"cv": view("p1", "p2")})])
+    assert by_prop(checker.check(trace, sc))["InstalledViewsChain"].status == checker.PASS
+
+
+def test_incomparable_valid_views_detected():
+    v0 = view("p1", "p2")
+    trace = synthetic([
+        accepted_install("p1", view("p1", "p2", "p5"), v0),
+        accepted_install("p2", view("p1", "p2", "p6"), v0),
+    ])
+    v = by_prop(checker.check(trace, scenario()))["ValidViewsComparable"]
     assert v.status == checker.FAIL
     assert v.evidence == [0, 1]
 
 
-def test_incomparable_valid_views_detected():
+def test_incomparable_commit_view_detected():
     trace = synthetic([
-        ("StateNote", "p1", None,
-         "install-accepted omega=+p1,+p2,+p5 v=+p1,+p2 seq=+p1,+p2,+p5"),
-        ("StateNote", "p2", None,
-         "install-accepted omega=+p1,+p2,+p6 v=+p1,+p2 seq=+p1,+p2,+p6"),
+        ("StateNote", "p1", None, "commit-accepted", {"v_cer": view("p1", "p2", "p5")}),
+        ("StateNote", "p2", None, "commit-accepted", {"v_cer": view("p1", "p2", "p6")}),
     ])
     v = by_prop(checker.check(trace, scenario()))["ValidViewsComparable"]
     assert v.status == checker.FAIL
 
 
 def test_unordered_converged_sequences_detected():
+    v0 = view("p1", "p2")
     trace = synthetic([
-        ("StateNote", "p1", None, "converged-on v=+p1,+p2 seq=+p1,+p2,+p5"),
-        ("StateNote", "p2", None, "converged-on v=+p1,+p2 seq=+p1,+p2,+p6"),
+        ("StateNote", "p1", None, "converged-on",
+         {"v": v0, "seq": [view("p1", "p2", "p5")]}),
+        ("StateNote", "p2", None, "converged-on",
+         {"v": v0, "seq": [view("p1", "p2", "p6")]}),
     ])
     v = by_prop(checker.check(trace, scenario()))["ConvergedTotalOrder"]
     assert v.status == checker.FAIL
+
+
+def test_ordered_converged_sequences_pass():
+    v0, v1 = view("p1", "p2"), view("p1", "p2", "p5")
+    trace = synthetic([
+        ("StateNote", "p1", None, "converged-on", {"v": v0, "seq": [v1]}),
+        ("StateNote", "p2", None, "converged-on",
+         {"v": v0, "seq": [v1, view("p1", "p2", "p5", "p6")]}),
+    ])
+    assert by_prop(checker.check(trace, scenario()))["ConvergedTotalOrder"].status \
+        == checker.PASS
+
+
+@pytest.mark.parametrize("note", [
+    ("Install", "p1", None, None, None),
+    ("Install", "p1", None, None, {}),
+    ("StateNote", "p1", None, "install-accepted", None),
+    ("StateNote", "p1", None, "install-accepted", {"omega": ["+p1"], "v": ["+p1"]}),
+    ("StateNote", "p1", None, "converged-on", {"v": ["+p1"]}),
+    ("StateNote", "p1", None, "commit-accepted", None),
+    ("StateNote", "p1", None, "commit-accepted", {"v_cer": None}),
+])
+def test_named_note_without_views_is_malformed(note):
+    with pytest.raises(checker.MalformedTrace, match="without views"):
+        checker.check(synthetic([note]), scenario())
 
 
 def test_malformed_trace_raises():

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from dbrb import cli, simnet
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
@@ -63,15 +61,15 @@ def test_check_violating_trace_exits_one(tmp_path, capsys):
     rows = [
         {"step": 0, "t": 0, "kind": "Invoke", "actor": "p1", "peer": None,
          "msg_kind": None, "view_digest": None, "payload_digest": "aaaa",
-         "detail": "broadcast"},
+         "detail": "broadcast", "views": None},
         {"step": 1, "t": 1, "kind": "Callback", "actor": "p2", "peer": None,
          "msg_kind": None, "view_digest": None, "payload_digest": "aaaa",
-         "detail": "Delivered"},
+         "detail": "Delivered", "views": None},
         {"step": 2, "t": 2, "kind": "Callback", "actor": "p3", "peer": None,
          "msg_kind": None, "view_digest": None, "payload_digest": "bbbb",
-         "detail": "Delivered"},
+         "detail": "Delivered", "views": None},
     ]
-    trace = simnet.Trace({"schema": 1, "scenario": sc.name, "seed": 0},
+    trace = simnet.Trace({"schema": 2, "scenario": sc.name, "seed": 0},
                          rows, {"truncated": False})
     path = tmp_path / "bad.jsonl"
     trace.write(path)
@@ -79,6 +77,20 @@ def test_check_violating_trace_exits_one(tmp_path, capsys):
                    "--scenario", str(SCENARIOS / "static4.json")])
     assert rc == 1
     assert "Consistency" in capsys.readouterr().out
+
+
+def test_check_rejects_another_trace_schema(tmp_path, capsys):
+    out = tmp_path / "trace.jsonl"
+    cli.main(["run", "--scenario", str(SCENARIOS / "static4.json"),
+              "--seed", "1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["schema"] = 1
+    out.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    rc = cli.main(["check", "--trace", str(out),
+                   "--scenario", str(SCENARIOS / "static4.json")])
+    assert rc == 2
+    assert "trace schema 1, expected 2" in capsys.readouterr().err
 
 
 def test_check_truncated_trace_exits_three(tmp_path):

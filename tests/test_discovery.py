@@ -1,8 +1,8 @@
 """View histories: verification, trust growth, and the gossip surface."""
 
-from conftest import Bench, sends_of
+from conftest import sends_of
 from dbrb.discovery import verify_history
-from dbrb.engine import Flood, InvokeJoin, Receive
+from dbrb.engine import Flood, Receive
 from dbrb.messages import (
     HistoryGossip,
     HistoryRequest,
@@ -10,7 +10,6 @@ from dbrb.messages import (
     ViewHistory,
     converged_signed_bytes,
     decode,
-    message_meta,
 )
 from dbrb.views import View, plus
 

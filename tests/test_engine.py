@@ -1,10 +1,10 @@
-"""Engine determinism, snapshots, and lifecycle guards."""
+"""Engine determinism, state digests, and lifecycle guards."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Bench, sends_of
-from dbrb.engine import HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
+from dbrb.engine import HaltedError, InvokeBroadcast, InvokeJoin, Receive
 from dbrb.messages import Deliver, Prepare, Reconfig, message_meta
 from dbrb.views import plus
 
@@ -26,34 +26,6 @@ def test_identical_event_sequences_give_identical_state_and_outputs():
     outs_b = [b.nodes["p1"].step(e) for e in events]
     assert outs_a == outs_b
     assert a.nodes["p1"].state_digest() == b.nodes["p1"].state_digest()
-
-
-def test_replay_from_snapshot_matches_original():
-    bench, _ = fresh_pair()
-    node = bench.nodes["p2"]
-    snap = node.snapshot()
-    event = Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
-                    {"msg": "PREPARE"})
-    out_live = node.step(event)
-    restored = Node.restore(snap)
-    out_replay = restored.step(event)
-    assert out_live == out_replay
-    assert node.state_digest() == restored.state_digest()
-
-
-def test_snapshot_round_trip_preserves_digest():
-    bench, _ = fresh_pair()
-    node = bench.nodes["p3"]
-    snap = node.snapshot()
-    assert Node.restore(snap).state_digest() == snap["digest"] == node.state_digest()
-
-
-def test_snapshot_version_checked():
-    bench, _ = fresh_pair()
-    snap = bench.nodes["p3"].snapshot()
-    snap["version"] = 99
-    with pytest.raises(ValueError):
-        Node.restore(snap)
 
 
 def test_mutating_events_change_the_digest():
@@ -184,8 +156,5 @@ def test_decode_memo_is_not_protocol_state():
                       {"msg": "PREPARE"}))
     assert node._decoded
     digest = node.state_digest()
-    snap = node.snapshot()
-    assert "_decoded" not in snap["state"]
-    assert Node.restore(snap)._decoded == {}
     node._decoded.clear()
-    assert node.state_digest() == digest == snap["digest"]
+    assert node.state_digest() == digest

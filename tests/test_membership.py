@@ -13,7 +13,6 @@ from dbrb.messages import (
     Reconfig,
     ReconfigProof,
     decode,
-    message_meta,
     reconfig_signed_bytes,
 )
 from dbrb.views import View, minus, plus, seq_key
@@ -354,7 +353,7 @@ def test_install_suspends_then_completes(bench4):
     assert node.installed[v1] is True
     assert not node.suspended
     installs = notes_of(actions, "Install")
-    assert [n.detail for n in installs] == [v1.canon_str]
+    assert [n.views for n in installs] == [{"cv": v1}]
 
 
 def test_install_while_suspended_drops_old_view_traffic(bench4):

@@ -1,13 +1,12 @@
 """Reliable multicast: target-set checks, relay-before-deliver, dedup."""
 
-from conftest import Bench, notes_of, sends_of
+from conftest import notes_of, sends_of
 from dbrb.engine import Receive, Send
 from dbrb.messages import (
     Install,
     StateRecord,
     StateUpdate,
     converged_signed_bytes,
-    decode,
     message_meta,
 )
 from dbrb.views import View, plus

@@ -62,8 +62,8 @@ def test_simultaneous_joins_exercise_conflict_merge():
         joined = {e["actor"] for e in trace.events
                   if e["kind"] == "Callback" and e["detail"] == "JoinComplete"}
         assert joined == {"p5", "p6"}, f"seed {seed}: {joined}"
-        if any(e["kind"] == "StateNote" and "install-accepted" in (e["detail"] or "")
-               and "|" in e["detail"] for e in trace.events):
+        if any(e["kind"] == "StateNote" and e["detail"] == "install-accepted"
+               and len(e["views"]["seq"]) > 1 for e in trace.events):
             multi_view_seqs += 1
     assert multi_view_seqs > 0, "no run produced a multi-view sequence"
 

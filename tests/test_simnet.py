@@ -1,6 +1,5 @@
 """Simulator semantics: reliability, determinism, truncation, validation."""
 
-import json
 from pathlib import Path
 
 import pytest

@@ -4,6 +4,7 @@ Each digest is the sha256 of `simnet.run(scenario, seed).to_jsonl()`.  A
 change that only makes the code faster or smaller must leave every digest
 as it is; a change that alters behaviour or the trace schema on purpose
 updates them and says why.  "default" runs the scenario's own scheme.
+The digests below are of trace schema 2.
 """
 
 import dataclasses
@@ -17,36 +18,36 @@ from dbrb import simnet
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
 PINNED = {
-    ("churn_burst", "default", 0): "53013b68c2922d08a7ae6065ca7ef04cb8d555d438932c5478527f0787a2cc25",
-    ("churn_burst", "default", 7): "8ffd8d069af402c4323eae163451390dcb289627719e189d9a09dc259b3af0e1",
-    ("churn_burst", "default", 42): "9c6234e0dac39f295a9dcc12445ec41cb4bb33323ecec65511ba75c9a7bbc3db",
-    ("equivocating_n7", "default", 0): "c1a1b30dc8566426d0f34e60de330e9f8babb1d295c8d2e665ce43f2bd241e97",
-    ("equivocating_n7", "default", 7): "9066a0196ae013fb5ac87d4d768af801582be2c8eb2c49968df5eaa5eadb3e13",
-    ("equivocating_n7", "default", 42): "9a3abadcc8a5cce263dece04bfd9cb07402e47c378d769b7ce3f427a93398c2e",
-    ("equivocating_sender", "default", 0): "444d565ca0e214e41270cb55956876aa5e873703d5cfa7a47e2a98b31de67233",
-    ("equivocating_sender", "default", 7): "05ae967287f4ee8da1f233191b9a01e60c5f0f52fe9ac37f6f07112211a670bf",
-    ("equivocating_sender", "default", 42): "f41af308b33484c653b9c23fd0b410cf8bb1ee34910b08a9345eb26fc02afc41",
-    ("forged_certificate", "default", 0): "0b09cef1911d5d8fecce648753ef4b364cabb33bd064a780a77e0f2f41835d22",
-    ("forged_certificate", "default", 7): "85a820fc932fa62191d524356612769fdcc00d9597bc99c5916ebdf3ac904fae",
-    ("forged_certificate", "default", 42): "5fb83421a4a6d7580743c624fdc57a2cb1d3e7cddec2d37ef6ed423368957369",
-    ("join_during_broadcast", "default", 0): "7644826c042c17ea9236b54a6e51a6e7f0ebd0636605ea385ac0f89011f52cf9",
-    ("join_during_broadcast", "default", 7): "1a472ae0223a1ac571108b873165422402f77be18f34bf9edd03596d91704e87",
-    ("join_during_broadcast", "default", 42): "4722e0219afdbd6411b5c68645fa48d07b445ee0ee1c2e278833b960827ed4d3",
-    ("leave_after_deliver", "default", 0): "7e0ce9d1a02914e5b28d6e5a7e85fc1c1307fb399bd3d354e5431c4727762e82",
-    ("leave_after_deliver", "default", 7): "4c01cad900b9c3dbda8d70ca6916bda588ad3a0c9073a24ba1c2d2245cd033ba",
-    ("leave_after_deliver", "default", 42): "0232c50a1403f4f212c706f6eb602fe42198e3c032d27204220c74e354e9dd0f",
-    ("silent_f", "default", 0): "5f90121958a87d57f723cb01aa40d275e88e592a45805d668b5bc79191cd3975",
-    ("silent_f", "default", 7): "33d8e8ed20e234901872974a30168900333b9269bbd260d6bccb1c92f14dde4e",
-    ("silent_f", "default", 42): "225c3d085f173729549457c187af750a9d295a415e3eb6f04372b856aea9cead",
-    ("static4", "default", 0): "b9e066bc1d6009911a630f4a6852338482da3ea077d762f9926ab13b79fc1fdf",
-    ("static4", "default", 7): "33d3fa5a0e7ace371da6e67dbcea624f252f5fc47190e56a8e0b243de771c8b0",
-    ("static4", "default", 42): "ed34969a80383014bbb82f2fbb70e4bba480e4e133c8111e676a4a72c51b1de2",
-    ("equivocating_n7", "ed25519", 0): "c1a1b30dc8566426d0f34e60de330e9f8babb1d295c8d2e665ce43f2bd241e97",
-    ("equivocating_n7", "ed25519", 7): "9066a0196ae013fb5ac87d4d768af801582be2c8eb2c49968df5eaa5eadb3e13",
-    ("equivocating_n7", "ed25519", 42): "9a3abadcc8a5cce263dece04bfd9cb07402e47c378d769b7ce3f427a93398c2e",
-    ("static4", "ed25519", 0): "b9e066bc1d6009911a630f4a6852338482da3ea077d762f9926ab13b79fc1fdf",
-    ("static4", "ed25519", 7): "33d3fa5a0e7ace371da6e67dbcea624f252f5fc47190e56a8e0b243de771c8b0",
-    ("static4", "ed25519", 42): "ed34969a80383014bbb82f2fbb70e4bba480e4e133c8111e676a4a72c51b1de2",
+    ("churn_burst", "default", 0): "ced9b778bb1ec3e4910256997ef2183705b68665223c26194d36514c6ed56197",
+    ("churn_burst", "default", 7): "fe009aa98a29b645eecbbe4cca5173bd929db79d631a0347e9c7593f2a680dcf",
+    ("churn_burst", "default", 42): "2ab97af815da3e912650c95f657b5d121347041267b208c65acf4f27187c2a0a",
+    ("equivocating_n7", "default", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
+    ("equivocating_n7", "default", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
+    ("equivocating_n7", "default", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",
+    ("equivocating_sender", "default", 0): "84ef67978e4e839ebbd80d26e59a9b0d099419da2ba982987844ecd5a1cff230",
+    ("equivocating_sender", "default", 7): "08f60fce5bfa9f37cf4c8f560a70110c3c5169a63d7e1ec0f6a67d8500ce2b13",
+    ("equivocating_sender", "default", 42): "e3d2977c5d9764f9e31569b9c7cb86cfcb42955b2bb5b7f9b8aeda693f164a45",
+    ("forged_certificate", "default", 0): "e2f208d42944c964c35c6562dc1acb6d076b0dff8c88530e9853e62e5cd89646",
+    ("forged_certificate", "default", 7): "1d72470bcd982b4c1aa8e012697e978494717194dd02b53cffb93e5ea9159785",
+    ("forged_certificate", "default", 42): "4a21f3056dcbb5ef4a34e9b5c0842da329b4ddbe25f8e5a60c5ea7a22e8e1e20",
+    ("join_during_broadcast", "default", 0): "5d68db912ce25f97110ad0215d541d8e3b0bee35bd5681e8c417d6f457ea2d21",
+    ("join_during_broadcast", "default", 7): "864ca274e5be3ffd5dd4df552b03420432c9fc15764b74943a40e0adb899dd71",
+    ("join_during_broadcast", "default", 42): "6476a6e75ec5422d6ff17412a4932910bea9d49426348add147ddb580bd00b66",
+    ("leave_after_deliver", "default", 0): "1c12e659d9e3f3a595c57bca45df0cfda461879a9f7780c7c61f5dbae07b37f8",
+    ("leave_after_deliver", "default", 7): "49db41dee4c663aca2a61f9059b2f9337824978ccd9b86907ab3fa8ca1d7a85a",
+    ("leave_after_deliver", "default", 42): "a70fb6d3684ab77295a2971436e0c5a1e7a5b21dd937cd91cf9766bc92694762",
+    ("silent_f", "default", 0): "5dfb22e71b95ebd047ee92ce50dc6e1c83f59ceca12bcec3e97d2564405b2db1",
+    ("silent_f", "default", 7): "b5145e06f7fec447ac41a16c655da8c243a85f00d3c8e3d4922077cd84694211",
+    ("silent_f", "default", 42): "1747c877d5e18698c8a66d872ebf4f7cf78d915237502bb0fbedc3458be5cdc3",
+    ("static4", "default", 0): "2e8422d4d61f122e4c8d86e0a452b7364a517078035002976b1801767a68c7b2",
+    ("static4", "default", 7): "99be7833124cebc6ba20da6f7e0aec7c08ead8c25b314ceba9eda2a85d202956",
+    ("static4", "default", 42): "cbc99101f94d0e51feb13a5211196002322b47ec748b5bb80d4e738c375c9ad9",
+    ("equivocating_n7", "ed25519", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
+    ("equivocating_n7", "ed25519", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
+    ("equivocating_n7", "ed25519", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",
+    ("static4", "ed25519", 0): "2e8422d4d61f122e4c8d86e0a452b7364a517078035002976b1801767a68c7b2",
+    ("static4", "ed25519", 7): "99be7833124cebc6ba20da6f7e0aec7c08ead8c25b314ceba9eda2a85d202956",
+    ("static4", "ed25519", 42): "cbc99101f94d0e51feb13a5211196002322b47ec748b5bb80d4e738c375c9ad9",
 }
 
 

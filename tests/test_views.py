@@ -14,7 +14,6 @@ from dbrb.views import (
     most_recent,
     plus,
     seq_key,
-    view_from_canon_str,
 )
 
 
@@ -46,7 +45,7 @@ def test_quorum_intersection_exceeds_faults():
 def test_members_derived_from_changes():
     v = View.of([plus("a"), plus("b"), minus("b")])
     assert v.members == ("a",)
-    assert v.has_member("a") and not v.has_member("b")
+    assert "a" in v.member_set and "b" not in v.member_set
 
 
 def test_compare_examples():
@@ -123,7 +122,6 @@ def test_compare_is_a_partial_order(a, b, c):
 @given(small_views)
 @settings(max_examples=200, deadline=None)
 def test_canonical_serialization_round_trips(v):
-    assert view_from_canon_str(v.canon_str) == v
     from dbrb.messages import Reader, Writer, read_view, write_view
 
     w = Writer()

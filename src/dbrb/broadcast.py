@@ -55,8 +55,7 @@ class BroadcastMixin:
             self._disseminate(Prepare(payload, self.cv))
 
     def _disseminate(self, msg) -> None:
-        for q in msg.view.members:
-            self._send(q, msg)
+        self._send_all(msg.view.members, msg)
 
     # -- handlers ---------------------------------------------------------------
 

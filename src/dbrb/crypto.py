@@ -122,11 +122,15 @@ class Verifier:
 
     Successful checks are remembered, so a signature relayed to the same
     engine again costs a set lookup.  A failed check is never remembered.
+    `proved` holds values whose whole proof (structure plus a quorum of
+    signatures) held for this engine; the check that owns such a proof
+    adds a value after it succeeds, never after it fails.
     """
 
     def __init__(self, keyring: Keyring) -> None:
         self._keyring = keyring
         self._verified: set[tuple[ProcessId, bytes, bytes]] = set()
+        self.proved: set = set()
 
     def verify(self, pid: ProcessId, payload: bytes, sig: bytes) -> bool:
         key = (pid, payload, sig)

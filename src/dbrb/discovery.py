@@ -16,7 +16,20 @@ from .views import View, comparable, is_sequence, least_recent
 
 
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
-    """Check an install message's structural and quorum validity."""
+    """Check an install message's structural and quorum validity.
+
+    The result depends on the install's value alone, so an install this
+    engine's verifier has proved before is accepted at once.
+    """
+    if install in verifier.proved:
+        return True
+    if not _install_proof_holds(install, verifier):
+        return False
+    verifier.proved.add(install)
+    return True
+
+
+def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
     if not install.seq or not is_sequence(install.seq):
         return False
     try:

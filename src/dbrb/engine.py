@@ -16,7 +16,7 @@ from typing import Optional
 from .broadcast import ALLOW_ANY, BroadcastMixin
 from .crypto import Signer, Verifier
 from .discovery import DiscoveryMixin
-from .membership import MembershipMixin
+from .membership import _EMPTY_SEQ_KEY, MembershipMixin
 from .messages import (
     Ack,
     CodecError,
@@ -27,6 +27,7 @@ from .messages import (
     HistoryGossip,
     HistoryRequest,
     Install,
+    Message,
     Prepare,
     Propose,
     RecConfirm,
@@ -134,11 +135,11 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.installed: dict[View, bool] = {initial_view: True} if initial_member else {}
         self.recv: dict = {}
         self.seqs: dict[View, frozenset[View]] = {}
+        self.seq_keys: dict[View, bytes] = {}  # seq_key(seqs[v]), set with it
         self.lcseqs: dict[View, frozenset[View]] = {}
         self.formats: dict[View, dict[bytes, frozenset[View]]] = {}
         if initial_member:
-            from .views import seq_key
-            self.formats[initial_view] = {seq_key(frozenset()): frozenset()}
+            self.formats[initial_view] = {_EMPTY_SEQ_KEY: frozenset()}
         self.pool: dict = {}
         self.suspended = not initial_member
         self.joined = initial_member
@@ -190,8 +191,10 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.pending_store: list = []
 
         self._outputs: list[OutputAction] = []
-        # raw -> Decoded for every message that decoded; not protocol state
+        # raw -> Decoded for every message that decoded, and (tag, body) ->
+        # message for every body that parsed; neither is protocol state
         self._decoded: dict[bytes, Decoded] = {}
+        self._bodies: dict[tuple[int, bytes], Message] = {}
 
     # -- emit helpers -----------------------------------------------------------
 
@@ -208,8 +211,14 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self._assert_may_send()
         self._outputs.append(Send(to, raw, dict(meta)))
 
+    def _send_all(self, targets, msg) -> None:
+        """Send msg to each target in order; it is encoded and signed once."""
+        raw, meta = self._encode(msg), message_meta(msg)
+        for q in targets:
+            self._send_raw(q, raw, meta)
+
     def _send(self, to: ProcessId, msg) -> None:
-        self._send_raw(to, self._encode(msg), message_meta(msg))
+        self._send_all((to,), msg)
 
     def _flood(self, msg) -> None:
         self._assert_may_send()
@@ -250,12 +259,13 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         return out
 
     def _receive(self, event: Receive) -> None:
-        # Echoes and gossip deliver the same bytes many times; decoding is a
-        # pure function of them, so each distinct message is parsed once.
+        # Echoes and gossip deliver the same bytes many times, and members
+        # sign the same bodies; decoding is a pure function of the bytes, so
+        # each distinct message is decoded once and each body parsed once.
         decoded = self._decoded.get(event.raw)
         if decoded is None:
             try:
-                decoded = decode(event.raw, self.verifier)
+                decoded = decode(event.raw, self.verifier, self._bodies)
             except CodecError as exc:
                 self._note("Drop", detail=f"undecodable message: {exc}")
                 return
@@ -313,7 +323,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
                 return
         raise AssertionError("repoll did not reach a fixpoint")
 
-    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded")
+    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "seq_keys")
 
     def state_digest(self) -> str:
         """Platform-stable digest over every mutable state field."""

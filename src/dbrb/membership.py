@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .crypto import verify_certificate
 from .messages import (
+    Commit,
     Converged,
     Install,
     Propose,
@@ -20,6 +22,7 @@ from .messages import (
     HistoryRequest,
     StateRecord,
     StateUpdate,
+    prepare_signed_bytes,
 )
 from .views import (
     Change,
@@ -73,9 +76,7 @@ class MembershipMixin:
         self.rec_confirms.clear()
 
     def _send_reconfig(self, change: Change, target: View) -> None:
-        msg = Reconfig(change, target)
-        for q in target.members:
-            self._send(q, msg)
+        self._send_all(target.members, Reconfig(change, target))
 
     def _join_kick(self) -> bool:
         if self.halted or self.joined or not self.join_invoked:
@@ -157,7 +158,7 @@ class MembershipMixin:
         if not effective:
             return False
         proposal = View(self.cv.changes | effective)
-        self.seqs[self.cv] = frozenset({proposal})
+        self._set_seq(self.cv, frozenset({proposal}))
         self._emit_propose(self.cv)
         return True
 
@@ -170,11 +171,14 @@ class MembershipMixin:
             raise AssertionError(f"proof pool missing changes: {sorted(c.token for c in missing)}")
         return tuple(self.pool[c] for c in sorted(needed, key=lambda c: (c.process, c.sign)))
 
+    def _set_seq(self, v: View, seq: frozenset[View]) -> None:
+        """The one way seqs[v] changes: its key is computed here, once."""
+        self.seqs[v] = seq
+        self.seq_keys[v] = seq_key(seq)
+
     def _emit_propose(self, v: View) -> None:
         seq = self.seqs[v]
-        msg = Propose(seq, v, self._propose_proofs(seq, v))
-        for q in v.members:
-            self._send(q, msg)
+        self._send_all(v.members, Propose(seq, v, self._propose_proofs(seq, v)))
 
     def _handle_propose(self, author: str, msg: Propose) -> None:
         v = msg.view
@@ -237,9 +241,9 @@ class MembershipMixin:
             local = self.seqs.get(v, frozenset())
             if any(not comparable(a, b) for a in seq for b in local):
                 merged = most_recent(seq).union(most_recent(local))
-                self.seqs[v] = frozenset(self.lcseqs.get(v, frozenset()) | {merged})
+                self._set_seq(v, frozenset(self.lcseqs.get(v, frozenset()) | {merged}))
             else:
-                self.seqs[v] = local | seq
+                self._set_seq(v, local | seq)
             if not is_sequence(self.seqs[v]):
                 raise AssertionError("proposal merge broke sequence invariant")
             self._emit_propose(v)
@@ -255,16 +259,14 @@ class MembershipMixin:
             seq = self.seqs.get(v)
             if not seq:
                 continue
-            k = seq_key(seq)
+            k = self.seq_keys[v]
             if (v, k) in self.converged_sent:
                 continue
             backers = [q for q in votes if q in v.member_set and k in votes[q]]
             if len(backers) >= v.quorum_size:
                 self.lcseqs[v] = seq
                 self.converged_sent.add((v, k))
-                msg = Converged(seq, v)
-                for q in v.members:
-                    self._send(q, msg)
+                self._send_all(v.members, Converged(seq, v))
                 changed = True
         return changed
 
@@ -368,9 +370,6 @@ class MembershipMixin:
         per_view[author] = msg
 
     def _verify_state_update(self, msg: StateUpdate) -> bool:
-        from .messages import prepare_signed_bytes
-        from .crypto import verify_certificate
-
         v = msg.view
         rec = msg.record
         if rec.ack:
@@ -442,7 +441,7 @@ class MembershipMixin:
             newer = frozenset(w for w in seq if self.cv.changes < w.changes)
             if newer:
                 if not self.seqs.get(self.cv) and all(self.cv.changes < w.changes for w in newer):
-                    self.seqs[self.cv] = newer
+                    self._set_seq(self.cv, newer)
                     self._emit_propose(self.cv)
             else:
                 self.installed[self.cv] = True
@@ -470,15 +469,11 @@ class MembershipMixin:
         self._halt()
 
     def _leaver_commit(self) -> None:
-        from .messages import Commit
-
         ev = self.stored_value
         best = self._best_view()
         if len(best.changes) > len(self.cv.changes):
             self.cv = best
-        msg = Commit(ev.payload, ev.cert, ev.v_cer, self.cv)
-        for q in self.cv.members:
-            self._send(q, msg)
+        self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
 
     def _leaver_loop_kick(self) -> bool:
         if not self.leaver_loop or self.halted:

@@ -27,6 +27,7 @@ from .views import (
     ViewError,
     seq_sort_key,
     seq_sorted,
+    short_digest,
 )
 
 WIRE_VERSION = 1
@@ -570,7 +571,8 @@ def write_history(w: Writer, h: ViewHistory) -> None:
         w.blob(inner.getvalue())
 
 
-def read_history(r: Reader) -> ViewHistory:
+def read_history(r: Reader, bodies: Optional[dict] = None) -> ViewHistory:
+    """Each link is an INSTALL body, parsed through `_parse_body`'s memo."""
     count = r.u32()
     if count == 0:
         raise CodecError("empty history")
@@ -578,9 +580,7 @@ def read_history(r: Reader) -> ViewHistory:
     views = [first]
     links = []
     for _ in range(count - 1):
-        inner = Reader(r.blob())
-        link = Install.read_body(inner)
-        inner.expect_done()
+        link = _parse_body(TAG_INSTALL, r.blob(), bodies)
         links.append(link)
         views.append(link.omega)
     return ViewHistory(tuple(views), tuple(links))
@@ -595,8 +595,8 @@ class HistoryGossip:
         write_history(w, self.history)
 
     @classmethod
-    def read_body(cls, r: Reader) -> "HistoryGossip":
-        return cls(read_history(r))
+    def read_body(cls, r: Reader, bodies: Optional[dict] = None) -> "HistoryGossip":
+        return cls(read_history(r, bodies))
 
 
 Message = (
@@ -645,15 +645,43 @@ class Decoded:
     body: bytes  # as received; equal to body_bytes(msg)
 
 
-def decode(raw: bytes, verifier: Verifier) -> Decoded:
-    """Parse and authenticate a framed message; raises CodecError on any defect."""
+def _parse_body(tag: int, body: bytes, bodies: Optional[dict] = None) -> Message:
+    """Parse one body of a known tag; raises CodecError on any defect.
+
+    `bodies` maps (tag, body) to the message parsed from it.  Parsing is a
+    pure function of those two, so a body found there is not parsed again,
+    and each body that parses is added; one that fails never is.
+    """
+    key = (tag, body)
+    if bodies is not None:
+        msg = bodies.get(key)
+        if msg is not None:
+            return msg
+    cls = _CLASSES[tag]
+    r = Reader(body)
+    try:
+        # history links are INSTALL bodies and parse through the same memo
+        msg = cls.read_body(r, bodies) if tag == TAG_HISTORY else cls.read_body(r)
+    except ViewError as exc:  # oversized or malformed view payloads
+        raise CodecError(str(exc)) from exc
+    r.expect_done()
+    if bodies is not None:
+        bodies[key] = msg
+    return msg
+
+
+def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Decoded:
+    """Parse and authenticate a framed message; raises CodecError on any defect.
+
+    The envelope signature is checked before the body is looked up in, or
+    parsed into, the `bodies` memo of `_parse_body`.
+    """
     r = Reader(raw)
     version = r.u8()
     if version != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {version}")
     tag = r.u8()
-    cls = _CLASSES.get(tag)
-    if cls is None:
+    if tag not in _CLASSES:
         raise CodecError(f"unknown tag 0x{tag:02x}")
     body = r.blob()
     author = r.text()
@@ -662,13 +690,7 @@ def decode(raw: bytes, verifier: Verifier) -> Decoded:
     content = _signed_content(tag, body, author)
     if not verifier.verify(author, content, sig):
         raise CodecError("bad envelope signature")
-    br = Reader(body)
-    try:
-        msg = cls.read_body(br)
-    except ViewError as exc:  # oversized or malformed view payloads
-        raise CodecError(str(exc)) from exc
-    br.expect_done()
-    return Decoded(msg, author, KIND_NAMES[tag], sig, body)
+    return Decoded(_parse_body(tag, body, bodies), author, KIND_NAMES[tag], sig, body)
 
 
 def reconfig_signed_bytes(change: Change, view: View, author: ProcessId) -> bytes:
@@ -687,8 +709,6 @@ def prepare_signed_bytes(payload: bytes, view: View, author: ProcessId) -> bytes
 
 def message_meta(msg: Message) -> dict:
     """Trace metadata: kind plus short digests of the associated view/payload."""
-    from .views import short_digest
-
     kind = KIND_NAMES[msg.TAG]
     view = getattr(msg, "view", None)
     payload = getattr(msg, "payload", None)

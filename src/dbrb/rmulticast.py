@@ -26,10 +26,7 @@ def _rm_key(decoded: Decoded) -> bytes:
 
 class RMulticastMixin:
     def _r_multicast(self, msg) -> None:
-        raw = self._encode(msg)
-        meta = message_meta(msg)
-        for q in sorted(set(msg.psi)):
-            self._send_raw(q, raw, meta)
+        self._send_all(sorted(set(msg.psi)), msg)
 
     def _rm_receive(self, decoded: Decoded, raw: bytes) -> None:
         msg = decoded.msg

@@ -17,7 +17,8 @@ from dbrb.crypto import (
     make_keyring,
     verify_certificate,
 )
-from dbrb.messages import Writer, write_cert
+from dbrb.discovery import verify_install_proof
+from dbrb.messages import Install, Writer, converged_signed_bytes, write_cert
 from dbrb.views import View, plus
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
@@ -163,3 +164,50 @@ def test_verifier_memo_is_per_instance(keyring):
     # a second verifier never relies on a check the first one made
     assert second.verify("p1", b"blob", sig)
     assert calls == ["p1", "p1"]
+
+
+def make_install(keyring):
+    v1 = View(V0.changes | {plus("p5")})
+    seq = frozenset({v1})
+    sigs = tuple((pid, keyring.sign(pid, converged_signed_bytes(seq, V0, pid)))
+                 for pid in ("p1", "p2", "p3"))
+    return Install(tuple(sorted(V0.member_set | v1.member_set)), v1, seq, V0, sigs, ())
+
+
+def counting_verifier(keyring, calls):
+    verifier = keyring.verifier()
+    real = verifier.verify
+    verifier.verify = lambda pid, payload, sig: calls.append(pid) or real(pid, payload, sig)
+    return verifier
+
+
+def test_failed_install_proof_is_never_remembered(keyring):
+    calls = []
+    verifier = counting_verifier(keyring, calls)
+    good = make_install(keyring)
+    sigs = list(good.converged_sigs)
+    sigs[0] = (sigs[0][0], b"garbage")
+    bad = Install(good.psi, good.omega, good.seq, good.view, tuple(sigs), ())
+    assert not verify_install_proof(bad, verifier)
+    assert verifier.proved == set()
+    assert verify_install_proof(good, verifier)
+    assert verifier.proved == {good}
+    # a proved install is accepted without a signature check; a failed one
+    # is checked in full every time
+    del calls[:]
+    assert verify_install_proof(good, verifier)
+    assert calls == []
+    assert not verify_install_proof(bad, verifier)
+    assert calls and verifier.proved == {good}
+
+
+def test_proved_installs_are_per_verifier(keyring):
+    install = make_install(keyring)
+    first_calls, second_calls = [], []
+    first = counting_verifier(keyring, first_calls)
+    second = counting_verifier(keyring, second_calls)
+    assert verify_install_proof(install, first)
+    assert second.proved == set()
+    # a second engine never relies on the proof the first one checked
+    assert verify_install_proof(install, second)
+    assert second_calls == first_calls == ["p1", "p2", "p3"]

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Bench, sends_of
 from dbrb.engine import HaltedError, InvokeBroadcast, InvokeJoin, Receive
-from dbrb.messages import Deliver, Prepare, Reconfig, message_meta
-from dbrb.views import plus
+from dbrb.messages import Converged, Deliver, Prepare, Reconfig, message_meta
+from dbrb.views import plus, seq_key
 
 
 def fresh_pair():
@@ -123,7 +123,8 @@ def test_repeated_message_is_decoded_once_and_handled_again(monkeypatch):
     decodes = []
     real = engine.decode
     monkeypatch.setattr(engine, "decode",
-                        lambda raw, verifier: decodes.append(raw) or real(raw, verifier))
+                        lambda raw, verifier, bodies=None:
+                        decodes.append(raw) or real(raw, verifier, bodies))
     msg = Reconfig(plus("p5"), bench.initial_view)
     event = Receive("p5", bench.raw("p5", msg), message_meta(msg))
     first = node.step(event)
@@ -154,7 +155,42 @@ def test_decode_memo_is_not_protocol_state():
     node = bench.nodes["p2"]
     node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
                       {"msg": "PREPARE"}))
-    assert node._decoded
+    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), bench.initial_view)),
+                      {"msg": "RECONFIG"}))
+    assert node._decoded and node._bodies
+    assert node.seq_keys == {v: seq_key(seq) for v, seq in node.seqs.items()} != {}
     digest = node.state_digest()
     node._decoded.clear()
+    node._bodies.clear()
+    node.seq_keys.clear()
     assert node.state_digest() == digest
+
+
+def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
+    bench, _ = fresh_pair()
+    node = bench.nodes["p2"]
+    parsed = []
+    real = Converged.read_body.__func__
+    monkeypatch.setattr(Converged, "read_body",
+                        classmethod(lambda cls, r: parsed.append(1) or real(cls, r)))
+    msg = Converged(frozenset({bench.initial_view}), bench.initial_view)
+    for author in ("p1", "p3"):
+        node.step(Receive(author, bench.raw(author, msg), message_meta(msg)))
+    assert len(parsed) == 1
+    assert len(node._decoded) == 2 and len(node._bodies) == 1
+
+
+def test_emit_propose_signs_once_per_fan_out():
+    bench, _ = fresh_pair()
+    node = bench.nodes["p1"]
+    v0 = bench.initial_view
+    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), v0)), {"msg": "RECONFIG"}))
+    signed = []
+    real = node.signer.sign
+    node.signer.sign = lambda payload: signed.append(payload) or real(payload)
+    node._outputs = []
+    node._emit_propose(v0)
+    proposes = sends_of(node._outputs, "PROPOSE")
+    assert [s.to for s in proposes] == list(v0.members)
+    assert len(signed) == 1
+    assert {s.raw for s in proposes} == {proposes[0].raw}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dbrb.crypto import MessageCertificate, build_certificate, make_keyring, ack_payload
 from dbrb.messages import (
     TAG_CONVERGED,
+    TAG_HISTORY,
     TAG_INSTALL,
     TAG_PROPOSE,
     TAG_STATE_UPDATE,
@@ -354,3 +355,80 @@ def test_state_record_unknown_flags_rejected():
         else:
             with pytest.raises(CodecError, match="unknown state record flags"):
                 decode(raw, VERIFIER)
+
+
+# --- body memo ----------------------------------------------------------------
+
+
+def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
+    bodies = {}
+    install = make_install()
+    known = decode(encode(install, KEYRING.signer_for("p1")), VERIFIER, bodies).msg
+    parsed = []
+    real = Install.read_body.__func__
+    monkeypatch.setattr(Install, "read_body",
+                        classmethod(lambda cls, r: parsed.append(1) or real(cls, r)))
+    gossip = HistoryGossip(ViewHistory((V0, V1), (install,)))
+    decoded = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies)
+    assert decoded.msg.history.links[0] is known
+    assert parsed == []
+    assert (TAG_HISTORY, decoded.body) in bodies
+
+
+def test_link_first_seen_in_a_history_is_known_as_an_install():
+    bodies = {}
+    install = make_install()
+    gossip = HistoryGossip(ViewHistory((V0, V1), (install,)))
+    link = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies).msg.history.links[0]
+    assert decode(encode(install, KEYRING.signer_for("p3")), VERIFIER, bodies).msg is link
+
+
+def test_rejected_raws_never_enter_the_body_memo():
+    bodies = {}
+    good = encode(Prepare(b"m", V0), KEYRING.signer_for("p1"))
+    forged = bytearray(good)
+    forged[-1] ^= 0x01
+    with pytest.raises(CodecError, match="bad envelope signature"):
+        decode(bytes(forged), VERIFIER, bodies)
+    body = body_bytes(Prepare(b"m", V0)) + b"\x00"
+    with pytest.raises(CodecError, match="trailing bytes"):
+        decode(frame(Prepare.TAG, body), VERIFIER, bodies)
+    assert bodies == {}
+    # a body already parsed never excuses a bad envelope
+    decode(good, VERIFIER, bodies)
+    with pytest.raises(CodecError, match="bad envelope signature"):
+        decode(bytes(forged), VERIFIER, bodies)
+
+
+def mutated(body, data):
+    body = bytearray(body)
+    if body and data.draw(st.booleans()):
+        body[data.draw(st.integers(0, len(body) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(body)
+
+
+@given(st.lists(messages, min_size=1, max_size=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_memo_decode_equals_memo_free_decode(pool, data):
+    # installs also travel as history links and links as installs, so the
+    # stream hits the memo across kinds
+    pool = list(pool)
+    for msg in list(pool):
+        if isinstance(msg, Install):
+            pool.append(HistoryGossip(ViewHistory((msg.view, msg.omega), (msg,))))
+        elif isinstance(msg, HistoryGossip):
+            pool.extend(msg.history.links)
+    bodies = {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        msg = data.draw(st.sampled_from(pool))
+        raw = frame(msg.TAG, mutated(body_bytes(msg), data), data.draw(pids))
+        if data.draw(st.booleans()):
+            raw = mutated(raw, data)
+        try:
+            expected = decode(raw, KEYRING.verifier())
+        except CodecError as exc:
+            with pytest.raises(CodecError) as got:
+                decode(raw, VERIFIER, bodies)
+            assert str(got.value) == str(exc)
+            continue
+        assert decode(raw, VERIFIER, bodies) == expected

@@ -21,6 +21,10 @@ PINNED = {
     ("churn_burst", "default", 0): "ced9b778bb1ec3e4910256997ef2183705b68665223c26194d36514c6ed56197",
     ("churn_burst", "default", 7): "fe009aa98a29b645eecbbe4cca5173bd929db79d631a0347e9c7593f2a680dcf",
     ("churn_burst", "default", 42): "2ab97af815da3e912650c95f657b5d121347041267b208c65acf4f27187c2a0a",
+    ("churn_burst", "default", 1000): "d648d62aeda96e6dd560a3f2e62fbfa988a7c3342d2402a7695869adbed4b5e8",
+    ("churn_burst", "default", 1001): "ce36f1ec83cdd71aaf6d8cce12a822d1ca5d3043df7051472e32b86d43030355",
+    ("churn_burst", "default", 1002): "53c40f33fa9f54705fcbf56802ebff43f3551681081e1f6ef386be4e6703c65c",
+    ("churn_burst", "default", 1003): "44b6cb1bdb0a2e9c062a67c594e34972a359b05a434b409e3fdce98f36272122",
     ("equivocating_n7", "default", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
     ("equivocating_n7", "default", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
     ("equivocating_n7", "default", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",

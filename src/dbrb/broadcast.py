@@ -22,6 +22,7 @@ from .messages import (
     StoredEvidence,
 )
 from .views import short_digest
+from .wake import CAN_LEAVE, CERT, DELIVER, LEAVE, PENDING_COMMIT, PENDING_STORE
 
 ALLOW_ANY = "any"
 ALLOW_NONE = "none"
@@ -50,6 +51,7 @@ class BroadcastMixin:
         if self.broadcast_invoked:
             raise ContractError("single broadcast instance per run")
         self.broadcast_invoked = True
+        self._wake(LEAVE)
         self.bpayload = payload
         if self.installed.get(self.cv, False):
             self._disseminate(Prepare(payload, self.cv))
@@ -98,6 +100,7 @@ class BroadcastMixin:
         self.acks[(author, v)] = msg.payload
         self.ack_sigs[(author, v)] = msg.signature
         self.ack_counts.setdefault((v, msg.payload), set()).add(author)
+        self._wake(CERT)
 
     def _cert_scan(self) -> bool:
         if self.halted or self.cer is not None or self.pid != self.sender_id:
@@ -127,6 +130,7 @@ class BroadcastMixin:
         if not self._is_valid_view(msg.v_cer):
             if len(self.pending_commits) < 256:
                 self.pending_commits.append((author, msg))
+                self._wake(PENDING_COMMIT)
             return
         self._commit_checked(author, msg)
 
@@ -139,6 +143,7 @@ class BroadcastMixin:
                    detail="commit-accepted", views={"v_cer": msg.v_cer})
         if not self.stored:
             self.stored = True
+            self._wake(PENDING_STORE)
             self.stored_value = StoredEvidence(msg.payload, msg.cert, msg.v_cer, msg.view)
             if self.state_record.stored is None:
                 self.state_record = StateRecord(
@@ -171,6 +176,7 @@ class BroadcastMixin:
             return
         self.delivers[(author, v)] = msg.payload
         self.deliver_counts.setdefault((v, msg.payload), set()).add(author)
+        self._wake(DELIVER)
 
     def _deliver_scan(self) -> bool:
         if self.halted or self.delivered:
@@ -180,6 +186,7 @@ class BroadcastMixin:
                 continue
             self.delivered = True
             self.can_leave = True
+            self._wake(CAN_LEAVE)
             self._callback("Delivered", payload)
             return True
         return False
@@ -226,9 +233,11 @@ class BroadcastMixin:
                     break
                 if len(self.pending_store) < 256:
                     self.pending_store.append(rec.stored)
+                    self._wake(PENDING_STORE)
 
     def _adopt_stored(self, evidence: StoredEvidence) -> None:
         self.stored = True
+        self._wake(PENDING_STORE)
         self.stored_value = evidence
         if self.state_record.stored is None:
             self.state_record = StateRecord(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .crypto import Verifier
 from .messages import HistoryGossip, Install, ViewHistory, converged_signed_bytes
 from .views import View, comparable, is_sequence, least_recent
+from .wake import TRUSTED_AUX, TRUSTED_HIST
 
 
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
@@ -88,22 +89,31 @@ class DiscoveryMixin:
     def _best_history(self) -> ViewHistory:
         return self.trusted_hist[self._best_view()]
 
+    def _add_trusted(self, view: View, history: ViewHistory) -> None:
+        """Trust a new view, flagging each trusted view it diverges from.
+
+        Every view but the initial one enters the trust store here, so each
+        pair of trusted views is compared once, when the later one is added.
+        """
+        for existing in self.trusted_hist:
+            if not comparable(existing, view):
+                self._note("Flag", detail=f"diverging verified histories: "
+                                          f"{existing.short} vs {view.short}")
+        self.trusted_hist[view] = history
+        self._wake(TRUSTED_HIST)
+
     def _trust_views(self, history: ViewHistory) -> bool:
         """Record every prefix of a verified history; returns True on growth."""
         grew = False
         for i, view in enumerate(history.views):
-            for existing in self.trusted_hist:
-                if not comparable(existing, view):
-                    self._note("Flag", detail=f"diverging verified histories: "
-                                              f"{existing.short} vs {view.short}")
             if view not in self.trusted_hist:
-                prefix = ViewHistory(history.views[:i + 1], history.links[:i])
-                self.trusted_hist[view] = prefix
+                self._add_trusted(view, ViewHistory(history.views[:i + 1], history.links[:i]))
                 grew = True
         for link in history.links:
             for aux in link.seq:
                 if aux not in self.trusted_aux and aux not in self.trusted_hist:
                     self.trusted_aux.add(aux)
+                    self._wake(TRUSTED_AUX)
                     grew = True
         return grew
 
@@ -118,11 +128,12 @@ class DiscoveryMixin:
         grew = False
         base = self.trusted_hist.get(install.view)
         if base is not None and install.omega not in self.trusted_hist:
-            self.trusted_hist[install.omega] = base.extended(install)
+            self._add_trusted(install.omega, base.extended(install))
             grew = True
         for aux in install.seq:
             if aux not in self.trusted_aux and aux not in self.trusted_hist:
                 self.trusted_aux.add(aux)
+                self._wake(TRUSTED_AUX)
                 grew = True
         return grew
 

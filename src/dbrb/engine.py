@@ -3,7 +3,9 @@
 The engine performs no IO, reads no clock, and draws no randomness, so a
 given (state, event) pair always yields the same successor state and
 action list.  Quorum waits from the pseudo-blocking protocol description
-live in buffers that `step` re-polls to a fixpoint after every event.
+live in buffers, each re-checked by one scan method.  A handler that
+writes state a scan reads wakes that scan (`_wake`), and `step` runs only
+the woken scans (`_repoll`) before it returns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ from .messages import (
 )
 from .rmulticast import RMulticastMixin
 from .views import ProcessId, View
+from .wake import (
+    ALL,
+    CERT,
+    CONFIRM,
+    CONVERGED_QUORUM,
+    DELIVER,
+    GOSSIP,
+    JOIN,
+    LEAVE,
+    LEAVER_LOOP,
+    MAYBE_PROPOSE,
+    PENDING_COMMIT,
+    PENDING_INSTALL,
+    PENDING_STORE,
+    PROPOSE_BUFFER,
+    PROPOSE_QUORUM,
+    RM_PENDING,
+)
 
 
 class HaltedError(RuntimeError):
@@ -119,6 +139,25 @@ class Note:
 
 OutputAction = Send | Flood | Callback | Halt | Note
 
+# The scans `_repoll` runs, in the order it runs them, each with its wake bit.
+_SCANS = (
+    (RM_PENDING, "_rm_pending_scan"),
+    (PENDING_COMMIT, "_pending_commit_scan"),
+    (PENDING_STORE, "_pending_store_scan"),
+    (PROPOSE_BUFFER, "_propose_buffer_scan"),
+    (PROPOSE_QUORUM, "_propose_quorum_scan"),
+    (CONVERGED_QUORUM, "_converged_quorum_scan"),
+    (PENDING_INSTALL, "_pending_install_scan"),
+    (MAYBE_PROPOSE, "_maybe_propose"),
+    (CERT, "_cert_scan"),
+    (DELIVER, "_deliver_scan"),
+    (CONFIRM, "_confirm_scan"),
+    (JOIN, "_join_kick"),
+    (LEAVE, "_leave_kick"),
+    (LEAVER_LOOP, "_leaver_loop_kick"),
+    (GOSSIP, "_gossip_kick"),
+)
+
 
 class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     def __init__(self, pid: ProcessId, initial_view: View, sender_id: ProcessId,
@@ -191,10 +230,16 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.pending_store: list = []
 
         self._outputs: list[OutputAction] = []
+        # one bit per scan that may have been unblocked since it last ran
+        self._dirty = ALL
         # raw -> Decoded for every message that decoded, and (tag, body) ->
         # message for every body that parsed; neither is protocol state
         self._decoded: dict[bytes, Decoded] = {}
         self._bodies: dict[tuple[int, bytes], Message] = {}
+
+    def _wake(self, bits: int) -> None:
+        """Mark the scans that read state this handler just wrote."""
+        self._dirty |= bits
 
     # -- emit helpers -----------------------------------------------------------
 
@@ -249,6 +294,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._invoke_broadcast(event.payload)
         elif isinstance(event, DiscoveryReply):
             self.got_history = True
+            self._wake(JOIN)
             self._extend_trust(event.history)
         elif isinstance(event, Receive):
             self._receive(event)
@@ -295,51 +341,59 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._handle_history_request(author)
         elif isinstance(msg, HistoryGossip):
             self.got_history = True
+            self._wake(JOIN)
             self._handle_history(msg)
         else:  # pragma: no cover
             self._note("Drop", detail="unroutable message kind")
 
     def _repoll(self) -> None:
-        for _ in range(256):
-            changed = False
+        """Run the woken scans, in `_SCANS` order, until none is woken.
+
+        Each round walks the scans once and runs those whose bit is set,
+        clearing the bit just before the call; a scan woken by a later one
+        runs in the next round.  A scan that is not woken would find nothing
+        to do, so the scans that act do so in the same order as when every
+        scan re-ran until none changed anything, and traces are unchanged.
+
+        It terminates because each firing uses up something finite that
+        does not come back within the step: a buffered entry (a buffer grows
+        only from the step's input or from another firing, and sends leave
+        the node), a once-only flag (`join_confirmed`, `leave_reconfig_sent`,
+        `stored`, `delivered`, `cer`, `halted`), a key it never fires on
+        again (`converged_sent`, `install_sent`, `rm_received`), or a growth
+        of `cv` or of the trust store (`_maybe_propose` and the kicks), which
+        grow only through the finitely many views the step brings.
+        """
+        while self._dirty:
             if self.halted:
                 return
-            changed |= self._rm_pending_scan()
-            changed |= self._pending_commit_scan()
-            changed |= self._pending_store_scan()
-            changed |= self._propose_buffer_scan()
-            changed |= self._propose_quorum_scan()
-            changed |= self._converged_quorum_scan()
-            changed |= self._pending_install_scan()
-            changed |= self._maybe_propose()
-            changed |= self._cert_scan()
-            changed |= self._deliver_scan()
-            changed |= self._confirm_scan()
-            changed |= self._join_kick()
-            changed |= self._leave_kick()
-            changed |= self._leaver_loop_kick()
-            changed |= self._gossip_kick()
-            if not changed:
-                return
-        raise AssertionError("repoll did not reach a fixpoint")
+            for bit, name in _SCANS:
+                if self._dirty & bit:
+                    self._dirty &= ~bit
+                    getattr(self, name)()
 
-    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "seq_keys")
+    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "seq_keys",
+                    "_dirty")
 
     def state_digest(self) -> str:
-        """Platform-stable digest over every mutable state field."""
+        """Platform-stable digest over every mutable state field.
+
+        Every value encodes to JSON lists and strings; set members and dict
+        entries are ordered by their JSON text, which any two encodings have.
+        """
         def enc(x):
             if isinstance(x, bytes):
                 return x.hex()
             if isinstance(x, View):
                 return x.canonical_bytes.hex()
             if isinstance(x, (set, frozenset)):
-                return sorted(enc(e) for e in x)
+                return sorted((enc(e) for e in x), key=json.dumps)
             if isinstance(x, (list, tuple)):
                 return [enc(e) for e in x]
             if isinstance(x, dict):
-                return sorted((enc(k), enc(v)) for k, v in x.items())
+                return sorted(([enc(k), enc(v)] for k, v in x.items()), key=json.dumps)
             if hasattr(x, "__dataclass_fields__"):
-                return {f: enc(getattr(x, f)) for f in sorted(x.__dataclass_fields__)}
+                return [[f, enc(getattr(x, f))] for f in sorted(x.__dataclass_fields__)]
             return repr(x)
 
         payload = {k: enc(v) for k, v in self.__dict__.items()

@@ -3,7 +3,8 @@
 All handlers are pure against the owning node's state: guards that the
 pseudo-blocking pseudocode expresses as waits (state-update quorums,
 proposal echoes arriving before the install that unlocks them) live in
-explicit buffers that the engine re-polls after every input.
+explicit buffers, each re-checked by a scan.  Every write to state a scan
+reads wakes that scan (`wake.py`), and the engine runs only woken scans.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ from .views import (
     plus,
     seq_key,
 )
+from .wake import (
+    CONFIRM,
+    CONVERGED_QUORUM,
+    CV,
+    JOINING,
+    LEAVE,
+    LEAVER_LOOP,
+    MAYBE_PROPOSE,
+    PENDING_INSTALL,
+    PROPOSE_BUFFER,
+    PROPOSE_QUORUM,
+)
 
 
 class ContractError(RuntimeError):
@@ -65,6 +78,7 @@ class MembershipMixin:
         if self.joined or self.join_invoked:
             raise ContractError("join may be invoked at most once")
         self.join_invoked = True
+        self._wake(JOINING)
         self._flood(HistoryRequest())
 
     def _invoke_leave(self) -> None:
@@ -73,6 +87,7 @@ class MembershipMixin:
         if self.leave_invoked:
             raise ContractError("leave already invoked")
         self.leave_invoked = True
+        self._wake(LEAVE)
         self.rec_confirms.clear()
 
     def _send_reconfig(self, change: Change, target: View) -> None:
@@ -98,6 +113,7 @@ class MembershipMixin:
         if gate and not self.can_leave:
             return False
         self.leave_reconfig_sent = True
+        self._wake(CONFIRM)
         self._send_reconfig(minus(self.pid), self.cv)
         return True
 
@@ -129,11 +145,13 @@ class MembershipMixin:
         self.pool.setdefault(change, proof)
         if change not in self.recv:
             self.recv[change] = proof
+        self._wake(CONVERGED_QUORUM | MAYBE_PROPOSE)
         self._send(author, RecConfirm(self.cv))
 
     def _handle_rec_confirm(self, author: str, msg: RecConfirm) -> None:
         if author in msg.view.member_set:
             self.rec_confirms.setdefault(msg.view, set()).add(author)
+            self._wake(CONFIRM)
 
     def _confirm_scan(self) -> bool:
         changed = False
@@ -175,6 +193,7 @@ class MembershipMixin:
         """The one way seqs[v] changes: its key is computed here, once."""
         self.seqs[v] = seq
         self.seq_keys[v] = seq_key(seq)
+        self._wake(PROPOSE_QUORUM)
 
     def _emit_propose(self, v: View) -> None:
         seq = self.seqs[v]
@@ -207,10 +226,12 @@ class MembershipMixin:
                            detail=f"missing reconfig proof for {change.token}")
                 return
             self.pool[change] = proof
+            self._wake(CONVERGED_QUORUM)
         k = seq_key(msg.seq)
         self.seq_store[k] = msg.seq
         self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(k)
         self.propose_buffer.append(BufferedPropose(msg.seq, v))
+        self._wake(PROPOSE_QUORUM | PROPOSE_BUFFER)
 
     def _accepts(self, seq: frozenset[View], v: View) -> bool:
         entries = self.formats.get(v)
@@ -280,6 +301,7 @@ class MembershipMixin:
         k = seq_key(msg.seq)
         self.seq_store[k] = msg.seq
         self.converged_votes.setdefault((v, k), {}).setdefault(author, signature)
+        self._wake(CONVERGED_QUORUM)
 
     def _converged_quorum_scan(self) -> bool:
         if self.halted:
@@ -340,6 +362,7 @@ class MembershipMixin:
             if proof.change not in self.pool and proof.verify(self.verifier):
                 self.pool[proof.change] = proof
         self.formats.setdefault(omega, {})[seq_key(seq - {omega})] = seq - {omega}
+        self._wake(CONVERGED_QUORUM | PROPOSE_BUFFER)
         if self.pid in v.member_set:
             if self.cv.changes < omega.changes and not self.suspended:
                 self.suspended = True
@@ -357,6 +380,7 @@ class MembershipMixin:
             if not any(p.omega == omega and p.view == v and p.key == key
                        for p in self.pending_installs):
                 self.pending_installs.append(PendingInstall(omega, seq, v, key))
+                self._wake(PENDING_INSTALL)
 
     def _record_state_update(self, author: str, msg: StateUpdate) -> None:
         per_view = self.state_updates.setdefault(msg.view, {})
@@ -368,6 +392,7 @@ class MembershipMixin:
         for proof in msg.recv:
             self.pool.setdefault(proof.change, proof)
         per_view[author] = msg
+        self._wake(CONVERGED_QUORUM | PENDING_INSTALL)
 
     def _verify_state_update(self, msg: StateUpdate) -> bool:
         v = msg.view
@@ -430,13 +455,16 @@ class MembershipMixin:
         for change in sorted(requests, key=lambda c: (c.process, c.sign)):
             if change not in omega.changes and change not in self.recv:
                 self.recv[change] = requests[change]
+                self._wake(MAYBE_PROPOSE)
         self.installed[omega] = False
         self._state_transfer([upd.record for upd in updates])
         if self.pid in omega.member_set:
             self.cv = omega
+            self._wake(CV)
             self._note("StateNote", view=omega.short, detail="cv", views={"cv": omega})
             if self.pid not in v.member_set and not self.joined:
                 self.joined = True
+                self._wake(JOINING)
                 self._callback("JoinComplete", None)
             newer = frozenset(w for w in seq if self.cv.changes < w.changes)
             if newer:
@@ -445,6 +473,7 @@ class MembershipMixin:
                     self._emit_propose(self.cv)
             else:
                 self.installed[self.cv] = True
+                self._wake(MAYBE_PROPOSE)
                 if self.suspended:
                     self.suspended = False
                     self._note("StateNote", detail="resume")
@@ -456,6 +485,7 @@ class MembershipMixin:
             # quorum confirms totality, then shut down.
             if self.stored and not self.can_leave:
                 self.leaver_loop = True
+                self._wake(LEAVER_LOOP)
                 self._note("StateNote", detail="leaver-loop")
                 self._flood(HistoryRequest())
                 self._leaver_commit()
@@ -473,6 +503,7 @@ class MembershipMixin:
         best = self._best_view()
         if len(best.changes) > len(self.cv.changes):
             self.cv = best
+            self._wake(CV)
         self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
 
     def _leaver_loop_kick(self) -> bool:

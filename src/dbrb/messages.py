@@ -25,6 +25,7 @@ from .views import (
     ProcessId,
     View,
     ViewError,
+    intern_change,
     seq_sort_key,
     seq_sorted,
     short_digest,
@@ -142,7 +143,7 @@ def read_change(r: Reader) -> Change:
     sign = r.u8()
     if sign not in _BYTE_SIGN:
         raise CodecError("bad change sign byte")
-    return Change(_BYTE_SIGN[sign], r.text())
+    return intern_change(_BYTE_SIGN[sign], r.text())
 
 
 def write_view(w: Writer, v: View) -> None:
@@ -176,7 +177,7 @@ def read_view(r: Reader) -> View:
             pid = pid_raw.decode()
         except UnicodeDecodeError as exc:
             raise CodecError("bad utf-8 in view") from exc
-        changes.append(Change(PLUS if sign == b"\x2b" else MINUS, pid))
+        changes.append(intern_change(PLUS if sign == b"\x2b" else MINUS, pid))
     inner.expect_done()
     view = View.of(changes)
     if view.canonical_bytes != raw:

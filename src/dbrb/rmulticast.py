@@ -12,6 +12,7 @@ import hashlib
 
 from .messages import Decoded, Install, StateUpdate, message_meta
 from .discovery import verify_install_proof
+from .wake import RM_PENDING
 
 
 def _rm_key(decoded: Decoded) -> bytes:
@@ -44,6 +45,7 @@ class RMulticastMixin:
                 # Replaced view unknown yet; park until a history arrives.
                 if all(k != key for k, _, _ in self.rm_pending):
                     self.rm_pending.append((key, msg, raw))
+                    self._wake(RM_PENDING)
                 return
         elif isinstance(msg, StateUpdate):
             if decoded.author not in msg.view.member_set:
@@ -56,6 +58,7 @@ class RMulticastMixin:
 
     def _rm_deliver(self, key: bytes, msg, author: str, raw: bytes) -> None:
         self.rm_received.add(key)
+        self._wake(RM_PENDING)  # a parked copy of this message, if any, is now stale
         meta = message_meta(msg)
         for q in sorted(set(msg.psi)):
             if q != self.pid:

@@ -45,12 +45,30 @@ class Change:
         return self.sign + self.process
 
 
+# Changes repeat in every view; one shared instance per (sign, pid) lets set
+# operations on change sets compare by identity.  The cap keeps Byzantine
+# pids from growing the table without bound; past it, changes are built
+# fresh and still compare equal.
+_CHANGES: dict[tuple[str, ProcessId], Change] = {}
+_CHANGES_MAX = 4096
+
+
+def intern_change(sign: str, p: ProcessId) -> Change:
+    """The shared `Change(sign, p)`."""
+    c = _CHANGES.get((sign, p))
+    if c is None:
+        c = Change(sign, p)
+        if len(_CHANGES) < _CHANGES_MAX:
+            _CHANGES[(sign, p)] = c
+    return c
+
+
 def plus(p: ProcessId) -> Change:
-    return Change(PLUS, p)
+    return intern_change(PLUS, p)
 
 
 def minus(p: ProcessId) -> Change:
-    return Change(MINUS, p)
+    return intern_change(MINUS, p)
 
 
 def _change_sort_key(c: Change) -> tuple[bytes, bytes]:

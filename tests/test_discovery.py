@@ -1,6 +1,8 @@
 """View histories: verification, trust growth, and the gossip surface."""
 
-from conftest import sends_of
+import pytest
+
+from conftest import notes_of, sends_of
 from dbrb.discovery import verify_history
 from dbrb.engine import Flood, Receive
 from dbrb.messages import (
@@ -114,3 +116,20 @@ def test_trust_growth_triggers_gossip(bench4):
     # same history again: no further flood
     actions = bench4.deliver("p2", "p1", gossip)
     assert not [a for a in actions if isinstance(a, Flood)]
+
+
+@pytest.mark.parametrize("route", ["history", "install"])
+def test_diverging_views_are_flagged_once(bench4, route):
+    # two quorums installing incomparable successors of v0: each proof
+    # verifies, together they diverge; the second view is flagged when it is
+    # trusted, by history or by install, and repeats add no flag
+    v0 = bench4.initial_view
+    v_a = View(v0.changes | {plus("p5")})
+    v_b = View(v0.changes | {plus("p6")})
+    h_a = HistoryGossip(ViewHistory((v0, v_a), (make_link(bench4, v0, v_a),)))
+    link_b = make_link(bench4, v0, v_b, ("p2", "p3", "p4"))
+    b = HistoryGossip(ViewHistory((v0, v_b), (link_b,))) if route == "history" else link_b
+    flags = [[f.detail for f in notes_of(bench4.deliver("p2", "p1", msg), "Flag")]
+             for msg in (h_a, b, h_a, b)]
+    assert flags == [[], [f"diverging verified histories: {v_a.short} vs {v_b.short}"], [], []]
+    assert bench4.nodes["p2"]._is_trusted(v_a) and bench4.nodes["p2"]._is_trusted(v_b)

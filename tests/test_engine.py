@@ -1,10 +1,13 @@
 """Engine determinism, state digests, and lifecycle guards."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Bench, sends_of
-from dbrb.engine import HaltedError, InvokeBroadcast, InvokeJoin, Receive
+from dbrb import simnet
+from dbrb.engine import _SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
 from dbrb.messages import Converged, Deliver, Prepare, Reconfig, message_meta
 from dbrb.views import plus, seq_key
 
@@ -194,3 +197,45 @@ def test_emit_propose_signs_once_per_fan_out():
     assert [s.to for s in proposes] == list(v0.members)
     assert len(signed) == 1
     assert {s.raw for s in proposes} == {proposes[0].raw}
+
+
+# -- wake-ups: a scan that was not woken has nothing to do -------------------
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_no_scan_has_work_left_after_a_step(monkeypatch, name):
+    # `_repoll` runs only woken scans; a write site that forgets to wake its
+    # readers leaves a scan with work, which calling every scan again finds
+    real_step = Node.step
+    steps = []
+
+    def checked_step(node, event):
+        out = real_step(node, event)
+        if node.halted:
+            return out
+        steps.append(node.pid)
+        assert node._dirty == 0
+        before = node.state_digest()
+        for _, scan in _SCANS:
+            fired = getattr(node, scan)()
+            assert (fired, node._outputs) == (False, []), f"{scan} after {event!r}"
+        assert node.state_digest() == before
+        return out
+
+    monkeypatch.setattr(Node, "step", checked_step)
+    simnet.run(simnet.Scenario.load(SCENARIO_DIR / f"{name}.json"), 0)
+    assert steps
+
+
+def test_state_digest_orders_dataclass_keys(bench4):
+    node = bench4.nodes["p1"]
+    v0 = bench4.initial_view
+    for joiner in ("p5", "p6"):
+        node.step(Receive(joiner, bench4.raw(joiner, Reconfig(plus(joiner), v0)),
+                          {"msg": "RECONFIG"}))
+    assert len(node.recv) == len(node.pool) == 2
+    digest = node.state_digest()
+    node.recv = dict(reversed(node.recv.items()))
+    assert node.state_digest() == digest

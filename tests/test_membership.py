@@ -7,6 +7,7 @@ from dbrb.engine import InvokeJoin, InvokeLeave, Receive
 from dbrb.membership import ContractError
 from dbrb.messages import (
     Converged,
+    Deliver,
     HistoryGossip,
     Propose,
     RecConfirm,
@@ -282,9 +283,11 @@ def test_leave_by_sender_waits_for_can_leave(bench4):
     sender.step(InvokeBroadcast(b"m"))
     actions = sender.step(InvokeLeave())
     assert not sends_of(actions, "RECONFIG")  # gated until the deliver quorum
-    sender.can_leave = True
-    actions = sender.step(Receive("p2", bench4.raw("p2", RecConfirm(bench4.initial_view)),
-                                  {"msg": "REC-CONFIRM"}))
+    for author in ("p2", "p3"):
+        actions = bench4.deliver("p1", author, Deliver(b"m", bench4.initial_view))
+        assert not sends_of(actions, "RECONFIG") and not sender.can_leave
+    actions = bench4.deliver("p1", "p4", Deliver(b"m", bench4.initial_view))
+    assert sender.can_leave
     assert sends_of(actions, "RECONFIG")
 
 

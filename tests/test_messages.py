@@ -42,7 +42,8 @@ from dbrb.messages import (
     write_state_record,
     write_view,
 )
-from dbrb.views import View, plus, minus
+from dbrb import views as view_algebra
+from dbrb.views import PLUS, Change, View, plus, minus
 
 KEYRING = make_keyring("hmac")
 VERIFIER = KEYRING.verifier()
@@ -432,3 +433,24 @@ def test_memo_decode_equals_memo_free_decode(pool, data):
             assert str(got.value) == str(exc)
             continue
         assert decode(raw, VERIFIER, bodies) == expected
+
+
+def test_parsed_views_share_their_changes():
+    fresh = lambda pids: View.of(Change(PLUS, p) for p in pids)  # not interned
+    va = fresh(["q1", "q2", "q3", "q4"])
+    vb = fresh(["q1", "q2", "q3", "q4", "q5"])
+    got_a = decode(encode(RecConfirm(va), KEYRING.signer_for("q1")), VERIFIER).msg.view
+    got_b = decode(encode(Reconfig(Change(PLUS, "q5"), vb), KEYRING.signer_for("q5")),
+                   VERIFIER).msg
+    by_token = lambda v: {c.token: c for c in v.changes}
+    a, b = by_token(got_a), by_token(got_b.view)
+    assert a.keys() < b.keys()
+    assert all(b[t] is c and c is plus(t[1:]) for t, c in a.items())
+    assert got_b.change is b["+q5"]
+
+
+def test_change_table_is_capped(monkeypatch):
+    monkeypatch.setattr(view_algebra, "_CHANGES_MAX", len(view_algebra._CHANGES))
+    c = plus("never-seen-before")
+    assert c == plus("never-seen-before") and c is not plus("never-seen-before")
+    assert ("+", "never-seen-before") not in view_algebra._CHANGES

@@ -25,6 +25,8 @@ PINNED = {
     ("churn_burst", "default", 1001): "ce36f1ec83cdd71aaf6d8cce12a822d1ca5d3043df7051472e32b86d43030355",
     ("churn_burst", "default", 1002): "53c40f33fa9f54705fcbf56802ebff43f3551681081e1f6ef386be4e6703c65c",
     ("churn_burst", "default", 1003): "44b6cb1bdb0a2e9c062a67c594e34972a359b05a434b409e3fdce98f36272122",
+    ("churn_burst", "default", 2000): "9cbb22457572ea078f276f2209b9c064b38d3cbbcb23332977b1a5c298da3681",
+    ("churn_burst", "default", 2001): "b09ca4b2f2121652cced7c21988108422b3ac16ac01ebe09edad614ff7081605",
     ("equivocating_n7", "default", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
     ("equivocating_n7", "default", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
     ("equivocating_n7", "default", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",

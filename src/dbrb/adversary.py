@@ -46,8 +46,12 @@ class AdversaryBase:
     def latest_view(self) -> View:
         return max(self.views, key=lambda v: (len(v.changes), v.canonical_bytes))
 
-    def _send(self, to: str, msg) -> None:
-        self._outputs.append(Send(to, encode(msg, self.signer), message_meta(msg)))
+    def _send_all(self, targets, msg) -> None:
+        """Send msg to each target other than self; it is encoded and signed once."""
+        targets = [q for q in targets if q != self.pid]
+        if targets:
+            raw, meta = encode(msg, self.signer), message_meta(msg)
+            self._outputs.extend(Send(q, raw, meta) for q in targets)
 
     def _track_views(self, msg) -> None:
         if isinstance(msg, Install):
@@ -109,10 +113,7 @@ class EquivocatingSender(AdversaryBase):
     def _spray_prepares(self, view: View) -> None:
         halves = self._halves(view)
         for payload, half in zip(self.payloads, halves):
-            msg = Prepare(payload, view)
-            for q in half:
-                if q != self.pid:
-                    self._send(q, msg)
+            self._send_all(half, Prepare(payload, view))
             self._self_ack(payload, view)
 
     def on_broadcast(self, payload: bytes) -> None:
@@ -130,10 +131,8 @@ class EquivocatingSender(AdversaryBase):
         elif isinstance(msg, Install) and self.payloads:
             self._spray_prepares(self.latest_view)
             for payload, (cert, v_cer) in sorted(self.certs.items()):
-                commit = Commit(payload, cert, v_cer, self.latest_view)
-                for q in self.latest_view.members:
-                    if q != self.pid:
-                        self._send(q, commit)
+                self._send_all(self.latest_view.members,
+                               Commit(payload, cert, v_cer, self.latest_view))
 
     def _chase_certificates(self) -> None:
         for (payload, view), sigs in self.ack_sigs.items():
@@ -142,10 +141,7 @@ class EquivocatingSender(AdversaryBase):
             digest = hashlib.sha256(payload).digest()
             cert = build_certificate(digest, view, dict(sorted(sigs.items())))
             self.certs[payload] = (cert, view)
-            commit = Commit(payload, cert, view, view)
-            for q in view.members:
-                if q != self.pid:
-                    self._send(q, commit)
+            self._send_all(view.members, Commit(payload, cert, view, view))
 
 
 class CertificateForger(AdversaryBase):
@@ -165,10 +161,7 @@ class CertificateForger(AdversaryBase):
         digest = hashlib.sha256(payload).digest()
         fake_sigs = {q: self.rng.randbytes(32) for q in view.members[:view.quorum_size]}
         cert = build_certificate(digest, view, fake_sigs)
-        commit = Commit(payload, cert, view, view)
-        for q in view.members:
-            if q != self.pid:
-                self._send(q, commit)
+        self._send_all(view.members, Commit(payload, cert, view, view))
 
 
 class StaleReplayer(AdversaryBase):

@@ -104,12 +104,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results.sort()
     counts: dict[str, dict[str, int]] = {p: {"Pass": 0, "Fail": 0, "Inconclusive": 0}
                                          for p in checker.PROPERTIES}
-    failing_seeds = set()
+    failing_seeds, inconclusive_seeds = set(), set()
     for seed, verdicts in results:
         for prop, status in verdicts:
             counts[prop][status] += 1
             if status == checker.FAIL:
                 failing_seeds.add(seed)
+            elif status == checker.INCONCLUSIVE:
+                inconclusive_seeds.add(seed)
     print(f"scenario={scenario.name} seeds={seeds[0]}..{seeds[-1]} "
           f"regime: {scenario.regime()}")
     width = max(len(p) for p in checker.PROPERTIES)
@@ -120,6 +122,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if failing_seeds:
         print(f"failing seeds: {sorted(failing_seeds)}")
         return EXIT_FAIL
+    if inconclusive_seeds:
+        print(f"inconclusive seeds: {sorted(inconclusive_seeds)}")
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

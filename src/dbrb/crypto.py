@@ -60,7 +60,7 @@ class HmacKeyring(Keyring):
         return s
 
     def sign(self, pid: ProcessId, payload: bytes) -> bytes:
-        return hmac.new(self._secret(pid), payload, hashlib.sha256).digest()
+        return hmac.digest(self._secret(pid), payload, "sha256")
 
     def verify(self, pid: ProcessId, payload: bytes, sig: bytes) -> bool:
         return hmac.compare_digest(self.sign(pid, payload), sig)
@@ -122,9 +122,9 @@ class Verifier:
 
     Successful checks are remembered, so a signature relayed to the same
     engine again costs a set lookup.  A failed check is never remembered.
-    `proved` holds values whose whole proof (structure plus a quorum of
-    signatures) held for this engine; the check that owns such a proof
-    adds a value after it succeeds, never after it fails.
+    `proved` holds keys of values whose whole proof (structure plus a
+    quorum of signatures) held for this engine; the check that owns such a
+    proof adds a key after it succeeds, never after it fails.
     """
 
     def __init__(self, keyring: Keyring) -> None:

@@ -11,7 +11,14 @@ certificates but are never install targets themselves).
 from __future__ import annotations
 
 from .crypto import Verifier
-from .messages import HistoryGossip, Install, ViewHistory, converged_signed_bytes
+from .messages import (
+    Converged,
+    HistoryGossip,
+    Install,
+    ViewHistory,
+    body_bytes,
+    signed_content,
+)
 from .views import View, comparable, is_sequence, least_recent
 from .wake import TRUSTED_AUX, TRUSTED_HIST
 
@@ -19,24 +26,22 @@ from .wake import TRUSTED_AUX, TRUSTED_HIST
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
     """Check an install message's structural and quorum validity.
 
-    The result depends on the install's value alone, so an install this
-    engine's verifier has proved before is accepted at once.
+    The result depends on the install's canonical body alone, so an install
+    whose body this engine's verifier has proved before is accepted at once.
     """
-    if install in verifier.proved:
+    body = body_bytes(install)
+    if body in verifier.proved:
         return True
     if not _install_proof_holds(install, verifier):
         return False
-    verifier.proved.add(install)
+    verifier.proved.add(body)
     return True
 
 
 def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
     if not install.seq or not is_sequence(install.seq):
         return False
-    try:
-        if least_recent(install.seq) != install.omega:
-            return False
-    except Exception:
+    if least_recent(install.seq) != install.omega:
         return False
     if not all(install.view.changes < w.changes for w in install.seq):
         return False
@@ -51,9 +56,9 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
         return False
     if len(signers) < install.view.quorum_size:
         return False
-    signed = {pid: converged_signed_bytes(install.seq, install.view, pid)
-              for pid in signers}
-    return all(verifier.verify(pid, signed[pid], sig)
+    # one CONVERGED body; each signer's content only appends the author
+    converged = Converged(install.seq, install.view)
+    return all(verifier.verify(pid, signed_content(converged, pid), sig)
                for pid, sig in install.converged_sigs)
 
 

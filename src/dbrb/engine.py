@@ -202,7 +202,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.state_updates: dict[View, dict[ProcessId, StateUpdate]] = {}
 
         # reliable multicast state
-        self.rm_received: set[bytes] = set()
+        self.rm_received: set[tuple[int, bytes, str]] = set()
         self.rm_pending: list = []
 
         # discovery state

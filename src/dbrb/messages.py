@@ -9,13 +9,19 @@ re-attributed.  All collections inside bodies are canonically ordered,
 making the encoding bit-exact for equal values, and `decode` accepts
 only that canonical encoding: a decoded body always equals the
 re-encoding of the message parsed from it.
+
+So each message value derives its body once: a parsed value keeps the
+body it was parsed from, any other value the body it is first encoded
+to (`body_bytes`).  `encode`, history links, the install-proof memo and
+reliable multicast all use that body, and `decode` takes the signed
+content as a prefix of the frame instead of building it again.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .crypto import MessageCertificate, Signer, Verifier
 from .views import (
@@ -66,68 +72,101 @@ class CodecError(ValueError):
     pass
 
 
+_U32 = struct.Struct(">I")
+_HEAD = struct.Struct(">BBI")  # version, tag, body length
+
+
 class Reader:
-    def __init__(self, data: bytes) -> None:
+    """Cursor over one byte string; each read checks the bytes are there."""
+
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self._data = data
-        self._pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        pos = self.pos
+        end = pos + n
+        if end > len(self._data):
             raise CodecError("truncated message")
-        out = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return out
+        self.pos = end
+        return self._data[pos:end]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self.pos
+        if pos >= len(self._data):
+            raise CodecError("truncated message")
+        self.pos = pos + 1
+        return self._data[pos]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        pos = self.pos
+        if pos + 4 > len(self._data):
+            raise CodecError("truncated message")
+        self.pos = pos + 4
+        return _U32.unpack_from(self._data, pos)[0]
 
     def blob(self) -> bytes:
-        return self.take(self.u32())
+        data, pos = self._data, self.pos
+        if pos + 4 > len(data):
+            raise CodecError("truncated message")
+        start = pos + 4
+        end = start + _U32.unpack_from(data, pos)[0]
+        if end > len(data):
+            raise CodecError("truncated message")
+        self.pos = end
+        return data[start:end]
 
     def text(self) -> str:
-        raw = self.take(self.u8())
+        data, pos = self._data, self.pos
+        if pos >= len(data):
+            raise CodecError("truncated message")
+        end = pos + 1 + data[pos]
+        if end > len(data):
+            raise CodecError("truncated message")
+        self.pos = end
         try:
-            return raw.decode()
+            return data[pos + 1:end].decode()
         except UnicodeDecodeError as exc:
             raise CodecError("bad utf-8") from exc
 
     def done(self) -> bool:
-        return self._pos == len(self._data)
+        return self.pos == len(self._data)
 
     def expect_done(self) -> None:
         if not self.done():
             raise CodecError("trailing bytes")
 
 
+def _text_bytes(s: str) -> bytes:
+    """A length-prefixed identifier."""
+    raw = s.encode()
+    if len(raw) > 255:
+        raise CodecError("identifier too long")
+    return bytes((len(raw),)) + raw
+
+
 class Writer:
     def __init__(self) -> None:
-        self._parts: list[bytes] = []
+        self._buf = bytearray()
 
     def raw(self, b: bytes) -> None:
-        self._parts.append(b)
+        self._buf += b
 
     def u8(self, n: int) -> None:
-        self._parts.append(struct.pack(">B", n))
+        self._buf.append(n)
 
     def u32(self, n: int) -> None:
-        self._parts.append(struct.pack(">I", n))
+        self._buf += _U32.pack(n)
 
     def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.raw(b)
+        self._buf += _U32.pack(len(b))
+        self._buf += b
 
     def text(self, s: str) -> None:
-        raw = s.encode()
-        if len(raw) > 255:
-            raise CodecError("identifier too long")
-        self.u8(len(raw))
-        self.raw(raw)
+        self._buf += _text_bytes(s)
 
     def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self._buf)
 
 
 _SIGN_BYTE = {PLUS: 0x2B, MINUS: 0x2D}
@@ -233,7 +272,12 @@ class ReconfigProof:
     signature: bytes
 
     def signed_bytes(self) -> bytes:
-        return reconfig_signed_bytes(self.change, self.view, self.change.process)
+        """The originator's signed content, derived once and kept (see `body_bytes`)."""
+        signed = self.__dict__.get("_signed")
+        if signed is None:
+            signed = self.__dict__["_signed"] = reconfig_signed_bytes(
+                self.change, self.view, self.change.process)
+        return signed
 
     def verify(self, verifier: Verifier) -> bool:
         return verifier.verify(self.change.process, self.signed_bytes(), self.signature)
@@ -567,9 +611,7 @@ def write_history(w: Writer, h: ViewHistory) -> None:
     w.u32(len(h.views))
     write_view(w, h.views[0])
     for link in h.links:
-        inner = Writer()
-        link.write_body(inner)
-        w.blob(inner.getvalue())
+        w.blob(body_bytes(link))
 
 
 def read_history(r: Reader, bodies: Optional[dict] = None) -> ViewHistory:
@@ -612,29 +654,37 @@ _CLASSES = {
 }
 
 
+# A value derives its body, its trace metadata and (for a ReconfigProof)
+# its signed content once, and keeps each in its instance dict under a
+# private name.  Outside the dataclass fields, the kept values take no part
+# in ==, hash, repr or `Node.state_digest`; a value with other fields
+# (`dataclasses.replace`) starts with none.
+
+
 def body_bytes(msg: Message) -> bytes:
-    w = Writer()
-    msg.write_body(w)
-    return w.getvalue()
+    """The canonical body of msg: the one it was parsed from, or else the
+    one it was first encoded to."""
+    body = msg.__dict__.get("_body")
+    if body is None:
+        w = Writer()
+        msg.write_body(w)
+        body = msg.__dict__["_body"] = w.getvalue()
+    return body
 
 
 def _signed_content(tag: int, body: bytes, author: ProcessId) -> bytes:
-    w = Writer()
-    w.u8(WIRE_VERSION)
-    w.u8(tag)
-    w.blob(body)
-    w.text(author)
-    return w.getvalue()
+    return b"".join((_HEAD.pack(WIRE_VERSION, tag, len(body)), body, _text_bytes(author)))
+
+
+def signed_content(msg: Message, author: ProcessId) -> bytes:
+    """The bytes author signs to send msg: version|tag|body-len|body|author."""
+    return _signed_content(msg.TAG, body_bytes(msg), author)
 
 
 def encode(msg: Message, signer: Signer) -> bytes:
-    body = body_bytes(msg)
-    content = _signed_content(msg.TAG, body, signer.pid)
+    content = signed_content(msg, signer.pid)
     sig = signer.sign(content)
-    w = Writer()
-    w.raw(content)
-    w.blob(sig)
-    return w.getvalue()
+    return b"".join((content, _U32.pack(len(sig)), sig))
 
 
 @dataclass(frozen=True)
@@ -666,59 +716,74 @@ def _parse_body(tag: int, body: bytes, bodies: Optional[dict] = None) -> Message
     except ViewError as exc:  # oversized or malformed view payloads
         raise CodecError(str(exc)) from exc
     r.expect_done()
+    msg.__dict__["_body"] = body
     if bodies is not None:
         bodies[key] = msg
     return msg
 
 
+def _reject_head(head: bytes) -> NoReturn:
+    """Raise the error for the first missing or bad field of a frame header."""
+    if head and head[0] != WIRE_VERSION:
+        raise CodecError(f"unsupported wire version {head[0]}")
+    if len(head) > 1 and head[1] not in _CLASSES:
+        raise CodecError(f"unknown tag 0x{head[1]:02x}")
+    raise CodecError("truncated message")
+
+
 def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Decoded:
     """Parse and authenticate a framed message; raises CodecError on any defect.
 
-    The envelope signature is checked before the body is looked up in, or
+    The signed content is the frame up to the end of the author.  The
+    envelope signature is checked before the body is looked up in, or
     parsed into, the `bodies` memo of `_parse_body`.
     """
-    r = Reader(raw)
-    version = r.u8()
-    if version != WIRE_VERSION:
-        raise CodecError(f"unsupported wire version {version}")
-    tag = r.u8()
-    if tag not in _CLASSES:
-        raise CodecError(f"unknown tag 0x{tag:02x}")
-    body = r.blob()
+    if len(raw) < _HEAD.size:
+        _reject_head(raw)
+    version, tag, size = _HEAD.unpack_from(raw)
+    if version != WIRE_VERSION or tag not in _CLASSES:
+        _reject_head(raw[:2])
+    r = Reader(raw, _HEAD.size)
+    body = r.take(size)
     author = r.text()
+    signed_end = r.pos
     sig = r.blob()
     r.expect_done()
-    content = _signed_content(tag, body, author)
-    if not verifier.verify(author, content, sig):
+    if not verifier.verify(author, raw[:signed_end], sig):
         raise CodecError("bad envelope signature")
     return Decoded(_parse_body(tag, body, bodies), author, KIND_NAMES[tag], sig, body)
 
 
 def reconfig_signed_bytes(change: Change, view: View, author: ProcessId) -> bytes:
     """Signed content of a reconfig message, reconstructable from a proof."""
-    return _signed_content(TAG_RECONFIG, body_bytes(Reconfig(change, view)), author)
+    return signed_content(Reconfig(change, view), author)
 
 
 def converged_signed_bytes(seq: frozenset[View], view: View, author: ProcessId) -> bytes:
     """Signed content of a converged message, used to check install proofs."""
-    return _signed_content(TAG_CONVERGED, body_bytes(Converged(seq, view)), author)
+    return signed_content(Converged(seq, view), author)
 
 
 def prepare_signed_bytes(payload: bytes, view: View, author: ProcessId) -> bytes:
-    return _signed_content(TAG_PREPARE, body_bytes(Prepare(payload, view)), author)
+    return signed_content(Prepare(payload, view), author)
 
 
 def message_meta(msg: Message) -> dict:
-    """Trace metadata: kind plus short digests of the associated view/payload."""
-    kind = KIND_NAMES[msg.TAG]
+    """Trace metadata: kind plus short digests of the associated view/payload.
+
+    Derived once per value and kept; callers copy it before changing it.
+    """
+    meta = msg.__dict__.get("_meta")
+    if meta is not None:
+        return meta
     view = getattr(msg, "view", None)
     payload = getattr(msg, "payload", None)
-    meta = {"msg": kind}
+    meta = {"msg": KIND_NAMES[msg.TAG]}
     if view is not None:
         meta["view"] = view.short
     if payload is not None:
         meta["payload"] = short_digest(payload)
     if isinstance(msg, Install):
-        meta["view"] = msg.view.short
         meta["omega"] = msg.omega.short
+    msg.__dict__["_meta"] = meta
     return meta

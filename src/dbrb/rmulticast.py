@@ -3,26 +3,25 @@
 Receivers relay a fresh message to the whole target set before acting on
 it, which gives agreement: once any correct member delivers, every
 correct member that has not left eventually delivers too.  Duplicate
-suppression is by digest over the target set and the full payload.
+suppression is by the kind, canonical body and, for state updates,
+author of each message.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 from .messages import Decoded, Install, StateUpdate, message_meta
 from .discovery import verify_install_proof
 from .wake import RM_PENDING
 
 
-def _rm_key(decoded: Decoded) -> bytes:
+def _rm_key(decoded: Decoded) -> tuple[int, bytes, str]:
     # Installs are author-agnostic (the converged quorum speaks for them);
     # a state update is identified by its originator as well as its body.
     # The received body is canonical (`decode` rejects any other), so equal
-    # messages always hash equal.
+    # messages always have equal keys.
     msg = decoded.msg
-    tail = decoded.author.encode() if isinstance(msg, StateUpdate) else b""
-    return hashlib.sha256(bytes([msg.TAG]) + decoded.body + tail).digest()
+    author = decoded.author if isinstance(msg, StateUpdate) else ""
+    return (msg.TAG, decoded.body, author)
 
 
 class RMulticastMixin:
@@ -56,7 +55,7 @@ class RMulticastMixin:
             return
         self._rm_deliver(key, msg, decoded.author, raw)
 
-    def _rm_deliver(self, key: bytes, msg, author: str, raw: bytes) -> None:
+    def _rm_deliver(self, key: tuple, msg, author: str, raw: bytes) -> None:
         self.rm_received.add(key)
         self._wake(RM_PENDING)  # a parked copy of this message, if any, is now stale
         meta = message_meta(msg)

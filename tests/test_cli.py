@@ -109,3 +109,15 @@ def test_sweep_aggregates_and_exits_zero(capsys):
     printed = capsys.readouterr().out
     assert "Validity" in printed
     assert " 5 " in printed or "     5" in printed
+
+
+def test_sweep_of_truncated_runs_exits_three(tmp_path, capsys):
+    scenario = json.loads((SCENARIOS / "static4.json").read_text())
+    scenario["limits"]["max_steps"] = 2
+    path = tmp_path / "static4_truncated.json"
+    path.write_text(json.dumps(scenario))
+    rc = cli.main(["sweep", "--scenario", str(path), "--seeds", "0..2"])
+    assert rc == 3
+    printed = capsys.readouterr().out
+    assert "inconclusive seeds: [0, 1, 2]" in printed
+    assert "failing seeds" not in printed

@@ -18,7 +18,7 @@ from dbrb.crypto import (
     verify_certificate,
 )
 from dbrb.discovery import verify_install_proof
-from dbrb.messages import Install, Writer, converged_signed_bytes, write_cert
+from dbrb.messages import Install, Writer, body_bytes, converged_signed_bytes, write_cert
 from dbrb.views import View, plus
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
@@ -41,6 +41,19 @@ def test_sign_verify_round_trip(keyring):
 
 def test_signing_is_deterministic(keyring):
     assert keyring.sign("p1", b"x") == keyring.sign("p1", b"x")
+
+
+def test_hmac_signatures_are_pinned():
+    # known answers: a change to how HMAC signs must not change its bytes
+    keyring = make_keyring("hmac")
+    assert keyring.sign("p1", b"blob").hex() == \
+        "d71ab6573096a7d51d3b1264a31e3cabdc55c5043858f7c2913a0aeffcb2a183"
+    assert keyring.sign("q7", b"").hex() == \
+        "fb9e2cdc0d68a7b64dd32d9671060c14b1971a88a22e8360376993bfdafefad4"
+    assert keyring.sign("p2", bytes(range(256))).hex() == \
+        "592c006aa5309ee63af8982fbdc0b3c6c36ecd8dda44b9364496756341f82076"
+    assert keyring.verify("p1", b"blob", keyring.sign("p1", b"blob"))
+    assert not keyring.verify("p1", b"blob", keyring.sign("p2", b"blob"))
 
 
 def sign_ack(keyring, pid, payload, view):
@@ -191,14 +204,14 @@ def test_failed_install_proof_is_never_remembered(keyring):
     assert not verify_install_proof(bad, verifier)
     assert verifier.proved == set()
     assert verify_install_proof(good, verifier)
-    assert verifier.proved == {good}
+    assert verifier.proved == {body_bytes(good)}
     # a proved install is accepted without a signature check; a failed one
     # is checked in full every time
     del calls[:]
     assert verify_install_proof(good, verifier)
     assert calls == []
     assert not verify_install_proof(bad, verifier)
-    assert calls and verifier.proved == {good}
+    assert calls and verifier.proved == {body_bytes(good)}
 
 
 def test_proved_installs_are_per_verifier(keyring):

@@ -1,5 +1,6 @@
 """Engine determinism, state digests, and lifecycle guards."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Bench, sends_of
 from dbrb import simnet
+from dbrb.adversary import make_adversary
 from dbrb.engine import _SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
-from dbrb.messages import Converged, Deliver, Prepare, Reconfig, message_meta
-from dbrb.views import plus, seq_key
+from dbrb.messages import (
+    Converged,
+    Deliver,
+    Prepare,
+    Reconfig,
+    StateRecord,
+    StateUpdate,
+    message_meta,
+)
+from dbrb.views import View, plus, seq_key
 
 
 def fresh_pair():
@@ -169,6 +179,23 @@ def test_decode_memo_is_not_protocol_state():
     assert node.state_digest() == digest
 
 
+def test_kept_bytes_are_not_protocol_state(bench4):
+    node = bench4.nodes["p2"]
+    v0 = bench4.initial_view
+    v1 = View(v0.changes | {plus("p5")})
+    bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
+    update = StateUpdate(tuple(sorted(v1.member_set)), v0, v1, StateRecord(), ())
+    bench4.deliver("p2", "p3", update)
+    held = [node.pool[plus("p5")], node.state_updates[v0]["p3"]]
+    held[0].verify(node.verifier)
+    assert all(set(vars(x)) & {"_body", "_signed"} for x in held)
+    digest = node.state_digest()
+    for x in held:
+        for name in ("_body", "_meta", "_signed"):
+            vars(x).pop(name, None)
+    assert node.state_digest() == digest
+
+
 def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
@@ -197,6 +224,23 @@ def test_emit_propose_signs_once_per_fan_out():
     assert [s.to for s in proposes] == list(v0.members)
     assert len(signed) == 1
     assert {s.raw for s in proposes} == {proposes[0].raw}
+
+
+def test_adversary_signs_once_per_fan_out():
+    bench = Bench(["p1", "p2", "p3", "p4"])
+    signed = []
+    signer = bench.keyring.signer_for("p1")
+    real = signer.sign
+    signer.sign = lambda payload: signed.append(payload) or real(payload)
+    sender = make_adversary("equivocate_sender", "p1", bench.initial_view, "p1", signer,
+                            bench.keyring.verifier(), random.Random(0))
+    out = sender.step(InvokeBroadcast(b"m"))
+    halves = {}
+    for send in out:
+        halves.setdefault(send.raw, []).append(send.to)
+    # two PREPAREs, one per half of the view, and the sender's own ack
+    assert sorted(halves.values()) == [["p2", "p4"], ["p3"]]
+    assert len(signed) == 4
 
 
 # -- wake-ups: a scan that was not woken has nothing to do -------------------

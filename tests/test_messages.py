@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -34,6 +35,7 @@ from dbrb.messages import (
     converged_signed_bytes,
     decode,
     encode,
+    message_meta,
     reconfig_signed_bytes,
     write_pids,
     write_proof,
@@ -150,7 +152,17 @@ def test_non_canonical_view_rejected():
     blob = struct.pack(">I", 2) + item_b + item_a
     w = Writer()
     w.blob(blob)
-    with pytest.raises(CodecError):
+    with pytest.raises(CodecError, match="view changes not canonical"):
+        read_view(Reader(w.getvalue()))
+
+
+def test_view_sign_byte_checked():
+    from dbrb.messages import Reader, Writer, read_view
+    import struct
+
+    w = Writer()
+    w.blob(struct.pack(">I", 1) + struct.pack(">B", 2) + b"pa" + b"\x00")
+    with pytest.raises(CodecError, match="bad sign byte in view"):
         read_view(Reader(w.getvalue()))
 
 
@@ -338,6 +350,22 @@ def test_reconfig_proofs_out_of_order_rejected():
         decode(frame(TAG_PROPOSE, w.getvalue()), VERIFIER)
 
 
+def test_certificate_signatures_out_of_order_rejected():
+    cert = make_cert()
+    w = Writer()
+    w.blob(b"m")
+    w.blob(cert.message_digest)
+    write_view(w, cert.view)
+    w.u32(len(cert.signatures))
+    for pid, sig in reversed(cert.signatures):
+        w.text(pid)
+        w.blob(sig)
+    write_view(w, V0)
+    write_view(w, V0)
+    with pytest.raises(CodecError, match="certificate signatures not canonical"):
+        decode(frame(Commit.TAG, w.getvalue()), VERIFIER)
+
+
 def test_state_record_unknown_flags_rejected():
     install = make_install()
     for flags, ok in ((0, True), (8, False), (0x80, False)):
@@ -454,3 +482,77 @@ def test_change_table_is_capped(monkeypatch):
     c = plus("never-seen-before")
     assert c == plus("never-seen-before") and c is not plus("never-seen-before")
     assert ("+", "never-seen-before") not in view_algebra._CHANGES
+
+
+# --- bytes a value keeps ------------------------------------------------------
+
+
+def fresh_body(msg):
+    w = Writer()
+    msg.write_body(w)
+    return w.getvalue()
+
+
+def kept_body(msg):
+    return vars(msg)["_body"]
+
+
+@given(messages, pids)
+@settings(max_examples=200, deadline=None)
+def test_kept_body_is_a_fresh_encoding(msg, author):
+    # a locally built value keeps what it was first encoded to, a parsed
+    # value (history links included) the bytes it was parsed from
+    raw = encode(msg, KEYRING.signer_for(author))
+    parsed = decode(raw, KEYRING.verifier(), {}).msg
+    values = [msg, parsed]
+    if isinstance(msg, HistoryGossip):
+        values += msg.history.links + parsed.history.links
+    for value in values:
+        assert kept_body(value) == fresh_body(value) == body_bytes(value)
+
+
+@given(messages, pids)
+@settings(max_examples=100, deadline=None)
+def test_decode_verifies_the_content_the_author_signed(msg, author):
+    verifier = KEYRING.verifier()
+    seen = []
+    real = verifier.verify
+    verifier.verify = lambda pid, payload, sig: seen.append((pid, payload)) or real(pid, payload, sig)
+    decoded = decode(encode(msg, KEYRING.signer_for(author)), verifier)
+    assert seen == [(author, _signed_content(msg.TAG, decoded.body, author))]
+
+
+def test_failed_derivations_are_never_kept():
+    long_pid = "x" * 256
+    msg = Reconfig(plus(long_pid), V0)
+    proof = ReconfigProof(plus(long_pid), V0, b"sig")
+    for _ in range(2):
+        with pytest.raises(CodecError, match="identifier too long"):
+            body_bytes(msg)
+        with pytest.raises(CodecError, match="identifier too long"):
+            proof.verify(VERIFIER)
+    assert "_body" not in vars(msg) and "_signed" not in vars(proof)
+
+
+def test_kept_bytes_are_not_fields():
+    install, twin = make_install(), make_install()
+    body_bytes(install)
+    message_meta(install)
+    install.proofs[0].verify(VERIFIER)
+    assert set(vars(install)) - {f.name for f in dataclasses.fields(install)} == {"_body", "_meta"}
+    assert "_signed" in vars(install.proofs[0]) and "_signed" not in vars(twin.proofs[0])
+    assert install == twin and hash(install) == hash(twin) and repr(install) == repr(twin)
+    # a value with other fields derives its own
+    other = dataclasses.replace(install, converged_sigs=install.converged_sigs[:2])
+    assert "_body" not in vars(other)
+    assert body_bytes(other) == fresh_body(other) != body_bytes(install)
+
+
+def test_history_links_are_not_encoded_again(monkeypatch):
+    install = make_install()
+    gossip = decode(encode(HistoryGossip(ViewHistory((V0, V1), (install,))),
+                           KEYRING.signer_for("p2")), VERIFIER, {}).msg
+    monkeypatch.setattr(Install, "write_body", lambda self, w: pytest.fail("re-encoded"))
+    relayed = HistoryGossip(gossip.history)
+    assert decode(encode(relayed, KEYRING.signer_for("p3")), VERIFIER).body == \
+        body_bytes(gossip)

@@ -23,7 +23,7 @@ from .messages import (
     encode,
     message_meta,
 )
-from .views import View
+from .views import View, seq_sort_key
 
 
 class AdversaryBase:
@@ -44,7 +44,7 @@ class AdversaryBase:
 
     @property
     def latest_view(self) -> View:
-        return max(self.views, key=lambda v: (len(v.changes), v.canonical_bytes))
+        return max(self.views, key=seq_sort_key)
 
     def _send_all(self, targets, msg) -> None:
         """Send msg to each target other than self; it is encoded and signed once."""

@@ -147,13 +147,17 @@ def ack_payload(message_digest: bytes, view: View) -> bytes:
     return message_digest + view.canonical_bytes
 
 
+# (signer, signature) pairs, ordered by signer.
+Signatures = tuple[tuple[ProcessId, bytes], ...]
+
+
 @dataclass(frozen=True)
 class MessageCertificate:
     """Quorum of member acknowledgment signatures over one (payload, view) pair."""
 
     message_digest: bytes
     view: View
-    signatures: tuple[tuple[ProcessId, bytes], ...]
+    signatures: Signatures
 
 
 def build_certificate(message_digest: bytes, view: View,

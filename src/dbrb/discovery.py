@@ -19,7 +19,7 @@ from .messages import (
     body_bytes,
     signed_content,
 )
-from .views import View, comparable, is_sequence, least_recent
+from .views import View, comparable, is_sequence, least_recent, seq_sort_key
 from .wake import TRUSTED_AUX, TRUSTED_HIST
 
 
@@ -89,7 +89,7 @@ class DiscoveryMixin:
         return view in self.trusted_hist or view in self.trusted_aux
 
     def _best_view(self) -> View:
-        return max(self.trusted_hist, key=lambda v: (len(v.changes), v.canonical_bytes))
+        return max(self.trusted_hist, key=seq_sort_key)
 
     def _best_history(self) -> ViewHistory:
         return self.trusted_hist[self._best_view()]

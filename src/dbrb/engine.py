@@ -92,12 +92,7 @@ class Receive:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DiscoveryReply:
-    history: ViewHistory
-
-
-InputEvent = InvokeJoin | InvokeLeave | InvokeBroadcast | Receive | DiscoveryReply
+InputEvent = InvokeJoin | InvokeLeave | InvokeBroadcast | Receive
 
 
 # -- output actions -----------------------------------------------------------
@@ -292,10 +287,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._invoke_leave()
         elif isinstance(event, InvokeBroadcast):
             self._invoke_broadcast(event.payload)
-        elif isinstance(event, DiscoveryReply):
-            self.got_history = True
-            self._wake(JOIN)
-            self._extend_trust(event.history)
         elif isinstance(event, Receive):
             self._receive(event)
         else:  # pragma: no cover

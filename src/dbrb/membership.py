@@ -16,6 +16,8 @@ from .messages import (
     Commit,
     Converged,
     Install,
+    Prepare,
+    PrepareEvidence,
     Propose,
     RecConfirm,
     Reconfig,
@@ -23,7 +25,7 @@ from .messages import (
     HistoryRequest,
     StateRecord,
     StateUpdate,
-    prepare_signed_bytes,
+    signed_content,
 )
 from .views import (
     Change,
@@ -394,28 +396,23 @@ class MembershipMixin:
         per_view[author] = msg
         self._wake(CONVERGED_QUORUM | PENDING_INSTALL)
 
+    def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
+        """ev is a prepare the sender signed in a view no later than v."""
+        return ev.view.changes <= v.changes and self.verifier.verify(
+            self.sender_id, signed_content(Prepare(ev.payload, ev.view), self.sender_id),
+            ev.signature)
+
     def _verify_state_update(self, msg: StateUpdate) -> bool:
         v = msg.view
         rec = msg.record
-        if rec.ack:
-            ev = rec.ack
-            if not ev.view.changes <= v.changes:
-                return False
-            if not self.verifier.verify(self.sender_id,
-                                        prepare_signed_bytes(ev.payload, ev.view, self.sender_id),
-                                        ev.signature):
-                return False
+        if rec.ack and not self._sender_prepared(rec.ack, v):
+            return False
         if rec.conflicting:
             a, b = rec.conflicting
             if a.payload == b.payload:
                 return False
-            for ev in (a, b):
-                if not ev.view.changes <= v.changes:
-                    return False
-                if not self.verifier.verify(self.sender_id,
-                                            prepare_signed_bytes(ev.payload, ev.view, self.sender_id),
-                                            ev.signature):
-                    return False
+            if not (self._sender_prepared(a, v) and self._sender_prepared(b, v)):
+                return False
         if rec.stored:
             ev = rec.stored
             if not ev.assoc_view.changes <= v.changes:

@@ -5,10 +5,13 @@ Layout of a framed message:
     version(1) | tag(1) | body-len(4) | body | author | signature
 
 The author signs version|tag|body|author, so a message cannot be
-re-attributed.  All collections inside bodies are canonically ordered,
-making the encoding bit-exact for equal values, and `decode` accepts
-only that canonical encoding: a decoded body always equals the
-re-encoding of the message parsed from it.
+re-attributed.  The dataclass fields of each message kind are its
+schema: a body is those fields in declaration order, each in the
+encoding `FIELD_CODECS` gives its annotated type, and nested records
+are laid out the same way.  All collections inside bodies are
+canonically ordered, making the encoding bit-exact for equal values,
+and `decode` accepts only that canonical encoding: a decoded body always
+equals the re-encoding of the message parsed from it.
 
 So each message value derives its body once: a parsed value keeps the
 body it was parsed from, any other value the body it is first encoded
@@ -20,10 +23,10 @@ content as a prefix of the frame instead of building it again.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import NoReturn, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, NoReturn, Optional, get_args
 
-from .crypto import MessageCertificate, Signer, Verifier
+from .crypto import MessageCertificate, Signatures, Signer, Verifier
 from .views import (
     Change,
     MINUS,
@@ -77,36 +80,40 @@ _HEAD = struct.Struct(">BBI")  # version, tag, body length
 
 
 class Reader:
-    """Cursor over one byte string; each read checks the bytes are there."""
+    """Cursor over one byte string; each read checks the bytes are there.
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self._data = data
+    `bodies` is the memo of `_parse_body`, handed on to history links.
+    """
+
+    def __init__(self, data: bytes, pos: int = 0, bodies: Optional[dict] = None) -> None:
+        self.data = data
         self.pos = pos
+        self.bodies = bodies
 
     def take(self, n: int) -> bytes:
         pos = self.pos
         end = pos + n
-        if end > len(self._data):
+        if end > len(self.data):
             raise CodecError("truncated message")
         self.pos = end
-        return self._data[pos:end]
+        return self.data[pos:end]
 
     def u8(self) -> int:
         pos = self.pos
-        if pos >= len(self._data):
+        if pos >= len(self.data):
             raise CodecError("truncated message")
         self.pos = pos + 1
-        return self._data[pos]
+        return self.data[pos]
 
     def u32(self) -> int:
         pos = self.pos
-        if pos + 4 > len(self._data):
+        if pos + 4 > len(self.data):
             raise CodecError("truncated message")
         self.pos = pos + 4
-        return _U32.unpack_from(self._data, pos)[0]
+        return _U32.unpack_from(self.data, pos)[0]
 
     def blob(self) -> bytes:
-        data, pos = self._data, self.pos
+        data, pos = self.data, self.pos
         if pos + 4 > len(data):
             raise CodecError("truncated message")
         start = pos + 4
@@ -117,7 +124,7 @@ class Reader:
         return data[start:end]
 
     def text(self) -> str:
-        data, pos = self._data, self.pos
+        data, pos = self.data, self.pos
         if pos >= len(data):
             raise CodecError("truncated message")
         end = pos + 1 + data[pos]
@@ -129,12 +136,189 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise CodecError("bad utf-8") from exc
 
-    def done(self) -> bool:
-        return self.pos == len(self._data)
-
     def expect_done(self) -> None:
-        if not self.done():
+        if self.pos != len(self.data):
             raise CodecError("trailing bytes")
+
+
+# --- records and message kinds ------------------------------------------------
+#
+# The field annotations below are the wire schema; see `FIELD_CODECS`.
+
+# Install's converged signatures are laid out as a certificate's, but a
+# misordered list is reported as theirs.
+ConvergedSignatures = Signatures
+
+
+@dataclass(frozen=True)
+class ReconfigProof:
+    """A signed reconfiguration request: the originator's proof of intent."""
+
+    change: Change
+    view: View
+    signature: bytes
+
+    def signed_bytes(self) -> bytes:
+        """The originator's signed content, derived once and kept (see `body_bytes`)."""
+        signed = self.__dict__.get("_signed")
+        if signed is None:
+            signed = self.__dict__["_signed"] = _signed_content(
+                TAG_RECONFIG, _proof_body(self), self.change.process)
+        return signed
+
+    def verify(self, verifier: Verifier) -> bool:
+        return verifier.verify(self.change.process, self.signed_bytes(), self.signature)
+
+
+@dataclass(frozen=True)
+class PrepareEvidence:
+    """A sender-signed prepare, carried inside state updates."""
+
+    payload: bytes
+    view: View
+    signature: bytes
+
+
+@dataclass(frozen=True)
+class StoredEvidence:
+    """Certificate-backed stored message, carried inside state updates."""
+
+    payload: bytes
+    cert: MessageCertificate
+    v_cer: View
+    assoc_view: View
+
+
+@dataclass(frozen=True)
+class StateRecord:
+    """On the wire: a flag byte naming the parts present, then those parts."""
+
+    ack: Optional[PrepareEvidence] = None
+    conflicting: Optional[tuple[PrepareEvidence, PrepareEvidence]] = None
+    stored: Optional[StoredEvidence] = None
+
+
+@dataclass(frozen=True)
+class Reconfig:
+    TAG = TAG_RECONFIG
+    change: Change
+    view: View
+
+
+@dataclass(frozen=True)
+class RecConfirm:
+    TAG = TAG_REC_CONFIRM
+    view: View
+
+
+@dataclass(frozen=True)
+class Propose:
+    TAG = TAG_PROPOSE
+    seq: frozenset[View]
+    view: View
+    proofs: tuple[ReconfigProof, ...] = ()
+
+
+@dataclass(frozen=True)
+class Converged:
+    TAG = TAG_CONVERGED
+    seq: frozenset[View]
+    view: View
+
+
+@dataclass(frozen=True)
+class Install:
+    TAG = TAG_INSTALL
+    psi: tuple[ProcessId, ...]
+    omega: View
+    seq: frozenset[View]
+    view: View  # the replaced view
+    converged_sigs: ConvergedSignatures
+    proofs: tuple[ReconfigProof, ...] = ()
+
+
+@dataclass(frozen=True)
+class StateUpdate:
+    TAG = TAG_STATE_UPDATE
+    psi: tuple[ProcessId, ...]
+    view: View  # the replaced view this update is associated with
+    omega: View
+    record: StateRecord
+    recv: tuple[ReconfigProof, ...]
+
+
+@dataclass(frozen=True)
+class Prepare:
+    TAG = TAG_PREPARE
+    payload: bytes
+    view: View
+
+
+@dataclass(frozen=True)
+class Ack:
+    TAG = TAG_ACK
+    payload: bytes
+    signature: bytes  # over ack_payload(digest(payload), view)
+    view: View
+
+
+@dataclass(frozen=True)
+class Commit:
+    TAG = TAG_COMMIT
+    payload: bytes
+    cert: MessageCertificate
+    v_cer: View
+    view: View
+
+
+@dataclass(frozen=True)
+class Deliver:
+    TAG = TAG_DELIVER
+    payload: bytes
+    view: View
+
+
+@dataclass(frozen=True)
+class HistoryRequest:
+    TAG = TAG_HISTORY_REQUEST
+
+
+@dataclass(frozen=True)
+class ViewHistory:
+    """Alternating chain v0, m0, v1, m1, ... vn rooted at the initial view.
+
+    On the wire: the view count, v0, then each link's INSTALL body as a blob.
+    """
+
+    views: tuple[View, ...]
+    links: tuple[Install, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.views) != len(self.links) + 1:
+            raise CodecError("history arity mismatch")
+
+    def extended(self, link: Install) -> "ViewHistory":
+        return ViewHistory(self.views + (link.omega,), self.links + (link,))
+
+
+@dataclass(frozen=True)
+class HistoryGossip:
+    TAG = TAG_HISTORY
+    history: ViewHistory
+
+
+Message = (
+    Reconfig | RecConfirm | Propose | Converged | Install | StateUpdate
+    | Prepare | Ack | Commit | Deliver | HistoryRequest | HistoryGossip
+)
+
+
+# --- field codecs -------------------------------------------------------------
+#
+# A codec is a (write, read) pair: write maps a value to its bytes, read
+# takes the value from a Reader and raises CodecError at the first defect.
+
+Codec = tuple[Callable[[object], bytes], Callable[[Reader], object]]
 
 
 def _text_bytes(s: str) -> bytes:
@@ -145,48 +329,27 @@ def _text_bytes(s: str) -> bytes:
     return bytes((len(raw),)) + raw
 
 
-class Writer:
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def raw(self, b: bytes) -> None:
-        self._buf += b
-
-    def u8(self, n: int) -> None:
-        self._buf.append(n)
-
-    def u32(self, n: int) -> None:
-        self._buf += _U32.pack(n)
-
-    def blob(self, b: bytes) -> None:
-        self._buf += _U32.pack(len(b))
-        self._buf += b
-
-    def text(self, s: str) -> None:
-        self._buf += _text_bytes(s)
-
-    def getvalue(self) -> bytes:
-        return bytes(self._buf)
+def _blob(b: bytes) -> bytes:
+    return _U32.pack(len(b)) + b
 
 
-_SIGN_BYTE = {PLUS: 0x2B, MINUS: 0x2D}
+_SIGN_BYTE = {PLUS: b"\x2b", MINUS: b"\x2d"}
 _BYTE_SIGN = {0x2B: PLUS, 0x2D: MINUS}
 
 
-def write_change(w: Writer, c: Change) -> None:
-    w.u8(_SIGN_BYTE[c.sign])
-    w.text(c.process)
+def _write_change(c: Change) -> bytes:
+    return _SIGN_BYTE[c.sign] + _text_bytes(c.process)
 
 
-def read_change(r: Reader) -> Change:
+def _read_change(r: Reader) -> Change:
     sign = r.u8()
     if sign not in _BYTE_SIGN:
         raise CodecError("bad change sign byte")
     return intern_change(_BYTE_SIGN[sign], r.text())
 
 
-def write_view(w: Writer, v: View) -> None:
-    w.blob(v.canonical_bytes)
+def _write_view(v: View) -> bytes:
+    return _blob(v.canonical_bytes)
 
 
 # Views repeat heavily on the wire; share the immutable instances.
@@ -194,7 +357,7 @@ _VIEW_CACHE: dict[bytes, View] = {}
 _VIEW_CACHE_MAX = 4096
 
 
-def read_view(r: Reader) -> View:
+def _read_view(r: Reader) -> View:
     raw = r.blob()
     cached = _VIEW_CACHE.get(raw)
     if cached is not None:
@@ -226,432 +389,146 @@ def read_view(r: Reader) -> View:
     return view
 
 
-def write_seq(w: Writer, seq: frozenset[View]) -> None:
+def _write_seq(seq: frozenset[View]) -> bytes:
     ordered = seq_sorted(seq)
-    w.u32(len(ordered))
-    for v in ordered:
-        write_view(w, v)
+    return _U32.pack(len(ordered)) + b"".join(map(_write_view, ordered))
 
 
-def read_seq(r: Reader) -> frozenset[View]:
-    count = r.u32()
-    views = [read_view(r) for _ in range(count)]
+def _read_seq(r: Reader) -> frozenset[View]:
+    views = [_read_view(r) for _ in range(r.u32())]
     keys = [seq_sort_key(v) for v in views]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CodecError("sequence views not canonical")
     return frozenset(views)
 
 
-def write_cert(w: Writer, cert: MessageCertificate) -> None:
-    w.blob(cert.message_digest)
-    write_view(w, cert.view)
-    w.u32(len(cert.signatures))
-    for pid, sig in sorted(cert.signatures):
-        w.text(pid)
-        w.blob(sig)
+def _sorted_tuple(item: Codec, error: str, key=None) -> Codec:
+    """A count, then the items in sorted order; a read in any other order
+    raises `error` once every item is read."""
+    write_item, read_item = item
+
+    def write(items: tuple) -> bytes:
+        ordered = sorted(items, key=key)
+        return _U32.pack(len(ordered)) + b"".join(map(write_item, ordered))
+
+    def read(r: Reader) -> tuple:
+        items = tuple([read_item(r) for _ in range(r.u32())])
+        keys = list(items) if key is None else [key(i) for i in items]
+        if keys != sorted(keys):
+            raise CodecError(error)
+        return items
+
+    return write, read
 
 
-def read_cert(r: Reader) -> MessageCertificate:
-    digest = r.blob()
-    view = read_view(r)
-    count = r.u32()
-    sigs = []
-    for _ in range(count):
-        sigs.append((r.text(), r.blob()))
-    if sigs != sorted(sigs):
-        raise CodecError("certificate signatures not canonical")
-    return MessageCertificate(digest, view, tuple(sigs))
+def _proof_body(p: ReconfigProof) -> bytes:
+    """The RECONFIG body p's originator signed, change then view: the slice
+    a parsed proof was read from, or else derived once and kept."""
+    body = p.__dict__.get("_body")
+    if body is None:
+        body = p.__dict__["_body"] = _write_change(p.change) + _write_view(p.view)
+    return body
 
 
-@dataclass(frozen=True)
-class ReconfigProof:
-    """A signed reconfiguration request: the originator's proof of intent."""
-
-    change: Change
-    view: View
-    signature: bytes
-
-    def signed_bytes(self) -> bytes:
-        """The originator's signed content, derived once and kept (see `body_bytes`)."""
-        signed = self.__dict__.get("_signed")
-        if signed is None:
-            signed = self.__dict__["_signed"] = reconfig_signed_bytes(
-                self.change, self.view, self.change.process)
-        return signed
-
-    def verify(self, verifier: Verifier) -> bool:
-        return verifier.verify(self.change.process, self.signed_bytes(), self.signature)
-
-
-def write_proof(w: Writer, p: ReconfigProof) -> None:
-    write_change(w, p.change)
-    write_view(w, p.view)
-    w.blob(p.signature)
-
-
-def read_proof(r: Reader) -> ReconfigProof:
-    return ReconfigProof(read_change(r), read_view(r), r.blob())
+def _read_proof(r: Reader) -> ReconfigProof:
+    start = r.pos
+    change = _read_change(r)
+    view = _read_view(r)
+    body = r.data[start:r.pos]
+    proof = ReconfigProof(change, view, r.blob())
+    proof.__dict__["_body"] = body
+    return proof
 
 
 def _proof_key(p: ReconfigProof) -> tuple[ProcessId, str]:
     return (p.change.process, p.change.sign)
 
 
-def write_proofs(w: Writer, proofs: tuple[ReconfigProof, ...]) -> None:
-    ordered = sorted(proofs, key=_proof_key)
-    w.u32(len(ordered))
-    for p in ordered:
-        write_proof(w, p)
+_SIGNATURE: Codec = (lambda pair: _text_bytes(pair[0]) + _blob(pair[1]),
+                     lambda r: (r.text(), r.blob()))
 
 
-def read_proofs(r: Reader) -> tuple[ReconfigProof, ...]:
-    proofs = tuple(read_proof(r) for _ in range(r.u32()))
-    keys = [_proof_key(p) for p in proofs]
-    if keys != sorted(keys):
-        raise CodecError("reconfig proofs not canonical")
-    return proofs
-
-
-@dataclass(frozen=True)
-class PrepareEvidence:
-    """A sender-signed prepare, carried inside state updates."""
-
-    payload: bytes
-    view: View
-    signature: bytes
-
-
-def write_prep_evidence(w: Writer, ev: PrepareEvidence) -> None:
-    w.blob(ev.payload)
-    write_view(w, ev.view)
-    w.blob(ev.signature)
-
-
-def read_prep_evidence(r: Reader) -> PrepareEvidence:
-    return PrepareEvidence(r.blob(), read_view(r), r.blob())
-
-
-@dataclass(frozen=True)
-class StoredEvidence:
-    """Certificate-backed stored message, carried inside state updates."""
-
-    payload: bytes
-    cert: MessageCertificate
-    v_cer: View
-    assoc_view: View
-
-
-def write_stored_evidence(w: Writer, ev: StoredEvidence) -> None:
-    w.blob(ev.payload)
-    write_cert(w, ev.cert)
-    write_view(w, ev.v_cer)
-    write_view(w, ev.assoc_view)
-
-
-def read_stored_evidence(r: Reader) -> StoredEvidence:
-    return StoredEvidence(r.blob(), read_cert(r), read_view(r), read_view(r))
-
-
-@dataclass(frozen=True)
-class StateRecord:
-    ack: Optional[PrepareEvidence] = None
-    conflicting: Optional[tuple[PrepareEvidence, PrepareEvidence]] = None
-    stored: Optional[StoredEvidence] = None
-
-
-def write_state_record(w: Writer, rec: StateRecord) -> None:
+def _write_record(rec: StateRecord) -> bytes:
     flags = (1 if rec.ack else 0) | (2 if rec.conflicting else 0) | (4 if rec.stored else 0)
-    w.u8(flags)
+    parts = [bytes((flags,))]
     if rec.ack:
-        write_prep_evidence(w, rec.ack)
+        parts.append(_PREP_EVIDENCE[0](rec.ack))
     if rec.conflicting:
-        write_prep_evidence(w, rec.conflicting[0])
-        write_prep_evidence(w, rec.conflicting[1])
+        parts.extend(map(_PREP_EVIDENCE[0], rec.conflicting))
     if rec.stored:
-        write_stored_evidence(w, rec.stored)
+        parts.append(_STORED_EVIDENCE[0](rec.stored))
+    return b"".join(parts)
 
 
-def read_state_record(r: Reader) -> StateRecord:
+def _read_record(r: Reader) -> StateRecord:
     flags = r.u8()
     if flags > 7:
         raise CodecError("unknown state record flags")
-    ack = read_prep_evidence(r) if flags & 1 else None
-    conflicting = (read_prep_evidence(r), read_prep_evidence(r)) if flags & 2 else None
-    stored = read_stored_evidence(r) if flags & 4 else None
+    read_prep = _PREP_EVIDENCE[1]
+    ack = read_prep(r) if flags & 1 else None
+    conflicting = (read_prep(r), read_prep(r)) if flags & 2 else None
+    stored = _STORED_EVIDENCE[1](r) if flags & 4 else None
     return StateRecord(ack, conflicting, stored)
 
 
-def write_pids(w: Writer, pids: tuple[ProcessId, ...]) -> None:
-    ordered = sorted(pids)
-    w.u32(len(ordered))
-    for pid in ordered:
-        w.text(pid)
+def _write_history(h: ViewHistory) -> bytes:
+    links = [_blob(body_bytes(link)) for link in h.links]
+    return b"".join([_U32.pack(len(h.views)), _write_view(h.views[0]), *links])
 
 
-def read_pids(r: Reader) -> tuple[ProcessId, ...]:
-    pids = tuple(r.text() for _ in range(r.u32()))
-    if list(pids) != sorted(pids):
-        raise CodecError("process ids not canonical")
-    return pids
-
-
-# --- message bodies ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Reconfig:
-    TAG = TAG_RECONFIG
-    change: Change
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        write_change(w, self.change)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Reconfig":
-        return cls(read_change(r), read_view(r))
-
-
-@dataclass(frozen=True)
-class RecConfirm:
-    TAG = TAG_REC_CONFIRM
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "RecConfirm":
-        return cls(read_view(r))
-
-
-@dataclass(frozen=True)
-class Propose:
-    TAG = TAG_PROPOSE
-    seq: frozenset[View]
-    view: View
-    proofs: tuple[ReconfigProof, ...] = ()
-
-    def write_body(self, w: Writer) -> None:
-        write_seq(w, self.seq)
-        write_view(w, self.view)
-        write_proofs(w, self.proofs)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Propose":
-        return cls(read_seq(r), read_view(r), read_proofs(r))
-
-
-@dataclass(frozen=True)
-class Converged:
-    TAG = TAG_CONVERGED
-    seq: frozenset[View]
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        write_seq(w, self.seq)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Converged":
-        return cls(read_seq(r), read_view(r))
-
-
-@dataclass(frozen=True)
-class Install:
-    TAG = TAG_INSTALL
-    psi: tuple[ProcessId, ...]
-    omega: View
-    seq: frozenset[View]
-    view: View  # the replaced view
-    converged_sigs: tuple[tuple[ProcessId, bytes], ...]
-    proofs: tuple[ReconfigProof, ...] = ()
-
-    def write_body(self, w: Writer) -> None:
-        write_pids(w, self.psi)
-        write_view(w, self.omega)
-        write_seq(w, self.seq)
-        write_view(w, self.view)
-        w.u32(len(self.converged_sigs))
-        for pid, sig in sorted(self.converged_sigs):
-            w.text(pid)
-            w.blob(sig)
-        write_proofs(w, self.proofs)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Install":
-        psi = read_pids(r)
-        omega = read_view(r)
-        seq = read_seq(r)
-        view = read_view(r)
-        sigs = tuple((r.text(), r.blob()) for _ in range(r.u32()))
-        if list(sigs) != sorted(sigs):
-            raise CodecError("converged signatures not canonical")
-        proofs = read_proofs(r)
-        return cls(psi, omega, seq, view, sigs, proofs)
-
-
-@dataclass(frozen=True)
-class StateUpdate:
-    TAG = TAG_STATE_UPDATE
-    psi: tuple[ProcessId, ...]
-    view: View  # the replaced view this update is associated with
-    omega: View
-    record: StateRecord
-    recv: tuple[ReconfigProof, ...]
-
-    def write_body(self, w: Writer) -> None:
-        write_pids(w, self.psi)
-        write_view(w, self.view)
-        write_view(w, self.omega)
-        write_state_record(w, self.record)
-        write_proofs(w, self.recv)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "StateUpdate":
-        return cls(read_pids(r), read_view(r), read_view(r),
-                   read_state_record(r), read_proofs(r))
-
-
-@dataclass(frozen=True)
-class Prepare:
-    TAG = TAG_PREPARE
-    payload: bytes
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        w.blob(self.payload)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Prepare":
-        return cls(r.blob(), read_view(r))
-
-
-@dataclass(frozen=True)
-class Ack:
-    TAG = TAG_ACK
-    payload: bytes
-    signature: bytes  # over ack_payload(digest(payload), view)
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        w.blob(self.payload)
-        w.blob(self.signature)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Ack":
-        return cls(r.blob(), r.blob(), read_view(r))
-
-
-@dataclass(frozen=True)
-class Commit:
-    TAG = TAG_COMMIT
-    payload: bytes
-    cert: MessageCertificate
-    v_cer: View
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        w.blob(self.payload)
-        write_cert(w, self.cert)
-        write_view(w, self.v_cer)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Commit":
-        return cls(r.blob(), read_cert(r), read_view(r), read_view(r))
-
-
-@dataclass(frozen=True)
-class Deliver:
-    TAG = TAG_DELIVER
-    payload: bytes
-    view: View
-
-    def write_body(self, w: Writer) -> None:
-        w.blob(self.payload)
-        write_view(w, self.view)
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "Deliver":
-        return cls(r.blob(), read_view(r))
-
-
-@dataclass(frozen=True)
-class HistoryRequest:
-    TAG = TAG_HISTORY_REQUEST
-
-    def write_body(self, w: Writer) -> None:
-        pass
-
-    @classmethod
-    def read_body(cls, r: Reader) -> "HistoryRequest":
-        return cls()
-
-
-@dataclass(frozen=True)
-class ViewHistory:
-    """Alternating chain v0, m0, v1, m1, ... vn rooted at the initial view."""
-
-    views: tuple[View, ...]
-    links: tuple[Install, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.views) != len(self.links) + 1:
-            raise CodecError("history arity mismatch")
-
-    def extended(self, link: Install) -> "ViewHistory":
-        return ViewHistory(self.views + (link.omega,), self.links + (link,))
-
-
-def write_history(w: Writer, h: ViewHistory) -> None:
-    w.u32(len(h.views))
-    write_view(w, h.views[0])
-    for link in h.links:
-        w.blob(body_bytes(link))
-
-
-def read_history(r: Reader, bodies: Optional[dict] = None) -> ViewHistory:
+def _read_history(r: Reader) -> ViewHistory:
     """Each link is an INSTALL body, parsed through `_parse_body`'s memo."""
     count = r.u32()
     if count == 0:
         raise CodecError("empty history")
-    first = read_view(r)
-    views = [first]
+    views = [_read_view(r)]
     links = []
     for _ in range(count - 1):
-        link = _parse_body(TAG_INSTALL, r.blob(), bodies)
+        link = _parse_body(TAG_INSTALL, r.blob(), r.bodies)
         links.append(link)
         views.append(link.omega)
     return ViewHistory(tuple(views), tuple(links))
 
 
-@dataclass(frozen=True)
-class HistoryGossip:
-    TAG = TAG_HISTORY
-    history: ViewHistory
-
-    def write_body(self, w: Writer) -> None:
-        write_history(w, self.history)
-
-    @classmethod
-    def read_body(cls, r: Reader, bodies: Optional[dict] = None) -> "HistoryGossip":
-        return cls(read_history(r, bodies))
-
-
-Message = (
-    Reconfig | RecConfirm | Propose | Converged | Install | StateUpdate
-    | Prepare | Ack | Commit | Deliver | HistoryRequest | HistoryGossip
-)
-
-_CLASSES = {
-    cls.TAG: cls
-    for cls in (Reconfig, RecConfirm, Propose, Converged, Install, StateUpdate,
-                Prepare, Ack, Commit, Deliver, HistoryRequest, HistoryGossip)
+# One codec per field type, keyed by the annotation as written.
+FIELD_CODECS: dict[str, Codec] = {
+    "bytes": (_blob, Reader.blob),
+    "Change": (_write_change, _read_change),
+    "View": (_write_view, _read_view),
+    "frozenset[View]": (_write_seq, _read_seq),
+    "tuple[ProcessId, ...]": _sorted_tuple((_text_bytes, Reader.text),
+                                           "process ids not canonical"),
+    "tuple[ReconfigProof, ...]": _sorted_tuple(
+        (lambda p: _proof_body(p) + _blob(p.signature), _read_proof),
+        "reconfig proofs not canonical", key=_proof_key),
+    "Signatures": _sorted_tuple(_SIGNATURE, "certificate signatures not canonical"),
+    "ConvergedSignatures": _sorted_tuple(_SIGNATURE, "converged signatures not canonical"),
+    "StateRecord": (_write_record, _read_record),
+    "ViewHistory": (_write_history, _read_history),
 }
+
+
+def _fields_codec(cls) -> Codec:
+    """The codec of a record or message kind: its fields in declaration
+    order, each through the codec of its type, bound once."""
+    puts = tuple((f.name, FIELD_CODECS[f.type][0]) for f in fields(cls))
+    gets = tuple(FIELD_CODECS[f.type][1] for f in fields(cls))
+
+    def write(value) -> bytes:
+        return b"".join([put(getattr(value, name)) for name, put in puts])
+
+    def read(r: Reader):
+        return cls(*[get(r) for get in gets])
+
+    return write, read
+
+
+FIELD_CODECS["MessageCertificate"] = _fields_codec(MessageCertificate)
+_PREP_EVIDENCE = _fields_codec(PrepareEvidence)
+_STORED_EVIDENCE = _fields_codec(StoredEvidence)
+
+# The body codec of each message kind, by tag.
+KIND_CODECS: dict[int, Codec] = {cls.TAG: _fields_codec(cls) for cls in get_args(Message)}
 
 
 # A value derives its body, its trace metadata and (for a ReconfigProof)
@@ -666,9 +543,7 @@ def body_bytes(msg: Message) -> bytes:
     one it was first encoded to."""
     body = msg.__dict__.get("_body")
     if body is None:
-        w = Writer()
-        msg.write_body(w)
-        body = msg.__dict__["_body"] = w.getvalue()
+        body = msg.__dict__["_body"] = KIND_CODECS[msg.TAG][0](msg)
     return body
 
 
@@ -708,11 +583,9 @@ def _parse_body(tag: int, body: bytes, bodies: Optional[dict] = None) -> Message
         msg = bodies.get(key)
         if msg is not None:
             return msg
-    cls = _CLASSES[tag]
-    r = Reader(body)
+    r = Reader(body, 0, bodies)
     try:
-        # history links are INSTALL bodies and parse through the same memo
-        msg = cls.read_body(r, bodies) if tag == TAG_HISTORY else cls.read_body(r)
+        msg = KIND_CODECS[tag][1](r)
     except ViewError as exc:  # oversized or malformed view payloads
         raise CodecError(str(exc)) from exc
     r.expect_done()
@@ -726,7 +599,7 @@ def _reject_head(head: bytes) -> NoReturn:
     """Raise the error for the first missing or bad field of a frame header."""
     if head and head[0] != WIRE_VERSION:
         raise CodecError(f"unsupported wire version {head[0]}")
-    if len(head) > 1 and head[1] not in _CLASSES:
+    if len(head) > 1 and head[1] not in KIND_CODECS:
         raise CodecError(f"unknown tag 0x{head[1]:02x}")
     raise CodecError("truncated message")
 
@@ -741,7 +614,7 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
     if len(raw) < _HEAD.size:
         _reject_head(raw)
     version, tag, size = _HEAD.unpack_from(raw)
-    if version != WIRE_VERSION or tag not in _CLASSES:
+    if version != WIRE_VERSION or tag not in KIND_CODECS:
         _reject_head(raw[:2])
     r = Reader(raw, _HEAD.size)
     body = r.take(size)
@@ -752,20 +625,6 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
     if not verifier.verify(author, raw[:signed_end], sig):
         raise CodecError("bad envelope signature")
     return Decoded(_parse_body(tag, body, bodies), author, KIND_NAMES[tag], sig, body)
-
-
-def reconfig_signed_bytes(change: Change, view: View, author: ProcessId) -> bytes:
-    """Signed content of a reconfig message, reconstructable from a proof."""
-    return signed_content(Reconfig(change, view), author)
-
-
-def converged_signed_bytes(seq: frozenset[View], view: View, author: ProcessId) -> bytes:
-    """Signed content of a converged message, used to check install proofs."""
-    return signed_content(Converged(seq, view), author)
-
-
-def prepare_signed_bytes(payload: bytes, view: View, author: ProcessId) -> bytes:
-    return signed_content(Prepare(payload, view), author)
 
 
 def message_meta(msg: Message) -> dict:

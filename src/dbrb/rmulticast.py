@@ -57,7 +57,6 @@ class RMulticastMixin:
 
     def _rm_deliver(self, key: tuple, msg, author: str, raw: bytes) -> None:
         self.rm_received.add(key)
-        self._wake(RM_PENDING)  # a parked copy of this message, if any, is now stale
         meta = message_meta(msg)
         for q in sorted(set(msg.psi)):
             if q != self.pid:
@@ -68,13 +67,21 @@ class RMulticastMixin:
             self._record_state_update(author, msg)
 
     def _rm_pending_scan(self) -> bool:
+        """Deliver each parked install whose replaced view is now trusted.
+
+        No parked copy is of a message already received, so neither this
+        scan nor `_rm_deliver` looks for one.  A copy is parked only while
+        its replaced view is untrusted, and no install of an untrusted view
+        is delivered.  The trust growth that admits the view wakes
+        `RM_PENDING` (through `TRUSTED_HIST`), so this scan delivers the
+        parked copy within that same step, before any other copy can reach
+        `_rm_receive`.
+        """
         if self.halted or not self.rm_pending:
             return False
         changed = False
         still = []
         for key, msg, raw in self.rm_pending:
-            if key in self.rm_received:
-                continue
             if self._is_trusted(msg.view):
                 # Author identity is irrelevant for installs (quorum-proofed).
                 self._rm_deliver(key, msg, "", raw)

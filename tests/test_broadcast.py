@@ -18,7 +18,7 @@ from dbrb.messages import (
     StateRecord,
     StoredEvidence,
     decode,
-    prepare_signed_bytes,
+    signed_content,
 )
 from dbrb.views import View, plus
 
@@ -194,7 +194,7 @@ def test_deliver_write_once_per_sender_and_view(bench4):
 
 
 def prep_evidence(bench, payload, view):
-    sig = bench.keyring.sign("p1", prepare_signed_bytes(payload, view, "p1"))
+    sig = bench.keyring.sign("p1", signed_content(Prepare(payload, view), "p1"))
     return PrepareEvidence(payload, view, sig)
 
 

@@ -18,7 +18,7 @@ from dbrb.crypto import (
     verify_certificate,
 )
 from dbrb.discovery import verify_install_proof
-from dbrb.messages import Install, Writer, body_bytes, converged_signed_bytes, write_cert
+from dbrb.messages import FIELD_CODECS, Converged, Install, body_bytes, signed_content
 from dbrb.views import View, plus
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
@@ -133,9 +133,7 @@ def test_verification_is_pure(keyring):
 
 
 def cert_bytes(cert):
-    w = Writer()
-    write_cert(w, cert)
-    return w.getvalue()
+    return FIELD_CODECS["MessageCertificate"][0](cert)
 
 
 def test_certificate_serialization_layout(keyring):
@@ -182,7 +180,7 @@ def test_verifier_memo_is_per_instance(keyring):
 def make_install(keyring):
     v1 = View(V0.changes | {plus("p5")})
     seq = frozenset({v1})
-    sigs = tuple((pid, keyring.sign(pid, converged_signed_bytes(seq, V0, pid)))
+    sigs = tuple((pid, keyring.sign(pid, signed_content(Converged(seq, V0), pid)))
                  for pid in ("p1", "p2", "p3"))
     return Install(tuple(sorted(V0.member_set | v1.member_set)), v1, seq, V0, sigs, ())
 

@@ -6,19 +6,20 @@ from conftest import notes_of, sends_of
 from dbrb.discovery import verify_history
 from dbrb.engine import Flood, Receive
 from dbrb.messages import (
+    Converged,
     HistoryGossip,
     HistoryRequest,
     Install,
     ViewHistory,
-    converged_signed_bytes,
     decode,
+    signed_content,
 )
 from dbrb.views import View, plus
 
 
 def make_link(bench, view, omega, signers=("p1", "p2", "p3")):
     seq = frozenset({omega})
-    sigs = tuple((pid, bench.keyring.sign(pid, converged_signed_bytes(seq, view, pid)))
+    sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
     return Install(psi, omega, seq, view, sigs, ())
@@ -80,7 +81,7 @@ def test_auxiliary_views_in_links_become_valid(bench4):
     v_a = View(v0.changes | {plus("p5")})
     v_ab = View(v_a.changes | {plus("p6")})
     seq = frozenset({v_a, v_ab})
-    sigs = tuple((pid, bench4.keyring.sign(pid, converged_signed_bytes(seq, v0, pid)))
+    sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
     psi = tuple(sorted(v0.member_set | v_a.member_set))
     link = Install(psi, v_a, seq, v0, sigs, ())

@@ -11,13 +11,19 @@ from dbrb import simnet
 from dbrb.adversary import make_adversary
 from dbrb.engine import _SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
 from dbrb.messages import (
+    KIND_CODECS,
+    TAG_CONVERGED,
     Converged,
     Deliver,
+    HistoryGossip,
+    Install,
     Prepare,
     Reconfig,
     StateRecord,
     StateUpdate,
+    ViewHistory,
     message_meta,
+    signed_content,
 )
 from dbrb.views import View, plus, seq_key
 
@@ -108,21 +114,17 @@ def test_random_event_sequences_replay_identically(script):
 
 
 def test_discovery_reply_injection_extends_trust():
-    from dbrb.engine import DiscoveryReply
-    from dbrb.messages import Install, ViewHistory, converged_signed_bytes
-
     bench, _ = fresh_pair()
     node = bench.nodes["p5"]
     node.step(InvokeJoin())
     v0 = bench.initial_view
-    from dbrb.views import View
-
     v1 = View(v0.changes | {plus("p5")})
     seq = frozenset({v1})
-    sigs = tuple((pid, bench.keyring.sign(pid, converged_signed_bytes(seq, v0, pid)))
+    sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
     link = Install(tuple(sorted(v0.member_set | v1.member_set)), v1, seq, v0, sigs, ())
-    actions = node.step(DiscoveryReply(ViewHistory((v0, v1), (link,))))
+    reply = HistoryGossip(ViewHistory((v0, v1), (link,)))
+    actions = node.step(Receive("p1", bench.raw("p1", reply), message_meta(reply)))
     assert node._is_trusted(v1)
     reconfigs = sends_of(actions, "RECONFIG")
     assert sorted(r.to for r in reconfigs) == sorted(v1.members)
@@ -200,9 +202,9 @@ def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
     parsed = []
-    real = Converged.read_body.__func__
-    monkeypatch.setattr(Converged, "read_body",
-                        classmethod(lambda cls, r: parsed.append(1) or real(cls, r)))
+    write, read = KIND_CODECS[TAG_CONVERGED]
+    monkeypatch.setitem(KIND_CODECS, TAG_CONVERGED,
+                        (write, lambda r: parsed.append(1) or read(r)))
     msg = Converged(frozenset({bench.initial_view}), bench.initial_view)
     for author in ("p1", "p3"):
         node.step(Receive(author, bench.raw(author, msg), message_meta(msg)))
@@ -257,6 +259,8 @@ def test_no_scan_has_work_left_after_a_step(monkeypatch, name):
 
     def checked_step(node, event):
         out = real_step(node, event)
+        # a parked multicast copy is never of a message already received
+        assert not {key for key, _, _ in node.rm_pending} & node.rm_received
         if node.halted:
             return out
         steps.append(node.pid)

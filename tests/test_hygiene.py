@@ -1,5 +1,6 @@
 """Lint steps: every name a module imports is referenced in that module,
-and no function in `src/dbrb` imports anything.
+no function in `src/dbrb` imports anything, and every function, class
+and method defined in `src/dbrb` is named somewhere else in it.
 
 Uses only the stdlib `ast` module.  Package `__init__.py` files, which
 import to re-export, and `from __future__` imports are exempt.  Imports
@@ -8,6 +9,7 @@ has no import cycle that would need a deferred import.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,38 @@ def test_function_local_import_is_reported():
     source = ("import os\n\ndef f():\n    from json import dumps\n    return dumps\n\n"
               "class C:\n    def g(self):\n        import re\n")
     assert function_local_imports(source) == [4, 9]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(source: str):
+    """Names of the top-level functions and classes, and of the methods
+    other than dunders."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, FUNCTIONS) and not item.name.startswith("__"))
+
+
+def unnamed_definitions(sources: list[str]) -> list[str]:
+    """Definitions whose name appears in the sources only where defined."""
+    defined: dict[str, int] = {}
+    for source in sources:
+        for name in definitions(source):
+            defined[name] = defined.get(name, 0) + 1
+    text = "\n".join(sources)
+    return sorted(name for name, count in defined.items()
+                  if len(re.findall(rf"\b{name}\b", text)) <= count)
+
+
+def test_every_definition_is_named_elsewhere():
+    assert unnamed_definitions([p.read_text() for p in SOURCE_MODULES]) == []
+
+
+def test_unnamed_definition_is_reported():
+    used = "def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    def m(self):\n        pass\n"
+    other = "class D:\n    def __init__(self):\n        f()\n\n    def m(self):\n        pass\n"
+    assert unnamed_definitions([used, other]) == ["C", "D", "m"]

@@ -14,7 +14,7 @@ from dbrb.messages import (
     Reconfig,
     ReconfigProof,
     decode,
-    reconfig_signed_bytes,
+    signed_content,
 )
 from dbrb.views import View, minus, plus, seq_key
 
@@ -31,7 +31,7 @@ def proofed_propose(bench, seq, view):
         needed |= w.changes - view.changes
     proofs = tuple(
         ReconfigProof(c, view,
-                      bench.keyring.sign(c.process, reconfig_signed_bytes(c, view, c.process)))
+                      bench.keyring.sign(c.process, signed_content(Reconfig(c, view), c.process)))
         for c in sorted(needed, key=lambda c: (c.process, c.sign))
     )
     return Propose(frozenset(seq), view, proofs)
@@ -83,7 +83,7 @@ def test_propose_union_of_recv_changes():
     v0 = bench.initial_view
     for change, author in [(plus("p5"), "p5"), (minus("p4"), "p4")]:
         proof = ReconfigProof(change, v0,
-                              bench.keyring.sign(author, reconfig_signed_bytes(change, v0, author)))
+                              bench.keyring.sign(author, signed_content(Reconfig(change, v0), author)))
         node.recv[change] = proof
         node.pool[change] = proof
     node.seqs.pop(v0, None)
@@ -293,11 +293,11 @@ def test_leave_by_sender_waits_for_can_leave(bench4):
 
 # -- the install procedure, branch by branch ----------------------------------
 
-from dbrb.messages import Install, StateRecord, StateUpdate, converged_signed_bytes
+from dbrb.messages import Install, StateRecord, StateUpdate
 
 
 def signed_install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
-    sigs = tuple((pid, bench.keyring.sign(pid, converged_signed_bytes(seq, view, pid)))
+    sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
     return Install(psi, omega, seq, view, sigs, ())
@@ -382,7 +382,7 @@ def test_install_chain_proposes_remainder_without_installing(bench4):
     for change, author in [(plus("p5"), "p5"), (plus("p6"), "p6")]:
         proof = ReconfigProof(change, v0,
                               bench4.keyring.sign(author,
-                                                  reconfig_signed_bytes(change, v0, author)))
+                                                  signed_content(Reconfig(change, v0), author)))
         node.pool[change] = proof
     bench4.deliver("p2", "p1", signed_install(bench4, v_a, seq, v0))
     actions = feed_state_updates(bench4, "p2", v0, v_a, ["p1", "p3", "p4"])

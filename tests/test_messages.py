@@ -1,15 +1,21 @@
 import dataclasses
 import hashlib
+import struct
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbrb.crypto import MessageCertificate, build_certificate, make_keyring, ack_payload
+from dbrb import messages as codec
 from dbrb.messages import (
+    FIELD_CODECS,
+    KIND_CODECS,
     TAG_CONVERGED,
     TAG_HISTORY,
     TAG_INSTALL,
     TAG_PROPOSE,
+    TAG_REC_CONFIRM,
     TAG_STATE_UPDATE,
     Ack,
     CodecError,
@@ -28,30 +34,41 @@ from dbrb.messages import (
     StateUpdate,
     PrepareEvidence,
     StoredEvidence,
+    Message,
+    Reader,
     ViewHistory,
-    Writer,
     _signed_content,
     body_bytes,
-    converged_signed_bytes,
     decode,
     encode,
     message_meta,
-    reconfig_signed_bytes,
-    write_pids,
-    write_proof,
-    write_proofs,
-    write_seq,
-    write_state_record,
-    write_view,
+    signed_content,
 )
 from dbrb import views as view_algebra
-from dbrb.views import PLUS, Change, View, plus, minus
+from dbrb.views import MAX_CHANGES, PLUS, Change, View, plus, minus
 
 KEYRING = make_keyring("hmac")
 VERIFIER = KEYRING.verifier()
 V0 = View.initial(["p1", "p2", "p3", "p4"])
 V1 = View(V0.changes | {plus("p5")})
 SEQ = frozenset({V1})
+
+
+def u32(n):
+    return struct.pack(">I", n)
+
+
+def blob(b):
+    return u32(len(b)) + b
+
+
+def text(s):
+    return bytes((len(s),)) + s.encode()
+
+
+def enc(field_type, value):
+    """The bytes the codec of an annotated field type writes for value."""
+    return FIELD_CODECS[field_type][0](value)
 
 
 def roundtrip(msg, author="p1"):
@@ -64,11 +81,11 @@ def roundtrip(msg, author="p1"):
 
 def make_install(author="p1"):
     sigs = tuple(
-        (pid, KEYRING.sign(pid, converged_signed_bytes(SEQ, V0, pid)))
+        (pid, KEYRING.sign(pid, signed_content(Converged(SEQ, V0), pid)))
         for pid in ["p1", "p2", "p3"]
     )
     proof = ReconfigProof(plus("p5"), V0,
-                          KEYRING.sign("p5", reconfig_signed_bytes(plus("p5"), V0, "p5")))
+                          KEYRING.sign("p5", signed_content(Reconfig(plus("p5"), V0), "p5")))
     return Install(tuple(sorted(V0.member_set | V1.member_set)), V1, SEQ, V0, sigs, (proof,))
 
 
@@ -142,28 +159,20 @@ def test_wire_version_checked():
         decode(bytes(raw), VERIFIER)
 
 
-def test_non_canonical_view_rejected():
-    from dbrb.messages import Reader, Writer, read_view
-    import struct
+read_view = FIELD_CODECS["View"][1]
 
+
+def test_non_canonical_view_rejected():
     # two changes out of canonical order
     item_b = struct.pack(">B", 2) + b"pb" + b"\x2b"
     item_a = struct.pack(">B", 2) + b"pa" + b"\x2b"
-    blob = struct.pack(">I", 2) + item_b + item_a
-    w = Writer()
-    w.blob(blob)
     with pytest.raises(CodecError, match="view changes not canonical"):
-        read_view(Reader(w.getvalue()))
+        read_view(Reader(blob(u32(2) + item_b + item_a)))
 
 
 def test_view_sign_byte_checked():
-    from dbrb.messages import Reader, Writer, read_view
-    import struct
-
-    w = Writer()
-    w.blob(struct.pack(">I", 1) + struct.pack(">B", 2) + b"pa" + b"\x00")
     with pytest.raises(CodecError, match="bad sign byte in view"):
-        read_view(Reader(w.getvalue()))
+        read_view(Reader(blob(u32(1) + struct.pack(">B", 2) + b"pa" + b"\x00")))
 
 
 def test_truncated_message_rejected():
@@ -187,28 +196,10 @@ def test_history_arity_enforced():
 
 def test_oversized_view_decodes_as_codec_error():
     # a change set past the cap must be droppable, never a crash
-    import struct
-    from dbrb.views import MAX_CHANGES
-    from dbrb.messages import Writer, _signed_content, TAG_REC_CONFIRM
-
-    inner = Writer()
     count = MAX_CHANGES + 1
-    inner.u32(count)
-    for i in range(count):
-        pid = f"q{i:05d}".encode()
-        inner.raw(struct.pack(">B", len(pid)))
-        inner.raw(pid)
-        inner.raw(b"\x2b")
-    body_w = Writer()
-    body_w.blob(inner.getvalue())
-    body = body_w.getvalue()
-    content = _signed_content(TAG_REC_CONFIRM, body, "p1")
-    sig = KEYRING.sign("p1", content)
-    out = Writer()
-    out.raw(content)
-    out.blob(sig)
+    inner = u32(count) + b"".join(text(f"q{i:05d}") + b"\x2b" for i in range(count))
     with pytest.raises(CodecError):
-        decode(out.getvalue(), VERIFIER)
+        decode(frame(TAG_REC_CONFIRM, blob(inner)), VERIFIER)
 
 
 # --- canonical encoding -------------------------------------------------------
@@ -217,43 +208,48 @@ PIDS = ["p1", "p2", "p3", "p4", "p5", "q"]
 pids = st.sampled_from(PIDS)
 changes = st.builds(lambda sign, pid: plus(pid) if sign else minus(pid), st.booleans(), pids)
 views = st.frozensets(changes, min_size=1, max_size=6).map(View)
-seqs = st.frozensets(views, max_size=3)
 blobs = st.binary(max_size=8)
-proofs = st.lists(st.builds(ReconfigProof, changes, views, blobs), max_size=3).map(tuple)
 sig_pairs = st.lists(st.tuples(pids, blobs), max_size=3).map(tuple)
-pid_tuples = st.lists(pids, max_size=4).map(tuple)
-certs = st.builds(MessageCertificate, blobs, views, sig_pairs)
-prep_evidence = st.builds(PrepareEvidence, blobs, views, blobs)
-records = st.builds(StateRecord, st.none() | prep_evidence,
-                    st.none() | st.tuples(prep_evidence, prep_evidence),
-                    st.none() | st.builds(StoredEvidence, blobs, certs, views, views))
-installs = st.builds(Install, pid_tuples, views, seqs, views, sig_pairs, proofs)
-histories = st.builds(lambda v0, links: ViewHistory((v0,) + tuple(l.omega for l in links),
-                                                    tuple(links)),
-                      views, st.lists(installs, max_size=2))
-messages = st.one_of(
-    st.builds(Reconfig, changes, views),
-    st.builds(RecConfirm, views),
-    st.builds(Propose, seqs, views, proofs),
-    st.builds(Converged, seqs, views),
-    installs,
-    st.builds(StateUpdate, pid_tuples, views, views, records, proofs),
-    st.builds(Prepare, blobs, views),
-    st.builds(Ack, blobs, blobs, views),
-    st.builds(Commit, blobs, certs, views, views),
-    st.builds(Deliver, blobs, views),
-    st.just(HistoryRequest()),
-    st.builds(HistoryGossip, histories),
-)
+
+# One strategy per field type of the wire schema; records and message kinds
+# are built from their fields, so none can be left out.
+FIELD_STRATEGIES = {
+    "bytes": blobs,
+    "Change": changes,
+    "View": views,
+    "frozenset[View]": st.frozensets(views, max_size=3),
+    "tuple[ProcessId, ...]": st.lists(pids, max_size=4).map(tuple),
+    "Signatures": sig_pairs,
+    "ConvergedSignatures": sig_pairs,
+}
+
+
+def built(cls):
+    return st.builds(cls, *(FIELD_STRATEGIES[f.type] for f in dataclasses.fields(cls)))
+
+
+FIELD_STRATEGIES["tuple[ReconfigProof, ...]"] = st.lists(built(ReconfigProof), max_size=3).map(tuple)
+FIELD_STRATEGIES["MessageCertificate"] = built(MessageCertificate)
+prep_evidence = built(PrepareEvidence)
+FIELD_STRATEGIES["StateRecord"] = st.builds(
+    StateRecord, st.none() | prep_evidence, st.none() | st.tuples(prep_evidence, prep_evidence),
+    st.none() | built(StoredEvidence))
+FIELD_STRATEGIES["ViewHistory"] = st.builds(
+    lambda v0, links: ViewHistory((v0,) + tuple(l.omega for l in links), tuple(links)),
+    views, st.lists(built(Install), max_size=2))
+KINDS = typing.get_args(Message)
+messages = st.one_of(*(built(cls) for cls in KINDS))
+
+
+def test_strategies_cover_the_schema():
+    assert FIELD_STRATEGIES.keys() == FIELD_CODECS.keys()
+    assert {cls.TAG for cls in KINDS} == KIND_CODECS.keys()
 
 
 def frame(tag, body, author="p1"):
     """Sign and frame a hand-written body, as `encode` does a canonical one."""
     content = _signed_content(tag, body, author)
-    w = Writer()
-    w.raw(content)
-    w.blob(KEYRING.sign(author, content))
-    return w.getvalue()
+    return content + blob(KEYRING.sign(author, content))
 
 
 @given(messages, pids)
@@ -285,105 +281,83 @@ V2 = View(V1.changes | {plus("p6")})
 
 
 def test_sequence_out_of_order_rejected():
-    w = Writer()
-    w.u32(2)
-    write_view(w, V2)
-    write_view(w, V1)
-    write_view(w, V0)
+    body = u32(2) + enc("View", V2) + enc("View", V1) + enc("View", V0)
     with pytest.raises(CodecError, match="sequence views not canonical"):
-        decode(frame(TAG_CONVERGED, w.getvalue()), VERIFIER)
+        decode(frame(TAG_CONVERGED, body), VERIFIER)
 
 
 def test_sequence_with_repeated_view_rejected():
-    w = Writer()
-    w.u32(2)
-    write_view(w, V1)
-    write_view(w, V1)
-    write_view(w, V0)
+    body = u32(2) + enc("View", V1) + enc("View", V1) + enc("View", V0)
     with pytest.raises(CodecError, match="sequence views not canonical"):
-        decode(frame(TAG_CONVERGED, w.getvalue()), VERIFIER)
+        decode(frame(TAG_CONVERGED, body), VERIFIER)
 
 
-def write_install_body(w, psi, sigs, proofs):
-    # Install.write_body, but with the collections in the order given
-    w.u32(len(psi))
-    for pid in psi:
-        w.text(pid)
-    write_view(w, V1)
-    write_seq(w, SEQ)
-    write_view(w, V0)
-    w.u32(len(sigs))
-    for pid, sig in sigs:
-        w.text(pid)
-        w.blob(sig)
-    w.u32(len(proofs))
-    for p in proofs:
-        write_proof(w, p)
+def proof_bytes(proofs):
+    # the proofs in the order given
+    return u32(len(proofs)) + b"".join(
+        enc("Change", p.change) + enc("View", p.view) + blob(p.signature) for p in proofs)
+
+
+def install_body(psi, sigs, proofs):
+    # an INSTALL body, but with the collections in the order given
+    return b"".join([
+        u32(len(psi)), *map(text, psi), enc("View", V1), enc("frozenset[View]", SEQ),
+        enc("View", V0), u32(len(sigs)), *(text(pid) + blob(sig) for pid, sig in sigs),
+        proof_bytes(proofs)])
 
 
 def test_target_set_out_of_order_rejected():
     install = make_install()
-    w = Writer()
-    write_install_body(w, tuple(reversed(install.psi)), install.converged_sigs, install.proofs)
+    body = install_body(tuple(reversed(install.psi)), install.converged_sigs, install.proofs)
     with pytest.raises(CodecError, match="process ids not canonical"):
-        decode(frame(TAG_INSTALL, w.getvalue()), VERIFIER)
+        decode(frame(TAG_INSTALL, body), VERIFIER)
 
 
 def test_converged_signatures_out_of_order_rejected():
     install = make_install()
-    w = Writer()
-    write_install_body(w, install.psi, tuple(reversed(install.converged_sigs)), install.proofs)
+    body = install_body(install.psi, tuple(reversed(install.converged_sigs)), install.proofs)
     with pytest.raises(CodecError, match="converged signatures not canonical"):
-        decode(frame(TAG_INSTALL, w.getvalue()), VERIFIER)
+        decode(frame(TAG_INSTALL, body), VERIFIER)
 
 
 def test_reconfig_proofs_out_of_order_rejected():
-    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c.process, reconfig_signed_bytes(c, V0, c.process)))
+    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c.process, signed_content(Reconfig(c, V0), c.process)))
     proofs = (make(plus("p6")), make(plus("p5")))
-    w = Writer()
-    write_seq(w, frozenset({View(V0.changes | {plus("p5"), plus("p6")})}))
-    write_view(w, V0)
-    w.u32(len(proofs))
-    for p in proofs:
-        write_proof(w, p)
+    body = (enc("frozenset[View]", frozenset({View(V0.changes | {plus("p5"), plus("p6")})}))
+            + enc("View", V0) + proof_bytes(proofs))
     with pytest.raises(CodecError, match="reconfig proofs not canonical"):
-        decode(frame(TAG_PROPOSE, w.getvalue()), VERIFIER)
+        decode(frame(TAG_PROPOSE, body), VERIFIER)
 
 
 def test_certificate_signatures_out_of_order_rejected():
     cert = make_cert()
-    w = Writer()
-    w.blob(b"m")
-    w.blob(cert.message_digest)
-    write_view(w, cert.view)
-    w.u32(len(cert.signatures))
-    for pid, sig in reversed(cert.signatures):
-        w.text(pid)
-        w.blob(sig)
-    write_view(w, V0)
-    write_view(w, V0)
+    body = b"".join([
+        blob(b"m"), blob(cert.message_digest), enc("View", cert.view), u32(len(cert.signatures)),
+        *(text(pid) + blob(sig) for pid, sig in reversed(cert.signatures)),
+        enc("View", V0), enc("View", V0)])
     with pytest.raises(CodecError, match="certificate signatures not canonical"):
-        decode(frame(Commit.TAG, w.getvalue()), VERIFIER)
+        decode(frame(Commit.TAG, body), VERIFIER)
 
 
 def test_state_record_unknown_flags_rejected():
     install = make_install()
     for flags, ok in ((0, True), (8, False), (0x80, False)):
-        w = Writer()
-        write_pids(w, install.psi)
-        write_view(w, V0)
-        write_view(w, V1)
-        if flags:
-            w.u8(flags)
-        else:
-            write_state_record(w, StateRecord())
-        write_proofs(w, ())
-        raw = frame(TAG_STATE_UPDATE, w.getvalue())
+        record = bytes((flags,)) if flags else enc("StateRecord", StateRecord())
+        body = (enc("tuple[ProcessId, ...]", install.psi) + enc("View", V0) + enc("View", V1)
+                + record + enc("tuple[ReconfigProof, ...]", ()))
+        raw = frame(TAG_STATE_UPDATE, body)
         if ok:
             decode(raw, VERIFIER)
         else:
             with pytest.raises(CodecError, match="unknown state record flags"):
                 decode(raw, VERIFIER)
+
+
+def test_empty_history_rejected():
+    # a count of 0 would otherwise parse as the one-view history, whose
+    # encoding counts 1
+    with pytest.raises(CodecError, match="empty history"):
+        decode(frame(TAG_HISTORY, u32(0) + enc("View", V0)), VERIFIER)
 
 
 # --- body memo ----------------------------------------------------------------
@@ -394,9 +368,8 @@ def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
     install = make_install()
     known = decode(encode(install, KEYRING.signer_for("p1")), VERIFIER, bodies).msg
     parsed = []
-    real = Install.read_body.__func__
-    monkeypatch.setattr(Install, "read_body",
-                        classmethod(lambda cls, r: parsed.append(1) or real(cls, r)))
+    write, read = KIND_CODECS[TAG_INSTALL]
+    monkeypatch.setitem(KIND_CODECS, TAG_INSTALL, (write, lambda r: parsed.append(1) or read(r)))
     gossip = HistoryGossip(ViewHistory((V0, V1), (install,)))
     decoded = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies)
     assert decoded.msg.history.links[0] is known
@@ -488,9 +461,13 @@ def test_change_table_is_capped(monkeypatch):
 
 
 def fresh_body(msg):
-    w = Writer()
-    msg.write_body(w)
-    return w.getvalue()
+    return KIND_CODECS[msg.TAG][0](msg)
+
+
+def proofs_in(msg):
+    if isinstance(msg, HistoryGossip):
+        return [p for link in msg.history.links for p in link.proofs]
+    return list(getattr(msg, "proofs", ())) + list(getattr(msg, "recv", ()))
 
 
 def kept_body(msg):
@@ -509,6 +486,20 @@ def test_kept_body_is_a_fresh_encoding(msg, author):
         values += msg.history.links + parsed.history.links
     for value in values:
         assert kept_body(value) == fresh_body(value) == body_bytes(value)
+    # a proof keeps the RECONFIG body its originator signed: the slice it
+    # was parsed from, or what it was first encoded to
+    for proof in proofs_in(msg) + proofs_in(parsed):
+        assert kept_body(proof) == fresh_body(Reconfig(proof.change, proof.view))
+
+
+def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch):
+    raw = encode(make_install(), KEYRING.signer_for("p1"))
+    proof = decode(raw, KEYRING.verifier()).msg.proofs[0]
+    assert kept_body(proof) in raw
+    monkeypatch.setattr(codec, "_write_change", lambda c: pytest.fail("re-encoded"))
+    monkeypatch.setattr(codec, "_write_view", lambda v: pytest.fail("re-encoded"))
+    assert proof.verify(VERIFIER)
+    assert proof.signed_bytes() == _signed_content(Reconfig.TAG, kept_body(proof), "p5")
 
 
 @given(messages, pids)
@@ -552,7 +543,8 @@ def test_history_links_are_not_encoded_again(monkeypatch):
     install = make_install()
     gossip = decode(encode(HistoryGossip(ViewHistory((V0, V1), (install,))),
                            KEYRING.signer_for("p2")), VERIFIER, {}).msg
-    monkeypatch.setattr(Install, "write_body", lambda self, w: pytest.fail("re-encoded"))
+    monkeypatch.setitem(KIND_CODECS, TAG_INSTALL,
+                        (lambda msg: pytest.fail("re-encoded"), KIND_CODECS[TAG_INSTALL][1]))
     relayed = HistoryGossip(gossip.history)
     assert decode(encode(relayed, KEYRING.signer_for("p3")), VERIFIER).body == \
         body_bytes(gossip)

@@ -3,11 +3,12 @@
 from conftest import notes_of, sends_of
 from dbrb.engine import Receive, Send
 from dbrb.messages import (
+    Converged,
     Install,
     StateRecord,
     StateUpdate,
-    converged_signed_bytes,
     message_meta,
+    signed_content,
 )
 from dbrb.views import View, plus
 
@@ -21,7 +22,7 @@ def make_install(bench, omega=None, seq=None, view=None, signers=("p1", "p2", "p
         from dbrb.views import least_recent
 
         omega = least_recent(seq)
-    sigs = tuple((pid, bench.keyring.sign(pid, converged_signed_bytes(seq, view, pid)))
+    sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
     return Install(psi, omega, seq, view, sigs, ())

@@ -175,7 +175,7 @@ class StaleReplayer(AdversaryBase):
         self.seen = 0
 
     def on_message(self, event: Receive, decoded) -> None:
-        self.recorded.append((event.raw, dict(event.meta)))
+        self.recorded.append((event.raw, event.meta))
         if decoded.author not in self.peers:
             self.peers.append(decoded.author)
         self.seen += 1
@@ -184,7 +184,7 @@ class StaleReplayer(AdversaryBase):
         raw, meta = self.recorded[self.rng.randrange(len(self.recorded))]
         target = self.peers[self.rng.randrange(len(self.peers))]
         if target != self.pid:
-            self._outputs.append(Send(target, raw, dict(meta, replayed="1")))
+            self._outputs.append(Send(target, raw, meta))
 
 
 STRATEGIES = {

@@ -9,6 +9,7 @@ state transfer, is what blocks an equivocating sender across views.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 from .crypto import ack_payload, build_certificate, verify_certificate
 from .membership import ContractError
@@ -48,12 +49,11 @@ class BroadcastMixin:
             raise ContractError("only the designated sender may broadcast")
         if not self.joined or self.leave_invoked:
             raise ContractError("broadcast requires a participant")
-        if self.broadcast_invoked:
+        if self.bpayload is not None:
             raise ContractError("single broadcast instance per run")
-        self.broadcast_invoked = True
-        self._wake(LEAVE)
         self.bpayload = payload
-        if self.installed.get(self.cv, False):
+        self._wake(LEAVE)
+        if self.cv in self.installed:
             self._disseminate(Prepare(payload, self.cv))
 
     def _disseminate(self, msg) -> None:
@@ -75,11 +75,8 @@ class BroadcastMixin:
         if self.allowed_ack == ALLOW_ANY or self.allowed_ack == msg.payload:
             self._set_allowed(msg.payload)
             if self.state_record.ack is None:
-                self.state_record = StateRecord(
-                    ack=PrepareEvidence(msg.payload, msg.view, signature),
-                    conflicting=self.state_record.conflicting,
-                    stored=self.state_record.stored,
-                )
+                self.state_record = replace(
+                    self.state_record, ack=PrepareEvidence(msg.payload, msg.view, signature))
             digest = hashlib.sha256(msg.payload).digest()
             sig = self.signer.sign(ack_payload(digest, self.cv))
             self._send(author, Ack(msg.payload, sig, self.cv))
@@ -91,33 +88,30 @@ class BroadcastMixin:
             self._note("Drop", msg_kind="ACK", detail="not the sender")
             return
         v = msg.view
-        if author not in v.member_set or (author, v) in self.acks:
+        if author not in v.member_set or (author, v) in self.ack_sigs:
             return
         digest = hashlib.sha256(msg.payload).digest()
         if not self.verifier.verify(author, ack_payload(digest, v), msg.signature):
             self._note("Flag", msg_kind="ACK", detail="bad ack signature")
             return
-        self.acks[(author, v)] = msg.payload
         self.ack_sigs[(author, v)] = msg.signature
         self.ack_counts.setdefault((v, msg.payload), set()).add(author)
         self._wake(CERT)
 
-    def _cert_scan(self) -> bool:
+    def _cert_scan(self) -> None:
         if self.halted or self.cer is not None or self.pid != self.sender_id:
-            return False
+            return
         for (v, payload), senders in self.ack_counts.items():
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
                 continue
             digest = hashlib.sha256(payload).digest()
             sigs = {q: self.ack_sigs[(q, v)] for q in sorted(senders)}
             self.cer = build_certificate(digest, v, sigs)
-            self.v_cer = v
             self._note("StateNote", view=v.short, payload=short_digest(payload),
                        detail="certificate", views={"v_cer": v})
-            if self.installed.get(self.cv, False):
-                self._disseminate(Commit(payload, self.cer, self.v_cer, self.cv))
-            return True
-        return False
+            if self.cv in self.installed:
+                self._disseminate(Commit(payload, self.cer, v, self.cv))
+            return
 
     def _handle_commit(self, author: str, msg: Commit) -> None:
         if self.suspended:
@@ -141,55 +135,42 @@ class BroadcastMixin:
         self._note("StateNote", view=msg.v_cer.short,
                    payload=short_digest(msg.payload),
                    detail="commit-accepted", views={"v_cer": msg.v_cer})
-        if not self.stored:
-            self.stored = True
-            self._wake(PENDING_STORE)
-            self.stored_value = StoredEvidence(msg.payload, msg.cert, msg.v_cer, msg.view)
-            if self.state_record.stored is None:
-                self.state_record = StateRecord(
-                    ack=self.state_record.ack,
-                    conflicting=self.state_record.conflicting,
-                    stored=self.stored_value,
-                )
+        if self.state_record.stored is None:
+            self._adopt_stored(StoredEvidence(msg.payload, msg.cert, msg.v_cer, msg.view))
             self._disseminate(Commit(msg.payload, msg.cert, msg.v_cer, self.cv))
         self._send(author, Deliver(msg.payload, self.cv))
 
-    def _pending_commit_scan(self) -> bool:
+    def _pending_commit_scan(self) -> None:
         if self.halted or not self.pending_commits:
-            return False
-        changed = False
+            return
         still = []
         for author, msg in self.pending_commits:
             if msg.view != self.cv:
                 continue  # guard no longer holds; drop quietly
             if self._is_valid_view(msg.v_cer):
                 self._commit_checked(author, msg)
-                changed = True
             else:
                 still.append((author, msg))
         self.pending_commits = still
-        return changed
 
     def _handle_deliver(self, author: str, msg: Deliver) -> None:
         v = msg.view
         if author not in v.member_set or (author, v) in self.delivers:
             return
-        self.delivers[(author, v)] = msg.payload
+        self.delivers.add((author, v))
         self.deliver_counts.setdefault((v, msg.payload), set()).add(author)
         self._wake(DELIVER)
 
-    def _deliver_scan(self) -> bool:
+    def _deliver_scan(self) -> None:
         if self.halted or self.delivered:
-            return False
+            return
         for (v, payload), senders in self.deliver_counts.items():
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
                 continue
             self.delivered = True
-            self.can_leave = True
             self._wake(CAN_LEAVE)
             self._callback("Delivered", payload)
-            return True
-        return False
+            return
 
     # -- state transfer and view-change re-dissemination ------------------------
 
@@ -204,27 +185,19 @@ class BroadcastMixin:
             if self.allowed_ack == ALLOW_ANY or self.allowed_ack == payload:
                 self._set_allowed(payload)
                 if self.state_record.ack is None:
-                    self.state_record = StateRecord(
-                        ack=evidence,
-                        conflicting=self.state_record.conflicting,
-                        stored=self.state_record.stored,
-                    )
+                    self.state_record = replace(self.state_record, ack=evidence)
         elif len(acked) >= 2:
             first, second = list(acked.values())[:2]
             self._set_allowed(ALLOW_NONE)
-            self.state_record = StateRecord(
-                ack=None,
-                conflicting=self.state_record.conflicting or (first, second),
-                stored=self.state_record.stored,
-            )
+            self.state_record = replace(
+                self.state_record, ack=None,
+                conflicting=self.state_record.conflicting or (first, second))
         elif conflict_pairs:
             self._set_allowed(ALLOW_NONE)
-            self.state_record = StateRecord(
-                ack=None,
-                conflicting=self.state_record.conflicting or conflict_pairs[0],
-                stored=self.state_record.stored,
-            )
-        if not self.stored:
+            self.state_record = replace(
+                self.state_record, ack=None,
+                conflicting=self.state_record.conflicting or conflict_pairs[0])
+        if self.state_record.stored is None:
             for rec in records:
                 if rec.stored is None:
                     continue
@@ -236,42 +209,33 @@ class BroadcastMixin:
                     self._wake(PENDING_STORE)
 
     def _adopt_stored(self, evidence: StoredEvidence) -> None:
-        self.stored = True
+        """Store the first committed message; callers check none is stored."""
+        self.state_record = replace(self.state_record, stored=evidence)
         self._wake(PENDING_STORE)
-        self.stored_value = evidence
-        if self.state_record.stored is None:
-            self.state_record = StateRecord(
-                ack=self.state_record.ack,
-                conflicting=self.state_record.conflicting,
-                stored=evidence,
-            )
 
-    def _pending_store_scan(self) -> bool:
+    def _pending_store_scan(self) -> None:
         if self.halted or not self.pending_store:
-            return False
-        changed = False
+            return
         still = []
         for evidence in self.pending_store:
-            if self.stored:
+            if self.state_record.stored is not None:
                 break
             if self._is_valid_view(evidence.v_cer):
                 self._adopt_stored(evidence)
-                if self.installed.get(self.cv, False) and not self.can_leave:
-                    ev = self.stored_value
-                    self._disseminate(Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
-                changed = True
+                if self.cv in self.installed and not self.delivered:
+                    self._disseminate(Commit(evidence.payload, evidence.cert,
+                                             evidence.v_cer, self.cv))
             else:
                 still.append(evidence)
-        self.pending_store = [] if self.stored else still
-        return changed
+        self.pending_store = [] if self.state_record.stored is not None else still
 
     def _new_view(self) -> None:
         """Re-disseminate whatever this node is responsible for in a fresh view."""
+        ev = self.state_record.stored
         if self.pid == self.sender_id:
-            if self.broadcast_invoked and self.cer is None:
+            if self.bpayload is not None and self.cer is None:
                 self._disseminate(Prepare(self.bpayload, self.cv))
-            elif self.cer is not None and not self.can_leave:
-                self._disseminate(Commit(self.bpayload, self.cer, self.v_cer, self.cv))
-        elif self.stored and not self.can_leave:
-            ev = self.stored_value
+            elif self.cer is not None and not self.delivered:
+                self._disseminate(Commit(self.bpayload, self.cer, self.cer.view, self.cv))
+        elif ev is not None and not self.delivered:
             self._disseminate(Commit(ev.payload, ev.cert, ev.v_cer, self.cv))

@@ -19,15 +19,19 @@ from .messages import (
     body_bytes,
     signed_content,
 )
+from .membership import added_changes
 from .views import View, comparable, is_sequence, least_recent, seq_sort_key
 from .wake import TRUSTED_AUX, TRUSTED_HIST
 
 
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
-    """Check an install message's structural and quorum validity.
+    """Check an install message's structure, its converged quorum, and a
+    verifying reconfiguration proof for each change its sequence adds.
 
-    The result depends on the install's canonical body alone, so an install
-    whose body this engine's verifier has proved before is accepted at once.
+    The proofs let every receiver propose the rest of the sequence once the
+    install completes.  The result depends on the install's canonical body
+    alone, so an install whose body this engine's verifier has proved before
+    is accepted at once.
     """
     body = body_bytes(install)
     if body in verifier.proved:
@@ -45,6 +49,8 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
         return False
     if not all(install.view.changes < w.changes for w in install.seq):
         return False
+    if [p.change for p in install.proofs] != added_changes(install.seq, install.view):
+        return False
     expected_psi = tuple(sorted(install.view.member_set | install.omega.member_set))
     if tuple(sorted(install.psi)) != expected_psi:
         return False
@@ -58,8 +64,9 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
         return False
     # one CONVERGED body; each signer's content only appends the author
     converged = Converged(install.seq, install.view)
-    return all(verifier.verify(pid, signed_content(converged, pid), sig)
-               for pid, sig in install.converged_sigs)
+    return (all(verifier.verify(pid, signed_content(converged, pid), sig)
+                for pid, sig in install.converged_sigs)
+            and all(p.verify(verifier) for p in install.proofs))
 
 
 def verify_history(history: ViewHistory, initial: View, verifier: Verifier) -> bool:
@@ -107,40 +114,33 @@ class DiscoveryMixin:
         self.trusted_hist[view] = history
         self._wake(TRUSTED_HIST)
 
-    def _trust_views(self, history: ViewHistory) -> bool:
-        """Record every prefix of a verified history; returns True on growth."""
-        grew = False
-        for i, view in enumerate(history.views):
-            if view not in self.trusted_hist:
-                self._add_trusted(view, ViewHistory(history.views[:i + 1], history.links[:i]))
-                grew = True
-        for link in history.links:
-            for aux in link.seq:
-                if aux not in self.trusted_aux and aux not in self.trusted_hist:
-                    self.trusted_aux.add(aux)
-                    self._wake(TRUSTED_AUX)
-                    grew = True
-        return grew
-
-    def _extend_trust(self, history: ViewHistory) -> bool:
-        if not verify_history(history, self.initial_view, self.verifier):
-            self._note("Drop", detail="unverifiable view history")
-            return False
-        return self._trust_views(history)
-
-    def _absorb_install(self, install: Install) -> bool:
-        """Extend the trust chain through a validated install message."""
-        grew = False
-        base = self.trusted_hist.get(install.view)
-        if base is not None and install.omega not in self.trusted_hist:
-            self._add_trusted(install.omega, base.extended(install))
-            grew = True
+    def _trust_aux(self, install: Install) -> None:
+        """Accept the views of a proved install's sequence as auxiliary."""
         for aux in install.seq:
             if aux not in self.trusted_aux and aux not in self.trusted_hist:
                 self.trusted_aux.add(aux)
                 self._wake(TRUSTED_AUX)
-                grew = True
-        return grew
+
+    def _trust_views(self, history: ViewHistory) -> None:
+        """Record every prefix of a verified history."""
+        for i, view in enumerate(history.views):
+            if view not in self.trusted_hist:
+                self._add_trusted(view, ViewHistory(history.views[:i + 1], history.links[:i]))
+        for link in history.links:
+            self._trust_aux(link)
+
+    def _extend_trust(self, history: ViewHistory) -> None:
+        if not verify_history(history, self.initial_view, self.verifier):
+            self._note("Drop", detail="unverifiable view history")
+            return
+        self._trust_views(history)
+
+    def _absorb_install(self, install: Install) -> None:
+        """Extend the trust chain through a validated install message."""
+        base = self.trusted_hist.get(install.view)
+        if base is not None and install.omega not in self.trusted_hist:
+            self._add_trusted(install.omega, base.extended(install))
+        self._trust_aux(install)
 
     def _handle_history_request(self, author: str) -> None:
         if self.joined and not self.halted:
@@ -149,13 +149,12 @@ class DiscoveryMixin:
     def _handle_history(self, gossip: HistoryGossip) -> None:
         self._extend_trust(gossip.history)
 
-    def _gossip_kick(self) -> bool:
+    def _gossip_kick(self) -> None:
         """Push the best history to the universe whenever it grows."""
         if self.halted or not (self.joined or self.join_invoked):
-            return False
+            return
         best = self._best_view()
         if self.last_gossiped == best:
-            return False
+            return
         self.last_gossiped = best
         self._flood(HistoryGossip(self.trusted_hist[best]))
-        return True

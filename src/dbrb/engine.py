@@ -18,7 +18,7 @@ from typing import Optional
 from .broadcast import ALLOW_ANY, BroadcastMixin
 from .crypto import Signer, Verifier
 from .discovery import DiscoveryMixin
-from .membership import _EMPTY_SEQ_KEY, MembershipMixin
+from .membership import MembershipMixin
 from .messages import (
     Ack,
     CodecError,
@@ -162,18 +162,16 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.sender_id = sender_id
         self.signer = signer
         self.verifier = verifier
-        self.initial_member = initial_member
 
         # membership state
         self.cv = initial_view
-        self.installed: dict[View, bool] = {initial_view: True} if initial_member else {}
+        self.installed: set[View] = {initial_view} if initial_member else set()
         self.recv: dict = {}
         self.seqs: dict[View, frozenset[View]] = {}
-        self.seq_keys: dict[View, bytes] = {}  # seq_key(seqs[v]), set with it
         self.lcseqs: dict[View, frozenset[View]] = {}
-        self.formats: dict[View, dict[bytes, frozenset[View]]] = {}
+        self.formats: dict[View, set[frozenset[View]]] = {}
         if initial_member:
-            self.formats[initial_view] = {_EMPTY_SEQ_KEY: frozenset()}
+            self.formats[initial_view] = {frozenset()}
         self.pool: dict = {}
         self.suspended = not initial_member
         self.joined = initial_member
@@ -188,7 +186,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.halted = False
         self.rec_confirms: dict[View, set[ProcessId]] = {}
         self.propose_votes: dict = {}
-        self.seq_store: dict[bytes, frozenset[View]] = {}
         self.converged_votes: dict = {}
         self.converged_sent: set = set()
         self.install_sent: set = set()
@@ -206,19 +203,13 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.last_gossiped: View = initial_view
 
         # broadcast state
-        self.broadcast_invoked = False
         self.bpayload: Optional[bytes] = None
         self.cer = None
-        self.v_cer: Optional[View] = None
         self.allowed_ack = ALLOW_ANY
-        self.stored = False
-        self.stored_value = None
-        self.can_leave = False
         self.delivered = False
-        self.acks: dict = {}
         self.ack_sigs: dict = {}
         self.ack_counts: dict = {}
-        self.delivers: dict = {}
+        self.delivers: set = set()
         self.deliver_counts: dict = {}
         self.state_record = StateRecord()
         self.pending_commits: list = []
@@ -249,7 +240,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
 
     def _send_raw(self, to: ProcessId, raw: bytes, meta: dict) -> None:
         self._assert_may_send()
-        self._outputs.append(Send(to, raw, dict(meta)))
+        self._outputs.append(Send(to, raw, meta))
 
     def _send_all(self, targets, msg) -> None:
         """Send msg to each target in order; it is encoded and signed once."""
@@ -345,15 +336,17 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         runs in the next round.  A scan that is not woken would find nothing
         to do, so the scans that act do so in the same order as when every
         scan re-ran until none changed anything, and traces are unchanged.
+        Scans return nothing; what they did is in the state they wrote.
 
         It terminates because each firing uses up something finite that
         does not come back within the step: a buffered entry (a buffer grows
         only from the step's input or from another firing, and sends leave
-        the node), a once-only flag (`join_confirmed`, `leave_reconfig_sent`,
-        `stored`, `delivered`, `cer`, `halted`), a key it never fires on
-        again (`converged_sent`, `install_sent`, `rm_received`), or a growth
-        of `cv` or of the trust store (`_maybe_propose` and the kicks), which
-        grow only through the finitely many views the step brings.
+        the node), a once-only value (`join_confirmed`,
+        `leave_reconfig_sent`, `state_record.stored`, `delivered`, `cer`,
+        `halted`), a key it never fires on again (`converged_sent`,
+        `install_sent`, `rm_received`), or a growth of `cv` or of the trust
+        store (`_maybe_propose` and the kicks), which grow only through the
+        finitely many views the step brings.
         """
         while self._dirty:
             if self.halted:
@@ -363,8 +356,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
                     self._dirty &= ~bit
                     getattr(self, name)()
 
-    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "seq_keys",
-                    "_dirty")
+    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "_dirty")
 
     def state_digest(self) -> str:
         """Platform-stable digest over every mutable state field.

@@ -36,7 +36,6 @@ from .views import (
     minus,
     most_recent,
     plus,
-    seq_key,
 )
 from .wake import (
     CONFIRM,
@@ -61,7 +60,6 @@ class PendingInstall:
     omega: View
     seq: frozenset[View]
     view: View
-    key: bytes
 
 
 @dataclass
@@ -70,7 +68,16 @@ class BufferedPropose:
     view: View
 
 
-_EMPTY_SEQ_KEY = seq_key(frozenset())
+def change_order(c: Change) -> tuple[str, str]:
+    return (c.process, c.sign)
+
+
+def added_changes(seq: frozenset[View], v: View) -> list[Change]:
+    """The changes the views of `seq` add to `v`, in (process, sign) order."""
+    needed: set[Change] = set()
+    for w in seq:
+        needed |= w.changes - v.changes
+    return sorted(needed, key=change_order)
 
 
 class MembershipMixin:
@@ -95,29 +102,27 @@ class MembershipMixin:
     def _send_reconfig(self, change: Change, target: View) -> None:
         self._send_all(target.members, Reconfig(change, target))
 
-    def _join_kick(self) -> bool:
+    def _join_kick(self) -> None:
         if self.halted or self.joined or not self.join_invoked:
-            return False
+            return
         if self.join_confirmed or not self.got_history:
-            return False
+            return
         target = self._best_view()
         if self.last_reconfig_target == target:
-            return False
+            return
         self.last_reconfig_target = target
         self._send_reconfig(plus(self.pid), target)
-        return True
 
-    def _leave_kick(self) -> bool:
-        """Emit the leave request once the totality gate allows it."""
+    def _leave_kick(self) -> None:
+        """Emit the leave request once the totality gate allows it: a sender
+        that has broadcast leaves only after it delivered."""
         if self.halted or not self.leave_invoked or self.leave_reconfig_sent:
-            return False
-        gate = self.delivered or (self.pid == self.sender_id and self.broadcast_invoked)
-        if gate and not self.can_leave:
-            return False
+            return
+        if self.pid == self.sender_id and self.bpayload is not None and not self.delivered:
+            return
         self.leave_reconfig_sent = True
         self._wake(CONFIRM)
         self._send_reconfig(minus(self.pid), self.cv)
-        return True
 
     def _leave_resend_on_install(self) -> None:
         if (self.leave_reconfig_sent and not self.leave_confirmed
@@ -155,46 +160,38 @@ class MembershipMixin:
             self.rec_confirms.setdefault(msg.view, set()).add(author)
             self._wake(CONFIRM)
 
-    def _confirm_scan(self) -> bool:
-        changed = False
+    def _confirm_scan(self) -> None:
         for v, senders in self.rec_confirms.items():
             if len(senders) >= v.quorum_size:
-                if self.join_invoked and not self.joined and not self.join_confirmed:
+                if self.join_invoked and not self.joined:
                     self.join_confirmed = True
-                    changed = True
-                if self.leave_reconfig_sent and not self.leave_confirmed:
+                if self.leave_reconfig_sent:
                     self.leave_confirmed = True
-                    changed = True
-        return changed
 
     # -- propose -------------------------------------------------------------
 
-    def _maybe_propose(self) -> bool:
-        if self.halted or not self.recv or not self.installed.get(self.cv, False):
-            return False
+    def _maybe_propose(self) -> None:
+        if self.halted or not self.recv or self.cv not in self.installed:
+            return
         if self.seqs.get(self.cv):
-            return False
+            return
         effective = {c for c in self.recv if c not in self.cv.changes}
         if not effective:
-            return False
+            return
         proposal = View(self.cv.changes | effective)
         self._set_seq(self.cv, frozenset({proposal}))
         self._emit_propose(self.cv)
-        return True
 
     def _propose_proofs(self, seq: frozenset[View], v: View) -> tuple[ReconfigProof, ...]:
-        needed: set[Change] = set()
-        for w in seq:
-            needed |= w.changes - v.changes
-        missing = [c for c in needed if c not in self.pool]
+        needed = added_changes(seq, v)
+        missing = [c.token for c in needed if c not in self.pool]
         if missing:
-            raise AssertionError(f"proof pool missing changes: {sorted(c.token for c in missing)}")
-        return tuple(self.pool[c] for c in sorted(needed, key=lambda c: (c.process, c.sign)))
+            raise AssertionError(f"proof pool missing changes: {sorted(missing)}")
+        return tuple(self.pool[c] for c in needed)
 
     def _set_seq(self, v: View, seq: frozenset[View]) -> None:
-        """The one way seqs[v] changes: its key is computed here, once."""
+        """The one way seqs[v] changes, so the proposal quorum is re-checked."""
         self.seqs[v] = seq
-        self.seq_keys[v] = seq_key(seq)
         self._wake(PROPOSE_QUORUM)
 
     def _emit_propose(self, v: View) -> None:
@@ -215,11 +212,8 @@ class MembershipMixin:
         if not all(v.changes < w.changes for w in msg.seq):
             self._note("Flag", msg_kind="PROPOSE", detail="proposal not above its view")
             return
-        needed: set[Change] = set()
-        for w in msg.seq:
-            needed |= w.changes - v.changes
         offered = {p.change: p for p in msg.proofs}
-        for change in sorted(needed, key=lambda c: (c.process, c.sign)):
+        for change in added_changes(msg.seq, v):
             if change in self.pool:
                 continue
             proof = offered.get(change)
@@ -229,9 +223,7 @@ class MembershipMixin:
                 return
             self.pool[change] = proof
             self._wake(CONVERGED_QUORUM)
-        k = seq_key(msg.seq)
-        self.seq_store[k] = msg.seq
-        self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(k)
+        self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(msg.seq)
         self.propose_buffer.append(BufferedPropose(msg.seq, v))
         self._wake(PROPOSE_QUORUM | PROPOSE_BUFFER)
 
@@ -239,18 +231,17 @@ class MembershipMixin:
         entries = self.formats.get(v)
         if not entries:
             return False
-        return _EMPTY_SEQ_KEY in entries or seq_key(seq) in entries
+        return frozenset() in entries or seq in entries
 
     def _known_views(self, v: View) -> set[View]:
         known = set(self.seqs.get(v, frozenset()))
         known.add(self.cv)
-        known.update(w for w, flag in self.installed.items() if flag)
+        known.update(self.installed)
         return known
 
-    def _propose_buffer_scan(self) -> bool:
+    def _propose_buffer_scan(self) -> None:
         if self.halted or not self.propose_buffer:
-            return False
-        changed = False
+            return
         still: list[BufferedPropose] = []
         for item in self.propose_buffer:
             seq, v = item.seq, item.view
@@ -270,28 +261,20 @@ class MembershipMixin:
             if not is_sequence(self.seqs[v]):
                 raise AssertionError("proposal merge broke sequence invariant")
             self._emit_propose(v)
-            changed = True
         self.propose_buffer = still
-        return changed
 
-    def _propose_quorum_scan(self) -> bool:
+    def _propose_quorum_scan(self) -> None:
         if self.halted:
-            return False
-        changed = False
+            return
         for v, votes in self.propose_votes.items():
             seq = self.seqs.get(v)
-            if not seq:
+            if not seq or (v, seq) in self.converged_sent:
                 continue
-            k = self.seq_keys[v]
-            if (v, k) in self.converged_sent:
-                continue
-            backers = [q for q in votes if q in v.member_set and k in votes[q]]
+            backers = [q for q in votes if q in v.member_set and seq in votes[q]]
             if len(backers) >= v.quorum_size:
                 self.lcseqs[v] = seq
-                self.converged_sent.add((v, k))
+                self.converged_sent.add((v, seq))
                 self._send_all(v.members, Converged(seq, v))
-                changed = True
-        return changed
 
     # -- converged / install emission ------------------------------------------
 
@@ -300,44 +283,35 @@ class MembershipMixin:
         if author not in v.member_set:
             self._note("Drop", msg_kind="CONVERGED", detail="sender not a member")
             return
-        k = seq_key(msg.seq)
-        self.seq_store[k] = msg.seq
-        self.converged_votes.setdefault((v, k), {}).setdefault(author, signature)
+        self.converged_votes.setdefault((v, msg.seq), {}).setdefault(author, signature)
         self._wake(CONVERGED_QUORUM)
 
-    def _converged_quorum_scan(self) -> bool:
+    def _converged_quorum_scan(self) -> None:
         if self.halted:
-            return False
-        changed = False
-        for (v, k), votes in self.converged_votes.items():
-            if (v, k) in self.install_sent:
+            return
+        for (v, seq), votes in self.converged_votes.items():
+            if (v, seq) in self.install_sent:
                 continue
             if self.pid not in v.member_set:
                 continue
             backers = sorted(q for q in votes if q in v.member_set)
             if len(backers) < v.quorum_size:
                 continue
-            seq = self.seq_store[k]
             if not seq or not is_sequence(seq) or not all(v.changes < w.changes for w in seq):
                 self._note("Flag", detail="converged quorum on malformed sequence")
-                self.install_sent.add((v, k))
+                self.install_sent.add((v, seq))
                 continue
-            needed: set[Change] = set()
-            for w in seq:
-                needed |= w.changes - v.changes
+            needed = added_changes(seq, v)
             if any(c not in self.pool for c in needed):
                 continue  # wait for the reconfig proofs to arrive
             omega = least_recent(seq)
             psi = tuple(sorted(v.member_set | omega.member_set))
             conv_sigs = tuple((q, votes[q]) for q in backers[:v.quorum_size])
-            proofs = tuple(self.pool[c]
-                           for c in sorted(needed, key=lambda c: (c.process, c.sign)))
+            proofs = tuple(self.pool[c] for c in needed)
             install = Install(psi, omega, seq, v, conv_sigs, proofs)
-            self.install_sent.add((v, k))
+            self.install_sent.add((v, seq))
             self._note("StateNote", detail="converged-on", views={"v": v, "seq": seq})
             self._r_multicast(install)
-            changed = True
-        return changed
 
     # -- install handling --------------------------------------------------------
 
@@ -360,10 +334,9 @@ class MembershipMixin:
         self._note("StateNote", view=omega.short, detail="install-accepted",
                    views={"omega": omega, "v": v, "seq": seq})
         self._absorb_install(msg)
-        for proof in msg.proofs:
-            if proof.change not in self.pool and proof.verify(self.verifier):
-                self.pool[proof.change] = proof
-        self.formats.setdefault(omega, {})[seq_key(seq - {omega})] = seq - {omega}
+        for proof in msg.proofs:  # verified with the install proof
+            self.pool.setdefault(proof.change, proof)
+        self.formats.setdefault(omega, set()).add(seq - {omega})
         self._wake(CONVERGED_QUORUM | PROPOSE_BUFFER)
         if self.pid in v.member_set:
             if self.cv.changes < omega.changes and not self.suspended:
@@ -374,14 +347,12 @@ class MembershipMixin:
                 view=v,
                 omega=omega,
                 record=self._state_of(v),
-                recv=tuple(self.recv[c]
-                           for c in sorted(self.recv, key=lambda c: (c.process, c.sign))),
+                recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_order)),
             ))
         if self.cv.changes < omega.changes:
-            key = seq_key(seq)
-            if not any(p.omega == omega and p.view == v and p.key == key
-                       for p in self.pending_installs):
-                self.pending_installs.append(PendingInstall(omega, seq, v, key))
+            pending = PendingInstall(omega, seq, v)
+            if pending not in self.pending_installs:
+                self.pending_installs.append(pending)
                 self._wake(PENDING_INSTALL)
 
     def _record_state_update(self, author: str, msg: StateUpdate) -> None:
@@ -423,10 +394,9 @@ class MembershipMixin:
                 return False
         return all(p.verify(self.verifier) for p in msg.recv)
 
-    def _pending_install_scan(self) -> bool:
+    def _pending_install_scan(self) -> None:
         if self.halted or not self.pending_installs:
-            return False
-        changed = False
+            return
         still: list[PendingInstall] = []
         for pending in self.pending_installs:
             if not (self.cv.changes < pending.omega.changes):
@@ -437,11 +407,9 @@ class MembershipMixin:
                 still.append(pending)
                 continue
             self._complete_install(pending, [updates[q] for q in senders])
-            changed = True
             if self.halted:
                 break
         self.pending_installs = still if not self.halted else []
-        return changed
 
     def _complete_install(self, pending: PendingInstall, updates: list[StateUpdate]) -> None:
         omega, seq, v = pending.omega, pending.seq, pending.view
@@ -449,11 +417,10 @@ class MembershipMixin:
         for upd in updates:
             for proof in upd.recv:
                 requests.setdefault(proof.change, proof)
-        for change in sorted(requests, key=lambda c: (c.process, c.sign)):
+        for change in sorted(requests, key=change_order):
             if change not in omega.changes and change not in self.recv:
                 self.recv[change] = requests[change]
                 self._wake(MAYBE_PROPOSE)
-        self.installed[omega] = False
         self._state_transfer([upd.record for upd in updates])
         if self.pid in omega.member_set:
             self.cv = omega
@@ -469,7 +436,7 @@ class MembershipMixin:
                     self._set_seq(self.cv, newer)
                     self._emit_propose(self.cv)
             else:
-                self.installed[self.cv] = True
+                self.installed.add(self.cv)
                 self._wake(MAYBE_PROPOSE)
                 if self.suspended:
                     self.suspended = False
@@ -480,7 +447,7 @@ class MembershipMixin:
         else:
             # Leaving: keep relaying the stored message until a deliver
             # quorum confirms totality, then shut down.
-            if self.stored and not self.can_leave:
+            if self.state_record.stored is not None and not self.delivered:
                 self.leaver_loop = True
                 self._wake(LEAVER_LOOP)
                 self._note("StateNote", detail="leaver-loop")
@@ -496,20 +463,17 @@ class MembershipMixin:
         self._halt()
 
     def _leaver_commit(self) -> None:
-        ev = self.stored_value
+        ev = self.state_record.stored
         best = self._best_view()
         if len(best.changes) > len(self.cv.changes):
             self.cv = best
             self._wake(CV)
         self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
 
-    def _leaver_loop_kick(self) -> bool:
+    def _leaver_loop_kick(self) -> None:
         if not self.leaver_loop or self.halted:
-            return False
-        if self.can_leave:
+            return
+        if self.delivered:
             self._finish_leave()
-            return True
-        if len(self._best_view().changes) > len(self.cv.changes):
+        elif len(self._best_view().changes) > len(self.cv.changes):
             self._leaver_commit()
-            return True
-        return False

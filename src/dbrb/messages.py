@@ -630,7 +630,8 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
 def message_meta(msg: Message) -> dict:
     """Trace metadata: kind plus short digests of the associated view/payload.
 
-    Derived once per value and kept; callers copy it before changing it.
+    Derived once per value and kept; every send of the value shares the
+    one dict, so nothing may change it.
     """
     meta = msg.__dict__.get("_meta")
     if meta is not None:
@@ -642,7 +643,5 @@ def message_meta(msg: Message) -> dict:
         meta["view"] = view.short
     if payload is not None:
         meta["payload"] = short_digest(payload)
-    if isinstance(msg, Install):
-        meta["omega"] = msg.omega.short
     msg.__dict__["_meta"] = meta
     return meta

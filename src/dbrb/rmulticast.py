@@ -66,7 +66,7 @@ class RMulticastMixin:
         else:
             self._record_state_update(author, msg)
 
-    def _rm_pending_scan(self) -> bool:
+    def _rm_pending_scan(self) -> None:
         """Deliver each parked install whose replaced view is now trusted.
 
         No parked copy is of a message already received, so neither this
@@ -78,15 +78,12 @@ class RMulticastMixin:
         `_rm_receive`.
         """
         if self.halted or not self.rm_pending:
-            return False
-        changed = False
+            return
         still = []
         for key, msg, raw in self.rm_pending:
             if self._is_trusted(msg.view):
                 # Author identity is irrelevant for installs (quorum-proofed).
                 self._rm_deliver(key, msg, "", raw)
-                changed = True
             else:
                 still.append((key, msg, raw))
         self.rm_pending = still
-        return changed

@@ -195,18 +195,6 @@ def seq_sorted(views: Iterable[View]) -> list[View]:
     return sorted(views, key=seq_sort_key)
 
 
-def seq_canonical_bytes(views: Iterable[View]) -> bytes:
-    ordered = seq_sorted(views)
-    parts = [struct.pack(">I", len(ordered))]
-    for v in ordered:
-        parts.append(v.canonical_bytes)
-    return b"".join(parts)
-
-
-def seq_key(views: Iterable[View]) -> bytes:
-    return hashlib.sha256(seq_canonical_bytes(views)).digest()
-
-
 def payload_digest(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
 

@@ -33,5 +33,5 @@ TRUSTED_HIST = TRUSTED_AUX | RM_PENDING | JOIN | LEAVER_LOOP | GOSSIP
 CV = PENDING_COMMIT | PENDING_INSTALL | MAYBE_PROPOSE | LEAVER_LOOP
 # Readers of `joined` and `join_invoked`.
 JOINING = CONFIRM | JOIN | GOSSIP
-# Readers of `can_leave` and `delivered`.
+# Readers of `delivered`, which also lets a node leave (the paper's can_leave).
 CAN_LEAVE = LEAVE | LEAVER_LOOP

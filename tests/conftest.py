@@ -2,7 +2,8 @@ import pytest
 
 from dbrb.crypto import make_keyring
 from dbrb.engine import Node, Receive
-from dbrb.messages import encode, message_meta
+from dbrb.membership import added_changes
+from dbrb.messages import Reconfig, ReconfigProof, encode, message_meta, signed_content
 from dbrb.views import View
 
 
@@ -32,6 +33,13 @@ class Bench:
         """Encode msg as author and step the target node."""
         return self.nodes[to].step(Receive(author, self.raw(author, msg),
                                            message_meta(msg)))
+
+
+def reconfig_proofs(keyring, seq, view):
+    """One proof, signed by its subject, for each change seq adds to view."""
+    return tuple(ReconfigProof(c, view, keyring.sign(c.process,
+                                                     signed_content(Reconfig(c, view), c.process)))
+                 for c in added_changes(seq, view))
 
 
 @pytest.fixture

@@ -47,10 +47,10 @@ def test_broadcast_disseminates_prepare(bench4):
 
 def test_broadcast_deferred_when_view_not_installed(bench4):
     sender = bench4.nodes["p1"]
-    sender.installed[sender.cv] = False
+    sender.installed.discard(sender.cv)
     actions = sender.step(InvokeBroadcast(b"m"))
     assert not sends_of(actions)
-    assert sender.broadcast_invoked
+    assert sender.bpayload == b"m"
 
 
 def test_non_sender_broadcast_rejected(bench4):
@@ -96,7 +96,7 @@ def test_ack_quorum_builds_certificate_and_commits(bench4):
     actions = prime_acks(bench4, b"m", bench4.initial_view, ["p1", "p2", "p3"])
     commits = sends_of(actions, "COMMIT")
     assert sorted(c.to for c in commits) == ["p1", "p2", "p3", "p4"]
-    assert sender.v_cer == bench4.initial_view
+    assert sender.cer.view == bench4.initial_view
     assert len(sender.cer.signatures) == 3
 
 
@@ -112,7 +112,7 @@ def test_bad_ack_signature_ignored(bench4):
     sender.step(InvokeBroadcast(b"m"))
     actions = bench4.deliver("p1", "p2", Ack(b"m", b"garbage", bench4.initial_view))
     assert notes_of(actions, "Flag")
-    assert not sender.acks
+    assert not sender.ack_sigs
 
 
 def test_commit_stores_relays_and_delivers(bench4):
@@ -120,7 +120,7 @@ def test_commit_stores_relays_and_delivers(bench4):
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
     actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
     node = bench4.nodes["p2"]
-    assert node.stored
+    assert node.state_record.stored is not None
     relays = sends_of(actions, "COMMIT")
     assert sorted(r.to for r in relays) == ["p1", "p2", "p3", "p4"]
     delivers = sends_of(actions, "DELIVER")
@@ -142,7 +142,7 @@ def test_commit_wrong_view_ignored(bench4):
     cert = make_cert(bench4, b"m", stale, ["p1", "p2"])
     actions = bench4.deliver("p2", "p1", Commit(b"m", cert, stale, stale))
     assert not sends_of(actions)
-    assert not bench4.nodes["p2"].stored
+    assert bench4.nodes["p2"].state_record.stored is None
 
 
 def test_commit_invalid_certificate_dropped(bench4):
@@ -151,7 +151,7 @@ def test_commit_invalid_certificate_dropped(bench4):
     actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
     drops = notes_of(actions, "Drop")
     assert any("invalid certificate" in (d.detail or "") for d in drops)
-    assert not bench4.nodes["p2"].stored
+    assert bench4.nodes["p2"].state_record.stored is None
 
 
 def test_deliver_quorum_fires_once_per_payload_and_view(bench4):
@@ -162,7 +162,7 @@ def test_deliver_quorum_fires_once_per_payload_and_view(bench4):
         actions = bench4.deliver("p2", pid, Deliver(b"m", v0))
     cbs = callbacks_of(actions)
     assert [c.kind for c in cbs] == ["Delivered"]
-    assert node.delivered and node.can_leave
+    assert node.delivered
     # a second quorum in a later view must not deliver again
     v1 = View(v0.changes | {plus("p5")})
     node.trusted_aux.add(v1)
@@ -190,7 +190,7 @@ def test_deliver_write_once_per_sender_and_view(bench4):
     v0 = bench4.initial_view
     bench4.deliver("p2", "p1", Deliver(b"m1", v0))
     bench4.deliver("p2", "p1", Deliver(b"m2", v0))
-    assert node.delivers[("p1", v0)] == b"m1"
+    assert node.deliver_counts == {(v0, b"m1"): {"p1"}}
 
 
 def prep_evidence(bench, payload, view):
@@ -231,8 +231,8 @@ def test_state_transfer_adopts_stored_message(bench4):
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
     stored = StoredEvidence(b"m", cert, v0, v0)
     node._state_transfer([StateRecord(stored=stored)])
-    assert node.stored
-    assert node.stored_value.payload == b"m"
+    assert node.state_record.stored is not None
+    assert node.state_record.stored.payload == b"m"
 
 
 def test_state_transfer_unique_ack_does_not_widen(bench4):
@@ -271,7 +271,7 @@ def test_new_view_sender_reuses_certificate(bench4):
     prime_acks(bench4, b"m", bench4.initial_view, ["p1", "p2", "p3"])
     v1 = View(bench4.initial_view.changes | {plus("p5")})
     sender.cv = v1
-    sender.installed[v1] = True
+    sender.installed.add(v1)
     sender._outputs = []
     sender._new_view()
     actions, sender._outputs = sender._outputs, []
@@ -291,7 +291,7 @@ def test_new_view_relayer_recommits_until_can_leave(bench4):
     node._new_view()
     actions, node._outputs = node._outputs, []
     assert sends_of(actions, "COMMIT")
-    node.can_leave = True
+    node.delivered = True
     node._outputs = []
     node._new_view()
     actions, node._outputs = node._outputs, []

@@ -11,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import reconfig_proofs
 from dbrb.crypto import (
     ack_payload,
     build_certificate,
@@ -182,7 +183,8 @@ def make_install(keyring):
     seq = frozenset({v1})
     sigs = tuple((pid, keyring.sign(pid, signed_content(Converged(seq, V0), pid)))
                  for pid in ("p1", "p2", "p3"))
-    return Install(tuple(sorted(V0.member_set | v1.member_set)), v1, seq, V0, sigs, ())
+    return Install(tuple(sorted(V0.member_set | v1.member_set)), v1, seq, V0, sigs,
+                   reconfig_proofs(keyring, seq, V0))
 
 
 def counting_verifier(keyring, calls):
@@ -198,7 +200,7 @@ def test_failed_install_proof_is_never_remembered(keyring):
     good = make_install(keyring)
     sigs = list(good.converged_sigs)
     sigs[0] = (sigs[0][0], b"garbage")
-    bad = Install(good.psi, good.omega, good.seq, good.view, tuple(sigs), ())
+    bad = Install(good.psi, good.omega, good.seq, good.view, tuple(sigs), good.proofs)
     assert not verify_install_proof(bad, verifier)
     assert verifier.proved == set()
     assert verify_install_proof(good, verifier)
@@ -219,6 +221,7 @@ def test_proved_installs_are_per_verifier(keyring):
     second = counting_verifier(keyring, second_calls)
     assert verify_install_proof(install, first)
     assert second.proved == set()
-    # a second engine never relies on the proof the first one checked
+    # a second engine never relies on the proof the first one checked: the
+    # three converged signatures, then p5's own reconfiguration request
     assert verify_install_proof(install, second)
-    assert second_calls == first_calls == ["p1", "p2", "p3"]
+    assert second_calls == first_calls == ["p1", "p2", "p3", "p5"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import notes_of, sends_of
+from conftest import notes_of, reconfig_proofs, sends_of
 from dbrb.discovery import verify_history
 from dbrb.engine import Flood, Receive
 from dbrb.messages import (
@@ -22,7 +22,7 @@ def make_link(bench, view, omega, signers=("p1", "p2", "p3")):
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
-    return Install(psi, omega, seq, view, sigs, ())
+    return Install(psi, omega, seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def test_base_history_verifies(bench4):
@@ -49,7 +49,7 @@ def test_corrupted_converged_signature_rejected(bench4):
     link = make_link(bench4, v0, v1)
     sigs = list(link.converged_sigs)
     sigs[0] = (sigs[0][0], b"garbage")
-    broken = Install(link.psi, link.omega, link.seq, link.view, tuple(sigs), ())
+    broken = Install(link.psi, link.omega, link.seq, link.view, tuple(sigs), link.proofs)
     h = ViewHistory((v0, v1), (broken,))
     assert not verify_history(h, v0, bench4.verifier)
 
@@ -59,11 +59,13 @@ def test_extend_trust_adopts_longer_history(bench4):
     v1 = View(v0.changes | {plus("p5")})
     node = bench4.nodes["p2"]
     h = ViewHistory((v0, v1), (make_link(bench4, v0, v1),))
-    assert node._extend_trust(h)
+    node._extend_trust(h)
+    assert node.trusted_hist == {v0: ViewHistory((v0,)), v1: h}
     assert node._is_trusted(v1)
     assert node._best_view() == v1
     # a shorter history changes nothing
-    assert not node._extend_trust(ViewHistory((v0,)))
+    node._extend_trust(ViewHistory((v0,)))
+    assert node.trusted_hist == {v0: ViewHistory((v0,)), v1: h}
     assert node._best_view() == v1
 
 
@@ -72,7 +74,8 @@ def test_unverifiable_history_ignored(bench4):
     v1 = View(v0.changes | {plus("p5")})
     link = make_link(bench4, v0, v1, signers=("p1",))  # sub-quorum
     node = bench4.nodes["p2"]
-    assert not node._extend_trust(ViewHistory((v0, v1), (link,)))
+    node._extend_trust(ViewHistory((v0, v1), (link,)))
+    assert list(node.trusted_hist) == [v0] and not node.trusted_aux
     assert not node._is_trusted(v1)
 
 
@@ -84,7 +87,7 @@ def test_auxiliary_views_in_links_become_valid(bench4):
     sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
     psi = tuple(sorted(v0.member_set | v_a.member_set))
-    link = Install(psi, v_a, seq, v0, sigs, ())
+    link = Install(psi, v_a, seq, v0, sigs, reconfig_proofs(bench4.keyring, seq, v0))
     node = bench4.nodes["p2"]
     node._extend_trust(ViewHistory((v0, v_a), (link,)))
     assert node._is_valid_view(v_ab)  # auxiliary: acceptable as v_cer

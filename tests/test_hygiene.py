@@ -1,6 +1,7 @@
 """Lint steps: every name a module imports is referenced in that module,
-no function in `src/dbrb` imports anything, and every function, class
-and method defined in `src/dbrb` is named somewhere else in it.
+no function in `src/dbrb` imports anything, every function, class and
+method defined in `src/dbrb` is named somewhere else in it, and every
+field `Node.__init__` sets is read somewhere in it.
 
 Uses only the stdlib `ast` module.  Package `__init__.py` files, which
 import to re-export, and `from __future__` imports are exempt.  Imports
@@ -99,3 +100,41 @@ def test_unnamed_definition_is_reported():
     used = "def f():\n    return g()\n\ndef g():\n    pass\n\nclass C:\n    def m(self):\n        pass\n"
     other = "class D:\n    def __init__(self):\n        f()\n\n    def m(self):\n        pass\n"
     assert unnamed_definitions([used, other]) == ["C", "D", "m"]
+
+
+def init_fields(source: str, cls: str) -> list[str]:
+    """The `self.<name>` attributes that `cls.__init__` assigns, in order."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            init = next(item for item in node.body
+                        if isinstance(item, FUNCTIONS) and item.name == "__init__")
+            return list(dict.fromkeys(
+                n.attr for n in ast.walk(init)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                and isinstance(n.value, ast.Name) and n.value.id == "self"))
+    raise LookupError(cls)
+
+
+def unread_fields(init_source: str, sources: list[str], cls: str = "Node") -> list[str]:
+    """Fields `cls.__init__` sets that no source reads as `self.<name>`.
+
+    An augmented assignment such as `self.n += 1` writes its target, so a
+    field that is only ever incremented still counts as unread.
+    """
+    read = {n.attr for source in sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return [name for name in init_fields(init_source, cls) if name not in read]
+
+
+def test_every_node_field_is_read():
+    engine = (ROOT / "src" / "dbrb" / "engine.py").read_text()
+    assert unread_fields(engine, [p.read_text() for p in SOURCE_MODULES]) == []
+
+
+def test_unread_field_is_reported():
+    node = ("class Node:\n    def __init__(self, x):\n        self.a = x\n"
+            "        self.b: int = 0\n        self.c = self.d = 1\n        self.n = 0\n\n"
+            "    def f(self):\n        self.c = self.a\n        self.n += 1\n")
+    other = "class M:\n    def g(self):\n        return self.d\n"
+    assert unread_fields(node, [node, other]) == ["b", "c", "n"]

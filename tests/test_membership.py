@@ -1,8 +1,10 @@
 """Reconfiguration handlers, driven one message at a time."""
 
+import dataclasses
+
 import pytest
 
-from conftest import Bench, callbacks_of, notes_of, sends_of
+from conftest import Bench, callbacks_of, notes_of, reconfig_proofs, sends_of
 from dbrb.engine import InvokeJoin, InvokeLeave, Receive
 from dbrb.membership import ContractError
 from dbrb.messages import (
@@ -13,10 +15,11 @@ from dbrb.messages import (
     RecConfirm,
     Reconfig,
     ReconfigProof,
+    body_bytes,
     decode,
     signed_content,
 )
-from dbrb.views import View, minus, plus, seq_key
+from dbrb.views import View, minus, plus
 
 
 def reconfig_from(bench, pid, change=None, view=None):
@@ -26,15 +29,7 @@ def reconfig_from(bench, pid, change=None, view=None):
 
 
 def proofed_propose(bench, seq, view):
-    needed = set()
-    for w in seq:
-        needed |= w.changes - view.changes
-    proofs = tuple(
-        ReconfigProof(c, view,
-                      bench.keyring.sign(c.process, signed_content(Reconfig(c, view), c.process)))
-        for c in sorted(needed, key=lambda c: (c.process, c.sign))
-    )
-    return Propose(frozenset(seq), view, proofs)
+    return Propose(frozenset(seq), view, reconfig_proofs(bench.keyring, seq, view))
 
 
 def test_reconfig_accepted_and_confirmed(bench4):
@@ -130,7 +125,7 @@ def test_propose_with_no_novel_view_dropped(bench4):
     actions = bench4.deliver("p2", "p3", proofed_propose(bench4, {v1}, v0))
     # vote is recorded but no re-dissemination happens
     assert not sends_of(actions, "PROPOSE")
-    assert node.propose_votes[v0]["p3"] == {seq_key({v1})}
+    assert node.propose_votes[v0]["p3"] == {frozenset({v1})}
 
 
 def test_propose_not_more_recent_than_cv_ignored(bench4):
@@ -192,6 +187,24 @@ def test_propose_quorum_needs_matching_sequences(bench4):
     assert not sends_of(actions, "CONVERGED")
 
 
+def test_propose_votes_count_by_sequence_not_body(bench4):
+    # one sequence in three PROPOSE bodies that differ in their proof sets
+    v0 = bench4.initial_view
+    v1 = View(v0.changes | {plus("p5")})
+    bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
+    proofs = reconfig_proofs(bench4.keyring, {v1}, v0)
+    extra = reconfig_proofs(bench4.keyring, {View(v0.changes | {minus("p4")})}, v0)
+    bodies = [Propose(frozenset({v1}), v0, proofs),
+              Propose(frozenset({v1}), v0, ()),  # p2 already holds the proof of +p5
+              Propose(frozenset({View(frozenset(v1.changes))}), v0, extra + proofs)]
+    assert len({body_bytes(m) for m in bodies}) == 3
+    actions = bench4.deliver("p2", "p2", bodies[0])
+    actions += bench4.deliver("p2", "p1", bodies[1])
+    assert not sends_of(actions, "CONVERGED")
+    actions = bench4.deliver("p2", "p3", bodies[2])
+    assert sorted(c.to for c in sends_of(actions, "CONVERGED")) == ["p1", "p2", "p3", "p4"]
+
+
 def test_converged_quorum_emits_install(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
@@ -216,6 +229,21 @@ def test_converged_subquorum_is_silent(bench4):
     actions = bench4.deliver("p2", "p1", Converged(frozenset({v1}), v0))
     actions += bench4.deliver("p2", "p3", Converged(frozenset({v1}), v0))
     assert not sends_of(actions, "INSTALL")
+
+
+def test_converged_votes_count_by_sequence_value(bench4):
+    # each copy is parsed afresh, so the votes name equal but distinct sequences
+    v0 = bench4.initial_view
+    v1 = View(v0.changes | {plus("p5")})
+    node = bench4.nodes["p2"]
+    bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
+    actions = []
+    for author in ["p1", "p3", "p4"]:
+        node._bodies.clear()
+        same = frozenset({View(frozenset(v1.changes))})
+        actions = bench4.deliver("p2", author, Converged(same, v0))
+    assert len(node.converged_votes) == 1
+    assert len(sends_of(actions, "INSTALL")) == 5
 
 
 def test_converged_chain_install_targets_least_view(bench4):
@@ -285,9 +313,9 @@ def test_leave_by_sender_waits_for_can_leave(bench4):
     assert not sends_of(actions, "RECONFIG")  # gated until the deliver quorum
     for author in ("p2", "p3"):
         actions = bench4.deliver("p1", author, Deliver(b"m", bench4.initial_view))
-        assert not sends_of(actions, "RECONFIG") and not sender.can_leave
+        assert not sends_of(actions, "RECONFIG") and not sender.delivered
     actions = bench4.deliver("p1", "p4", Deliver(b"m", bench4.initial_view))
-    assert sender.can_leave
+    assert sender.delivered
     assert sends_of(actions, "RECONFIG")
 
 
@@ -300,7 +328,7 @@ def signed_install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
-    return Install(psi, omega, seq, view, sigs, ())
+    return Install(psi, omega, seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def state_update_for(bench, author, view, omega):
@@ -333,7 +361,7 @@ def test_install_variant_after_completion_is_degenerate(bench4):
     v1 = View(v0.changes | {plus("p5")})
     bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
-    assert node.cv == v1 and node.installed[v1]
+    assert node.cv == v1 and v1 in node.installed
     variant = signed_install(bench4, v1, frozenset({v1}), v0,
                              signers=("p2", "p3", "p4"))
     actions = bench4.deliver("p2", "p1", variant)
@@ -350,10 +378,10 @@ def test_install_suspends_then_completes(bench4):
     actions = bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
     assert node.suspended
     assert sends_of(actions, "STATE-UPDATE")
-    assert not node.installed.get(v1, False)
+    assert v1 not in node.installed
     actions = feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v1
-    assert node.installed[v1] is True
+    assert v1 in node.installed
     assert not node.suspended
     installs = notes_of(actions, "Install")
     assert [n.views for n in installs] == [{"cv": v1}]
@@ -387,7 +415,7 @@ def test_install_chain_proposes_remainder_without_installing(bench4):
     bench4.deliver("p2", "p1", signed_install(bench4, v_a, seq, v0))
     actions = feed_state_updates(bench4, "p2", v0, v_a, ["p1", "p3", "p4"])
     assert node.cv == v_a
-    assert not node.installed.get(v_a, False)
+    assert v_a not in node.installed
     assert node.suspended  # still not installed; processing stays stopped
     proposes = sends_of(actions, "PROPOSE")
     assert sorted(p.to for p in proposes) == sorted(v_a.members)
@@ -407,7 +435,7 @@ def test_joiner_completes_join_via_install(bench4):
     cbs = callbacks_of(actions)
     assert any(c.kind == "JoinComplete" for c in cbs)
     assert joiner.joined and joiner.cv == v1
-    assert joiner.installed[v1] is True
+    assert v1 in joiner.installed
 
 
 def test_state_updates_buffered_before_install_arrives(bench4):
@@ -418,4 +446,22 @@ def test_state_updates_buffered_before_install_arrives(bench4):
     assert node.cv == v0  # nothing to complete yet
     actions = bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
     assert node.cv == v1  # the buffered quorum completes the install at once
-    assert node.installed[v1] is True
+    assert v1 in node.installed
+
+
+def test_install_without_reconfig_proofs_is_dropped():
+    # A Byzantine member relays a genuine converged quorum with its proofs
+    # stripped.  Accepted, it would move p2 to v_a, and p2 would then have to
+    # propose v_ab with no proof of +p6: the engine must drop it instead.
+    bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
+    node = bench.nodes["p2"]
+    v0 = bench.initial_view
+    v_a = View(v0.changes | {plus("p5")})
+    v_ab = View(v_a.changes | {plus("p6")})
+    seq = frozenset({v_a, v_ab})
+    stripped = dataclasses.replace(signed_install(bench, v_a, seq, v0), proofs=())
+    drops = notes_of(bench.deliver("p2", "p4", stripped), "Drop")
+    actions = feed_state_updates(bench, "p2", v0, v_a, ["p1", "p3", "p4"])
+    assert [n.detail for n in drops] == ["invalid install proof"]
+    assert node.cv == v0 and not node.suspended and not node.pending_installs
+    assert not sends_of(actions, "PROPOSE")

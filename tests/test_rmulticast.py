@@ -1,6 +1,6 @@
 """Reliable multicast: target-set checks, relay-before-deliver, dedup."""
 
-from conftest import notes_of, sends_of
+from conftest import notes_of, reconfig_proofs, sends_of
 from dbrb.engine import Receive, Send
 from dbrb.messages import (
     Converged,
@@ -25,7 +25,7 @@ def make_install(bench, omega=None, seq=None, view=None, signers=("p1", "p2", "p
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     psi = tuple(sorted(view.member_set | omega.member_set))
-    return Install(psi, omega, seq, view, sigs, ())
+    return Install(psi, omega, seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def test_r_multicast_sends_to_every_target(bench4):
@@ -77,7 +77,7 @@ def test_install_with_subquorum_proof_dropped(bench4):
 def test_install_with_wrong_target_set_dropped(bench4):
     good = make_install(bench4)
     bad = Install(("p1", "p2"), good.omega, good.seq, good.view,
-                  good.converged_sigs, ())
+                  good.converged_sigs, good.proofs)
     actions = bench4.deliver("p2", "p1", bad)
     drops = notes_of(actions, "Drop")
     assert drops  # either not-in-psi or psi mismatch, both rejected
@@ -86,7 +86,7 @@ def test_install_with_wrong_target_set_dropped(bench4):
 def test_receiver_outside_target_set_drops(bench4):
     good = make_install(bench4)
     bad = Install(("p1", "p3", "p4", "p5"), good.omega, good.seq, good.view,
-                  good.converged_sigs, ())
+                  good.converged_sigs, good.proofs)
     actions = bench4.deliver("p2", "p1", bad)
     assert any("not in target set" in (n.detail or "")
                for n in notes_of(actions, "Drop"))

@@ -13,7 +13,6 @@ from dbrb.views import (
     minus,
     most_recent,
     plus,
-    seq_key,
 )
 
 
@@ -135,10 +134,3 @@ def test_least_most_fixed_points_under_interior_insertion():
     seq = {v0, v2}
     assert least_recent(seq | {mid}) == least_recent(seq)
     assert most_recent(seq | {mid}) == most_recent(seq)
-
-
-def test_seq_key_ignores_iteration_order():
-    v0 = members_view(4)
-    v1 = View(v0.changes | {plus("p5")})
-    assert seq_key([v0, v1]) == seq_key([v1, v0])
-    assert seq_key([v0]) != seq_key([v1])

@@ -12,7 +12,7 @@ so that neither write relies on the other's wake.
 
 import hashlib
 
-from conftest import Bench, sends_of
+from conftest import Bench, reconfig_proofs, sends_of
 from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import _SCANS
 from dbrb.messages import (
@@ -39,11 +39,12 @@ def make_bench():
 
 
 def assert_idle(node):
-    """No scan has work left: each returns False, emits nothing, changes nothing."""
+    """No scan has work left: each emits nothing and changes nothing."""
     assert node._dirty == 0
     before = node.state_digest()
     for _, scan in _SCANS:
-        assert (getattr(node, scan)(), node._outputs) == (False, []), scan
+        getattr(node, scan)()
+        assert node._outputs == [], scan
     assert node.state_digest() == before
 
 
@@ -70,7 +71,8 @@ def wakes_after(bench, to, author, msg, written):
 def install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
-    return Install(tuple(sorted(view.member_set | omega.member_set)), omega, seq, view, sigs)
+    return Install(tuple(sorted(view.member_set | omega.member_set)), omega, seq, view, sigs,
+                   reconfig_proofs(bench.keyring, seq, view))
 
 
 def state_update(view, omega, record=StateRecord()):
@@ -115,9 +117,10 @@ def test_stored_commit_clears_the_pending_store():
     node = bench.nodes["p2"]
     unverifiable = StoredEvidence(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]), V_SUB, V0)
     install_v1(bench, "p2", {"p1": state_update(V0, V1, StateRecord(stored=unverifiable))})
-    assert node.cv == V1 and node.pending_store == [unverifiable] and not node.stored
+    assert node.cv == V1 and node.pending_store == [unverifiable]
+    assert node.state_record.stored is None
     bench.deliver("p2", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0, V1))
-    assert node.stored and node.pending_store == []
+    assert node.state_record.stored is not None and node.pending_store == []
     assert_idle(node)
 
 
@@ -141,7 +144,8 @@ def test_leaving_cv_drops_a_stale_pending_commit():
     bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0, V0))
     bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]),
                                      V_SUB, V0))
-    assert node.stored and [msg.view for _, msg in node.pending_commits] == [V0]
+    assert node.state_record.stored is not None
+    assert [msg.view for _, msg in node.pending_commits] == [V0]
     bench.deliver("p4", "p1", install(bench, v_left, frozenset({v_left}), V0))
     for author in ("p1", "p2", "p3"):
         bench.deliver("p4", author, state_update(V0, v_left))
@@ -178,7 +182,7 @@ def test_installing_cv_wakes_maybe_propose():
     bench.deliver("p2", "p1", install(bench, V1, frozenset({V1}), V0))
     for author in ("p1", "p3"):
         bench.deliver("p2", author, state_update(V0, V1))
-    installed = lambda n: n.cv == V1 and n.installed.get(V1)
+    installed = lambda n: n.cv == V1 and V1 in n.installed
     assert wakes_after(bench, "p2", "p4", state_update(V0, V1), installed) & MAYBE_PROPOSE
-    assert node.installed[V1]
+    assert V1 in node.installed
     assert_idle(node)

@@ -29,17 +29,15 @@ from .views import View, seq_sort_key
 class AdversaryBase:
     """Shared plumbing: view tracking and signed sends."""
 
-    def __init__(self, pid: str, initial_view: View, sender_id: str,
-                 signer: Signer, verifier: Verifier, rng: random.Random,
+    def __init__(self, pid: str, initial_view: View, signer: Signer,
+                 verifier: Verifier, rng: random.Random,
                  params: Optional[dict] = None) -> None:
         self.pid = pid
-        self.sender_id = sender_id
         self.signer = signer
         self.verifier = verifier
         self.rng = rng
         self.params = params or {}
         self.views = [initial_view]
-        self.halted = False
         self._outputs: list = []
 
     @property

@@ -1,9 +1,11 @@
 """Broadcast machine: prepare/ack/commit/deliver plus certificate reuse.
 
-The acknowledgment fence (allowed_ack) only ever tightens: from "any
-message" to one specific payload, and from there to "no message" once
-conflicting sender signatures surface.  That lattice, propagated through
-state transfer, is what blocks an equivocating sender across views.
+The acknowledgment fence is read from the state record (`_may_ack`), and
+it only ever tightens: from "any message" while the record holds neither
+an ack nor a conflicting pair, to the acked payload once it holds an ack,
+and to "no message" once conflicting sender signatures surface.  That
+lattice, propagated through state transfer, is what blocks an
+equivocating sender across views.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import hashlib
 from dataclasses import replace
 
 from .crypto import ack_payload, build_certificate, verify_certificate
-from .membership import ContractError
+from .membership import ContractError, Phase
 from .messages import (
     Ack,
     Commit,
@@ -25,29 +27,20 @@ from .messages import (
 from .views import short_digest
 from .wake import CAN_LEAVE, CERT, DELIVER, LEAVE, PENDING_COMMIT, PENDING_STORE
 
-ALLOW_ANY = "any"
-ALLOW_NONE = "none"
-
 
 class BroadcastMixin:
-    def _set_allowed(self, value) -> None:
-        current = self.allowed_ack
-        if current == value:
-            return
-        if current == ALLOW_NONE:
-            raise AssertionError("allowed_ack may not leave the closed state")
-        if isinstance(current, bytes) and isinstance(value, bytes):
-            raise AssertionError("allowed_ack may not switch payloads")
-        if isinstance(current, bytes) and value == ALLOW_ANY:
-            raise AssertionError("allowed_ack may not widen")
-        self.allowed_ack = value
+    def _may_ack(self, payload: bytes) -> bool:
+        """The ack fence: open until the record holds an ack, then open only
+        to its payload, and closed once it holds a conflicting pair."""
+        rec = self.state_record
+        return rec.conflicting is None and (rec.ack is None or rec.ack.payload == payload)
 
     # -- operations ------------------------------------------------------------
 
     def _invoke_broadcast(self, payload: bytes) -> None:
         if self.pid != self.sender_id:
             raise ContractError("only the designated sender may broadcast")
-        if not self.joined or self.leave_invoked:
+        if self.phase is not Phase.MEMBER:
             raise ContractError("broadcast requires a participant")
         if self.bpayload is not None:
             raise ContractError("single broadcast instance per run")
@@ -72,8 +65,7 @@ class BroadcastMixin:
             self._note("Drop", msg_kind="PREPARE", view=msg.view.short,
                        detail=f"view mismatch cv={self.cv.short}")
             return
-        if self.allowed_ack == ALLOW_ANY or self.allowed_ack == msg.payload:
-            self._set_allowed(msg.payload)
+        if self._may_ack(msg.payload):
             if self.state_record.ack is None:
                 self.state_record = replace(
                     self.state_record, ack=PrepareEvidence(msg.payload, msg.view, signature))
@@ -99,7 +91,7 @@ class BroadcastMixin:
         self._wake(CERT)
 
     def _cert_scan(self) -> None:
-        if self.halted or self.cer is not None or self.pid != self.sender_id:
+        if self.cer is not None or self.pid != self.sender_id:
             return
         for (v, payload), senders in self.ack_counts.items():
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
@@ -141,7 +133,7 @@ class BroadcastMixin:
         self._send(author, Deliver(msg.payload, self.cv))
 
     def _pending_commit_scan(self) -> None:
-        if self.halted or not self.pending_commits:
+        if not self.pending_commits:
             return
         still = []
         for author, msg in self.pending_commits:
@@ -162,7 +154,7 @@ class BroadcastMixin:
         self._wake(DELIVER)
 
     def _deliver_scan(self) -> None:
-        if self.halted or self.delivered:
+        if self.delivered:
             return
         for (v, payload), senders in self.deliver_counts.items():
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
@@ -182,18 +174,14 @@ class BroadcastMixin:
         conflict_pairs = [rec.conflicting for rec in records if rec.conflicting]
         if len(acked) == 1:
             payload, evidence = next(iter(acked.items()))
-            if self.allowed_ack == ALLOW_ANY or self.allowed_ack == payload:
-                self._set_allowed(payload)
-                if self.state_record.ack is None:
-                    self.state_record = replace(self.state_record, ack=evidence)
+            if self._may_ack(payload) and self.state_record.ack is None:
+                self.state_record = replace(self.state_record, ack=evidence)
         elif len(acked) >= 2:
             first, second = list(acked.values())[:2]
-            self._set_allowed(ALLOW_NONE)
             self.state_record = replace(
                 self.state_record, ack=None,
                 conflicting=self.state_record.conflicting or (first, second))
         elif conflict_pairs:
-            self._set_allowed(ALLOW_NONE)
             self.state_record = replace(
                 self.state_record, ack=None,
                 conflicting=self.state_record.conflicting or conflict_pairs[0])
@@ -214,7 +202,7 @@ class BroadcastMixin:
         self._wake(PENDING_STORE)
 
     def _pending_store_scan(self) -> None:
-        if self.halted or not self.pending_store:
+        if not self.pending_store:
             return
         still = []
         for evidence in self.pending_store:

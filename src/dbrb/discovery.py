@@ -19,7 +19,7 @@ from .messages import (
     body_bytes,
     signed_content,
 )
-from .membership import added_changes
+from .membership import Phase, added_changes
 from .views import View, comparable, is_sequence, least_recent, seq_sort_key
 from .wake import TRUSTED_AUX, TRUSTED_HIST
 
@@ -143,7 +143,7 @@ class DiscoveryMixin:
         self._trust_aux(install)
 
     def _handle_history_request(self, author: str) -> None:
-        if self.joined and not self.halted:
+        if self.phase >= Phase.MEMBER:
             self._send(author, HistoryGossip(self._best_history()))
 
     def _handle_history(self, gossip: HistoryGossip) -> None:
@@ -151,7 +151,7 @@ class DiscoveryMixin:
 
     def _gossip_kick(self) -> None:
         """Push the best history to the universe whenever it grows."""
-        if self.halted or not (self.joined or self.join_invoked):
+        if self.phase is Phase.DORMANT:
             return
         best = self._best_view()
         if self.last_gossiped == best:

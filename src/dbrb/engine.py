@@ -10,15 +10,13 @@ the woken scans (`_repoll`) before it returns.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .broadcast import ALLOW_ANY, BroadcastMixin
+from .broadcast import BroadcastMixin
 from .crypto import Signer, Verifier
 from .discovery import DiscoveryMixin
-from .membership import MembershipMixin
+from .membership import MembershipMixin, Phase
 from .messages import (
     Ack,
     CodecError,
@@ -134,6 +132,9 @@ class Note:
 
 OutputAction = Send | Flood | Callback | Halt | Note
 
+# Tested on every step and send, where a global is cheaper than `Phase.HALTED`.
+_DORMANT, _HALTED = Phase.DORMANT, Phase.HALTED
+
 # The scans `_repoll` runs, in the order it runs them, each with its wake bit.
 _SCANS = (
     (RM_PENDING, "_rm_pending_scan"),
@@ -174,16 +175,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self.formats[initial_view] = {frozenset()}
         self.pool: dict = {}
         self.suspended = not initial_member
-        self.joined = initial_member
-        self.join_invoked = False
-        self.join_confirmed = False
+        self.phase = Phase.MEMBER if initial_member else Phase.DORMANT
         self.got_history = False
         self.last_reconfig_target: Optional[View] = None
-        self.leave_invoked = False
-        self.leave_reconfig_sent = False
-        self.leave_confirmed = False
-        self.leaver_loop = False
-        self.halted = False
         self.rec_confirms: dict[View, set[ProcessId]] = {}
         self.propose_votes: dict = {}
         self.converged_votes: dict = {}
@@ -205,7 +199,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         # broadcast state
         self.bpayload: Optional[bytes] = None
         self.cer = None
-        self.allowed_ack = ALLOW_ANY
         self.delivered = False
         self.ack_sigs: dict = {}
         self.ack_counts: dict = {}
@@ -233,9 +226,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         return encode(msg, self.signer)
 
     def _assert_may_send(self) -> None:
-        if self.halted:
+        if self.phase is _HALTED:
             raise AssertionError("halted node attempted to send")
-        if not (self.joined or self.join_invoked):
+        if self.phase is _DORMANT:
             raise AssertionError("dormant node attempted to send")
 
     def _send_raw(self, to: ProcessId, raw: bytes, meta: dict) -> None:
@@ -269,7 +262,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     # -- event entry point -------------------------------------------------------
 
     def step(self, event: InputEvent) -> list[OutputAction]:
-        if self.halted:
+        if self.phase is _HALTED:
             raise HaltedError(f"{self.pid} is halted")
         self._outputs = []
         if isinstance(event, InvokeJoin):
@@ -298,7 +291,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
                 self._note("Drop", detail=f"undecodable message: {exc}")
                 return
             self._decoded[event.raw] = decoded
-        if not self.joined and not self.join_invoked:
+        if self.phase is _DORMANT:
             return  # dormant until the join operation starts
         msg, author = decoded.msg, decoded.author
         if isinstance(msg, Reconfig):
@@ -337,49 +330,22 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         to do, so the scans that act do so in the same order as when every
         scan re-ran until none changed anything, and traces are unchanged.
         Scans return nothing; what they did is in the state they wrote.
+        Only a scan halts the node, so `_repoll` stops right after one that
+        does, and no scan checks for it.
 
         It terminates because each firing uses up something finite that
         does not come back within the step: a buffered entry (a buffer grows
         only from the step's input or from another firing, and sends leave
-        the node), a once-only value (`join_confirmed`,
-        `leave_reconfig_sent`, `state_record.stored`, `delivered`, `cer`,
-        `halted`), a key it never fires on again (`converged_sent`,
-        `install_sent`, `rm_received`), or a growth of `cv` or of the trust
-        store (`_maybe_propose` and the kicks), which grow only through the
-        finitely many views the step brings.
+        the node), a once-only value (`phase`, which only moves forward,
+        `state_record.stored`, `delivered`, `cer`), a key it never fires on
+        again (`converged_sent`, `install_sent`, `rm_received`), or a growth
+        of `cv` or of the trust store (`_maybe_propose` and the kicks), which
+        grow only through the finitely many views the step brings.
         """
         while self._dirty:
-            if self.halted:
-                return
             for bit, name in _SCANS:
                 if self._dirty & bit:
                     self._dirty &= ~bit
                     getattr(self, name)()
-
-    _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "_dirty")
-
-    def state_digest(self) -> str:
-        """Platform-stable digest over every mutable state field.
-
-        Every value encodes to JSON lists and strings; set members and dict
-        entries are ordered by their JSON text, which any two encodings have.
-        """
-        def enc(x):
-            if isinstance(x, bytes):
-                return x.hex()
-            if isinstance(x, View):
-                return x.canonical_bytes.hex()
-            if isinstance(x, (set, frozenset)):
-                return sorted((enc(e) for e in x), key=json.dumps)
-            if isinstance(x, (list, tuple)):
-                return [enc(e) for e in x]
-            if isinstance(x, dict):
-                return sorted(([enc(k), enc(v)] for k, v in x.items()), key=json.dumps)
-            if hasattr(x, "__dataclass_fields__"):
-                return [[f, enc(getattr(x, f))] for f in sorted(x.__dataclass_fields__)]
-            return repr(x)
-
-        payload = {k: enc(v) for k, v in self.__dict__.items()
-                   if k not in self._DIGEST_SKIP}
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+                    if self.phase is _HALTED:
+                        return

@@ -10,6 +10,7 @@ reads wakes that scan (`wake.py`), and the engine runs only woken scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 from .crypto import verify_certificate
 from .messages import (
@@ -41,11 +42,9 @@ from .wake import (
     CONFIRM,
     CONVERGED_QUORUM,
     CV,
-    JOINING,
-    LEAVE,
-    LEAVER_LOOP,
     MAYBE_PROPOSE,
     PENDING_INSTALL,
+    PHASE,
     PROPOSE_BUFFER,
     PROPOSE_QUORUM,
 )
@@ -53,6 +52,22 @@ from .wake import (
 
 class ContractError(RuntimeError):
     """An operation was invoked outside its allowed lifecycle."""
+
+
+class Phase(IntEnum):
+    """A process's lifecycle.  Join and leave are one-shot, and a process
+    leaves a view only through the leave request it sends in LEAVE_SENT, so
+    the phase only moves forward, though it may skip some."""
+
+    DORMANT = 0          # join not yet invoked
+    JOINING = 1          # join invoked; sends its join request
+    JOIN_CONFIRMED = 2   # a quorum confirmed the join request
+    MEMBER = 3           # joined (or an initial member)
+    LEAVING = 4          # leave invoked; the request waits for the totality gate
+    LEAVE_SENT = 5       # leave request sent; re-sent on each install
+    LEAVE_CONFIRMED = 6  # a quorum confirmed the leave request
+    LEAVER_LOOP = 7      # out of the view, relaying its stored message
+    HALTED = 8           # leave complete; takes no more events
 
 
 @dataclass
@@ -83,29 +98,30 @@ def added_changes(seq: frozenset[View], v: View) -> list[Change]:
 class MembershipMixin:
     # -- operations ----------------------------------------------------------
 
+    def _set_phase(self, phase: Phase) -> None:
+        """The one way `phase` changes, so every scan that reads it re-runs."""
+        self.phase = phase
+        self._wake(PHASE)
+
     def _invoke_join(self) -> None:
-        if self.joined or self.join_invoked:
+        if self.phase is not Phase.DORMANT:
             raise ContractError("join may be invoked at most once")
-        self.join_invoked = True
-        self._wake(JOINING)
+        self._set_phase(Phase.JOINING)
         self._flood(HistoryRequest())
 
     def _invoke_leave(self) -> None:
-        if not self.joined:
+        if self.phase < Phase.MEMBER:
             raise ContractError("leave requires a participant")
-        if self.leave_invoked:
+        if self.phase > Phase.MEMBER:
             raise ContractError("leave already invoked")
-        self.leave_invoked = True
-        self._wake(LEAVE)
+        self._set_phase(Phase.LEAVING)
         self.rec_confirms.clear()
 
     def _send_reconfig(self, change: Change, target: View) -> None:
         self._send_all(target.members, Reconfig(change, target))
 
     def _join_kick(self) -> None:
-        if self.halted or self.joined or not self.join_invoked:
-            return
-        if self.join_confirmed or not self.got_history:
+        if self.phase is not Phase.JOINING or not self.got_history:
             return
         target = self._best_view()
         if self.last_reconfig_target == target:
@@ -116,17 +132,15 @@ class MembershipMixin:
     def _leave_kick(self) -> None:
         """Emit the leave request once the totality gate allows it: a sender
         that has broadcast leaves only after it delivered."""
-        if self.halted or not self.leave_invoked or self.leave_reconfig_sent:
+        if self.phase is not Phase.LEAVING:
             return
         if self.pid == self.sender_id and self.bpayload is not None and not self.delivered:
             return
-        self.leave_reconfig_sent = True
-        self._wake(CONFIRM)
+        self._set_phase(Phase.LEAVE_SENT)
         self._send_reconfig(minus(self.pid), self.cv)
 
     def _leave_resend_on_install(self) -> None:
-        if (self.leave_reconfig_sent and not self.leave_confirmed
-                and not self.halted and not self.leaver_loop):
+        if self.phase is Phase.LEAVE_SENT:
             self._send_reconfig(minus(self.pid), self.cv)
 
     # -- reconfig / rec-confirm ----------------------------------------------
@@ -161,17 +175,14 @@ class MembershipMixin:
             self._wake(CONFIRM)
 
     def _confirm_scan(self) -> None:
-        for v, senders in self.rec_confirms.items():
-            if len(senders) >= v.quorum_size:
-                if self.join_invoked and not self.joined:
-                    self.join_confirmed = True
-                if self.leave_reconfig_sent:
-                    self.leave_confirmed = True
+        if self.phase in (Phase.JOINING, Phase.LEAVE_SENT) and any(
+                len(senders) >= v.quorum_size for v, senders in self.rec_confirms.items()):
+            self._set_phase(Phase(self.phase + 1))  # JOIN_CONFIRMED or LEAVE_CONFIRMED
 
     # -- propose -------------------------------------------------------------
 
     def _maybe_propose(self) -> None:
-        if self.halted or not self.recv or self.cv not in self.installed:
+        if not self.recv or self.cv not in self.installed:
             return
         if self.seqs.get(self.cv):
             return
@@ -240,7 +251,7 @@ class MembershipMixin:
         return known
 
     def _propose_buffer_scan(self) -> None:
-        if self.halted or not self.propose_buffer:
+        if not self.propose_buffer:
             return
         still: list[BufferedPropose] = []
         for item in self.propose_buffer:
@@ -264,8 +275,6 @@ class MembershipMixin:
         self.propose_buffer = still
 
     def _propose_quorum_scan(self) -> None:
-        if self.halted:
-            return
         for v, votes in self.propose_votes.items():
             seq = self.seqs.get(v)
             if not seq or (v, seq) in self.converged_sent:
@@ -287,8 +296,6 @@ class MembershipMixin:
         self._wake(CONVERGED_QUORUM)
 
     def _converged_quorum_scan(self) -> None:
-        if self.halted:
-            return
         for (v, seq), votes in self.converged_votes.items():
             if (v, seq) in self.install_sent:
                 continue
@@ -395,7 +402,7 @@ class MembershipMixin:
         return all(p.verify(self.verifier) for p in msg.recv)
 
     def _pending_install_scan(self) -> None:
-        if self.halted or not self.pending_installs:
+        if not self.pending_installs:
             return
         still: list[PendingInstall] = []
         for pending in self.pending_installs:
@@ -407,9 +414,10 @@ class MembershipMixin:
                 still.append(pending)
                 continue
             self._complete_install(pending, [updates[q] for q in senders])
-            if self.halted:
-                break
-        self.pending_installs = still if not self.halted else []
+            if self.phase is Phase.HALTED:
+                self.pending_installs = []
+                return
+        self.pending_installs = still
 
     def _complete_install(self, pending: PendingInstall, updates: list[StateUpdate]) -> None:
         omega, seq, v = pending.omega, pending.seq, pending.view
@@ -426,9 +434,8 @@ class MembershipMixin:
             self.cv = omega
             self._wake(CV)
             self._note("StateNote", view=omega.short, detail="cv", views={"cv": omega})
-            if self.pid not in v.member_set and not self.joined:
-                self.joined = True
-                self._wake(JOINING)
+            if self.phase < Phase.MEMBER:
+                self._set_phase(Phase.MEMBER)
                 self._callback("JoinComplete", None)
             newer = frozenset(w for w in seq if self.cv.changes < w.changes)
             if newer:
@@ -448,8 +455,7 @@ class MembershipMixin:
             # Leaving: keep relaying the stored message until a deliver
             # quorum confirms totality, then shut down.
             if self.state_record.stored is not None and not self.delivered:
-                self.leaver_loop = True
-                self._wake(LEAVER_LOOP)
+                self._set_phase(Phase.LEAVER_LOOP)
                 self._note("StateNote", detail="leaver-loop")
                 self._flood(HistoryRequest())
                 self._leaver_commit()
@@ -457,8 +463,7 @@ class MembershipMixin:
                 self._finish_leave()
 
     def _finish_leave(self) -> None:
-        self.leaver_loop = False
-        self.halted = True
+        self._set_phase(Phase.HALTED)
         self._callback("LeaveComplete", None)
         self._halt()
 
@@ -471,7 +476,7 @@ class MembershipMixin:
         self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
 
     def _leaver_loop_kick(self) -> None:
-        if not self.leaver_loop or self.halted:
+        if self.phase is not Phase.LEAVER_LOOP:
             return
         if self.delivered:
             self._finish_leave()

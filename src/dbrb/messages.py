@@ -531,11 +531,10 @@ _STORED_EVIDENCE = _fields_codec(StoredEvidence)
 KIND_CODECS: dict[int, Codec] = {cls.TAG: _fields_codec(cls) for cls in get_args(Message)}
 
 
-# A value derives its body, its trace metadata and (for a ReconfigProof)
-# its signed content once, and keeps each in its instance dict under a
-# private name.  Outside the dataclass fields, the kept values take no part
-# in ==, hash, repr or `Node.state_digest`; a value with other fields
-# (`dataclasses.replace`) starts with none.
+# A value derives its body and (for a ReconfigProof) its signed content
+# once, and keeps each in its instance dict under a private name.  Outside
+# the dataclass fields, the kept values take no part in ==, hash or repr;
+# a value with other fields (`dataclasses.replace`) starts with none.
 
 
 def body_bytes(msg: Message) -> bytes:
@@ -628,14 +627,7 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
 
 
 def message_meta(msg: Message) -> dict:
-    """Trace metadata: kind plus short digests of the associated view/payload.
-
-    Derived once per value and kept; every send of the value shares the
-    one dict, so nothing may change it.
-    """
-    meta = msg.__dict__.get("_meta")
-    if meta is not None:
-        return meta
+    """Trace metadata: kind plus short digests of the associated view/payload."""
     view = getattr(msg, "view", None)
     payload = getattr(msg, "payload", None)
     meta = {"msg": KIND_NAMES[msg.TAG]}
@@ -643,5 +635,4 @@ def message_meta(msg: Message) -> dict:
         meta["view"] = view.short
     if payload is not None:
         meta["payload"] = short_digest(payload)
-    msg.__dict__["_meta"] = meta
     return meta

@@ -77,7 +77,7 @@ class RMulticastMixin:
         parked copy within that same step, before any other copy can reach
         `_rm_receive`.
         """
-        if self.halted or not self.rm_pending:
+        if not self.rm_pending:
             return
         still = []
         for key, msg, raw in self.rm_pending:

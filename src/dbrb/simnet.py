@@ -1,10 +1,10 @@
 """Deterministic discrete-event network simulator.
 
 Links are reliable but asynchronous: every send is delivered after a
-seed-determined delay, so reordering falls out naturally.  A run
-executes until quiescence (empty queue, no pending script entries) or
-until the step/message limits truncate it.  Identical (scenario, seed)
-pairs produce byte-identical traces.
+seed-determined delay in `[1, max_delay_steps]`, so messages overtake
+one another naturally.  A run executes until quiescence (empty queue, no
+pending script entries) or until the step/message limits truncate it.
+Identical (scenario, seed) pairs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class Scenario:
     roles: dict[str, dict]
     script: list[dict]
     max_delay_steps: int = 3
-    reorder: bool = True
     max_steps: int = 100_000
     max_messages: int = 500_000
     crypto: str = "hmac"
@@ -66,7 +65,6 @@ class Scenario:
                 roles={k: dict(v) for k, v in data.get("roles", {}).items()},
                 script=[dict(e) for e in data.get("script", [])],
                 max_delay_steps=int(network.get("max_delay_steps", 3)),
-                reorder=bool(network.get("reorder", True)),
                 max_steps=int(limits.get("max_steps", 100_000)),
                 max_messages=int(limits.get("max_messages", 500_000)),
                 crypto=data.get("crypto", "hmac"),
@@ -193,7 +191,7 @@ class _Run:
                     initial_member=pid in scenario.initial_members)
             else:
                 self.engines[pid] = make_adversary(
-                    role["strategy"], pid, self.initial_view, scenario.sender,
+                    role["strategy"], pid, self.initial_view,
                     self.keyring.signer_for(pid), self.keyring.verifier(),
                     random.Random(f"adv:{seed}:{pid}"), role.get("params"))
         self.queue: list = []
@@ -216,10 +214,8 @@ class _Run:
 
     def _delay(self) -> int:
         if self.sc.max_delay_steps <= 1:
-            return 1
-        if self.sc.reorder:
-            return self.rng.randint(1, self.sc.max_delay_steps)
-        return self.sc.max_delay_steps
+            return 1  # no draw: the RNG stream stays as it was
+        return self.rng.randint(1, self.sc.max_delay_steps)
 
     def _trace(self, kind: str, actor: str, peer: Optional[str] = None,
                msg_kind: Optional[str] = None, view: Optional[str] = None,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
@@ -137,25 +136,8 @@ class View:
         return f"View({','.join(c.token for c in self.sorted_changes)})"
 
 
-class Comparison(Enum):
-    EQUAL = "equal"
-    LESS = "less"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def compare(v1: View, v2: View) -> Comparison:
-    if v1.changes == v2.changes:
-        return Comparison.EQUAL
-    if v1.changes < v2.changes:
-        return Comparison.LESS
-    if v1.changes > v2.changes:
-        return Comparison.GREATER
-    return Comparison.INCOMPARABLE
-
-
 def comparable(v1: View, v2: View) -> bool:
-    return compare(v1, v2) is not Comparison.INCOMPARABLE
+    return v1.changes <= v2.changes or v2.changes <= v1.changes
 
 
 def is_sequence(views: Iterable[View]) -> bool:

@@ -31,7 +31,7 @@ TRUSTED_AUX = PENDING_COMMIT | PENDING_STORE | CERT | DELIVER
 TRUSTED_HIST = TRUSTED_AUX | RM_PENDING | JOIN | LEAVER_LOOP | GOSSIP
 # Readers of `cv`.
 CV = PENDING_COMMIT | PENDING_INSTALL | MAYBE_PROPOSE | LEAVER_LOOP
-# Readers of `joined` and `join_invoked`.
-JOINING = CONFIRM | JOIN | GOSSIP
+# Readers of `phase`, which only `MembershipMixin._set_phase` writes.
+PHASE = CONFIRM | JOIN | LEAVE | LEAVER_LOOP | GOSSIP
 # Readers of `delivered`, which also lets a node leave (the paper's can_leave).
 CAN_LEAVE = LEAVE | LEAVER_LOOP

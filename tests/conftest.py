@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from dbrb.crypto import make_keyring
 from dbrb.engine import Node, Receive
-from dbrb.membership import added_changes
+from dbrb.membership import Phase, added_changes
 from dbrb.messages import Reconfig, ReconfigProof, encode, message_meta, signed_content
 from dbrb.views import View
 
@@ -33,6 +36,37 @@ class Bench:
         """Encode msg as author and step the target node."""
         return self.nodes[to].step(Receive(author, self.raw(author, msg),
                                            message_meta(msg)))
+
+
+_DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "_dirty")
+
+
+def state_digest(node):
+    """Platform-stable digest over every mutable state field of a node.
+
+    Every value encodes to JSON lists and strings; set members and dict
+    entries are ordered by their JSON text, which any two encodings have.
+    """
+    def enc(x):
+        if isinstance(x, bytes):
+            return x.hex()
+        if isinstance(x, View):
+            return x.canonical_bytes.hex()
+        if isinstance(x, Phase):
+            return x.name
+        if isinstance(x, (set, frozenset)):
+            return sorted((enc(e) for e in x), key=json.dumps)
+        if isinstance(x, (list, tuple)):
+            return [enc(e) for e in x]
+        if isinstance(x, dict):
+            return sorted(([enc(k), enc(v)] for k, v in x.items()), key=json.dumps)
+        if hasattr(x, "__dataclass_fields__"):
+            return [[f, enc(getattr(x, f))] for f in sorted(x.__dataclass_fields__)]
+        return repr(x)
+
+    payload = {k: enc(v) for k, v in node.__dict__.items() if k not in _DIGEST_SKIP}
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def reconfig_proofs(keyring, seq, view):

@@ -1,21 +1,23 @@
-"""Prepare/ack/commit/deliver handlers and the allowed_ack fence."""
+"""Prepare/ack/commit/deliver handlers and the ack fence."""
 
 import hashlib
 
 import pytest
 
-from conftest import callbacks_of, notes_of, sends_of
-from dbrb.broadcast import ALLOW_ANY, ALLOW_NONE
+from conftest import callbacks_of, notes_of, reconfig_proofs, sends_of
 from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import InvokeBroadcast
 from dbrb.membership import ContractError
 from dbrb.messages import (
     Ack,
     Commit,
+    Converged,
     Deliver,
+    Install,
     Prepare,
     PrepareEvidence,
     StateRecord,
+    StateUpdate,
     StoredEvidence,
     decode,
     signed_content,
@@ -62,12 +64,14 @@ def test_prepare_acked_in_current_view(bench4):
     actions = bench4.deliver("p2", "p1", Prepare(b"m", bench4.initial_view))
     acks = sends_of(actions, "ACK")
     assert [a.to for a in acks] == ["p1"]
-    assert bench4.nodes["p2"].allowed_ack == b"m"
+    assert bench4.nodes["p2"].state_record.ack.payload == b"m"
 
 
 def test_prepare_fenced_when_no_message_allowed(bench4):
     node = bench4.nodes["p2"]
-    node.allowed_ack = ALLOW_NONE
+    node.state_record = StateRecord(conflicting=(
+        prep_evidence(bench4, b"m1", bench4.initial_view),
+        prep_evidence(bench4, b"m2", bench4.initial_view)))
     actions = bench4.deliver("p2", "p1", Prepare(b"m", bench4.initial_view))
     assert not sends_of(actions, "ACK")
 
@@ -87,7 +91,7 @@ def test_never_acks_two_payloads(bench4):
     bench4.deliver("p2", "p1", Prepare(b"m1", bench4.initial_view))
     actions = bench4.deliver("p2", "p1", Prepare(b"m2", bench4.initial_view))
     assert not sends_of(actions, "ACK")
-    assert bench4.nodes["p2"].allowed_ack == b"m1"
+    assert bench4.nodes["p2"].state_record.ack.payload == b"m1"
 
 
 def test_ack_quorum_builds_certificate_and_commits(bench4):
@@ -203,8 +207,7 @@ def test_state_transfer_adopts_unique_acked_message(bench4):
     records = [StateRecord(ack=prep_evidence(bench4, b"m", bench4.initial_view)),
                StateRecord(), StateRecord()]
     node._state_transfer(records)
-    assert node.allowed_ack == b"m"
-    assert node.state_record.ack is not None
+    assert node.state_record.ack.payload == b"m"
 
 
 def test_state_transfer_closes_fence_on_two_acked(bench4):
@@ -212,7 +215,7 @@ def test_state_transfer_closes_fence_on_two_acked(bench4):
     records = [StateRecord(ack=prep_evidence(bench4, b"m1", bench4.initial_view)),
                StateRecord(ack=prep_evidence(bench4, b"m2", bench4.initial_view))]
     node._state_transfer(records)
-    assert node.allowed_ack == ALLOW_NONE
+    assert not node._may_ack(b"m1") and not node._may_ack(b"m2")
     assert node.state_record.conflicting is not None
     assert node.state_record.ack is None
 
@@ -222,7 +225,8 @@ def test_state_transfer_closes_fence_on_conflicting_record(bench4):
     pair = (prep_evidence(bench4, b"m1", bench4.initial_view),
             prep_evidence(bench4, b"m2", bench4.initial_view))
     node._state_transfer([StateRecord(conflicting=pair)])
-    assert node.allowed_ack == ALLOW_NONE
+    assert node.state_record.conflicting == pair
+    assert not node._may_ack(b"m1") and not node._may_ack(b"m2")
 
 
 def test_state_transfer_adopts_stored_message(bench4):
@@ -237,23 +241,66 @@ def test_state_transfer_adopts_stored_message(bench4):
 
 def test_state_transfer_unique_ack_does_not_widen(bench4):
     node = bench4.nodes["p2"]
-    node.allowed_ack = b"other"
+    node.state_record = StateRecord(ack=prep_evidence(bench4, b"other", bench4.initial_view))
     node._state_transfer([StateRecord(ack=prep_evidence(bench4, b"m", bench4.initial_view))])
-    assert node.allowed_ack == b"other"
+    assert node.state_record.ack.payload == b"other"
 
 
-def test_allowed_ack_transitions_guarded(bench4):
+# -- the fence through real installs: it never reopens or switches payloads --
+
+V0 = View.initial(["p1", "p2", "p3", "p4"])
+V1 = View(V0.changes | {plus("p5")})
+V2 = View(V1.changes | {plus("p6")})
+
+
+def transfer(bench, view, omega, records):
+    """Install omega over view at p2, with one state update per record from
+    the other members of view, in member order; p2 takes on their state."""
+    seq = frozenset({omega})
+    others = [q for q in view.members if q != "p2"]
+    sigs = tuple((q, bench.keyring.sign(q, signed_content(Converged(seq, view), q)))
+                 for q in others[:view.quorum_size])
+    psi = tuple(sorted(view.member_set | omega.member_set))
+    bench.deliver("p2", others[0], Install(psi, omega, seq, view, sigs,
+                                           reconfig_proofs(bench.keyring, seq, view)))
+    for q, record in zip(others, records):
+        bench.deliver("p2", q, StateUpdate(psi, view, omega, record, ()))
+    assert bench.nodes["p2"].cv == omega and omega in bench.nodes["p2"].installed
+
+
+def close_fence(bench):
+    """Transfer acks of m1 and m2 into V1; return the conflicting pair."""
+    pair = (prep_evidence(bench, b"m1", V0), prep_evidence(bench, b"m2", V0))
+    transfer(bench, V0, V1, [StateRecord(ack=pair[0]), StateRecord(ack=pair[1]),
+                             StateRecord()])
+    return pair
+
+
+def test_conflicting_transfer_fences_both_payloads(bench4):
     node = bench4.nodes["p2"]
-    node._set_allowed(b"m")
-    node._set_allowed(ALLOW_NONE)
-    with pytest.raises(AssertionError):
-        node._set_allowed(b"m")
-    fresh = bench4.nodes["p3"]
-    fresh._set_allowed(b"m")
-    with pytest.raises(AssertionError):
-        fresh._set_allowed(b"m2")
-    with pytest.raises(AssertionError):
-        fresh._set_allowed(ALLOW_ANY)
+    pair = close_fence(bench4)
+    assert node.state_record.conflicting == pair and node.state_record.ack is None
+    for payload in (b"m1", b"m2"):
+        actions = bench4.deliver("p2", "p1", Prepare(payload, V1))
+        assert not sends_of(actions, "ACK")
+        assert [n.detail for n in notes_of(actions, "Drop")] == ["ack fence closed"]
+
+
+def test_single_ack_transfer_does_not_reopen_a_closed_fence(bench4):
+    node = bench4.nodes["p2"]
+    pair = close_fence(bench4)
+    transfer(bench4, V1, V2, [StateRecord(ack=pair[0])] + [StateRecord()] * 3)
+    assert node.state_record.ack is None
+    assert node.state_record.conflicting == pair
+
+
+def test_transfer_of_another_payload_keeps_the_acked_one(bench4):
+    node = bench4.nodes["p2"]
+    assert sends_of(bench4.deliver("p2", "p1", Prepare(b"m1", V0)), "ACK")
+    transfer(bench4, V0, V1, [StateRecord(ack=prep_evidence(bench4, b"m2", V0)),
+                              StateRecord(), StateRecord()])
+    assert node.state_record.ack.payload == b"m1"
+    assert node.state_record.conflicting is None
 
 
 def test_new_view_sender_reprepares_without_certificate(bench4):

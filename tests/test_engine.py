@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Bench, reconfig_proofs, sends_of
+from conftest import Bench, reconfig_proofs, sends_of, state_digest
 from dbrb import simnet
 from dbrb.adversary import make_adversary
 from dbrb.engine import _SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
+from dbrb.membership import Phase
 from dbrb.messages import (
     KIND_CODECS,
     TAG_CONVERGED,
@@ -44,24 +45,24 @@ def test_identical_event_sequences_give_identical_state_and_outputs():
     outs_a = [a.nodes["p1"].step(e) for e in events]
     outs_b = [b.nodes["p1"].step(e) for e in events]
     assert outs_a == outs_b
-    assert a.nodes["p1"].state_digest() == b.nodes["p1"].state_digest()
+    assert state_digest(a.nodes["p1"]) == state_digest(b.nodes["p1"])
 
 
 def test_mutating_events_change_the_digest():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
-    before = node.state_digest()
+    before = state_digest(node)
     node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
                       {"msg": "PREPARE"}))
-    assert node.state_digest() != before
+    assert state_digest(node) != before
 
 
 def test_undecodable_input_changes_nothing():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
-    before = node.state_digest()
+    before = state_digest(node)
     actions = node.step(Receive("p1", b"not a message", {}))
-    assert node.state_digest() == before
+    assert state_digest(node) == before
     assert not sends_of(actions)
 
 
@@ -70,15 +71,15 @@ def test_forged_signature_changes_nothing():
     node = bench.nodes["p2"]
     raw = bytearray(bench.raw("p1", Prepare(b"m", bench.initial_view)))
     raw[-1] ^= 0x01
-    before = node.state_digest()
+    before = state_digest(node)
     node.step(Receive("p1", bytes(raw), {"msg": "PREPARE"}))
-    assert node.state_digest() == before
+    assert state_digest(node) == before
 
 
 def test_halted_node_rejects_events():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
-    node.halted = True
+    node.phase = Phase.HALTED
     with pytest.raises(HaltedError):
         node.step(InvokeJoin())
 
@@ -109,7 +110,7 @@ def test_random_event_sequences_replay_identically(script):
             else:
                 msg = Reconfig(plus(author), bench.initial_view)
             node.step(Receive(author, bench.raw(author, msg), message_meta(msg)))
-        digests.append(node.state_digest())
+        digests.append(state_digest(node))
     assert digests[0] == digests[1]
 
 
@@ -175,10 +176,10 @@ def test_decode_memo_is_not_protocol_state():
                       {"msg": "RECONFIG"}))
     assert node._decoded and node._bodies
     assert node.seqs != {}
-    digest = node.state_digest()
+    digest = state_digest(node)
     node._decoded.clear()
     node._bodies.clear()
-    assert node.state_digest() == digest
+    assert state_digest(node) == digest
 
 
 def test_kept_bytes_are_not_protocol_state(bench4):
@@ -191,11 +192,11 @@ def test_kept_bytes_are_not_protocol_state(bench4):
     held = [node.pool[plus("p5")], node.state_updates[v0]["p3"]]
     held[0].verify(node.verifier)
     assert all(set(vars(x)) & {"_body", "_signed"} for x in held)
-    digest = node.state_digest()
+    digest = state_digest(node)
     for x in held:
-        for name in ("_body", "_meta", "_signed"):
+        for name in ("_body", "_signed"):
             vars(x).pop(name, None)
-    assert node.state_digest() == digest
+    assert state_digest(node) == digest
 
 
 def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
@@ -234,7 +235,7 @@ def test_adversary_signs_once_per_fan_out():
     signer = bench.keyring.signer_for("p1")
     real = signer.sign
     signer.sign = lambda payload: signed.append(payload) or real(payload)
-    sender = make_adversary("equivocate_sender", "p1", bench.initial_view, "p1", signer,
+    sender = make_adversary("equivocate_sender", "p1", bench.initial_view, signer,
                             bench.keyring.verifier(), random.Random(0))
     out = sender.step(InvokeBroadcast(b"m"))
     halves = {}
@@ -254,25 +255,31 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenar
 def test_no_scan_has_work_left_after_a_step(monkeypatch, name):
     # `_repoll` runs only woken scans; a write site that forgets to wake its
     # readers leaves a scan with work, which calling every scan again finds
-    real_step = Node.step
+    real_step, real_set_phase = Node.step, Node._set_phase
     steps = []
+
+    def checked_set_phase(node, phase):
+        # the lifecycle only moves forward, within a step as across steps
+        assert phase >= node.phase, f"{node.pid}: {node.phase.name} -> {phase.name}"
+        real_set_phase(node, phase)
 
     def checked_step(node, event):
         out = real_step(node, event)
         # a parked multicast copy is never of a message already received
         assert not {key for key, _, _ in node.rm_pending} & node.rm_received
-        if node.halted:
+        if node.phase is Phase.HALTED:
             return out
         steps.append(node.pid)
         assert node._dirty == 0
-        before = node.state_digest()
+        before = state_digest(node)
         for _, scan in _SCANS:
             getattr(node, scan)()
             assert node._outputs == [], f"{scan} after {event!r}"
-        assert node.state_digest() == before
+        assert state_digest(node) == before
         return out
 
     monkeypatch.setattr(Node, "step", checked_step)
+    monkeypatch.setattr(Node, "_set_phase", checked_set_phase)
     simnet.run(simnet.Scenario.load(SCENARIO_DIR / f"{name}.json"), 0)
     assert steps
 
@@ -284,6 +291,6 @@ def test_state_digest_orders_dataclass_keys(bench4):
         node.step(Receive(joiner, bench4.raw(joiner, Reconfig(plus(joiner), v0)),
                           {"msg": "RECONFIG"}))
     assert len(node.recv) == len(node.pool) == 2
-    digest = node.state_digest()
+    digest = state_digest(node)
     node.recv = dict(reversed(node.recv.items()))
-    assert node.state_digest() == digest
+    assert state_digest(node) == digest

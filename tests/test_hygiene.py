@@ -1,7 +1,8 @@
 """Lint steps: every name a module imports is referenced in that module,
 no function in `src/dbrb` imports anything, every function, class and
-method defined in `src/dbrb` is named somewhere else in it, and every
-field `Node.__init__` sets is read somewhere in it.
+method defined in `src/dbrb` is named somewhere else in it, every field
+`Node.__init__` sets is read somewhere in it, and no code but
+`Node.__init__` and `_set_phase` assigns `self.phase`.
 
 Uses only the stdlib `ast` module.  Package `__init__.py` files, which
 import to re-export, and `from __future__` imports are exempt.  Imports
@@ -138,3 +139,39 @@ def test_unread_field_is_reported():
             "    def f(self):\n        self.c = self.a\n        self.n += 1\n")
     other = "class M:\n    def g(self):\n        return self.d\n"
     assert unread_fields(node, [node, other]) == ["b", "c", "n"]
+
+
+PHASE_WRITERS = {"Node.__init__", "MembershipMixin._set_phase"}
+
+
+def phase_writes(source: str) -> list[str]:
+    """The functions other than `PHASE_WRITERS` that assign `self.phase`,
+    named `Class.method` or, at module level, `function`."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, FUNCTIONS)]
+        elif isinstance(node, FUNCTIONS):
+            scopes.append((node.name, node))
+    return [name for name, fn in scopes if name not in PHASE_WRITERS
+            and any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and n.attr == "phase" and isinstance(n.value, ast.Name)
+                    and n.value.id == "self" for n in ast.walk(fn))]
+
+
+def test_only_set_phase_writes_the_phase():
+    # `_set_phase` wakes every scan that reads the phase; a write elsewhere
+    # could leave one of them with work
+    assert [name for p in SOURCE_MODULES for name in phase_writes(p.read_text())] == []
+
+
+def test_phase_write_is_reported():
+    source = ("class Node:\n    def __init__(self):\n        self.phase = 0\n\n"
+              "    def f(self):\n        self.phase = 1\n\n"
+              "    def g(self):\n        def h():\n            self.phase += 1\n"
+              "        other.phase = 2\n\n"
+              "class MembershipMixin:\n    def _set_phase(self, p):\n        self.phase = p\n\n"
+              "    def __init__(self):\n        self.phase = 0\n\n"
+              "def k(self):\n    self.phase = 3\n")
+    assert phase_writes(source) == ["Node.f", "Node.g", "MembershipMixin.__init__", "k"]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import Bench, callbacks_of, notes_of, reconfig_proofs, sends_of
 from dbrb.engine import InvokeJoin, InvokeLeave, Receive
-from dbrb.membership import ContractError
+from dbrb.membership import ContractError, Phase
 from dbrb.messages import (
     Converged,
     Deliver,
@@ -434,7 +434,7 @@ def test_joiner_completes_join_via_install(bench4):
     actions = feed_state_updates(bench4, "p5", v0, v1, ["p1", "p3", "p4"])
     cbs = callbacks_of(actions)
     assert any(c.kind == "JoinComplete" for c in cbs)
-    assert joiner.joined and joiner.cv == v1
+    assert joiner.phase is Phase.MEMBER and joiner.cv == v1
     assert v1 in joiner.installed
 
 

@@ -28,7 +28,7 @@ def test_leaver_removed_mid_broadcast_still_delivers():
             {"trigger": {"at_step": 1},
              "action": {"kind": "leave", "process": "p3"}},
         ],
-        "network": {"max_delay_steps": 4, "reorder": True},
+        "network": {"max_delay_steps": 4},
         "limits": {"max_steps": 20000, "max_messages": 300000},
     })
     loop_hits = 0
@@ -53,7 +53,7 @@ def test_simultaneous_joins_exercise_conflict_merge():
             {"trigger": {"at_step": 0}, "action": {"kind": "join", "process": "p5"}},
             {"trigger": {"at_step": 0}, "action": {"kind": "join", "process": "p6"}},
         ],
-        "network": {"max_delay_steps": 5, "reorder": True},
+        "network": {"max_delay_steps": 5},
         "limits": {"max_steps": 20000, "max_messages": 300000},
     })
     multi_view_seqs = 0

@@ -17,7 +17,7 @@ def static_scenario(**overrides):
         "sender": "p1",
         "script": [{"trigger": {"at_step": 0},
                     "action": {"kind": "broadcast", "process": "p1", "payload": "x"}}],
-        "network": {"max_delay_steps": 3, "reorder": True},
+        "network": {"max_delay_steps": 3},
         "limits": {"max_steps": 10000, "max_messages": 100000},
     }
     base.update(overrides)

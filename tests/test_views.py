@@ -3,11 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from dbrb.views import (
     Change,
-    Comparison,
     MAX_CHANGES,
     View,
     ViewError,
-    compare,
+    comparable,
     is_sequence,
     least_recent,
     minus,
@@ -50,10 +49,10 @@ def test_members_derived_from_changes():
 def test_compare_examples():
     v0 = members_view(4)
     v1 = View(v0.changes | {plus("p5")})
-    assert compare(v0, v1) is Comparison.LESS
-    assert compare(v1, v0) is Comparison.GREATER
-    assert compare(v0, v0) is Comparison.EQUAL
-    assert compare(View.of([plus("a")]), View.of([plus("b")])) is Comparison.INCOMPARABLE
+    assert v0.changes < v1.changes
+    assert comparable(v0, v1) and comparable(v1, v0)
+    assert comparable(v0, v0)
+    assert not comparable(View.of([plus("a")]), View.of([plus("b")]))
 
 
 def test_least_most_recent():
@@ -108,14 +107,17 @@ small_views = st.sets(
 @given(small_views, small_views, small_views)
 @settings(max_examples=200, deadline=None)
 def test_compare_is_a_partial_order(a, b, c):
+    # views are ordered by their change sets; `comparable` is that order's
+    # comparability, and a pair is comparable iff it is a sequence
+    assert comparable(a, b) == comparable(b, a) == is_sequence({a, b})
     # antisymmetry
-    if compare(a, b) is Comparison.LESS:
-        assert compare(b, a) is Comparison.GREATER
+    if a.changes <= b.changes and b.changes <= a.changes:
+        assert a == b
     # transitivity
-    if compare(a, b) is Comparison.LESS and compare(b, c) is Comparison.LESS:
-        assert compare(a, c) is Comparison.LESS
+    if a.changes < b.changes < c.changes:
+        assert comparable(a, c) and a.changes < c.changes
     # reflexivity
-    assert compare(a, a) is Comparison.EQUAL
+    assert comparable(a, a)
 
 
 @given(small_views)

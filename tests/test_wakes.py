@@ -12,9 +12,10 @@ so that neither write relies on the other's wake.
 
 import hashlib
 
-from conftest import Bench, reconfig_proofs, sends_of
+from conftest import Bench, reconfig_proofs, sends_of, state_digest
 from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import _SCANS
+from dbrb.membership import Phase
 from dbrb.messages import (
     TAG_INSTALL,
     Commit,
@@ -41,11 +42,11 @@ def make_bench():
 def assert_idle(node):
     """No scan has work left: each emits nothing and changes nothing."""
     assert node._dirty == 0
-    before = node.state_digest()
+    before = state_digest(node)
     for _, scan in _SCANS:
         getattr(node, scan)()
         assert node._outputs == [], scan
-    assert node.state_digest() == before
+    assert state_digest(node) == before
 
 
 def wakes_after(bench, to, author, msg, written):
@@ -149,7 +150,7 @@ def test_leaving_cv_drops_a_stale_pending_commit():
     bench.deliver("p4", "p1", install(bench, v_left, frozenset({v_left}), V0))
     for author in ("p1", "p2", "p3"):
         bench.deliver("p4", author, state_update(V0, v_left))
-    assert node.leaver_loop and node.cv == v_left and node.pending_commits == []
+    assert node.phase is Phase.LEAVER_LOOP and node.cv == v_left and node.pending_commits == []
     assert_idle(node)
 
 

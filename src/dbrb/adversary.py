@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import replace
 from typing import Optional
 
 from .crypto import Signer, Verifier, ack_payload, build_certificate
@@ -65,6 +66,8 @@ class AdversaryBase:
             except CodecError:
                 decoded = None
             if decoded is not None:
+                if decoded.author is None:  # a link-only kind speaks for its link sender
+                    decoded = replace(decoded, author=event.sender)
                 self._track_views(decoded.msg)
                 self.on_message(event, decoded)
         elif isinstance(event, InvokeBroadcast):

@@ -293,7 +293,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._decoded[event.raw] = decoded
         if self.phase is _DORMANT:
             return  # dormant until the join operation starts
-        msg, author = decoded.msg, decoded.author
+        msg = decoded.msg
+        # a link-only frame names no author: it speaks for its link sender
+        author = event.sender if decoded.author is None else decoded.author
         if isinstance(msg, Reconfig):
             self._handle_reconfig(author, msg, decoded.signature)
         elif isinstance(msg, RecConfirm):

@@ -1,17 +1,26 @@
 """Wire schema: tagged binary encoding for every protocol message.
 
-Layout of a framed message:
+Links are authenticated (`Receive.sender` is the true sender), so a frame
+is signed only if a third party must check its author.  The kinds in
+`SIGNED_TAGS` are such evidence: RECONFIG (a `ReconfigProof`), CONVERGED
+(install proofs), PREPARE (ack evidence in state records) and
+STATE-UPDATE (relayed, and counted for its originator).  Their frames are
 
     version(1) | tag(1) | body-len(4) | body | author | signature
 
-The author signs version|tag|body|author, so a message cannot be
-re-attributed.  The dataclass fields of each message kind are its
-schema: a body is those fields in declaration order, each in the
-encoding `FIELD_CODECS` gives its annotated type, and nested records
-are laid out the same way.  All collections inside bodies are
-canonically ordered, making the encoding bit-exact for equal values,
-and `decode` accepts only that canonical encoding: a decoded body always
-equals the re-encoding of the message parsed from it.
+and the author signs all but the signature, so they cannot be
+re-attributed.  Any other kind is framed version|tag|body-len|body and
+counts for its link sender, so a replayed copy is the replayer's own
+message: ACK carries its own signature, COMMIT a certificate, HISTORY
+install-proved links, and INSTALL is author-agnostic and quorum-proved.
+
+The dataclass fields of each message kind are its schema: a body is
+those fields in declaration order, each in the encoding `FIELD_CODECS`
+gives its annotated type, and nested records are laid out the same way.
+All collections inside bodies are canonically ordered, making the
+encoding bit-exact for equal values, and `decode` accepts only that
+canonical encoding, in its tag's layout: a decoded body always equals
+the re-encoding of the message parsed from it.
 
 So each message value derives its body once: a parsed value keeps the
 body it was parsed from, any other value the body it is first encoded
@@ -40,7 +49,7 @@ from .views import (
     short_digest,
 )
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 TAG_RECONFIG = 0x01
 TAG_REC_CONFIRM = 0x02
@@ -69,6 +78,9 @@ KIND_NAMES = {
     TAG_HISTORY_REQUEST: "HISTORY-REQUEST",
     TAG_HISTORY: "HISTORY",
 }
+
+# The kinds whose frames carry their author and signature; see the module doc.
+SIGNED_TAGS = frozenset({TAG_RECONFIG, TAG_CONVERGED, TAG_PREPARE, TAG_STATE_UPDATE})
 
 
 class CodecError(ValueError):
@@ -556,6 +568,10 @@ def signed_content(msg: Message, author: ProcessId) -> bytes:
 
 
 def encode(msg: Message, signer: Signer) -> bytes:
+    """The frame of msg, signed by signer's process if its kind is signed."""
+    if msg.TAG not in SIGNED_TAGS:
+        body = body_bytes(msg)
+        return _HEAD.pack(WIRE_VERSION, msg.TAG, len(body)) + body
     content = signed_content(msg, signer.pid)
     sig = signer.sign(content)
     return b"".join((content, _U32.pack(len(sig)), sig))
@@ -564,9 +580,9 @@ def encode(msg: Message, signer: Signer) -> bytes:
 @dataclass(frozen=True)
 class Decoded:
     msg: Message
-    author: ProcessId
+    author: Optional[ProcessId]  # None for a link-only kind: its link sender
     kind: str
-    signature: bytes
+    signature: bytes  # empty for a link-only kind
     body: bytes  # as received; equal to body_bytes(msg)
 
 
@@ -604,7 +620,8 @@ def _reject_head(head: bytes) -> NoReturn:
 
 
 def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Decoded:
-    """Parse and authenticate a framed message; raises CodecError on any defect.
+    """Parse a framed message, and authenticate it if its kind is signed;
+    raises CodecError on any defect.
 
     The signed content is the frame up to the end of the author.  The
     envelope signature is checked before the body is looked up in, or
@@ -617,11 +634,11 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
         _reject_head(raw[:2])
     r = Reader(raw, _HEAD.size)
     body = r.take(size)
-    author = r.text()
+    author = r.text() if tag in SIGNED_TAGS else None
     signed_end = r.pos
-    sig = r.blob()
+    sig = b"" if author is None else r.blob()
     r.expect_done()
-    if not verifier.verify(author, raw[:signed_end], sig):
+    if author is not None and not verifier.verify(author, raw[:signed_end], sig):
         raise CodecError("bad envelope signature")
     return Decoded(_parse_body(tag, body, bodies), author, KIND_NAMES[tag], sig, body)
 

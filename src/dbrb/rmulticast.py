@@ -15,13 +15,11 @@ from .wake import RM_PENDING
 
 
 def _rm_key(decoded: Decoded) -> tuple[int, bytes, str]:
-    # Installs are author-agnostic (the converged quorum speaks for them);
-    # a state update is identified by its originator as well as its body.
+    # An install's frame names no author (the converged quorum speaks for
+    # it); a state update is identified by its signer as well as its body.
     # The received body is canonical (`decode` rejects any other), so equal
     # messages always have equal keys.
-    msg = decoded.msg
-    author = decoded.author if isinstance(msg, StateUpdate) else ""
-    return (msg.TAG, decoded.body, author)
+    return (decoded.msg.TAG, decoded.body, decoded.author or "")
 
 
 class RMulticastMixin:

@@ -32,9 +32,10 @@ class Bench:
     def raw(self, author, msg):
         return encode(msg, self.keyring.signer_for(author))
 
-    def deliver(self, to, author, msg):
-        """Encode msg as author and step the target node."""
-        return self.nodes[to].step(Receive(author, self.raw(author, msg),
+    def deliver(self, to, author, msg, via=None):
+        """Encode msg as author and step the target node with it, sent over
+        the link from `via` (author by default)."""
+        return self.nodes[to].step(Receive(via or author, self.raw(author, msg),
                                            message_meta(msg)))
 
 

@@ -213,20 +213,39 @@ def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
     assert len(node._decoded) == 2 and len(node._bodies) == 1
 
 
-def test_emit_propose_signs_once_per_fan_out():
-    bench, _ = fresh_pair()
-    node = bench.nodes["p1"]
-    v0 = bench.initial_view
-    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), v0)), {"msg": "RECONFIG"}))
+def spy_signs(node):
     signed = []
     real = node.signer.sign
     node.signer.sign = lambda payload: signed.append(payload) or real(payload)
     node._outputs = []
+    return signed
+
+
+def test_emit_propose_is_encoded_once_and_unsigned():
+    # PROPOSE is a link-only kind: one unsigned frame serves the whole fan-out
+    bench, _ = fresh_pair()
+    node = bench.nodes["p1"]
+    v0 = bench.initial_view
+    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), v0)), {"msg": "RECONFIG"}))
+    signed = spy_signs(node)
     node._emit_propose(v0)
     proposes = sends_of(node._outputs, "PROPOSE")
     assert [s.to for s in proposes] == list(v0.members)
-    assert len(signed) == 1
+    assert signed == []
     assert {s.raw for s in proposes} == {proposes[0].raw}
+
+
+def test_state_update_multicast_signs_once_per_fan_out():
+    bench, _ = fresh_pair()
+    node = bench.nodes["p1"]
+    v0 = bench.initial_view
+    v1 = View(v0.changes | {plus("p5")})
+    signed = spy_signs(node)
+    node._r_multicast(StateUpdate(tuple(sorted(v1.member_set)), v0, v1, StateRecord(), ()))
+    updates = sends_of(node._outputs, "STATE-UPDATE")
+    assert [s.to for s in updates] == sorted(v1.member_set)
+    assert len(signed) == 1
+    assert {s.raw for s in updates} == {updates[0].raw}
 
 
 def test_adversary_signs_once_per_fan_out():

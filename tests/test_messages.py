@@ -17,6 +17,8 @@ from dbrb.messages import (
     TAG_PROPOSE,
     TAG_REC_CONFIRM,
     TAG_STATE_UPDATE,
+    SIGNED_TAGS,
+    WIRE_VERSION,
     Ack,
     CodecError,
     Commit,
@@ -74,7 +76,7 @@ def enc(field_type, value):
 def roundtrip(msg, author="p1"):
     raw = encode(msg, KEYRING.signer_for(author))
     decoded = decode(raw, VERIFIER)
-    assert decoded.author == author
+    assert decoded.author == (author if msg.TAG in SIGNED_TAGS else None)
     assert decoded.msg == msg
     return decoded
 
@@ -247,9 +249,28 @@ def test_strategies_cover_the_schema():
 
 
 def frame(tag, body, author="p1"):
-    """Sign and frame a hand-written body, as `encode` does a canonical one."""
+    """Frame a hand-written body as `encode` does a canonical one: signed by
+    author if its kind is signed, and with neither author nor signature if not."""
+    if tag not in SIGNED_TAGS:
+        return struct.pack(">BBI", WIRE_VERSION, tag, len(body)) + body
     content = _signed_content(tag, body, author)
     return content + blob(KEYRING.sign(author, content))
+
+
+def test_link_only_frame_with_author_and_signature_rejected():
+    # only a signed kind's frame carries the author and signature after the body
+    for msg in (Propose(SEQ, V0), Deliver(b"m", V0), HistoryRequest()):
+        assert msg.TAG not in SIGNED_TAGS
+        content = _signed_content(msg.TAG, body_bytes(msg), "p1")
+        with pytest.raises(CodecError, match="trailing bytes"):
+            decode(content + blob(KEYRING.sign("p1", content)), VERIFIER)
+
+
+def test_signed_frame_without_author_and_signature_rejected():
+    for msg in (Reconfig(plus("p5"), V0), Converged(SEQ, V0), Prepare(b"m", V0)):
+        body = body_bytes(msg)
+        with pytest.raises(CodecError, match="truncated message"):
+            decode(struct.pack(">BBI", WIRE_VERSION, msg.TAG, len(body)) + body, VERIFIER)
 
 
 @given(messages, pids)
@@ -505,12 +526,16 @@ def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch):
 @given(messages, pids)
 @settings(max_examples=100, deadline=None)
 def test_decode_verifies_the_content_the_author_signed(msg, author):
+    # exactly one check for a signed kind, and none for a link-only kind
     verifier = KEYRING.verifier()
     seen = []
     real = verifier.verify
     verifier.verify = lambda pid, payload, sig: seen.append((pid, payload)) or real(pid, payload, sig)
     decoded = decode(encode(msg, KEYRING.signer_for(author)), verifier)
-    assert seen == [(author, _signed_content(msg.TAG, decoded.body, author))]
+    if msg.TAG in SIGNED_TAGS:
+        assert seen == [(author, _signed_content(msg.TAG, decoded.body, author))]
+    else:
+        assert seen == [] and decoded.signature == b""
 
 
 def test_failed_derivations_are_never_kept():

@@ -4,7 +4,10 @@ Each digest is the sha256 of `simnet.run(scenario, seed).to_jsonl()`.  A
 change that only makes the code faster or smaller must leave every digest
 as it is; a change that alters behaviour or the trace schema on purpose
 updates them and says why.  "default" runs the scenario's own scheme.
-The digests below are of trace schema 2.
+The digests below are of trace schema 2 and wire version 2, under which
+a replayed link-only frame counts as the replayer's own message; that
+moved the `equivocating_n7` seed-42 runs, whose `replay_stale_view`
+role replays such frames.
 """
 
 import dataclasses
@@ -29,7 +32,7 @@ PINNED = {
     ("churn_burst", "default", 2001): "b09ca4b2f2121652cced7c21988108422b3ac16ac01ebe09edad614ff7081605",
     ("equivocating_n7", "default", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
     ("equivocating_n7", "default", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
-    ("equivocating_n7", "default", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",
+    ("equivocating_n7", "default", 42): "10d194ca1001114233952bfa3ea4aaaf5b9e61209f4e5245fbdc8006bc2e3b1e",
     ("equivocating_sender", "default", 0): "84ef67978e4e839ebbd80d26e59a9b0d099419da2ba982987844ecd5a1cff230",
     ("equivocating_sender", "default", 7): "08f60fce5bfa9f37cf4c8f560a70110c3c5169a63d7e1ec0f6a67d8500ce2b13",
     ("equivocating_sender", "default", 42): "e3d2977c5d9764f9e31569b9c7cb86cfcb42955b2bb5b7f9b8aeda693f164a45",
@@ -50,7 +53,7 @@ PINNED = {
     ("static4", "default", 42): "cbc99101f94d0e51feb13a5211196002322b47ec748b5bb80d4e738c375c9ad9",
     ("equivocating_n7", "ed25519", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
     ("equivocating_n7", "ed25519", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
-    ("equivocating_n7", "ed25519", 42): "1b50ace05000b85e76fa5aacc547402ab8e3031046d6e5fba5905acc9535c81c",
+    ("equivocating_n7", "ed25519", 42): "10d194ca1001114233952bfa3ea4aaaf5b9e61209f4e5245fbdc8006bc2e3b1e",
     ("static4", "ed25519", 0): "2e8422d4d61f122e4c8d86e0a452b7364a517078035002976b1801767a68c7b2",
     ("static4", "ed25519", 7): "99be7833124cebc6ba20da6f7e0aec7c08ead8c25b314ceba9eda2a85d202956",
     ("static4", "ed25519", 42): "cbc99101f94d0e51feb13a5211196002322b47ec748b5bb80d4e738c375c9ad9",

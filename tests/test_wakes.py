@@ -32,7 +32,7 @@ from dbrb.messages import (
     signed_content,
 )
 from dbrb.views import View, minus, plus
-from dbrb.wake import MAYBE_PROPOSE
+from dbrb.wake import MAYBE_PROPOSE, PROPOSE_QUORUM
 
 
 def make_bench():
@@ -186,4 +186,46 @@ def test_installing_cv_wakes_maybe_propose():
     installed = lambda n: n.cv == V1 and V1 in n.installed
     assert wakes_after(bench, "p2", "p4", state_update(V0, V1), installed) & MAYBE_PROPOSE
     assert V1 in node.installed
+    assert_idle(node)
+
+
+def test_set_seq_wakes_the_proposal_quorum():
+    # `_maybe_propose` runs after `_propose_quorum_scan`, and nothing else in
+    # the step wakes the quorum scan: the new SEQ[V0] must wake it itself
+    bench = make_bench()
+    node = bench.nodes["p2"]
+    proposed = lambda n: V0 in n.seqs
+    assert wakes_after(bench, "p2", "p5", Reconfig(plus("p5"), V0), proposed) & PROPOSE_QUORUM
+    assert node.seqs[V0] == frozenset({V1})
+    assert_idle(node)
+
+
+def test_install_proofs_unlock_a_waiting_converged_quorum():
+    # a CONVERGED quorum on {V1} waits for p5's reconfig proof; the install
+    # pools it (with FORMAT[V1]), and its wake lets the quorum be acted on
+    bench = make_bench()
+    node = bench.nodes["p2"]
+    for author in ("p1", "p3", "p4"):
+        bench.deliver("p2", author, Converged(frozenset({V1}), V0))
+    assert plus("p5") not in node.pool and not node.install_sent
+    received = install(bench, V1, frozenset({V1}), V0)
+    actions = bench.deliver("p2", "p1", received)
+    assert node.install_sent == {(V0, frozenset({V1}))}
+    assert node.formats[V1] == {frozenset()}
+    # the relayed install, then this node's own from the votes it holds
+    own = {decode(s.raw, bench.verifier).msg for s in sends_of(actions, "INSTALL")} - {received}
+    assert [[q for q, _ in m.converged_sigs] for m in own] == [["p1", "p3", "p4"]]
+    assert_idle(node)
+
+
+def test_install_after_its_state_updates_completes_in_the_same_step():
+    # a quorum of state updates for V0 -> V1 arrives first; the install that
+    # follows parks a pending install, whose wake completes it at once
+    bench = make_bench()
+    node = bench.nodes["p2"]
+    for author in ("p1", "p3", "p4"):
+        bench.deliver("p2", author, state_update(V0, V1))
+    assert node.cv == V0 and set(node.state_updates[V0]) == {"p1", "p3", "p4"}
+    bench.deliver("p2", "p1", install(bench, V1, frozenset({V1}), V0))
+    assert node.cv == V1 and V1 in node.installed and node.pending_installs == []
     assert_idle(node)

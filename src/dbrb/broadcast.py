@@ -25,7 +25,6 @@ from .messages import (
     StoredEvidence,
 )
 from .views import short_digest
-from .wake import CAN_LEAVE, CERT, DELIVER, LEAVE, PENDING_COMMIT, PENDING_STORE
 
 
 class BroadcastMixin:
@@ -45,7 +44,7 @@ class BroadcastMixin:
         if self.bpayload is not None:
             raise ContractError("single broadcast instance per run")
         self.bpayload = payload
-        self._wake(LEAVE)
+        self._wrote("bpayload")
         if self.cv in self.installed:
             self._disseminate(Prepare(payload, self.cv))
 
@@ -69,6 +68,7 @@ class BroadcastMixin:
             if self.state_record.ack is None:
                 self.state_record = replace(
                     self.state_record, ack=PrepareEvidence(msg.payload, msg.view, signature))
+                self._wrote("state_record")
             digest = hashlib.sha256(msg.payload).digest()
             sig = self.signer.sign(ack_payload(digest, self.cv))
             self._send(author, Ack(msg.payload, sig, self.cv))
@@ -88,7 +88,7 @@ class BroadcastMixin:
             return
         self.ack_sigs[(author, v)] = msg.signature
         self.ack_counts.setdefault((v, msg.payload), set()).add(author)
-        self._wake(CERT)
+        self._wrote("ack_sigs", "ack_counts")
 
     def _cert_scan(self) -> None:
         if self.cer is not None or self.pid != self.sender_id:
@@ -105,20 +105,29 @@ class BroadcastMixin:
                 self._disseminate(Commit(payload, self.cer, v, self.cv))
             return
 
+    def _commit_ready(self, msg: Commit) -> bool:
+        """The COMMIT can be checked now: it is for this node's installed,
+        unsuspended view, and its certificate's view is valid."""
+        return msg.view == self.cv and not self.suspended and self._is_valid_view(msg.v_cer)
+
+    def _commit_may_wait(self, msg: Commit) -> bool:
+        """The COMMIT may become ready: it is for this node's view or a newer
+        one, and the node has not left.  A peer that installs a view first
+        commits in it while this node is still suspended, and re-sends only
+        on its next install, so such a COMMIT is parked, not dropped."""
+        return self.phase < Phase.LEAVER_LOOP and (
+            msg.view == self.cv or self.cv.changes < msg.view.changes)
+
     def _handle_commit(self, author: str, msg: Commit) -> None:
-        if self.suspended:
-            self._note("Drop", msg_kind="COMMIT", detail="processing suspended")
-            return
-        if msg.view != self.cv:
+        if self._commit_ready(msg):
+            self._commit_checked(author, msg)
+        elif not self._commit_may_wait(msg):
+            left = self.phase >= Phase.LEAVER_LOOP
             self._note("Drop", msg_kind="COMMIT", view=msg.view.short,
-                       detail=f"view mismatch cv={self.cv.short}")
-            return
-        if not self._is_valid_view(msg.v_cer):
-            if len(self.pending_commits) < 256:
-                self.pending_commits.append((author, msg))
-                self._wake(PENDING_COMMIT)
-            return
-        self._commit_checked(author, msg)
+                       detail="left the view" if left else f"view mismatch cv={self.cv.short}")
+        elif len(self.pending_commits) < 256:
+            self.pending_commits.append((author, msg))
+            self._wrote("pending_commits")
 
     def _commit_checked(self, author: str, msg: Commit) -> None:
         if not verify_certificate(msg.cert, msg.v_cer, msg.payload, self.verifier):
@@ -137,12 +146,11 @@ class BroadcastMixin:
             return
         still = []
         for author, msg in self.pending_commits:
-            if msg.view != self.cv:
-                continue  # guard no longer holds; drop quietly
-            if self._is_valid_view(msg.v_cer):
+            if self._commit_ready(msg):
                 self._commit_checked(author, msg)
-            else:
+            elif self._commit_may_wait(msg):
                 still.append((author, msg))
+            # else: overtaken by a newer view, or the node left; drop quietly
         self.pending_commits = still
 
     def _handle_deliver(self, author: str, msg: Deliver) -> None:
@@ -151,7 +159,7 @@ class BroadcastMixin:
             return
         self.delivers.add((author, v))
         self.deliver_counts.setdefault((v, msg.payload), set()).add(author)
-        self._wake(DELIVER)
+        self._wrote("deliver_counts")
 
     def _deliver_scan(self) -> None:
         if self.delivered:
@@ -160,7 +168,7 @@ class BroadcastMixin:
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
                 continue
             self.delivered = True
-            self._wake(CAN_LEAVE)
+            self._wrote("delivered")
             self._callback("Delivered", payload)
             return
 
@@ -185,6 +193,7 @@ class BroadcastMixin:
             self.state_record = replace(
                 self.state_record, ack=None,
                 conflicting=self.state_record.conflicting or conflict_pairs[0])
+        self._wrote("state_record")
         if self.state_record.stored is None:
             for rec in records:
                 if rec.stored is None:
@@ -194,12 +203,12 @@ class BroadcastMixin:
                     break
                 if len(self.pending_store) < 256:
                     self.pending_store.append(rec.stored)
-                    self._wake(PENDING_STORE)
+                    self._wrote("pending_store")
 
     def _adopt_stored(self, evidence: StoredEvidence) -> None:
         """Store the first committed message; callers check none is stored."""
         self.state_record = replace(self.state_record, stored=evidence)
-        self._wake(PENDING_STORE)
+        self._wrote("state_record")
 
     def _pending_store_scan(self) -> None:
         if not self.pending_store:

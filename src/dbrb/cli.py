@@ -16,6 +16,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+_STATUSES = (checker.PASS, checker.FAIL, checker.INCONCLUSIVE)
+
 
 def _resolve_scenario(arg: str) -> Path:
     p = Path(arg)
@@ -102,28 +104,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         results = [_sweep_one(j) for j in jobs]
     results.sort()
-    counts: dict[str, dict[str, int]] = {p: {"Pass": 0, "Fail": 0, "Inconclusive": 0}
-                                         for p in checker.PROPERTIES}
-    failing_seeds, inconclusive_seeds = set(), set()
+    seeds_of = {(p, st): [] for p in checker.PROPERTIES for st in _STATUSES}
     for seed, verdicts in results:
         for prop, status in verdicts:
-            counts[prop][status] += 1
-            if status == checker.FAIL:
-                failing_seeds.add(seed)
-            elif status == checker.INCONCLUSIVE:
-                inconclusive_seeds.add(seed)
+            seeds_of[prop, status].append(seed)
     print(f"scenario={scenario.name} seeds={seeds[0]}..{seeds[-1]} "
           f"regime: {scenario.regime()}")
     width = max(len(p) for p in checker.PROPERTIES)
     print(f"{'property':<{width}}  {'Pass':>6} {'Fail':>6} {'Inconcl':>8}")
     for prop in checker.PROPERTIES:
-        c = counts[prop]
-        print(f"{prop:<{width}}  {c['Pass']:>6} {c['Fail']:>6} {c['Inconclusive']:>8}")
-    if failing_seeds:
-        print(f"failing seeds: {sorted(failing_seeds)}")
+        n = [len(seeds_of[prop, st]) for st in _STATUSES]
+        print(f"{prop:<{width}}  {n[0]:>6} {n[1]:>6} {n[2]:>8}")
+    for prop in checker.PROPERTIES:
+        bad = [f"{st} {seeds_of[prop, st]}" for st in _STATUSES[1:] if seeds_of[prop, st]]
+        if bad:
+            print(f"{prop}: {'  '.join(bad)}")
+    failing = sorted({s for p in checker.PROPERTIES for s in seeds_of[p, checker.FAIL]})
+    inconclusive = sorted({s for p in checker.PROPERTIES
+                           for s in seeds_of[p, checker.INCONCLUSIVE]})
+    if failing:
+        print(f"failing seeds: {failing}")
         return EXIT_FAIL
-    if inconclusive_seeds:
-        print(f"inconclusive seeds: {sorted(inconclusive_seeds)}")
+    if inconclusive:
+        print(f"inconclusive seeds: {inconclusive}")
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -21,7 +21,6 @@ from .messages import (
 )
 from .membership import Phase, added_changes
 from .views import View, comparable, is_sequence, least_recent, seq_sort_key
-from .wake import TRUSTED_AUX, TRUSTED_HIST
 
 
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
@@ -112,14 +111,14 @@ class DiscoveryMixin:
                 self._note("Flag", detail=f"diverging verified histories: "
                                           f"{existing.short} vs {view.short}")
         self.trusted_hist[view] = history
-        self._wake(TRUSTED_HIST)
+        self._wrote("trusted_hist")
 
     def _trust_aux(self, install: Install) -> None:
         """Accept the views of a proved install's sequence as auxiliary."""
         for aux in install.seq:
             if aux not in self.trusted_aux and aux not in self.trusted_hist:
                 self.trusted_aux.add(aux)
-                self._wake(TRUSTED_AUX)
+                self._wrote("trusted_aux")
 
     def _trust_views(self, history: ViewHistory) -> None:
         """Record every prefix of a verified history."""

@@ -3,9 +3,10 @@
 The engine performs no IO, reads no clock, and draws no randomness, so a
 given (state, event) pair always yields the same successor state and
 action list.  Quorum waits from the pseudo-blocking protocol description
-live in buffers, each re-checked by one scan method.  A handler that
-writes state a scan reads wakes that scan (`_wake`), and `step` runs only
-the woken scans (`_repoll`) before it returns.
+live in buffers, each re-checked by one scan method.  `SCANS` declares
+the fields each scan reads; a write names the field it wrote (`_wrote`),
+which wakes that field's readers, and `step` runs only the woken scans
+(`_repoll`) before it returns.
 """
 
 from __future__ import annotations
@@ -41,24 +42,6 @@ from .messages import (
 )
 from .rmulticast import RMulticastMixin
 from .views import ProcessId, View
-from .wake import (
-    ALL,
-    CERT,
-    CONFIRM,
-    CONVERGED_QUORUM,
-    DELIVER,
-    GOSSIP,
-    JOIN,
-    LEAVE,
-    LEAVER_LOOP,
-    MAYBE_PROPOSE,
-    PENDING_COMMIT,
-    PENDING_INSTALL,
-    PENDING_STORE,
-    PROPOSE_BUFFER,
-    PROPOSE_QUORUM,
-    RM_PENDING,
-)
 
 
 class HaltedError(RuntimeError):
@@ -135,24 +118,36 @@ OutputAction = Send | Flood | Callback | Halt | Note
 # Tested on every step and send, where a global is cheaper than `Phase.HALTED`.
 _DORMANT, _HALTED = Phase.DORMANT, Phase.HALTED
 
-# The scans `_repoll` runs, in the order it runs them, each with its wake bit.
-_SCANS = (
-    (RM_PENDING, "_rm_pending_scan"),
-    (PENDING_COMMIT, "_pending_commit_scan"),
-    (PENDING_STORE, "_pending_store_scan"),
-    (PROPOSE_BUFFER, "_propose_buffer_scan"),
-    (PROPOSE_QUORUM, "_propose_quorum_scan"),
-    (CONVERGED_QUORUM, "_converged_quorum_scan"),
-    (PENDING_INSTALL, "_pending_install_scan"),
-    (MAYBE_PROPOSE, "_maybe_propose"),
-    (CERT, "_cert_scan"),
-    (DELIVER, "_deliver_scan"),
-    (CONFIRM, "_confirm_scan"),
-    (JOIN, "_join_kick"),
-    (LEAVE, "_leave_kick"),
-    (LEAVER_LOOP, "_leaver_loop_kick"),
-    (GOSSIP, "_gossip_kick"),
+# The scans `_repoll` runs, in the order it runs them, each with the `Node`
+# fields its wait reads, itself or through query helpers (methods that
+# write no field and emit nothing, such as `_is_valid_view`); what the
+# actions it takes read is not listed.  A scan's wake bit is its position
+# here.  `tests/test_wakes.py` checks the declarations against the source.
+SCANS = (
+    ("_rm_pending_scan", ("rm_pending", "trusted_hist")),
+    ("_pending_commit_scan", ("pending_commits", "cv", "suspended", "phase",
+                              "trusted_hist", "trusted_aux")),
+    ("_pending_store_scan", ("pending_store", "state_record", "cv", "installed", "delivered",
+                             "trusted_hist", "trusted_aux")),
+    ("_propose_buffer_scan", ("propose_buffer", "formats", "cv", "seqs", "installed", "lcseqs")),
+    ("_propose_quorum_scan", ("propose_votes", "seqs", "converged_sent")),
+    ("_converged_quorum_scan", ("converged_votes", "install_sent", "pool")),
+    ("_pending_install_scan", ("pending_installs", "cv", "state_updates", "phase")),
+    ("_maybe_propose", ("recv", "cv", "installed", "seqs")),
+    ("_cert_scan", ("cer", "ack_counts", "ack_sigs", "cv", "installed",
+                    "trusted_hist", "trusted_aux")),
+    ("_deliver_scan", ("delivered", "deliver_counts", "trusted_hist", "trusted_aux")),
+    ("_confirm_scan", ("phase", "rec_confirms")),
+    ("_join_kick", ("phase", "got_history", "last_reconfig_target", "trusted_hist")),
+    ("_leave_kick", ("phase", "bpayload", "delivered", "cv")),
+    ("_leaver_loop_kick", ("phase", "delivered", "cv", "trusted_hist")),
+    ("_gossip_kick", ("phase", "last_gossiped", "trusted_hist")),
 )
+_SCAN_BITS = tuple((1 << i, name) for i, (name, _) in enumerate(SCANS))
+_ALL = (1 << len(SCANS)) - 1
+# field -> the bits of the scans that read it
+_READERS = {f: sum(1 << i for i, (_, reads) in enumerate(SCANS) if f in reads)
+            for _, reads in SCANS for f in reads}
 
 
 class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
@@ -210,15 +205,16 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
 
         self._outputs: list[OutputAction] = []
         # one bit per scan that may have been unblocked since it last ran
-        self._dirty = ALL
+        self._dirty = _ALL
         # raw -> Decoded for every message that decoded, and (tag, body) ->
         # message for every body that parsed; neither is protocol state
         self._decoded: dict[bytes, Decoded] = {}
         self._bodies: dict[tuple[int, bytes], Message] = {}
 
-    def _wake(self, bits: int) -> None:
-        """Mark the scans that read state this handler just wrote."""
-        self._dirty |= bits
+    def _wrote(self, *fields: str) -> None:
+        """Wake the scans that read the fields just written."""
+        for f in fields:
+            self._dirty |= _READERS[f]
 
     # -- emit helpers -----------------------------------------------------------
 
@@ -318,13 +314,13 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._handle_history_request(author)
         elif isinstance(msg, HistoryGossip):
             self.got_history = True
-            self._wake(JOIN)
+            self._wrote("got_history")
             self._handle_history(msg)
         else:  # pragma: no cover
             self._note("Drop", detail="unroutable message kind")
 
     def _repoll(self) -> None:
-        """Run the woken scans, in `_SCANS` order, until none is woken.
+        """Run the woken scans, in `SCANS` order, until none is woken.
 
         Each round walks the scans once and runs those whose bit is set,
         clearing the bit just before the call; a scan woken by a later one
@@ -343,9 +339,14 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         again (`converged_sent`, `install_sent`, `rm_received`), or a growth
         of `cv` or of the trust store (`_maybe_propose` and the kicks), which
         grow only through the finitely many views the step brings.
+
+        A write wakes every scan that declares its field, whether or not it
+        gave that scan work.  A woken scan with nothing to do changes no
+        field another scan reads and emits nothing, so extra wakes cost a
+        call each but change neither the trace nor termination.
         """
         while self._dirty:
-            for bit, name in _SCANS:
+            for bit, name in _SCAN_BITS:
                 if self._dirty & bit:
                     self._dirty &= ~bit
                     getattr(self, name)()

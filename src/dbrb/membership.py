@@ -4,7 +4,8 @@ All handlers are pure against the owning node's state: guards that the
 pseudo-blocking pseudocode expresses as waits (state-update quorums,
 proposal echoes arriving before the install that unlocks them) live in
 explicit buffers, each re-checked by a scan.  Every write to state a scan
-reads wakes that scan (`wake.py`), and the engine runs only woken scans.
+reads names the field it wrote (`_wrote`), which wakes the scans that the
+engine's `SCANS` table declares as its readers.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ from .views import (
     minus,
     most_recent,
     plus,
-)
-from .wake import (
-    CONFIRM,
-    CONVERGED_QUORUM,
-    CV,
-    MAYBE_PROPOSE,
-    PENDING_INSTALL,
-    PHASE,
-    PROPOSE_BUFFER,
-    PROPOSE_QUORUM,
 )
 
 
@@ -101,7 +92,7 @@ class MembershipMixin:
     def _set_phase(self, phase: Phase) -> None:
         """The one way `phase` changes, so every scan that reads it re-runs."""
         self.phase = phase
-        self._wake(PHASE)
+        self._wrote("phase")
 
     def _invoke_join(self) -> None:
         if self.phase is not Phase.DORMANT:
@@ -116,6 +107,7 @@ class MembershipMixin:
             raise ContractError("leave already invoked")
         self._set_phase(Phase.LEAVING)
         self.rec_confirms.clear()
+        self._wrote("rec_confirms")
 
     def _send_reconfig(self, change: Change, target: View) -> None:
         self._send_all(target.members, Reconfig(change, target))
@@ -166,13 +158,13 @@ class MembershipMixin:
         self.pool.setdefault(change, proof)
         if change not in self.recv:
             self.recv[change] = proof
-        self._wake(CONVERGED_QUORUM | MAYBE_PROPOSE)
+        self._wrote("pool", "recv")
         self._send(author, RecConfirm(self.cv))
 
     def _handle_rec_confirm(self, author: str, msg: RecConfirm) -> None:
         if author in msg.view.member_set:
             self.rec_confirms.setdefault(msg.view, set()).add(author)
-            self._wake(CONFIRM)
+            self._wrote("rec_confirms")
 
     def _confirm_scan(self) -> None:
         if self.phase in (Phase.JOINING, Phase.LEAVE_SENT) and any(
@@ -201,9 +193,9 @@ class MembershipMixin:
         return tuple(self.pool[c] for c in needed)
 
     def _set_seq(self, v: View, seq: frozenset[View]) -> None:
-        """The one way seqs[v] changes, so the proposal quorum is re-checked."""
+        """The one way seqs[v] changes, so every scan that reads it re-runs."""
         self.seqs[v] = seq
-        self._wake(PROPOSE_QUORUM)
+        self._wrote("seqs")
 
     def _emit_propose(self, v: View) -> None:
         seq = self.seqs[v]
@@ -233,10 +225,10 @@ class MembershipMixin:
                            detail=f"missing reconfig proof for {change.token}")
                 return
             self.pool[change] = proof
-            self._wake(CONVERGED_QUORUM)
+            self._wrote("pool")
         self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(msg.seq)
         self.propose_buffer.append(BufferedPropose(msg.seq, v))
-        self._wake(PROPOSE_QUORUM | PROPOSE_BUFFER)
+        self._wrote("propose_votes", "propose_buffer")
 
     def _accepts(self, seq: frozenset[View], v: View) -> bool:
         entries = self.formats.get(v)
@@ -282,6 +274,7 @@ class MembershipMixin:
             backers = [q for q in votes if q in v.member_set and seq in votes[q]]
             if len(backers) >= v.quorum_size:
                 self.lcseqs[v] = seq
+                self._wrote("lcseqs")
                 self.converged_sent.add((v, seq))
                 self._send_all(v.members, Converged(seq, v))
 
@@ -293,7 +286,7 @@ class MembershipMixin:
             self._note("Drop", msg_kind="CONVERGED", detail="sender not a member")
             return
         self.converged_votes.setdefault((v, msg.seq), {}).setdefault(author, signature)
-        self._wake(CONVERGED_QUORUM)
+        self._wrote("converged_votes")
 
     def _converged_quorum_scan(self) -> None:
         for (v, seq), votes in self.converged_votes.items():
@@ -344,10 +337,11 @@ class MembershipMixin:
         for proof in msg.proofs:  # verified with the install proof
             self.pool.setdefault(proof.change, proof)
         self.formats.setdefault(omega, set()).add(seq - {omega})
-        self._wake(CONVERGED_QUORUM | PROPOSE_BUFFER)
+        self._wrote("pool", "formats")
         if self.pid in v.member_set:
             if self.cv.changes < omega.changes and not self.suspended:
                 self.suspended = True
+                self._wrote("suspended")
                 self._note("StateNote", detail="suspend")
             self._r_multicast(StateUpdate(
                 psi=tuple(sorted(v.member_set | omega.member_set)),
@@ -360,7 +354,7 @@ class MembershipMixin:
             pending = PendingInstall(omega, seq, v)
             if pending not in self.pending_installs:
                 self.pending_installs.append(pending)
-                self._wake(PENDING_INSTALL)
+                self._wrote("pending_installs")
 
     def _record_state_update(self, author: str, msg: StateUpdate) -> None:
         per_view = self.state_updates.setdefault(msg.view, {})
@@ -372,7 +366,7 @@ class MembershipMixin:
         for proof in msg.recv:
             self.pool.setdefault(proof.change, proof)
         per_view[author] = msg
-        self._wake(CONVERGED_QUORUM | PENDING_INSTALL)
+        self._wrote("pool", "state_updates")
 
     def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
         """ev is a prepare the sender signed in a view no later than v."""
@@ -428,11 +422,11 @@ class MembershipMixin:
         for change in sorted(requests, key=change_order):
             if change not in omega.changes and change not in self.recv:
                 self.recv[change] = requests[change]
-                self._wake(MAYBE_PROPOSE)
+                self._wrote("recv")
         self._state_transfer([upd.record for upd in updates])
         if self.pid in omega.member_set:
             self.cv = omega
-            self._wake(CV)
+            self._wrote("cv")
             self._note("StateNote", view=omega.short, detail="cv", views={"cv": omega})
             if self.phase < Phase.MEMBER:
                 self._set_phase(Phase.MEMBER)
@@ -444,9 +438,10 @@ class MembershipMixin:
                     self._emit_propose(self.cv)
             else:
                 self.installed.add(self.cv)
-                self._wake(MAYBE_PROPOSE)
+                self._wrote("installed")
                 if self.suspended:
                     self.suspended = False
+                    self._wrote("suspended")
                     self._note("StateNote", detail="resume")
                 self._note("Install", view=self.cv.short, views={"cv": self.cv})
                 self._new_view()
@@ -472,7 +467,7 @@ class MembershipMixin:
         best = self._best_view()
         if len(best.changes) > len(self.cv.changes):
             self.cv = best
-            self._wake(CV)
+            self._wrote("cv")
         self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
 
     def _leaver_loop_kick(self) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .messages import Decoded, Install, StateUpdate, message_meta
 from .discovery import verify_install_proof
-from .wake import RM_PENDING
 
 
 def _rm_key(decoded: Decoded) -> tuple[int, bytes, str]:
@@ -42,7 +41,7 @@ class RMulticastMixin:
                 # Replaced view unknown yet; park until a history arrives.
                 if all(k != key for k, _, _ in self.rm_pending):
                     self.rm_pending.append((key, msg, raw))
-                    self._wake(RM_PENDING)
+                    self._wrote("rm_pending")
                 return
         elif isinstance(msg, StateUpdate):
             if decoded.author not in msg.view.member_set:
@@ -70,9 +69,9 @@ class RMulticastMixin:
         No parked copy is of a message already received, so neither this
         scan nor `_rm_deliver` looks for one.  A copy is parked only while
         its replaced view is untrusted, and no install of an untrusted view
-        is delivered.  The trust growth that admits the view wakes
-        `RM_PENDING` (through `TRUSTED_HIST`), so this scan delivers the
-        parked copy within that same step, before any other copy can reach
+        is delivered.  The trust growth that admits the view wakes this
+        scan, which reads `trusted_hist`, so it delivers the parked copy
+        within that same step, before any other copy can reach
         `_rm_receive`.
         """
         if not self.rm_pending:

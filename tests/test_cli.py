@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from dbrb import cli, simnet
+from dbrb import checker, cli, simnet
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
@@ -121,3 +121,21 @@ def test_sweep_of_truncated_runs_exits_three(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "inconclusive seeds: [0, 1, 2]" in printed
     assert "failing seeds" not in printed
+
+
+def test_sweep_reports_failing_seeds_per_property(monkeypatch, capsys):
+    def verdicts_of(packed):
+        _, seed = packed
+        verdicts = dict.fromkeys(checker.PROPERTIES, checker.PASS)
+        if seed == 1:
+            verdicts["Totality"] = checker.FAIL
+        if seed in (1, 2):
+            verdicts["Liveness"] = checker.INCONCLUSIVE
+        return seed, list(verdicts.items())
+
+    monkeypatch.setattr(cli, "_sweep_one", verdicts_of)
+    rc = cli.main(["sweep", "--scenario", str(SCENARIOS / "static4.json"), "--seeds", "0..3"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["Totality: Fail [1]", "Liveness: Inconclusive [1, 2]",
+                          "failing seeds: [1]"]

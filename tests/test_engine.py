@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import Bench, reconfig_proofs, sends_of, state_digest
 from dbrb import simnet
 from dbrb.adversary import make_adversary
-from dbrb.engine import _SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
+from dbrb.engine import SCANS, HaltedError, InvokeBroadcast, InvokeJoin, Node, Receive
 from dbrb.membership import Phase
 from dbrb.messages import (
     KIND_CODECS,
@@ -291,7 +291,7 @@ def test_no_scan_has_work_left_after_a_step(monkeypatch, name):
         steps.append(node.pid)
         assert node._dirty == 0
         before = state_digest(node)
-        for _, scan in _SCANS:
+        for scan, _ in SCANS:
             getattr(node, scan)()
             assert node._outputs == [], f"{scan} after {event!r}"
         assert state_digest(node) == before

@@ -2,7 +2,11 @@
 
 from pathlib import Path
 
+import pytest
+
 from dbrb import checker, simnet
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
 
 def run_all_pass(sc, seed):
@@ -13,11 +17,9 @@ def run_all_pass(sc, seed):
     return trace
 
 
-def test_leaver_removed_mid_broadcast_still_delivers():
-    # The leaver is cut from the view while the broadcast is in flight; it has
-    # stored the payload but lacks its deliver quorum, so it must keep
-    # re-committing from the outside until totality is secured.
-    sc = simnet.Scenario.from_dict({
+def leave_inflight(max_delay_steps=4) -> dict:
+    """p3 leaves a five-member view while p1's broadcast is in flight."""
+    return {
         "name": "leave-inflight",
         "universe": ["p1", "p2", "p3", "p4", "p5"],
         "initial_members": ["p1", "p2", "p3", "p4", "p5"],
@@ -28,9 +30,16 @@ def test_leaver_removed_mid_broadcast_still_delivers():
             {"trigger": {"at_step": 1},
              "action": {"kind": "leave", "process": "p3"}},
         ],
-        "network": {"max_delay_steps": 4},
+        "network": {"max_delay_steps": max_delay_steps},
         "limits": {"max_steps": 20000, "max_messages": 300000},
-    })
+    }
+
+
+def test_leaver_removed_mid_broadcast_still_delivers():
+    # The leaver is cut from the view while the broadcast is in flight; it has
+    # stored the payload but lacks its deliver quorum, so it must keep
+    # re-committing from the outside until totality is secured.
+    sc = simnet.Scenario.from_dict(leave_inflight())
     loop_hits = 0
     for seed in range(30):
         trace = run_all_pass(sc, seed)
@@ -41,6 +50,20 @@ def test_leaver_removed_mid_broadcast_still_delivers():
                for e in trace.events):
             loop_hits += 1
     assert loop_hits > 0, "the outside-commit loop was never taken"
+
+
+@pytest.mark.parametrize("delay,seed", [(4, 264), (4, 690), (8, 42)])
+def test_commit_from_a_peer_that_installed_first_is_parked(delay, seed):
+    # A peer that installs the next view first sends its COMMIT in it while
+    # this node is still suspended; dropping it lost the peer's deliver
+    # quorum (Validity and Totality at seed 264, the leave at seed 690).
+    run_all_pass(simnet.Scenario.from_dict(leave_inflight(delay)), seed)
+
+
+def test_commit_from_the_joiner_is_parked_under_equivocation():
+    # The joiner p5 commits in the new view while p3 and p4 are suspended;
+    # dropping those COMMITs failed Totality.
+    run_all_pass(simnet.Scenario.load(SCENARIOS / "equivocating_sender.json"), 51)
 
 
 def test_simultaneous_joins_exercise_conflict_merge():
@@ -69,9 +92,7 @@ def test_simultaneous_joins_exercise_conflict_merge():
 
 
 def test_forged_certificates_never_store():
-    sc = simnet.Scenario.load(
-        Path(__file__).resolve().parent.parent
-        / "src" / "dbrb" / "scenarios" / "forged_certificate.json")
+    sc = simnet.Scenario.load(SCENARIOS / "forged_certificate.json")
     for seed in range(20):
         trace = run_all_pass(sc, seed)
         drops = [e for e in trace.events if e["kind"] == "Drop"

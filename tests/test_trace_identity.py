@@ -7,7 +7,10 @@ updates them and says why.  "default" runs the scenario's own scheme.
 The digests below are of trace schema 2 and wire version 2, under which
 a replayed link-only frame counts as the replayer's own message; that
 moved the `equivocating_n7` seed-42 runs, whose `replay_stale_view`
-role replays such frames.
+role replays such frames.  A COMMIT that reaches a suspended node, or one
+for a view newer than its own, is parked rather than dropped; that moved
+the `equivocating_sender` runs, in which COMMITs reach members that the
+join's install has suspended.
 """
 
 import dataclasses
@@ -33,9 +36,9 @@ PINNED = {
     ("equivocating_n7", "default", 0): "471ae672eb743efa5f0c5cabd1f30163ceb53e5756f00a7d0101171ff0069273",
     ("equivocating_n7", "default", 7): "878a07c137bc693a7786dc744247da47e86b2ba6dfd8233037b89f9d29dca05c",
     ("equivocating_n7", "default", 42): "10d194ca1001114233952bfa3ea4aaaf5b9e61209f4e5245fbdc8006bc2e3b1e",
-    ("equivocating_sender", "default", 0): "84ef67978e4e839ebbd80d26e59a9b0d099419da2ba982987844ecd5a1cff230",
-    ("equivocating_sender", "default", 7): "08f60fce5bfa9f37cf4c8f560a70110c3c5169a63d7e1ec0f6a67d8500ce2b13",
-    ("equivocating_sender", "default", 42): "e3d2977c5d9764f9e31569b9c7cb86cfcb42955b2bb5b7f9b8aeda693f164a45",
+    ("equivocating_sender", "default", 0): "ee5948a23583a3eb0a046e0f21cefd239837daf334c8ca1236b1ff435df6f665",
+    ("equivocating_sender", "default", 7): "290f4683bb2ffd0cdb31c77dfc42de81b2565d95fd0b5038dc02f5b1598b16e0",
+    ("equivocating_sender", "default", 42): "ccbcbb05944434983c8b0b26bd93e9598693ef7686af2d09092ef226fc3a3b40",
     ("forged_certificate", "default", 0): "e2f208d42944c964c35c6562dc1acb6d076b0dff8c88530e9853e62e5cd89646",
     ("forged_certificate", "default", 7): "1d72470bcd982b4c1aa8e012697e978494717194dd02b53cffb93e5ea9159785",
     ("forged_certificate", "default", 42): "4a21f3056dcbb5ef4a34e9b5c0842da329b4ddbe25f8e5a60c5ea7a22e8e1e20",

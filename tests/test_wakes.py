@@ -1,20 +1,27 @@
 """Wake coverage: each write below wakes the scans that read it.
 
 `Node._repoll` runs only woken scans, so a write that forgets its wake
-leaves a scan with work.  The packaged runs never need these particular
-wakes on their own, so each test reaches its write from real messages.
-Where the scan has work only this wake can start, the test checks that
-the work is done and that no scan has work left (`assert_idle`).  Where
-another write in the same call wakes the same scan first, the test checks
-that a wake covering the scan follows the write itself (`wakes_after`),
-so that neither write relies on the other's wake.
+leaves a scan with work.  The first part checks the declarations against
+the source: each scan's entry in `engine.SCANS` lists exactly the fields
+its wait reads, and every write to a field another scan reads is followed
+by a `_wrote` that names it.  The rest reaches single writes from real
+messages, because the packaged runs never need these particular wakes on
+their own.  Where the scan has work only this wake can start, the test
+checks that the work is done and that no scan has work left
+(`assert_idle`).  Where another write in the same call wakes the same scan
+first, the test checks that the write itself names its field
+(`wakes_after`), so that neither write relies on the other's wake.
 """
 
+import ast
+import functools
 import hashlib
+from dataclasses import dataclass, field
+from pathlib import Path
 
 from conftest import Bench, reconfig_proofs, sends_of, state_digest
 from dbrb.crypto import ack_payload, build_certificate
-from dbrb.engine import _SCANS
+from dbrb.engine import SCANS, Node
 from dbrb.membership import Phase
 from dbrb.messages import (
     TAG_INSTALL,
@@ -32,7 +39,168 @@ from dbrb.messages import (
     signed_content,
 )
 from dbrb.views import View, minus, plus
-from dbrb.wake import MAYBE_PROPOSE, PROPOSE_QUORUM
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "dbrb").glob("*.py"))
+NODE_CLASSES = {cls.__name__ for cls in Node.__mro__}
+# container methods that change their receiver; the last three also return
+# from it, so their receiver is read as well
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "remove", "update",
+            "pop", "popitem", "setdefault"}
+READING_MUTATORS = {"pop", "popitem", "setdefault"}
+
+
+def self_field(node) -> str | None:
+    """`x` for the expression `self.x`, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self"):
+        return node.attr
+    return None
+
+
+@dataclass
+class Method:
+    reads: set = field(default_factory=set)     # `self.x` loaded, other than to write x
+    writes: dict = field(default_factory=dict)  # field -> line of its last write
+    wrote: dict = field(default_factory=dict)   # field -> lines of `_wrote` calls naming it
+    calls: set = field(default_factory=set)     # `self.m(...)` names
+
+
+def analyse(fn) -> Method:
+    m = Method()
+    write_targets = set()  # ids of `self.x` nodes that are only written
+
+    def write(name, line):
+        m.writes[name] = max(m.writes.get(name, 0), line)
+
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and self_field(n):
+            write(n.attr, n.lineno)
+        elif isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) \
+                and self_field(n.value):
+            write(n.value.attr, n.lineno)
+            write_targets.add(id(n.value))
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            if self_field(n.func.value) and n.func.attr in MUTATORS:
+                write(n.func.value.attr, n.lineno)
+                if n.func.attr not in READING_MUTATORS:
+                    write_targets.add(id(n.func.value))
+            elif self_field(n.func) == "_wrote":
+                for arg in n.args:
+                    m.wrote.setdefault(arg.value, []).append(n.lineno)
+            elif self_field(n.func):
+                m.calls.add(n.func.attr)
+    m.reads = {n.attr for n in ast.walk(fn) if self_field(n) and isinstance(n.ctx, ast.Load)
+               and id(n) not in write_targets}
+    return m
+
+
+@functools.cache
+def module_methods(source: str) -> dict[str, Method]:
+    """The methods one module defines on `Node` or its mixins, by name."""
+    return {fn.name: analyse(fn)
+            for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and cls.name in NODE_CLASSES
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+
+
+def declaration_problems(sources: list[str], scans) -> list[str]:
+    """Where the scan table and the source disagree.
+
+    A scan reads a field when it loads `self.<field>` itself or in a query
+    helper it calls: a method that, directly or through the methods it
+    calls, writes no field (emitting writes `_outputs`).  Fields that only
+    `__init__` writes are constants and are not declared.  A write must be
+    named by the one `_wrote` of its method for that field, placed after
+    it in the source, unless no scan but the writing method reads it.
+    """
+    methods = {name: m for source in sources for name, m in module_methods(source).items()}
+    mutable = {f for name, m in methods.items() if name != "__init__" for f in m.writes}
+    actions = {name for name, m in methods.items() if m.writes}
+    while grown := {name for name, m in methods.items()
+                    if name not in actions and m.calls & actions}:
+        actions |= grown
+    problems = []
+    readers: dict[str, set[str]] = {}
+    for scan, declared in scans:
+        read, todo, seen = set(), [scan], {scan}
+        while todo:
+            m = methods[todo.pop()]
+            read |= m.reads & mutable
+            for helper in m.calls - actions - seen:
+                seen.add(helper)
+                todo.append(helper)
+        if set(declared) != read:
+            problems.append(f"{scan} declares {sorted(declared)} but reads {sorted(read)}")
+        for f in declared:
+            readers.setdefault(f, set()).add(scan)
+    for name, m in sorted(methods.items()):
+        if name == "__init__":
+            continue
+        for f, line in sorted(m.writes.items()):
+            needed = readers.get(f, set()) - {name}
+            lines = m.wrote.get(f, [])
+            if needed and not lines:
+                problems.append(f"{name} writes {f}, which {sorted(needed)} read, "
+                                f"and names it in no _wrote")
+            elif needed and max(lines) < line:
+                problems.append(f"{name} writes {f} after its _wrote")
+        for f, lines in sorted(m.wrote.items()):
+            if len(lines) > 1:
+                problems.append(f"{name} names {f} in {len(lines)} _wrote calls")
+            if f not in m.writes:
+                problems.append(f"{name} names {f} in a _wrote but does not write it")
+            elif not readers.get(f, set()) - {name}:
+                problems.append(f"{name} names {f}, which no other scan reads")
+    return problems
+
+
+def test_scan_table_matches_the_source():
+    assert declaration_problems([p.read_text() for p in SOURCES], SCANS) == []
+
+
+def wrote_calls(sources: list[str]):
+    """(module index, line) of every `self._wrote(...)` statement."""
+    for i, source in enumerate(sources):
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Expr) and isinstance(n.value, ast.Call) \
+                    and self_field(n.value.func) == "_wrote":
+                assert n.lineno == n.end_lineno
+                yield i, n.lineno
+
+
+def test_any_missing_wrote_is_found():
+    sources = [p.read_text() for p in SOURCES]
+    sites = list(wrote_calls(sources))
+    assert len(sites) >= 30
+    for i, line in sites:
+        lines = sources[i].splitlines()
+        text = lines[line - 1]
+        lines[line - 1] = text[:len(text) - len(text.lstrip())] + "pass"
+        mutated = sources[:i] + ["\n".join(lines)] + sources[i + 1:]
+        assert declaration_problems(mutated, SCANS), f"{SOURCES[i].name}:{line} {text.strip()}"
+
+
+def test_any_missing_declaration_is_found():
+    sources = [p.read_text() for p in SOURCES]
+    for k, (scan, declared) in enumerate(SCANS):
+        for f in declared:
+            dropped = (scan, tuple(d for d in declared if d != f))
+            assert declaration_problems(sources, SCANS[:k] + (dropped,) + SCANS[k + 1:]), \
+                f"{scan} without {f}"
+
+
+def test_needless_and_misplaced_wrote_are_reported():
+    source = ("class Node:\n"
+              "    def __init__(self):\n        self.a = self.b = 0\n\n"
+              "    def _scan(self):\n        self.b = self.a\n        self._wrote('b')\n\n"
+              "    def _late(self):\n        self._wrote('a')\n        self.a = 1\n\n"
+              "    def _twice(self):\n        self.a = 2\n        self._wrote('a')\n"
+              "        self._wrote('a')\n")
+    assert declaration_problems([source], (("_scan", ("a",)),)) == [
+        "_late writes a after its _wrote",
+        "_scan names b, which no other scan reads",
+        "_twice names a in 2 _wrote calls",
+    ]
 
 
 def make_bench():
@@ -43,30 +211,33 @@ def assert_idle(node):
     """No scan has work left: each emits nothing and changes nothing."""
     assert node._dirty == 0
     before = state_digest(node)
-    for _, scan in _SCANS:
+    for scan, _ in SCANS:
         getattr(node, scan)()
         assert node._outputs == [], scan
     assert state_digest(node) == before
 
 
+def reads(scan):
+    return dict(SCANS)[scan]
+
+
 def wakes_after(bench, to, author, msg, written):
-    """Deliver msg; the union of the wakes made once `written(node)` holds."""
+    """Deliver msg; the fields named in `_wrote` once `written(node)` holds."""
     node = bench.nodes[to]
-    bits = 0
-    real = node._wake
+    fields = set()
+    real = node._wrote
 
-    def spy(b):
-        nonlocal bits
+    def spy(*names):
         if written(node):
-            bits |= b
-        real(b)
+            fields.update(names)
+        real(*names)
 
-    node._wake = spy
+    node._wrote = spy
     try:
         bench.deliver(to, author, msg)
     finally:
-        del node._wake
-    return bits
+        del node._wrote
+    return fields
 
 
 def install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
@@ -184,7 +355,8 @@ def test_installing_cv_wakes_maybe_propose():
     for author in ("p1", "p3"):
         bench.deliver("p2", author, state_update(V0, V1))
     installed = lambda n: n.cv == V1 and V1 in n.installed
-    assert wakes_after(bench, "p2", "p4", state_update(V0, V1), installed) & MAYBE_PROPOSE
+    assert "installed" in wakes_after(bench, "p2", "p4", state_update(V0, V1), installed)
+    assert "installed" in reads("_maybe_propose")
     assert V1 in node.installed
     assert_idle(node)
 
@@ -195,7 +367,8 @@ def test_set_seq_wakes_the_proposal_quorum():
     bench = make_bench()
     node = bench.nodes["p2"]
     proposed = lambda n: V0 in n.seqs
-    assert wakes_after(bench, "p2", "p5", Reconfig(plus("p5"), V0), proposed) & PROPOSE_QUORUM
+    assert "seqs" in wakes_after(bench, "p2", "p5", Reconfig(plus("p5"), V0), proposed)
+    assert "seqs" in reads("_propose_quorum_scan")
     assert node.seqs[V0] == frozenset({V1})
     assert_idle(node)
 

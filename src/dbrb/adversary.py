@@ -12,7 +12,7 @@ import random
 from dataclasses import replace
 from typing import Optional
 
-from .crypto import Signer, Verifier, ack_payload, build_certificate
+from .crypto import MessageCertificate, Signer, Verifier, ack_payload, build_certificate
 from .engine import InvokeBroadcast, InvokeJoin, InvokeLeave, Receive, Send
 from .messages import (
     Ack,
@@ -53,8 +53,8 @@ class AdversaryBase:
             self._outputs.extend(Send(q, raw, meta) for q in targets)
 
     def _track_views(self, msg) -> None:
-        if isinstance(msg, Install):
-            for v in {msg.omega, msg.view} | set(msg.seq):
+        if isinstance(msg, Install):  # omega is in seq; unproved, it is not derived
+            for v in {msg.view} | msg.seq:
                 if v not in self.views:
                     self.views.append(v)
 
@@ -99,7 +99,7 @@ class EquivocatingSender(AdversaryBase):
         super().__init__(*args, **kwargs)
         self.payloads: list[bytes] = []
         self.ack_sigs: dict[tuple[bytes, View], dict[str, bytes]] = {}
-        self.certs: dict[bytes, tuple] = {}
+        self.certs: dict[bytes, MessageCertificate] = {}
 
     def _halves(self, view: View) -> tuple[list[str], list[str]]:
         members = list(view.members)
@@ -131,18 +131,17 @@ class EquivocatingSender(AdversaryBase):
             self._chase_certificates()
         elif isinstance(msg, Install) and self.payloads:
             self._spray_prepares(self.latest_view)
-            for payload, (cert, v_cer) in sorted(self.certs.items()):
+            for payload, cert in sorted(self.certs.items()):
                 self._send_all(self.latest_view.members,
-                               Commit(payload, cert, v_cer, self.latest_view))
+                               Commit(payload, cert, self.latest_view))
 
     def _chase_certificates(self) -> None:
         for (payload, view), sigs in self.ack_sigs.items():
             if payload in self.certs or len(sigs) < view.quorum_size:
                 continue
-            digest = hashlib.sha256(payload).digest()
-            cert = build_certificate(digest, view, dict(sorted(sigs.items())))
-            self.certs[payload] = (cert, view)
-            self._send_all(view.members, Commit(payload, cert, view, view))
+            cert = build_certificate(view, dict(sorted(sigs.items())))
+            self.certs[payload] = cert
+            self._send_all(view.members, Commit(payload, cert, view))
 
 
 class CertificateForger(AdversaryBase):
@@ -159,10 +158,9 @@ class CertificateForger(AdversaryBase):
             return
         view = self.latest_view
         payload = b"forged/" + self.seen.to_bytes(4, "big")
-        digest = hashlib.sha256(payload).digest()
         fake_sigs = {q: self.rng.randbytes(32) for q in view.members[:view.quorum_size]}
-        cert = build_certificate(digest, view, fake_sigs)
-        self._send_all(view.members, Commit(payload, cert, view, view))
+        cert = build_certificate(view, fake_sigs)
+        self._send_all(view.members, Commit(payload, cert, view))
 
 
 class StaleReplayer(AdversaryBase):

@@ -26,6 +26,12 @@ from .messages import (
 )
 from .views import short_digest
 
+# COMMITs parked at once per link sender.  A correct author has at most one
+# parked at a time in the packaged scenarios, and a Byzantine sender at most
+# seven; the bound keeps a member that sends COMMITs for made-up newer views
+# from crowding out the COMMITs of the others.
+PENDING_COMMITS_PER_AUTHOR = 16
+
 
 class BroadcastMixin:
     def _may_ack(self, payload: bytes) -> bool:
@@ -96,19 +102,18 @@ class BroadcastMixin:
         for (v, payload), senders in self.ack_counts.items():
             if not self._is_valid_view(v) or len(senders) < v.quorum_size:
                 continue
-            digest = hashlib.sha256(payload).digest()
             sigs = {q: self.ack_sigs[(q, v)] for q in sorted(senders)}
-            self.cer = build_certificate(digest, v, sigs)
+            self.cer = build_certificate(v, sigs)
             self._note("StateNote", view=v.short, payload=short_digest(payload),
                        detail="certificate", views={"v_cer": v})
             if self.cv in self.installed:
-                self._disseminate(Commit(payload, self.cer, v, self.cv))
+                self._disseminate(Commit(payload, self.cer, self.cv))
             return
 
     def _commit_ready(self, msg: Commit) -> bool:
         """The COMMIT can be checked now: it is for this node's installed,
         unsuspended view, and its certificate's view is valid."""
-        return msg.view == self.cv and not self.suspended and self._is_valid_view(msg.v_cer)
+        return msg.view == self.cv and not self.suspended and self._is_valid_view(msg.cert.view)
 
     def _commit_may_wait(self, msg: Commit) -> bool:
         """The COMMIT may become ready: it is for this node's view or a newer
@@ -125,20 +130,20 @@ class BroadcastMixin:
             left = self.phase >= Phase.LEAVER_LOOP
             self._note("Drop", msg_kind="COMMIT", view=msg.view.short,
                        detail="left the view" if left else f"view mismatch cv={self.cv.short}")
-        elif len(self.pending_commits) < 256:
+        elif sum(a == author for a, _ in self.pending_commits) < PENDING_COMMITS_PER_AUTHOR:
             self.pending_commits.append((author, msg))
             self._wrote("pending_commits")
 
     def _commit_checked(self, author: str, msg: Commit) -> None:
-        if not verify_certificate(msg.cert, msg.v_cer, msg.payload, self.verifier):
+        if not verify_certificate(msg.cert, msg.payload, self.verifier):
             self._note("Drop", msg_kind="COMMIT", detail="invalid certificate")
             return
-        self._note("StateNote", view=msg.v_cer.short,
-                   payload=short_digest(msg.payload),
-                   detail="commit-accepted", views={"v_cer": msg.v_cer})
+        v_cer = msg.cert.view
+        self._note("StateNote", view=v_cer.short, payload=short_digest(msg.payload),
+                   detail="commit-accepted", views={"v_cer": v_cer})
         if self.state_record.stored is None:
-            self._adopt_stored(StoredEvidence(msg.payload, msg.cert, msg.v_cer, msg.view))
-            self._disseminate(Commit(msg.payload, msg.cert, msg.v_cer, self.cv))
+            self._adopt_stored(StoredEvidence(msg.payload, msg.cert, msg.view))
+            self._disseminate(Commit(msg.payload, msg.cert, self.cv))
         self._send(author, Deliver(msg.payload, self.cv))
 
     def _pending_commit_scan(self) -> None:
@@ -198,7 +203,7 @@ class BroadcastMixin:
             for rec in records:
                 if rec.stored is None:
                     continue
-                if self._is_valid_view(rec.stored.v_cer):
+                if self._is_valid_view(rec.stored.cert.view):
                     self._adopt_stored(rec.stored)
                     break
                 if len(self.pending_store) < 256:
@@ -217,11 +222,10 @@ class BroadcastMixin:
         for evidence in self.pending_store:
             if self.state_record.stored is not None:
                 break
-            if self._is_valid_view(evidence.v_cer):
+            if self._is_valid_view(evidence.cert.view):
                 self._adopt_stored(evidence)
                 if self.cv in self.installed and not self.delivered:
-                    self._disseminate(Commit(evidence.payload, evidence.cert,
-                                             evidence.v_cer, self.cv))
+                    self._disseminate(Commit(evidence.payload, evidence.cert, self.cv))
             else:
                 still.append(evidence)
         self.pending_store = [] if self.state_record.stored is not None else still
@@ -233,6 +237,6 @@ class BroadcastMixin:
             if self.bpayload is not None and self.cer is None:
                 self._disseminate(Prepare(self.bpayload, self.cv))
             elif self.cer is not None and not self.delivered:
-                self._disseminate(Commit(self.bpayload, self.cer, self.cer.view, self.cv))
+                self._disseminate(Commit(self.bpayload, self.cer, self.cv))
         elif ev is not None and not self.delivered:
-            self._disseminate(Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
+            self._disseminate(Commit(ev.payload, ev.cert, self.cv))

@@ -153,38 +153,31 @@ Signatures = tuple[tuple[ProcessId, bytes], ...]
 
 @dataclass(frozen=True)
 class MessageCertificate:
-    """Quorum of member acknowledgment signatures over one (payload, view) pair."""
+    """Quorum of member acknowledgment signatures over one (payload, view)
+    pair.  The payload is not in it: a certificate travels with its payload."""
 
-    message_digest: bytes
     view: View
     signatures: Signatures
 
 
-def build_certificate(message_digest: bytes, view: View,
-                      signatures: dict[ProcessId, bytes]) -> MessageCertificate:
-    return MessageCertificate(
-        message_digest=message_digest,
-        view=view,
-        signatures=tuple(sorted(signatures.items())),
-    )
+def build_certificate(view: View, signatures: dict[ProcessId, bytes]) -> MessageCertificate:
+    return MessageCertificate(view, tuple(sorted(signatures.items())))
 
 
-def verify_certificate(cert: MessageCertificate, v_cer: View, payload: bytes,
-                       verifier: Verifier) -> bool:
-    """Full certificate check; returns False on any malformation."""
-    if cert.view != v_cer:
-        return False
-    if cert.message_digest != hashlib.sha256(payload).digest():
-        return False
+def verify_certificate(cert: MessageCertificate, payload: bytes, verifier: Verifier) -> bool:
+    """Full check that cert certifies payload in `cert.view`: distinct
+    signers, all members of that view, at least a quorum of them, each
+    signing `ack_payload(sha256(payload), cert.view)`.  Returns False on any
+    malformation."""
     signers = [pid for pid, _ in cert.signatures]
     if len(signers) != len(set(signers)):
         return False
-    member_set = v_cer.member_set
+    member_set = cert.view.member_set
     if not member_set:
         return False
     if any(pid not in member_set for pid in signers):
         return False
-    if len(signers) < v_cer.quorum_size:
+    if len(signers) < cert.view.quorum_size:
         return False
-    signed = ack_payload(cert.message_digest, v_cer)
+    signed = ack_payload(hashlib.sha256(payload).digest(), cert.view)
     return all(verifier.verify(pid, signed, sig) for pid, sig in cert.signatures)

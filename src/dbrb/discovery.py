@@ -20,7 +20,7 @@ from .messages import (
     signed_content,
 )
 from .membership import Phase, added_changes
-from .views import View, comparable, is_sequence, least_recent, seq_sort_key
+from .views import View, comparable, is_sequence, seq_sort_key
 
 
 def verify_install_proof(install: Install, verifier: Verifier) -> bool:
@@ -43,15 +43,10 @@ def verify_install_proof(install: Install, verifier: Verifier) -> bool:
 
 def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
     if not install.seq or not is_sequence(install.seq):
-        return False
-    if least_recent(install.seq) != install.omega:
-        return False
+        return False  # else `install.omega` is defined from here on
     if not all(install.view.changes < w.changes for w in install.seq):
         return False
     if [p.change for p in install.proofs] != added_changes(install.seq, install.view):
-        return False
-    expected_psi = tuple(sorted(install.view.member_set | install.omega.member_set))
-    if tuple(sorted(install.psi)) != expected_psi:
         return False
     signers = [pid for pid, _ in install.converged_sigs]
     if len(signers) != len(set(signers)):
@@ -69,15 +64,15 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
 
 
 def verify_history(history: ViewHistory, initial: View, verifier: Verifier) -> bool:
-    if history.views[0] != initial:
+    """Check the chain from `initial`: each link replaces the view the chain
+    has reached, and its proof holds; only then is its omega the next view."""
+    view = history.root
+    if view != initial:
         return False
-    for i, link in enumerate(history.links):
-        if link.view != history.views[i]:
+    for link in history.links:
+        if link.view != view or not verify_install_proof(link, verifier):
             return False
-        if link.omega != history.views[i + 1]:
-            return False
-        if not verify_install_proof(link, verifier):
-            return False
+        view = link.omega
     return True
 
 
@@ -121,10 +116,11 @@ class DiscoveryMixin:
                 self._wrote("trusted_aux")
 
     def _trust_views(self, history: ViewHistory) -> None:
-        """Record every prefix of a verified history."""
-        for i, view in enumerate(history.views):
-            if view not in self.trusted_hist:
-                self._add_trusted(view, ViewHistory(history.views[:i + 1], history.links[:i]))
+        """Record every prefix of a verified history; its root, the initial
+        view, is always trusted."""
+        for i, link in enumerate(history.links):
+            if link.omega not in self.trusted_hist:
+                self._add_trusted(link.omega, ViewHistory(history.root, history.links[:i + 1]))
         for link in history.links:
             self._trust_aux(link)
 

@@ -187,7 +187,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.rm_pending: list = []
 
         # discovery state
-        self.trusted_hist: dict[View, ViewHistory] = {initial_view: ViewHistory((initial_view,))}
+        self.trusted_hist: dict[View, ViewHistory] = {initial_view: ViewHistory(initial_view)}
         self.trusted_aux: set[View] = set()
         self.last_gossiped: View = initial_view
 

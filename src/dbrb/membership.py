@@ -34,7 +34,6 @@ from .views import (
     View,
     comparable,
     is_sequence,
-    least_recent,
     minus,
     most_recent,
     plus,
@@ -304,11 +303,8 @@ class MembershipMixin:
             needed = added_changes(seq, v)
             if any(c not in self.pool for c in needed):
                 continue  # wait for the reconfig proofs to arrive
-            omega = least_recent(seq)
-            psi = tuple(sorted(v.member_set | omega.member_set))
             conv_sigs = tuple((q, votes[q]) for q in backers[:v.quorum_size])
-            proofs = tuple(self.pool[c] for c in needed)
-            install = Install(psi, omega, seq, v, conv_sigs, proofs)
+            install = Install(seq, v, conv_sigs, tuple(self.pool[c] for c in needed))
             self.install_sent.add((v, seq))
             self._note("StateNote", detail="converged-on", views={"v": v, "seq": seq})
             self._r_multicast(install)
@@ -344,7 +340,6 @@ class MembershipMixin:
                 self._wrote("suspended")
                 self._note("StateNote", detail="suspend")
             self._r_multicast(StateUpdate(
-                psi=tuple(sorted(v.member_set | omega.member_set)),
                 view=v,
                 omega=omega,
                 record=self._state_of(v),
@@ -389,9 +384,9 @@ class MembershipMixin:
             ev = rec.stored
             if not ev.assoc_view.changes <= v.changes:
                 return False
-            if not ev.v_cer.changes <= ev.assoc_view.changes:
+            if not ev.cert.view.changes <= ev.assoc_view.changes:
                 return False
-            if not verify_certificate(ev.cert, ev.v_cer, ev.payload, self.verifier):
+            if not verify_certificate(ev.cert, ev.payload, self.verifier):
                 return False
         return all(p.verify(self.verifier) for p in msg.recv)
 
@@ -468,7 +463,7 @@ class MembershipMixin:
         if len(best.changes) > len(self.cv.changes):
             self.cv = best
             self._wrote("cv")
-        self._send_all(self.cv.members, Commit(ev.payload, ev.cert, ev.v_cer, self.cv))
+        self._send_all(self.cv.members, Commit(ev.payload, ev.cert, self.cv))
 
     def _leaver_loop_kick(self) -> None:
         if self.phase is not Phase.LEAVER_LOOP:

@@ -27,12 +27,22 @@ body it was parsed from, any other value the body it is first encoded
 to (`body_bytes`).  `encode`, history links, the install-proof memo and
 reliable multicast all use that body, and `decode` takes the signed
 content as a prefix of the frame instead of building it again.
+
+Wire version 3 sends each fact once.  What a receiver can derive is not
+a field: an install's omega is the least view of its sequence
+(`Install.omega`), the reliable-multicast targets are the members of
+view and omega (`rmulticast.rm_targets`), a certificate's view is the
+certified view and its digest that of the payload beside it, and each
+view of a history after the root is the omega of the link before it.
+A change is `len | pid | sign` (`Change.canonical_bytes`), as a field
+and inside a view.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, NoReturn, Optional, get_args
 
 from .crypto import MessageCertificate, Signatures, Signer, Verifier
@@ -43,13 +53,15 @@ from .views import (
     ProcessId,
     View,
     ViewError,
+    id_bytes,
     intern_change,
+    least_recent,
     seq_sort_key,
     seq_sorted,
     short_digest,
 )
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 TAG_RECONFIG = 0x01
 TAG_REC_CONFIRM = 0x02
@@ -196,8 +208,7 @@ class StoredEvidence:
     """Certificate-backed stored message, carried inside state updates."""
 
     payload: bytes
-    cert: MessageCertificate
-    v_cer: View
+    cert: MessageCertificate  # certifies payload in cert.view
     assoc_view: View
 
 
@@ -241,18 +252,21 @@ class Converged:
 @dataclass(frozen=True)
 class Install:
     TAG = TAG_INSTALL
-    psi: tuple[ProcessId, ...]
-    omega: View
     seq: frozenset[View]
     view: View  # the replaced view
     converged_sigs: ConvergedSignatures
     proofs: tuple[ReconfigProof, ...] = ()
 
+    @cached_property
+    def omega(self) -> View:
+        """The install's target, the least view of seq; read it only once
+        the install proof holds, which checks that seq is a sequence."""
+        return least_recent(self.seq)
+
 
 @dataclass(frozen=True)
 class StateUpdate:
     TAG = TAG_STATE_UPDATE
-    psi: tuple[ProcessId, ...]
     view: View  # the replaced view this update is associated with
     omega: View
     record: StateRecord
@@ -278,8 +292,7 @@ class Ack:
 class Commit:
     TAG = TAG_COMMIT
     payload: bytes
-    cert: MessageCertificate
-    v_cer: View
+    cert: MessageCertificate  # certifies payload in cert.view
     view: View
 
 
@@ -299,18 +312,15 @@ class HistoryRequest:
 class ViewHistory:
     """Alternating chain v0, m0, v1, m1, ... vn rooted at the initial view.
 
-    On the wire: the view count, v0, then each link's INSTALL body as a blob.
+    Only v0 is carried: each later view is the omega of the link before it.
+    On the wire: v0, the link count, then each link's INSTALL body as a blob.
     """
 
-    views: tuple[View, ...]
+    root: View
     links: tuple[Install, ...] = ()
 
-    def __post_init__(self) -> None:
-        if len(self.views) != len(self.links) + 1:
-            raise CodecError("history arity mismatch")
-
     def extended(self, link: Install) -> "ViewHistory":
-        return ViewHistory(self.views + (link.omega,), self.links + (link,))
+        return ViewHistory(self.root, self.links + (link,))
 
 
 @dataclass(frozen=True)
@@ -333,31 +343,20 @@ Message = (
 Codec = tuple[Callable[[object], bytes], Callable[[Reader], object]]
 
 
-def _text_bytes(s: str) -> bytes:
-    """A length-prefixed identifier."""
-    raw = s.encode()
-    if len(raw) > 255:
-        raise CodecError("identifier too long")
-    return bytes((len(raw),)) + raw
-
-
 def _blob(b: bytes) -> bytes:
     return _U32.pack(len(b)) + b
 
 
-_SIGN_BYTE = {PLUS: b"\x2b", MINUS: b"\x2d"}
 _BYTE_SIGN = {0x2B: PLUS, 0x2D: MINUS}
 
 
-def _write_change(c: Change) -> bytes:
-    return _SIGN_BYTE[c.sign] + _text_bytes(c.process)
-
-
 def _read_change(r: Reader) -> Change:
-    sign = r.u8()
-    if sign not in _BYTE_SIGN:
+    """The reverse of `Change.canonical_bytes`: len | pid | sign."""
+    pid = r.text()
+    sign = _BYTE_SIGN.get(r.u8())
+    if sign is None:
         raise CodecError("bad change sign byte")
-    return intern_change(_BYTE_SIGN[sign], r.text())
+    return intern_change(sign, pid)
 
 
 def _write_view(v: View) -> bytes:
@@ -375,26 +374,10 @@ def _read_view(r: Reader) -> View:
     if cached is not None:
         return cached
     inner = Reader(raw)
-    count = inner.u32()
-    changes = []
-    prev_key = None
-    for _ in range(count):
-        pid_raw = inner.take(inner.u8())
-        sign = inner.take(1)
-        key = (pid_raw, sign)
-        if prev_key is not None and key <= prev_key:
-            raise CodecError("view changes not canonical")
-        prev_key = key
-        if sign not in (b"\x2b", b"\x2d"):
-            raise CodecError("bad sign byte in view")
-        try:
-            pid = pid_raw.decode()
-        except UnicodeDecodeError as exc:
-            raise CodecError("bad utf-8 in view") from exc
-        changes.append(intern_change(PLUS if sign == b"\x2b" else MINUS, pid))
+    changes = [_read_change(inner) for _ in range(inner.u32())]
     inner.expect_done()
     view = View.of(changes)
-    if view.canonical_bytes != raw:
+    if view.canonical_bytes != raw:  # misordered or repeated changes
         raise CodecError("non-canonical view encoding")
     if len(_VIEW_CACHE) < _VIEW_CACHE_MAX:
         _VIEW_CACHE[raw] = view
@@ -438,7 +421,7 @@ def _proof_body(p: ReconfigProof) -> bytes:
     a parsed proof was read from, or else derived once and kept."""
     body = p.__dict__.get("_body")
     if body is None:
-        body = p.__dict__["_body"] = _write_change(p.change) + _write_view(p.view)
+        body = p.__dict__["_body"] = p.change.canonical_bytes + _write_view(p.view)
     return body
 
 
@@ -456,7 +439,7 @@ def _proof_key(p: ReconfigProof) -> tuple[ProcessId, str]:
     return (p.change.process, p.change.sign)
 
 
-_SIGNATURE: Codec = (lambda pair: _text_bytes(pair[0]) + _blob(pair[1]),
+_SIGNATURE: Codec = (lambda pair: id_bytes(pair[0]) + _blob(pair[1]),
                      lambda r: (r.text(), r.blob()))
 
 
@@ -483,40 +466,28 @@ def _read_record(r: Reader) -> StateRecord:
     return StateRecord(ack, conflicting, stored)
 
 
-def _write_history(h: ViewHistory) -> bytes:
-    links = [_blob(body_bytes(link)) for link in h.links]
-    return b"".join([_U32.pack(len(h.views)), _write_view(h.views[0]), *links])
+def _write_links(links: tuple[Install, ...]) -> bytes:
+    return _U32.pack(len(links)) + b"".join([_blob(body_bytes(link)) for link in links])
 
 
-def _read_history(r: Reader) -> ViewHistory:
+def _read_links(r: Reader) -> tuple[Install, ...]:
     """Each link is an INSTALL body, parsed through `_parse_body`'s memo."""
-    count = r.u32()
-    if count == 0:
-        raise CodecError("empty history")
-    views = [_read_view(r)]
-    links = []
-    for _ in range(count - 1):
-        link = _parse_body(TAG_INSTALL, r.blob(), r.bodies)
-        links.append(link)
-        views.append(link.omega)
-    return ViewHistory(tuple(views), tuple(links))
+    return tuple([_parse_body(TAG_INSTALL, r.blob(), r.bodies) for _ in range(r.u32())])
 
 
 # One codec per field type, keyed by the annotation as written.
 FIELD_CODECS: dict[str, Codec] = {
     "bytes": (_blob, Reader.blob),
-    "Change": (_write_change, _read_change),
+    "Change": (lambda c: c.canonical_bytes, _read_change),
     "View": (_write_view, _read_view),
     "frozenset[View]": (_write_seq, _read_seq),
-    "tuple[ProcessId, ...]": _sorted_tuple((_text_bytes, Reader.text),
-                                           "process ids not canonical"),
     "tuple[ReconfigProof, ...]": _sorted_tuple(
         (lambda p: _proof_body(p) + _blob(p.signature), _read_proof),
         "reconfig proofs not canonical", key=_proof_key),
     "Signatures": _sorted_tuple(_SIGNATURE, "certificate signatures not canonical"),
     "ConvergedSignatures": _sorted_tuple(_SIGNATURE, "converged signatures not canonical"),
     "StateRecord": (_write_record, _read_record),
-    "ViewHistory": (_write_history, _read_history),
+    "tuple[Install, ...]": (_write_links, _read_links),
 }
 
 
@@ -536,6 +507,7 @@ def _fields_codec(cls) -> Codec:
 
 
 FIELD_CODECS["MessageCertificate"] = _fields_codec(MessageCertificate)
+FIELD_CODECS["ViewHistory"] = _fields_codec(ViewHistory)
 _PREP_EVIDENCE = _fields_codec(PrepareEvidence)
 _STORED_EVIDENCE = _fields_codec(StoredEvidence)
 
@@ -559,7 +531,7 @@ def body_bytes(msg: Message) -> bytes:
 
 
 def _signed_content(tag: int, body: bytes, author: ProcessId) -> bytes:
-    return b"".join((_HEAD.pack(WIRE_VERSION, tag, len(body)), body, _text_bytes(author)))
+    return b"".join((_HEAD.pack(WIRE_VERSION, tag, len(body)), body, id_bytes(author)))
 
 
 def signed_content(msg: Message, author: ProcessId) -> bytes:

@@ -90,6 +90,8 @@ class Scenario:
         for pid in self.universe:
             if not pid or not all(ch.isalnum() or ch == "_" for ch in pid):
                 raise ScenarioError(f"bad process id {pid!r}")
+            if len(pid.encode()) > 255:  # the wire's length prefix is one byte
+                raise ScenarioError(f"process id over 255 bytes: {pid[:16]}...")
         missing = [p for p in self.initial_members if p not in self.universe]
         if missing or not self.initial_members:
             raise ScenarioError("initial members must be a nonempty universe subset")

@@ -43,6 +43,20 @@ class Change:
     def token(self) -> str:
         return self.sign + self.process
 
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """len | pid | sign: the one encoding of a change, in a view and as a field."""
+        return id_bytes(self.process) + _SIGN_BYTE[self.sign]
+
+
+def id_bytes(pid: ProcessId) -> bytes:
+    """A process id as every encoding writes it: its UTF-8 length in one
+    byte, then those bytes."""
+    raw = pid.encode()
+    if len(raw) > 255:
+        raise ViewError("identifier too long")
+    return bytes((len(raw),)) + raw
+
 
 # Changes repeat in every view; one shared instance per (sign, pid) lets set
 # operations on change sets compare by identity.  The cap keeps Byzantine
@@ -113,13 +127,9 @@ class View:
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        parts = [struct.pack(">I", len(self.changes))]
-        for c in self.sorted_changes:
-            pid = c.process.encode()
-            parts.append(struct.pack(">B", len(pid)))
-            parts.append(pid)
-            parts.append(_SIGN_BYTE[c.sign])
-        return b"".join(parts)
+        """The change count, then each change's bytes in canonical order."""
+        return struct.pack(">I", len(self.changes)) + b"".join(
+            [c.canonical_bytes for c in self.sorted_changes])
 
     @cached_property
     def digest(self) -> bytes:

@@ -198,22 +198,21 @@ def test_criterion_7_certificate_oracle():
         def cert_for(signers, signed_payload=payload, view=v0):
             d = hashlib.sha256(signed_payload).digest()
             sigs = {p: keyring.sign(p, ack_payload(d, view)) for p in signers}
-            return build_certificate(digest, view, sigs)
+            return build_certificate(view, sigs)
 
         # exhaustive subsets: accepted exactly at and above the quorum size
         for size in range(len(members) + 1):
             for subset in combinations(members, size):
-                ok = verify_certificate(cert_for(subset), v0, payload, verifier)
+                ok = verify_certificate(cert_for(subset), payload, verifier)
                 assert ok == (len(subset) >= v0.quorum_size), (scheme, subset)
         # perturbation class 1: sub-quorum
-        assert not verify_certificate(cert_for(("p1", "p2")), v0, payload, verifier)
+        assert not verify_certificate(cert_for(("p1", "p2")), payload, verifier)
         # perturbation class 2: wrong payload under the signatures
         assert not verify_certificate(cert_for(("p1", "p2", "p3"),
                                                signed_payload=b"other"),
-                                      v0, payload, verifier)
+                                      payload, verifier)
         # perturbation class 3: non-member signer in the set
-        assert not verify_certificate(cert_for(("p1", "p2", "px")), v0, payload,
-                                      verifier)
+        assert not verify_certificate(cert_for(("p1", "p2", "px")), payload, verifier)
     print("\nACCEPTANCE criterion-7 (certificate oracle, both schemes): PASS")
 
 

@@ -28,7 +28,7 @@ from dbrb.views import View, plus
 def make_cert(bench, payload, view, signers):
     digest = hashlib.sha256(payload).digest()
     sigs = {p: bench.keyring.sign(p, ack_payload(digest, view)) for p in signers}
-    return build_certificate(digest, view, sigs)
+    return build_certificate(view, sigs)
 
 
 def prime_acks(bench, payload, view, ackers):
@@ -122,7 +122,7 @@ def test_bad_ack_signature_ignored(bench4):
 def test_commit_stores_relays_and_delivers(bench4):
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
-    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
+    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0))
     node = bench4.nodes["p2"]
     assert node.state_record.stored is not None
     relays = sends_of(actions, "COMMIT")
@@ -134,8 +134,8 @@ def test_commit_stores_relays_and_delivers(bench4):
 def test_second_commit_only_replies_deliver(bench4):
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
-    bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
-    actions = bench4.deliver("p2", "p3", Commit(b"m", cert, v0, v0))
+    bench4.deliver("p2", "p1", Commit(b"m", cert, v0))
+    actions = bench4.deliver("p2", "p3", Commit(b"m", cert, v0))
     assert not sends_of(actions, "COMMIT")
     assert [d.to for d in sends_of(actions, "DELIVER")] == ["p3"]
 
@@ -144,7 +144,7 @@ def test_commit_wrong_view_ignored(bench4):
     v0 = bench4.initial_view
     stale = View.of([plus("p1"), plus("p2"), plus("p3")])
     cert = make_cert(bench4, b"m", stale, ["p1", "p2"])
-    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, stale, stale))
+    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, stale))
     assert not sends_of(actions)
     assert bench4.nodes["p2"].state_record.stored is None
 
@@ -152,7 +152,7 @@ def test_commit_wrong_view_ignored(bench4):
 def test_commit_invalid_certificate_dropped(bench4):
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2"])  # below quorum
-    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
+    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, v0))
     drops = notes_of(actions, "Drop")
     assert any("invalid certificate" in (d.detail or "") for d in drops)
     assert bench4.nodes["p2"].state_record.stored is None
@@ -233,7 +233,7 @@ def test_state_transfer_adopts_stored_message(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
-    stored = StoredEvidence(b"m", cert, v0, v0)
+    stored = StoredEvidence(b"m", cert, v0)
     node._state_transfer([StateRecord(stored=stored)])
     assert node.state_record.stored is not None
     assert node.state_record.stored.payload == b"m"
@@ -260,11 +260,10 @@ def transfer(bench, view, omega, records):
     others = [q for q in view.members if q != "p2"]
     sigs = tuple((q, bench.keyring.sign(q, signed_content(Converged(seq, view), q)))
                  for q in others[:view.quorum_size])
-    psi = tuple(sorted(view.member_set | omega.member_set))
-    bench.deliver("p2", others[0], Install(psi, omega, seq, view, sigs,
+    bench.deliver("p2", others[0], Install(seq, view, sigs,
                                            reconfig_proofs(bench.keyring, seq, view)))
     for q, record in zip(others, records):
-        bench.deliver("p2", q, StateUpdate(psi, view, omega, record, ()))
+        bench.deliver("p2", q, StateUpdate(view, omega, record, ()))
     assert bench.nodes["p2"].cv == omega and omega in bench.nodes["p2"].installed
 
 
@@ -325,7 +324,7 @@ def test_new_view_sender_reuses_certificate(bench4):
     commits = sends_of(actions, "COMMIT")
     assert sorted(c.to for c in commits) == ["p1", "p2", "p3", "p4", "p5"]
     msg = decode(commits[0].raw, bench4.verifier).msg
-    assert msg.v_cer == bench4.initial_view  # certificate carried across views
+    assert msg.cert.view == bench4.initial_view  # certificate carried across views
     assert msg.view == v1
 
 
@@ -333,7 +332,7 @@ def test_new_view_relayer_recommits_until_can_leave(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
-    bench4.deliver("p2", "p1", Commit(b"m", cert, v0, v0))
+    bench4.deliver("p2", "p1", Commit(b"m", cert, v0))
     node._outputs = []
     node._new_view()
     actions, node._outputs = node._outputs, []
@@ -343,3 +342,21 @@ def test_new_view_relayer_recommits_until_can_leave(bench4):
     node._new_view()
     actions, node._outputs = node._outputs, []
     assert not sends_of(actions, "COMMIT")
+
+
+def test_one_author_cannot_crowd_out_parked_commits(bench4):
+    # p4 parks COMMITs for made-up newer views; p1's COMMIT for cv, sent
+    # while p2 is suspended, must still be parked
+    node = bench4.nodes["p2"]
+    cert = make_cert(bench4, b"m", V0, ["p1", "p2", "p3"])
+    for i in range(300):
+        bench4.deliver("p2", "p4", Commit(b"m", cert, View(V0.changes | {plus(f"x{i}")})))
+    seq = frozenset({V1})
+    sigs = tuple((q, bench4.keyring.sign(q, signed_content(Converged(seq, V0), q)))
+                 for q in ("p1", "p3", "p4"))
+    bench4.deliver("p2", "p1", Install(seq, V0, sigs, reconfig_proofs(bench4.keyring, seq, V0)))
+    assert node.suspended and node.cv == V0
+    bench4.deliver("p2", "p1", Commit(b"m", cert, V0))
+    authors = [author for author, _ in node.pending_commits]
+    assert authors.count("p1") == 1
+    assert authors.count("p4") <= 16

@@ -40,6 +40,22 @@ def test_run_invalid_scenario_exits_two(tmp_path):
                      "--seed", "0"]) == 2
 
 
+def test_run_rejects_an_over_long_process_id(tmp_path, capsys):
+    # an id the wire cannot frame is a scenario error, not a failed property
+    data = json.loads((SCENARIOS / "static4.json").read_text())
+    long_pid = "p" * 300
+    data["universe"][3] = data["initial_members"][3] = long_pid
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert "process id over 255 bytes" in capsys.readouterr().err
+    data["universe"][3] = data["initial_members"][3] = "p" * 255
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "t.jsonl")]) == 0
+
+
 def test_usage_error_exits_two():
     assert cli.main(["run"]) == 2
     assert cli.main(["frobnicate"]) == 2

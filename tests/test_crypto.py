@@ -5,6 +5,7 @@ signers, signed for real through the scheme under test, and checks that
 verification accepts exactly the subsets the quorum rule allows.
 """
 
+import dataclasses
 import hashlib
 import struct
 from itertools import combinations
@@ -20,12 +21,11 @@ from dbrb.crypto import (
 )
 from dbrb.discovery import verify_install_proof
 from dbrb.messages import FIELD_CODECS, Converged, Install, body_bytes, signed_content
-from dbrb.views import View, plus
+from dbrb.views import View, minus, plus
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
 V0 = View.initial(MEMBERS)
 PAYLOAD = b"certified payload"
-DIGEST = hashlib.sha256(PAYLOAD).digest()
 
 
 @pytest.fixture(params=["hmac", "ed25519"])
@@ -63,12 +63,12 @@ def sign_ack(keyring, pid, payload, view):
 
 def make_cert(keyring, signers, payload=PAYLOAD, view=V0):
     sigs = {pid: sign_ack(keyring, pid, payload, view) for pid in signers}
-    return build_certificate(hashlib.sha256(payload).digest(), view, sigs)
+    return build_certificate(view, sigs)
 
 
 def test_three_member_signatures_verify(keyring):
     cert = make_cert(keyring, ["p1", "p2", "p3"])
-    assert verify_certificate(cert, V0, PAYLOAD, keyring.verifier())
+    assert verify_certificate(cert, PAYLOAD, keyring.verifier())
 
 
 def test_certificate_oracle_exact_threshold(keyring):
@@ -78,34 +78,38 @@ def test_certificate_oracle_exact_threshold(keyring):
         for subset in combinations(MEMBERS, size):
             cert = make_cert(keyring, subset)
             expected = len(subset) >= V0.quorum_size
-            assert verify_certificate(cert, V0, PAYLOAD, verifier) == expected, subset
+            assert verify_certificate(cert, PAYLOAD, verifier) == expected, subset
 
 
 def test_rejects_wrong_payload(keyring):
     verifier = keyring.verifier()
     cert = make_cert(keyring, ["p1", "p2", "p3"])
-    assert not verify_certificate(cert, V0, b"different payload", verifier)
+    assert not verify_certificate(cert, b"different payload", verifier)
 
     # one signature computed over a different payload
     sigs = {pid: sign_ack(keyring, pid, PAYLOAD, V0) for pid in ["p1", "p2"]}
     sigs["p3"] = sign_ack(keyring, "p3", b"other", V0)
-    mixed = build_certificate(DIGEST, V0, sigs)
-    assert not verify_certificate(mixed, V0, PAYLOAD, verifier)
+    mixed = build_certificate(V0, sigs)
+    assert not verify_certificate(mixed, PAYLOAD, verifier)
 
 
 def test_rejects_non_member_signer(keyring):
     verifier = keyring.verifier()
     sigs = {pid: sign_ack(keyring, pid, PAYLOAD, V0) for pid in ["p1", "p2"]}
     sigs["px"] = sign_ack(keyring, "px", PAYLOAD, V0)
-    cert = build_certificate(DIGEST, V0, sigs)
-    assert not verify_certificate(cert, V0, PAYLOAD, verifier)
+    cert = build_certificate(V0, sigs)
+    assert not verify_certificate(cert, PAYLOAD, verifier)
 
 
 def test_rejects_view_mismatch(keyring):
+    # signed in V0, relabelled to a view with the same members: the view a
+    # certificate names must be the one its signatures cover
     verifier = keyring.verifier()
-    other = View(V0.changes | {plus("p5")})
+    other = View(V0.changes | {plus("p5"), minus("p5")})
+    assert other.member_set == V0.member_set
     cert = make_cert(keyring, ["p1", "p2", "p3"])
-    assert not verify_certificate(cert, other, PAYLOAD, verifier)
+    assert verify_certificate(cert, PAYLOAD, verifier)
+    assert not verify_certificate(dataclasses.replace(cert, view=other), PAYLOAD, verifier)
 
 
 def test_rejects_signatures_bound_to_other_view(keyring):
@@ -113,23 +117,22 @@ def test_rejects_signatures_bound_to_other_view(keyring):
     verifier = keyring.verifier()
     v1 = View(V0.changes | {plus("p5")})
     sigs = {pid: sign_ack(keyring, pid, PAYLOAD, v1) for pid in ["p1", "p2", "p3"]}
-    cert = build_certificate(DIGEST, V0, sigs)
-    assert not verify_certificate(cert, V0, PAYLOAD, verifier)
+    cert = build_certificate(V0, sigs)
+    assert not verify_certificate(cert, PAYLOAD, verifier)
 
 
 def test_rejects_duplicate_signers(keyring):
     verifier = keyring.verifier()
     sig = sign_ack(keyring, "p1", PAYLOAD, V0)
-    cert = build_certificate(DIGEST, V0, {"p1": sig})
-    dup = type(cert)(cert.message_digest, cert.view,
-                     (("p1", sig), ("p1", sig), ("p1", sig)))
-    assert not verify_certificate(dup, V0, PAYLOAD, verifier)
+    cert = build_certificate(V0, {"p1": sig})
+    dup = type(cert)(cert.view, (("p1", sig), ("p1", sig), ("p1", sig)))
+    assert not verify_certificate(dup, PAYLOAD, verifier)
 
 
 def test_verification_is_pure(keyring):
     verifier = keyring.verifier()
     cert = make_cert(keyring, ["p1", "p2", "p3"])
-    results = [verify_certificate(cert, V0, PAYLOAD, verifier) for _ in range(3)]
+    results = [verify_certificate(cert, PAYLOAD, verifier) for _ in range(3)]
     assert results == [True, True, True]
 
 
@@ -142,9 +145,9 @@ def test_certificate_serialization_layout(keyring):
     blob = cert_bytes(cert)
     assert blob == cert_bytes(make_cert(keyring, ["p1", "p2", "p3"]))
     view_block = struct.pack(">I", len(V0.canonical_bytes)) + V0.canonical_bytes
-    assert blob.startswith(struct.pack(">I", len(DIGEST)) + DIGEST + view_block)
+    assert blob.startswith(view_block)  # no digest: the payload travels beside it
     # signer identities appear in sorted order after the view block
-    tail = blob[4 + len(DIGEST) + len(view_block):]
+    tail = blob[len(view_block):]
     assert tail.find(b"p1") < tail.find(b"p2") < tail.find(b"p3")
 
 
@@ -183,8 +186,7 @@ def make_install(keyring):
     seq = frozenset({v1})
     sigs = tuple((pid, keyring.sign(pid, signed_content(Converged(seq, V0), pid)))
                  for pid in ("p1", "p2", "p3"))
-    return Install(tuple(sorted(V0.member_set | v1.member_set)), v1, seq, V0, sigs,
-                   reconfig_proofs(keyring, seq, V0))
+    return Install(seq, V0, sigs, reconfig_proofs(keyring, seq, V0))
 
 
 def counting_verifier(keyring, calls):
@@ -200,7 +202,7 @@ def test_failed_install_proof_is_never_remembered(keyring):
     good = make_install(keyring)
     sigs = list(good.converged_sigs)
     sigs[0] = (sigs[0][0], b"garbage")
-    bad = Install(good.psi, good.omega, good.seq, good.view, tuple(sigs), good.proofs)
+    bad = Install(good.seq, good.view, tuple(sigs), good.proofs)
     assert not verify_install_proof(bad, verifier)
     assert verifier.proved == set()
     assert verify_install_proof(good, verifier)

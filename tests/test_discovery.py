@@ -21,25 +21,24 @@ def make_link(bench, view, omega, signers=("p1", "p2", "p3")):
     seq = frozenset({omega})
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
-    psi = tuple(sorted(view.member_set | omega.member_set))
-    return Install(psi, omega, seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
+    return Install(seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def test_base_history_verifies(bench4):
-    h = ViewHistory((bench4.initial_view,))
+    h = ViewHistory(bench4.initial_view)
     assert verify_history(h, bench4.initial_view, bench4.verifier)
 
 
 def test_wrong_root_rejected(bench4):
     other = View.of([plus("x")])
-    assert not verify_history(ViewHistory((other,)), bench4.initial_view, bench4.verifier)
+    assert not verify_history(ViewHistory(other), bench4.initial_view, bench4.verifier)
 
 
 def test_linked_history_verifies(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
     link = make_link(bench4, v0, v1)
-    h = ViewHistory((v0, v1), (link,))
+    h = ViewHistory(v0, (link,))
     assert verify_history(h, v0, bench4.verifier)
 
 
@@ -49,8 +48,8 @@ def test_corrupted_converged_signature_rejected(bench4):
     link = make_link(bench4, v0, v1)
     sigs = list(link.converged_sigs)
     sigs[0] = (sigs[0][0], b"garbage")
-    broken = Install(link.psi, link.omega, link.seq, link.view, tuple(sigs), link.proofs)
-    h = ViewHistory((v0, v1), (broken,))
+    broken = Install(link.seq, link.view, tuple(sigs), link.proofs)
+    h = ViewHistory(v0, (broken,))
     assert not verify_history(h, v0, bench4.verifier)
 
 
@@ -58,14 +57,14 @@ def test_extend_trust_adopts_longer_history(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
     node = bench4.nodes["p2"]
-    h = ViewHistory((v0, v1), (make_link(bench4, v0, v1),))
+    h = ViewHistory(v0, (make_link(bench4, v0, v1),))
     node._extend_trust(h)
-    assert node.trusted_hist == {v0: ViewHistory((v0,)), v1: h}
+    assert node.trusted_hist == {v0: ViewHistory(v0), v1: h}
     assert node._is_trusted(v1)
     assert node._best_view() == v1
     # a shorter history changes nothing
-    node._extend_trust(ViewHistory((v0,)))
-    assert node.trusted_hist == {v0: ViewHistory((v0,)), v1: h}
+    node._extend_trust(ViewHistory(v0))
+    assert node.trusted_hist == {v0: ViewHistory(v0), v1: h}
     assert node._best_view() == v1
 
 
@@ -74,7 +73,7 @@ def test_unverifiable_history_ignored(bench4):
     v1 = View(v0.changes | {plus("p5")})
     link = make_link(bench4, v0, v1, signers=("p1",))  # sub-quorum
     node = bench4.nodes["p2"]
-    node._extend_trust(ViewHistory((v0, v1), (link,)))
+    node._extend_trust(ViewHistory(v0, (link,)))
     assert list(node.trusted_hist) == [v0] and not node.trusted_aux
     assert not node._is_trusted(v1)
 
@@ -86,10 +85,9 @@ def test_auxiliary_views_in_links_become_valid(bench4):
     seq = frozenset({v_a, v_ab})
     sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
-    psi = tuple(sorted(v0.member_set | v_a.member_set))
-    link = Install(psi, v_a, seq, v0, sigs, reconfig_proofs(bench4.keyring, seq, v0))
+    link = Install(seq, v0, sigs, reconfig_proofs(bench4.keyring, seq, v0))
     node = bench4.nodes["p2"]
-    node._extend_trust(ViewHistory((v0, v_a), (link,)))
+    node._extend_trust(ViewHistory(v0, (link,)))
     assert node._is_valid_view(v_ab)  # auxiliary: acceptable as v_cer
     assert not node._is_trusted(v_ab)  # but not an install chain entry
 
@@ -99,7 +97,7 @@ def test_participants_answer_history_requests(bench4):
     replies = sends_of(actions, "HISTORY")
     assert [r.to for r in replies] == ["p5"]
     msg = decode(replies[0].raw, bench4.verifier).msg
-    assert msg.history.views == (bench4.initial_view,)
+    assert msg.history == ViewHistory(bench4.initial_view)
 
 
 def test_dormant_nodes_stay_silent(bench4):
@@ -113,7 +111,7 @@ def test_trust_growth_triggers_gossip(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
     node = bench4.nodes["p2"]
-    gossip = HistoryGossip(ViewHistory((v0, v1), (make_link(bench4, v0, v1),)))
+    gossip = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v1),)))
     actions = bench4.deliver("p2", "p1", gossip)
     floods = [a for a in actions if isinstance(a, Flood)]
     assert any(f.meta["msg"] == "HISTORY" for f in floods)
@@ -130,10 +128,34 @@ def test_diverging_views_are_flagged_once(bench4, route):
     v0 = bench4.initial_view
     v_a = View(v0.changes | {plus("p5")})
     v_b = View(v0.changes | {plus("p6")})
-    h_a = HistoryGossip(ViewHistory((v0, v_a), (make_link(bench4, v0, v_a),)))
+    h_a = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v_a),)))
     link_b = make_link(bench4, v0, v_b, ("p2", "p3", "p4"))
-    b = HistoryGossip(ViewHistory((v0, v_b), (link_b,))) if route == "history" else link_b
+    b = HistoryGossip(ViewHistory(v0, (link_b,))) if route == "history" else link_b
     flags = [[f.detail for f in notes_of(bench4.deliver("p2", "p1", msg), "Flag")]
              for msg in (h_a, b, h_a, b)]
     assert flags == [[], [f"diverging verified histories: {v_a.short} vs {v_b.short}"], [], []]
     assert bench4.nodes["p2"]._is_trusted(v_a) and bench4.nodes["p2"]._is_trusted(v_b)
+
+
+@pytest.mark.parametrize("seq", ["empty", "incomparable"])
+def test_malformed_sequence_is_dropped_before_omega_is_read(bench4, seq):
+    # omega is derived from seq, so the install proof must reject a seq with
+    # no least view before anything reads omega: as an INSTALL and as the
+    # link of a HISTORY, the message is dropped, and nothing raises (the
+    # INSTALL route is also `test_rmulticast.py`'s least-view test)
+    v0 = bench4.initial_view
+    views = {"empty": set(),
+             "incomparable": {View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})}}
+    seq = frozenset(views[seq])
+    sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
+                 for pid in ("p1", "p2", "p3"))
+    bad = Install(seq, v0, sigs, reconfig_proofs(bench4.keyring, seq, v0))
+    actions = bench4.deliver("p2", "p1", bad)
+    assert [n.detail for n in notes_of(actions, "Drop")] == ["invalid install proof"]
+    assert not sends_of(actions)
+    actions = bench4.deliver("p3", "p1", HistoryGossip(ViewHistory(v0, (bad,))))
+    assert [n.detail for n in notes_of(actions, "Drop")] == ["unverifiable view history"]
+    assert not sends_of(actions)
+    for pid in ("p2", "p3"):
+        node = bench4.nodes[pid]
+        assert list(node.trusted_hist) == [v0] and not node.trusted_aux

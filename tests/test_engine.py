@@ -123,9 +123,8 @@ def test_discovery_reply_injection_extends_trust():
     seq = frozenset({v1})
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
-    link = Install(tuple(sorted(v0.member_set | v1.member_set)), v1, seq, v0, sigs,
-                   reconfig_proofs(bench.keyring, seq, v0))
-    reply = HistoryGossip(ViewHistory((v0, v1), (link,)))
+    link = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
+    reply = HistoryGossip(ViewHistory(v0, (link,)))
     actions = node.step(Receive("p1", bench.raw("p1", reply), message_meta(reply)))
     assert node._is_trusted(v1)
     reconfigs = sends_of(actions, "RECONFIG")
@@ -187,7 +186,7 @@ def test_kept_bytes_are_not_protocol_state(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
-    update = StateUpdate(tuple(sorted(v1.member_set)), v0, v1, StateRecord(), ())
+    update = StateUpdate(v0, v1, StateRecord(), ())
     bench4.deliver("p2", "p3", update)
     held = [node.pool[plus("p5")], node.state_updates[v0]["p3"]]
     held[0].verify(node.verifier)
@@ -241,7 +240,7 @@ def test_state_update_multicast_signs_once_per_fan_out():
     v0 = bench.initial_view
     v1 = View(v0.changes | {plus("p5")})
     signed = spy_signs(node)
-    node._r_multicast(StateUpdate(tuple(sorted(v1.member_set)), v0, v1, StateRecord(), ()))
+    node._r_multicast(StateUpdate(v0, v1, StateRecord(), ()))
     updates = sends_of(node._outputs, "STATE-UPDATE")
     assert [s.to for s in updates] == sorted(v1.member_set)
     assert len(signed) == 1

@@ -59,7 +59,7 @@ SIGNED = {
                   lambda node, actions: list(node.converged_votes[(V0, frozenset({V1}))])),
     "PREPARE": ("p1", Prepare(b"m", V0),
                 lambda node, actions: [s.to for s in sends_of(actions, "ACK")]),
-    "STATE-UPDATE": ("p1", StateUpdate(tuple(sorted(V1.member_set)), V0, V1, StateRecord(), ()),
+    "STATE-UPDATE": ("p1", StateUpdate(V0, V1, StateRecord(), ()),
                      lambda node, actions: list(node.state_updates[V0])),
 }
 

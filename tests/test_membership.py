@@ -1,13 +1,16 @@
 """Reconfiguration handlers, driven one message at a time."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from conftest import Bench, callbacks_of, notes_of, reconfig_proofs, sends_of
-from dbrb.engine import InvokeJoin, InvokeLeave, Receive
+from dbrb.crypto import ack_payload
+from dbrb.engine import InvokeBroadcast, InvokeJoin, InvokeLeave, Receive
 from dbrb.membership import ContractError, Phase
 from dbrb.messages import (
+    Ack,
     Converged,
     Deliver,
     HistoryGossip,
@@ -324,17 +327,14 @@ def test_leave_by_sender_waits_for_can_leave(bench4):
 from dbrb.messages import Install, StateRecord, StateUpdate
 
 
-def signed_install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
+def signed_install(bench, seq, view, signers=("p1", "p2", "p3")):
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
-    psi = tuple(sorted(view.member_set | omega.member_set))
-    return Install(psi, omega, seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
+    return Install(seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def state_update_for(bench, author, view, omega):
-    psi = tuple(sorted(view.member_set | omega.member_set))
-    return bench.nodes[author].step if False else StateUpdate(
-        psi, view, omega, StateRecord(), ())
+    return StateUpdate(view, omega, StateRecord(), ())
 
 
 def feed_state_updates(bench, to, view, omega, authors):
@@ -347,7 +347,7 @@ def feed_state_updates(bench, to, view, omega, authors):
 def test_install_must_replace_with_newer_views(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    install = signed_install(bench4, v0, frozenset({v0}), v0)
+    install = signed_install(bench4, frozenset({v0}), v0)
     actions = bench4.deliver("p2", "p1", install)
     assert notes_of(actions, "Drop")  # seq not newer than the replaced view
     assert not node.suspended
@@ -359,10 +359,10 @@ def test_install_variant_after_completion_is_degenerate(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
-    bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
+    bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v1 and v1 in node.installed
-    variant = signed_install(bench4, v1, frozenset({v1}), v0,
+    variant = signed_install(bench4, frozenset({v1}), v0,
                              signers=("p2", "p3", "p4"))
     actions = bench4.deliver("p2", "p1", variant)
     assert sends_of(actions, "STATE-UPDATE")
@@ -375,7 +375,7 @@ def test_install_suspends_then_completes(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
-    actions = bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
+    actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     assert node.suspended
     assert sends_of(actions, "STATE-UPDATE")
     assert v1 not in node.installed
@@ -393,7 +393,7 @@ def test_install_while_suspended_drops_old_view_traffic(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
-    bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
+    bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     actions = bench4.deliver("p2", "p1", Prepare(b"m", v0))
     assert not sends_of(actions, "ACK")
     assert any("suspended" in (n.detail or "") for n in notes_of(actions, "Drop"))
@@ -412,7 +412,7 @@ def test_install_chain_proposes_remainder_without_installing(bench4):
                               bench4.keyring.sign(author,
                                                   signed_content(Reconfig(change, v0), author)))
         node.pool[change] = proof
-    bench4.deliver("p2", "p1", signed_install(bench4, v_a, seq, v0))
+    bench4.deliver("p2", "p1", signed_install(bench4, seq, v0))
     actions = feed_state_updates(bench4, "p2", v0, v_a, ["p1", "p3", "p4"])
     assert node.cv == v_a
     assert v_a not in node.installed
@@ -430,7 +430,7 @@ def test_joiner_completes_join_via_install(bench4):
     joiner.step(InvokeJoin())
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
-    bench4.deliver("p5", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
+    bench4.deliver("p5", "p1", signed_install(bench4, frozenset({v1}), v0))
     actions = feed_state_updates(bench4, "p5", v0, v1, ["p1", "p3", "p4"])
     cbs = callbacks_of(actions)
     assert any(c.kind == "JoinComplete" for c in cbs)
@@ -444,7 +444,7 @@ def test_state_updates_buffered_before_install_arrives(bench4):
     v1 = View(v0.changes | {plus("p5")})
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v0  # nothing to complete yet
-    actions = bench4.deliver("p2", "p1", signed_install(bench4, v1, frozenset({v1}), v0))
+    actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     assert node.cv == v1  # the buffered quorum completes the install at once
     assert v1 in node.installed
 
@@ -459,9 +459,71 @@ def test_install_without_reconfig_proofs_is_dropped():
     v_a = View(v0.changes | {plus("p5")})
     v_ab = View(v_a.changes | {plus("p6")})
     seq = frozenset({v_a, v_ab})
-    stripped = dataclasses.replace(signed_install(bench, v_a, seq, v0), proofs=())
+    stripped = dataclasses.replace(signed_install(bench, seq, v0), proofs=())
     drops = notes_of(bench.deliver("p2", "p4", stripped), "Drop")
     actions = feed_state_updates(bench, "p2", v0, v_a, ["p1", "p3", "p4"])
     assert [n.detail for n in drops] == ["invalid install proof"]
     assert node.cv == v0 and not node.suspended and not node.pending_installs
     assert not sends_of(actions, "PROPOSE")
+
+
+# -- tallies an author fills with messages for made-up views --------------------
+
+
+def made_up_message(bench, kind, view):
+    """One message from p4 for `view`, which no install ever made; p4 signs
+    what it must itself."""
+    if kind == "PROPOSE":
+        proof = ReconfigProof(minus("p4"), view, bench.keyring.sign(
+            "p4", signed_content(Reconfig(minus("p4"), view), "p4")))
+        return Propose(frozenset({View(view.changes | {minus("p4")})}), view, (proof,))
+    if kind == "CONVERGED":
+        return Converged(frozenset({View(view.changes | {minus("p4")})}), view)
+    if kind == "REC-CONFIRM":
+        return RecConfirm(view)
+    if kind == "ACK":
+        digest = hashlib.sha256(b"m").digest()
+        return Ack(b"m", bench.keyring.sign("p4", ack_payload(digest, view)), view)
+    return Deliver(b"m", view)
+
+
+# Each tally, and the entries in it that p4 made for one of the views given.
+TALLIES = {
+    "PROPOSE": {
+        "propose_buffer": lambda held, views: [e for e in held if e.view in views],
+        "propose_votes": lambda held, views: [v for v in views if "p4" in held.get(v, {})],
+    },
+    "CONVERGED": {
+        "converged_votes": lambda held, views: [k for k, votes in held.items()
+                                                if k[0] in views and "p4" in votes],
+    },
+    "REC-CONFIRM": {
+        "rec_confirms": lambda held, views: [v for v in views if "p4" in held.get(v, ())],
+    },
+    "ACK": {
+        "ack_sigs": lambda held, views: [k for k in held if k[0] == "p4" and k[1] in views],
+        "ack_counts": lambda held, views: [k for k, who in held.items()
+                                           if k[0] in views and "p4" in who],
+    },
+    "DELIVER": {
+        "delivers": lambda held, views: [k for k in held if k[0] == "p4" and k[1] in views],
+        "deliver_counts": lambda held, views: [k for k, who in held.items()
+                                               if k[0] in views and "p4" in who],
+    },
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1, per-author bounds: each tally keeps every "
+                          "made-up view an author names")
+@pytest.mark.parametrize("kind", TALLIES)
+def test_one_author_holds_a_bounded_share_of_each_tally(bench4, kind):
+    # 300 messages from p4 to the sender p1, each for a view V0 + x<i>
+    node = bench4.nodes["p1"]
+    node.step(InvokeBroadcast(b"m"))
+    made_up = {View(bench4.initial_view.changes | {plus(f"x{i}")}) for i in range(300)}
+    for view in made_up:
+        bench4.deliver("p1", "p4", made_up_message(bench4, kind, view))
+    held = {name: len(from_p4(getattr(node, name), made_up))
+            for name, from_p4 in TALLIES[kind].items()}
+    assert all(n <= 16 for n in held.values()), held

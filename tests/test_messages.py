@@ -47,7 +47,7 @@ from dbrb.messages import (
     signed_content,
 )
 from dbrb import views as view_algebra
-from dbrb.views import MAX_CHANGES, PLUS, Change, View, plus, minus
+from dbrb.views import MAX_CHANGES, PLUS, Change, View, ViewError, plus, minus
 
 KEYRING = make_keyring("hmac")
 VERIFIER = KEYRING.verifier()
@@ -88,23 +88,23 @@ def make_install(author="p1"):
     )
     proof = ReconfigProof(plus("p5"), V0,
                           KEYRING.sign("p5", signed_content(Reconfig(plus("p5"), V0), "p5")))
-    return Install(tuple(sorted(V0.member_set | V1.member_set)), V1, SEQ, V0, sigs, (proof,))
+    return Install(SEQ, V0, sigs, (proof,))
 
 
 def make_cert():
     digest = hashlib.sha256(b"m").digest()
     sigs = {p: KEYRING.sign(p, ack_payload(digest, V0)) for p in ["p1", "p2", "p3"]}
-    return build_certificate(digest, V0, sigs)
+    return build_certificate(V0, sigs)
 
 
 def test_round_trip_all_kinds():
     cert = make_cert()
-    stored = StoredEvidence(b"m", cert, V0, V0)
+    stored = StoredEvidence(b"m", cert, V0)
     prep_ev = PrepareEvidence(b"m", V0, b"sig-bytes")
     record = StateRecord(ack=prep_ev, conflicting=(prep_ev, PrepareEvidence(b"m2", V0, b"s2")),
                          stored=stored)
     install = make_install()
-    history = ViewHistory((V0, V1), (install,))
+    history = ViewHistory(V0, (install,))
     messages = [
         Reconfig(plus("p5"), V0),
         Reconfig(minus("p2"), V0),
@@ -112,10 +112,10 @@ def test_round_trip_all_kinds():
         Propose(SEQ, V0, install.proofs),
         Converged(SEQ, V0),
         install,
-        StateUpdate(install.psi, V0, V1, record, install.proofs),
+        StateUpdate(V0, V1, record, install.proofs),
         Prepare(b"m", V0),
         Ack(b"m", b"ack-sig", V0),
-        Commit(b"m", cert, V0, V0),
+        Commit(b"m", cert, V0),
         Deliver(b"m", V0),
         HistoryRequest(),
         HistoryGossip(history),
@@ -156,29 +156,38 @@ def test_unknown_tag_rejected():
 
 def test_wire_version_checked():
     raw = bytearray(encode(Prepare(b"m", V0), KEYRING.signer_for("p1")))
-    raw[0] = 9
-    with pytest.raises(CodecError):
-        decode(bytes(raw), VERIFIER)
+    for version in (2, 9):  # 2: the layout before omega and targets were derived
+        raw[0] = version
+        with pytest.raises(CodecError, match=f"unsupported wire version {version}"):
+            decode(bytes(raw), VERIFIER)
 
 
 read_view = FIELD_CODECS["View"][1]
 
 
 def test_non_canonical_view_rejected():
-    # two changes out of canonical order
+    # two changes out of canonical order, and one change twice
     item_b = struct.pack(">B", 2) + b"pb" + b"\x2b"
     item_a = struct.pack(">B", 2) + b"pa" + b"\x2b"
-    with pytest.raises(CodecError, match="view changes not canonical"):
-        read_view(Reader(blob(u32(2) + item_b + item_a)))
+    for items in (item_b + item_a, item_a + item_a):
+        with pytest.raises(CodecError, match="non-canonical view encoding"):
+            read_view(Reader(blob(u32(2) + items)))
+
+
+def test_change_has_one_encoding():
+    # len | pid | sign, as a field and inside a view
+    c = minus("p2")
+    assert c.canonical_bytes == enc("Change", c) == b"\x02p2\x2d"
+    assert View.of([plus("p1"), c]).canonical_bytes == u32(2) + b"\x02p1\x2b" + c.canonical_bytes
 
 
 def test_view_sign_byte_checked():
-    with pytest.raises(CodecError, match="bad sign byte in view"):
+    with pytest.raises(CodecError, match="bad change sign byte"):
         read_view(Reader(blob(u32(1) + struct.pack(">B", 2) + b"pa" + b"\x00")))
 
 
 def test_truncated_message_rejected():
-    raw = encode(Commit(b"m", make_cert(), V0, V0), KEYRING.signer_for("p1"))
+    raw = encode(Commit(b"m", make_cert(), V0), KEYRING.signer_for("p1"))
     with pytest.raises(CodecError):
         decode(raw[:-3], VERIFIER)
 
@@ -189,11 +198,6 @@ def test_reconfig_proof_round_trip_verifies():
     assert proof.verify(VERIFIER)
     bad = ReconfigProof(proof.change, proof.view, b"junk")
     assert not bad.verify(VERIFIER)
-
-
-def test_history_arity_enforced():
-    with pytest.raises(CodecError):
-        ViewHistory((V0, V1), ())
 
 
 def test_oversized_view_decodes_as_codec_error():
@@ -220,7 +224,6 @@ FIELD_STRATEGIES = {
     "Change": changes,
     "View": views,
     "frozenset[View]": st.frozensets(views, max_size=3),
-    "tuple[ProcessId, ...]": st.lists(pids, max_size=4).map(tuple),
     "Signatures": sig_pairs,
     "ConvergedSignatures": sig_pairs,
 }
@@ -236,9 +239,8 @@ prep_evidence = built(PrepareEvidence)
 FIELD_STRATEGIES["StateRecord"] = st.builds(
     StateRecord, st.none() | prep_evidence, st.none() | st.tuples(prep_evidence, prep_evidence),
     st.none() | built(StoredEvidence))
-FIELD_STRATEGIES["ViewHistory"] = st.builds(
-    lambda v0, links: ViewHistory((v0,) + tuple(l.omega for l in links), tuple(links)),
-    views, st.lists(built(Install), max_size=2))
+FIELD_STRATEGIES["tuple[Install, ...]"] = st.lists(built(Install), max_size=2).map(tuple)
+FIELD_STRATEGIES["ViewHistory"] = built(ViewHistory)
 KINDS = typing.get_args(Message)
 messages = st.one_of(*(built(cls) for cls in KINDS))
 
@@ -319,24 +321,18 @@ def proof_bytes(proofs):
         enc("Change", p.change) + enc("View", p.view) + blob(p.signature) for p in proofs)
 
 
-def install_body(psi, sigs, proofs):
+def install_body(sigs, proofs):
     # an INSTALL body, but with the collections in the order given
     return b"".join([
-        u32(len(psi)), *map(text, psi), enc("View", V1), enc("frozenset[View]", SEQ),
-        enc("View", V0), u32(len(sigs)), *(text(pid) + blob(sig) for pid, sig in sigs),
-        proof_bytes(proofs)])
-
-
-def test_target_set_out_of_order_rejected():
-    install = make_install()
-    body = install_body(tuple(reversed(install.psi)), install.converged_sigs, install.proofs)
-    with pytest.raises(CodecError, match="process ids not canonical"):
-        decode(frame(TAG_INSTALL, body), VERIFIER)
+        enc("frozenset[View]", SEQ), enc("View", V0),
+        u32(len(sigs)), *(text(pid) + blob(sig) for pid, sig in sigs), proof_bytes(proofs)])
 
 
 def test_converged_signatures_out_of_order_rejected():
     install = make_install()
-    body = install_body(install.psi, tuple(reversed(install.converged_sigs)), install.proofs)
+    assert decode(frame(TAG_INSTALL, install_body(install.converged_sigs, install.proofs)),
+                  VERIFIER).msg == install
+    body = install_body(tuple(reversed(install.converged_sigs)), install.proofs)
     with pytest.raises(CodecError, match="converged signatures not canonical"):
         decode(frame(TAG_INSTALL, body), VERIFIER)
 
@@ -353,18 +349,17 @@ def test_reconfig_proofs_out_of_order_rejected():
 def test_certificate_signatures_out_of_order_rejected():
     cert = make_cert()
     body = b"".join([
-        blob(b"m"), blob(cert.message_digest), enc("View", cert.view), u32(len(cert.signatures)),
+        blob(b"m"), enc("View", cert.view), u32(len(cert.signatures)),
         *(text(pid) + blob(sig) for pid, sig in reversed(cert.signatures)),
-        enc("View", V0), enc("View", V0)])
+        enc("View", V0)])
     with pytest.raises(CodecError, match="certificate signatures not canonical"):
         decode(frame(Commit.TAG, body), VERIFIER)
 
 
 def test_state_record_unknown_flags_rejected():
-    install = make_install()
     for flags, ok in ((0, True), (8, False), (0x80, False)):
         record = bytes((flags,)) if flags else enc("StateRecord", StateRecord())
-        body = (enc("tuple[ProcessId, ...]", install.psi) + enc("View", V0) + enc("View", V1)
+        body = (enc("View", V0) + enc("View", V1)
                 + record + enc("tuple[ReconfigProof, ...]", ()))
         raw = frame(TAG_STATE_UPDATE, body)
         if ok:
@@ -372,13 +367,6 @@ def test_state_record_unknown_flags_rejected():
         else:
             with pytest.raises(CodecError, match="unknown state record flags"):
                 decode(raw, VERIFIER)
-
-
-def test_empty_history_rejected():
-    # a count of 0 would otherwise parse as the one-view history, whose
-    # encoding counts 1
-    with pytest.raises(CodecError, match="empty history"):
-        decode(frame(TAG_HISTORY, u32(0) + enc("View", V0)), VERIFIER)
 
 
 # --- body memo ----------------------------------------------------------------
@@ -391,7 +379,7 @@ def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
     parsed = []
     write, read = KIND_CODECS[TAG_INSTALL]
     monkeypatch.setitem(KIND_CODECS, TAG_INSTALL, (write, lambda r: parsed.append(1) or read(r)))
-    gossip = HistoryGossip(ViewHistory((V0, V1), (install,)))
+    gossip = HistoryGossip(ViewHistory(V0, (install,)))
     decoded = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies)
     assert decoded.msg.history.links[0] is known
     assert parsed == []
@@ -401,7 +389,7 @@ def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
 def test_link_first_seen_in_a_history_is_known_as_an_install():
     bodies = {}
     install = make_install()
-    gossip = HistoryGossip(ViewHistory((V0, V1), (install,)))
+    gossip = HistoryGossip(ViewHistory(V0, (install,)))
     link = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies).msg.history.links[0]
     assert decode(encode(install, KEYRING.signer_for("p3")), VERIFIER, bodies).msg is link
 
@@ -438,7 +426,7 @@ def test_memo_decode_equals_memo_free_decode(pool, data):
     pool = list(pool)
     for msg in list(pool):
         if isinstance(msg, Install):
-            pool.append(HistoryGossip(ViewHistory((msg.view, msg.omega), (msg,))))
+            pool.append(HistoryGossip(ViewHistory(msg.view, (msg,))))
         elif isinstance(msg, HistoryGossip):
             pool.extend(msg.history.links)
     bodies = {}
@@ -517,7 +505,7 @@ def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch):
     raw = encode(make_install(), KEYRING.signer_for("p1"))
     proof = decode(raw, KEYRING.verifier()).msg.proofs[0]
     assert kept_body(proof) in raw
-    monkeypatch.setattr(codec, "_write_change", lambda c: pytest.fail("re-encoded"))
+    monkeypatch.setattr(Change, "canonical_bytes", property(lambda c: pytest.fail("re-encoded")))
     monkeypatch.setattr(codec, "_write_view", lambda v: pytest.fail("re-encoded"))
     assert proof.verify(VERIFIER)
     assert proof.signed_bytes() == _signed_content(Reconfig.TAG, kept_body(proof), "p5")
@@ -539,15 +527,21 @@ def test_decode_verifies_the_content_the_author_signed(msg, author):
 
 
 def test_failed_derivations_are_never_kept():
+    # a change that names a too-long process cannot encode, nor can a
+    # certificate signed by one
     long_pid = "x" * 256
     msg = Reconfig(plus(long_pid), V0)
     proof = ReconfigProof(plus(long_pid), V0, b"sig")
+    commit = Commit(b"m", MessageCertificate(V0, ((long_pid, b"sig"),)), V0)
     for _ in range(2):
-        with pytest.raises(CodecError, match="identifier too long"):
+        with pytest.raises(ViewError, match="identifier too long"):
             body_bytes(msg)
-        with pytest.raises(CodecError, match="identifier too long"):
+        with pytest.raises(ViewError, match="identifier too long"):
             proof.verify(VERIFIER)
+        with pytest.raises(ViewError, match="identifier too long"):
+            body_bytes(commit)
     assert "_body" not in vars(msg) and "_signed" not in vars(proof)
+    assert "_body" not in vars(commit) and "canonical_bytes" not in vars(msg.change)
 
 
 def test_kept_bytes_are_not_fields():
@@ -566,7 +560,7 @@ def test_kept_bytes_are_not_fields():
 
 def test_history_links_are_not_encoded_again(monkeypatch):
     install = make_install()
-    gossip = decode(encode(HistoryGossip(ViewHistory((V0, V1), (install,))),
+    gossip = decode(encode(HistoryGossip(ViewHistory(V0, (install,))),
                            KEYRING.signer_for("p2")), VERIFIER, {}).msg
     monkeypatch.setitem(KIND_CODECS, TAG_INSTALL,
                         (lambda msg: pytest.fail("re-encoded"), KIND_CODECS[TAG_INSTALL][1]))

@@ -4,13 +4,15 @@ Each digest is the sha256 of `simnet.run(scenario, seed).to_jsonl()`.  A
 change that only makes the code faster or smaller must leave every digest
 as it is; a change that alters behaviour or the trace schema on purpose
 updates them and says why.  "default" runs the scenario's own scheme.
-The digests below are of trace schema 2 and wire version 2, under which
-a replayed link-only frame counts as the replayer's own message; that
-moved the `equivocating_n7` seed-42 runs, whose `replay_stale_view`
-role replays such frames.  A COMMIT that reaches a suspended node, or one
-for a view newer than its own, is parked rather than dropped; that moved
-the `equivocating_sender` runs, in which COMMITs reach members that the
-join's install has suspended.
+The digests below are of trace schema 2.  Wire version 2, under which
+a replayed link-only frame counts as the replayer's own message, moved
+the `equivocating_n7` seed-42 runs, whose `replay_stale_view` role
+replays such frames.  Wire version 3, which derives omega, the multicast
+targets, the certificate's view and digest and a history's views rather
+than sending them, moved no pin: traces hold no frame bytes.  A COMMIT
+that reaches a suspended node, or one for a view newer than its own, is
+parked rather than dropped; that moved the `equivocating_sender` runs,
+in which COMMITs reach members that the join's install has suspended.
 """
 
 import dataclasses

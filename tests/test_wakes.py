@@ -240,22 +240,20 @@ def wakes_after(bench, to, author, msg, written):
     return fields
 
 
-def install(bench, omega, seq, view, signers=("p1", "p2", "p3")):
+def install(bench, seq, view, signers=("p1", "p2", "p3")):
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
-    return Install(tuple(sorted(view.member_set | omega.member_set)), omega, seq, view, sigs,
-                   reconfig_proofs(bench.keyring, seq, view))
+    return Install(seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
 
 
 def state_update(view, omega, record=StateRecord()):
-    return StateUpdate(tuple(sorted(view.member_set | omega.member_set)), view, omega,
-                       record, ())
+    return StateUpdate(view, omega, record, ())
 
 
 def cert(bench, payload, view, signers):
     digest = hashlib.sha256(payload).digest()
-    return build_certificate(digest, view, {p: bench.keyring.sign(p, ack_payload(digest, view))
-                                            for p in signers})
+    return build_certificate(view, {p: bench.keyring.sign(p, ack_payload(digest, view))
+                                    for p in signers})
 
 
 V0 = View.initial(["p1", "p2", "p3", "p4"])
@@ -266,7 +264,7 @@ V_SUB = View.initial(["p1", "p2", "p3"])
 
 def install_v1(bench, to, updates=None):
     """Move `to` from V0 to V1 through an INSTALL and a quorum of state updates."""
-    bench.deliver(to, "p1", install(bench, V1, frozenset({V1}), V0))
+    bench.deliver(to, "p1", install(bench, frozenset({V1}), V0))
     for author in ("p1", "p3", "p4"):
         bench.deliver(to, author, (updates or {}).get(author, state_update(V0, V1)))
 
@@ -277,7 +275,7 @@ def test_delivered_multicast_leaves_no_work():
     bench = make_bench()
     node = bench.nodes["p2"]
     install_v1(bench, "p2")
-    variant = install(bench, V1, frozenset({V1}), V0, signers=("p2", "p3", "p4"))
+    variant = install(bench, frozenset({V1}), V0, signers=("p2", "p3", "p4"))
     key = (TAG_INSTALL, body_bytes(variant), "")
     bench.deliver("p2", "p4", variant)
     assert key in node.rm_received
@@ -287,11 +285,11 @@ def test_delivered_multicast_leaves_no_work():
 def test_stored_commit_clears_the_pending_store():
     bench = make_bench()
     node = bench.nodes["p2"]
-    unverifiable = StoredEvidence(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]), V_SUB, V0)
+    unverifiable = StoredEvidence(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]), V0)
     install_v1(bench, "p2", {"p1": state_update(V0, V1, StateRecord(stored=unverifiable))})
     assert node.cv == V1 and node.pending_store == [unverifiable]
     assert node.state_record.stored is None
-    bench.deliver("p2", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0, V1))
+    bench.deliver("p2", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V1))
     assert node.state_record.stored is not None and node.pending_store == []
     assert_idle(node)
 
@@ -300,7 +298,7 @@ def test_new_cv_drops_a_stale_pending_commit():
     bench = make_bench()
     node = bench.nodes["p2"]
     bench.deliver("p2", "p1", Commit(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]),
-                                     V_SUB, V0))
+                                     V0))
     assert [msg.view for _, msg in node.pending_commits] == [V0]
     install_v1(bench, "p2")
     assert node.cv == V1 and node.pending_commits == []
@@ -313,12 +311,12 @@ def test_leaving_cv_drops_a_stale_pending_commit():
     bench = make_bench()
     node = bench.nodes["p4"]
     v_left = View(V0.changes | {minus("p4")})
-    bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0, V0))
+    bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0))
     bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]),
-                                     V_SUB, V0))
+                                     V0))
     assert node.state_record.stored is not None
     assert [msg.view for _, msg in node.pending_commits] == [V0]
-    bench.deliver("p4", "p1", install(bench, v_left, frozenset({v_left}), V0))
+    bench.deliver("p4", "p1", install(bench, frozenset({v_left}), V0))
     for author in ("p1", "p2", "p3"):
         bench.deliver("p4", author, state_update(V0, v_left))
     assert node.phase is Phase.LEAVER_LOOP and node.cv == v_left and node.pending_commits == []
@@ -337,7 +335,7 @@ def test_install_unlocks_a_buffered_propose_and_its_quorum():
     for author in ("p1", "p3", "p4", "p5"):
         assert not sends_of(bench.deliver("p2", author, propose))
     assert len(node.propose_buffer) == 4 and V1 not in node.seqs
-    actions = bench.deliver("p2", "p1", install(bench, V1, frozenset({V1, v2}), V0))
+    actions = bench.deliver("p2", "p1", install(bench, frozenset({V1, v2}), V0))
     assert node.seqs[V1] == frozenset({v2})
     assert sorted(s.to for s in sends_of(actions, "PROPOSE")) == sorted(V1.members)
     converged = sends_of(actions, "CONVERGED")
@@ -351,7 +349,7 @@ def test_installing_cv_wakes_maybe_propose():
     # the installed mark must wake `_maybe_propose` on its own as well
     bench = make_bench()
     node = bench.nodes["p2"]
-    bench.deliver("p2", "p1", install(bench, V1, frozenset({V1}), V0))
+    bench.deliver("p2", "p1", install(bench, frozenset({V1}), V0))
     for author in ("p1", "p3"):
         bench.deliver("p2", author, state_update(V0, V1))
     installed = lambda n: n.cv == V1 and V1 in n.installed
@@ -381,7 +379,7 @@ def test_install_proofs_unlock_a_waiting_converged_quorum():
     for author in ("p1", "p3", "p4"):
         bench.deliver("p2", author, Converged(frozenset({V1}), V0))
     assert plus("p5") not in node.pool and not node.install_sent
-    received = install(bench, V1, frozenset({V1}), V0)
+    received = install(bench, frozenset({V1}), V0)
     actions = bench.deliver("p2", "p1", received)
     assert node.install_sent == {(V0, frozenset({V1}))}
     assert node.formats[V1] == {frozenset()}
@@ -399,6 +397,6 @@ def test_install_after_its_state_updates_completes_in_the_same_step():
     for author in ("p1", "p3", "p4"):
         bench.deliver("p2", author, state_update(V0, V1))
     assert node.cv == V0 and set(node.state_updates[V0]) == {"p1", "p3", "p4"}
-    bench.deliver("p2", "p1", install(bench, V1, frozenset({V1}), V0))
+    bench.deliver("p2", "p1", install(bench, frozenset({V1}), V0))
     assert node.cv == V1 and V1 in node.installed and node.pending_installs == []
     assert_idle(node)

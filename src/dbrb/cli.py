@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -76,12 +77,13 @@ def _print_verdicts(verdicts) -> None:
         print(line)
 
 
-def _sweep_one(packed: tuple[str, int]) -> tuple[int, list[tuple[str, str]]]:
+def _sweep_one(packed: tuple[str, int]) -> tuple[int, list[tuple[str, str]], int]:
+    """seed -> (seed, (property, status) of each verdict, messages sent)"""
     path, seed = packed
     scenario = simnet.Scenario.load(path)
     trace = simnet.run(scenario, seed)
     verdicts = checker.check(trace, scenario)
-    return seed, [(v.prop, v.status) for v in verdicts]
+    return seed, [(v.prop, v.status) for v in verdicts], trace.footer["messages"]
 
 
 def _parse_seed_range(spec: str) -> list[int]:
@@ -105,7 +107,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         results = [_sweep_one(j) for j in jobs]
     results.sort()
     seeds_of = {(p, st): [] for p in checker.PROPERTIES for st in _STATUSES}
-    for seed, verdicts in results:
+    for seed, verdicts, _ in results:
         for prop, status in verdicts:
             seeds_of[prop, status].append(seed)
     print(f"scenario={scenario.name} seeds={seeds[0]}..{seeds[-1]} "
@@ -115,6 +117,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for prop in checker.PROPERTIES:
         n = [len(seeds_of[prop, st]) for st in _STATUSES]
         print(f"{prop:<{width}}  {n[0]:>6} {n[1]:>6} {n[2]:>8}")
+    messages = [m for _, _, m in results]
+    print(f"messages per run: min {min(messages)}  median {statistics.median(messages):g}  "
+          f"max {max(messages)}")
     for prop in checker.PROPERTIES:
         bad = [f"{st} {seeds_of[prop, st]}" for st in _STATUSES[1:] if seeds_of[prop, st]]
         if bad:

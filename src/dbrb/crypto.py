@@ -107,14 +107,23 @@ def make_keyring(name: str) -> Keyring:
 
 
 class Signer:
-    """Signing handle for exactly one process identity."""
+    """Signing handle for exactly one process identity.
+
+    Both schemes are deterministic, so a content signed again gets the
+    same signature; each is computed once and remembered, as `Verifier`
+    remembers its checks.
+    """
 
     def __init__(self, keyring: Keyring, pid: ProcessId) -> None:
         self._keyring = keyring
         self.pid = pid
+        self._signed: dict[bytes, bytes] = {}
 
     def sign(self, payload: bytes) -> bytes:
-        return self._keyring.sign(self.pid, payload)
+        sig = self._signed.get(payload)
+        if sig is None:
+            sig = self._signed[payload] = self._keyring.sign(self.pid, payload)
+        return sig
 
 
 class Verifier:

@@ -143,7 +143,7 @@ SCANS = (
     ("_leaver_loop_kick", ("phase", "delivered", "cv", "trusted_hist")),
     ("_gossip_kick", ("phase", "last_gossiped", "trusted_hist")),
 )
-_SCAN_BITS = tuple((1 << i, name) for i, (name, _) in enumerate(SCANS))
+_SCAN_NAMES = tuple(name for name, _ in SCANS)
 _ALL = (1 << len(SCANS)) - 1
 # field -> the bits of the scans that read it
 _READERS = {f: sum(1 << i for i, (_, reads) in enumerate(SCANS) if f in reads)
@@ -183,7 +183,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.state_updates: dict[View, dict[ProcessId, StateUpdate]] = {}
 
         # reliable multicast state
-        self.rm_received: set[tuple[int, bytes, str]] = set()
+        self.rm_received: set[tuple[int, bytes]] = set()
         self.rm_pending: list = []
 
         # discovery state
@@ -261,14 +261,14 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         if self.phase is _HALTED:
             raise HaltedError(f"{self.pid} is halted")
         self._outputs = []
-        if isinstance(event, InvokeJoin):
+        if isinstance(event, Receive):
+            self._receive(event)
+        elif isinstance(event, InvokeJoin):
             self._invoke_join()
         elif isinstance(event, InvokeLeave):
             self._invoke_leave()
         elif isinstance(event, InvokeBroadcast):
             self._invoke_broadcast(event.payload)
-        elif isinstance(event, Receive):
-            self._receive(event)
         else:  # pragma: no cover
             raise TypeError(f"unknown event {event!r}")
         self._repoll()
@@ -300,8 +300,10 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._handle_propose(author, msg)
         elif isinstance(msg, Converged):
             self._handle_converged(author, msg, decoded.signature)
-        elif isinstance(msg, (Install, StateUpdate)):
+        elif isinstance(msg, Install):
             self._rm_receive(decoded, event.raw)
+        elif isinstance(msg, StateUpdate):
+            self._handle_state_update(author, msg)
         elif isinstance(msg, Prepare):
             self._handle_prepare(author, msg, decoded.signature)
         elif isinstance(msg, Ack):
@@ -322,9 +324,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     def _repoll(self) -> None:
         """Run the woken scans, in `SCANS` order, until none is woken.
 
-        Each round walks the scans once and runs those whose bit is set,
-        clearing the bit just before the call; a scan woken by a later one
-        runs in the next round.  A scan that is not woken would find nothing
+        Each round runs the woken scans in order, stepping from one set bit
+        to the next and clearing it just before the call; a scan woken by a
+        later one runs in the next round.  A scan that is not woken would find nothing
         to do, so the scans that act do so in the same order as when every
         scan re-ran until none changed anything, and traces are unchanged.
         Scans return nothing; what they did is in the state they wrote.
@@ -346,9 +348,12 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         call each but change neither the trace nor termination.
         """
         while self._dirty:
-            for bit, name in _SCAN_BITS:
-                if self._dirty & bit:
-                    self._dirty &= ~bit
-                    getattr(self, name)()
-                    if self.phase is _HALTED:
-                        return
+            ahead = _ALL  # the bits of the scans this round has not passed
+            while self._dirty & ahead:
+                woken = self._dirty & ahead
+                bit = woken & -woken  # the first woken scan not passed
+                ahead &= -(bit << 1)
+                self._dirty &= ~bit
+                getattr(self, _SCAN_NAMES[bit.bit_length() - 1])()
+                if self.phase is _HALTED:
+                    return

@@ -27,6 +27,7 @@ from .messages import (
     HistoryRequest,
     StateRecord,
     StateUpdate,
+    rm_targets,
     signed_content,
 )
 from .views import (
@@ -339,19 +340,32 @@ class MembershipMixin:
                 self.suspended = True
                 self._wrote("suspended")
                 self._note("StateNote", detail="suspend")
-            self._r_multicast(StateUpdate(
+            update = StateUpdate(
                 view=v,
                 omega=omega,
                 record=self._state_of(v),
                 recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_order)),
-            ))
+            )
+            self._send_all(rm_targets(update), update)
         if self.cv.changes < omega.changes:
             pending = PendingInstall(omega, seq, v)
             if pending not in self.pending_installs:
                 self.pending_installs.append(pending)
                 self._wrote("pending_installs")
 
-    def _record_state_update(self, author: str, msg: StateUpdate) -> None:
+    def _handle_state_update(self, author: str, msg: StateUpdate) -> None:
+        """Record the first update each member of the replaced view sends.
+
+        An update is link-only: its author sends it straight to every
+        target, no one relays it (see `rmulticast`), and it counts for the
+        process that sent it over the link.
+        """
+        if self.pid not in rm_targets(msg):
+            self._note("Drop", msg_kind="STATE-UPDATE", detail="not in target set")
+            return
+        if author not in msg.view.member_set:
+            self._note("Drop", msg_kind="STATE-UPDATE", detail="sender not in replaced view")
+            return
         per_view = self.state_updates.setdefault(msg.view, {})
         if author in per_view:
             return
@@ -359,9 +373,11 @@ class MembershipMixin:
             self._note("Flag", msg_kind="STATE-UPDATE", detail="invalid embedded evidence")
             return
         for proof in msg.recv:
-            self.pool.setdefault(proof.change, proof)
+            if proof.change not in self.pool:
+                self.pool[proof.change] = proof
+                self._wrote("pool")
         per_view[author] = msg
-        self._wrote("pool", "state_updates")
+        self._wrote("state_updates")
 
     def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
         """ev is a prepare the sender signed in a view no later than v."""

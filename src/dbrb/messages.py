@@ -3,8 +3,8 @@
 Links are authenticated (`Receive.sender` is the true sender), so a frame
 is signed only if a third party must check its author.  The kinds in
 `SIGNED_TAGS` are such evidence: RECONFIG (a `ReconfigProof`), CONVERGED
-(install proofs), PREPARE (ack evidence in state records) and
-STATE-UPDATE (relayed, and counted for its originator).  Their frames are
+(install proofs) and PREPARE (ack evidence in state records).  Their
+frames are
 
     version(1) | tag(1) | body-len(4) | body | author | signature
 
@@ -12,7 +12,9 @@ and the author signs all but the signature, so they cannot be
 re-attributed.  Any other kind is framed version|tag|body-len|body and
 counts for its link sender, so a replayed copy is the replayer's own
 message: ACK carries its own signature, COMMIT a certificate, HISTORY
-install-proved links, and INSTALL is author-agnostic and quorum-proved.
+install-proved links, INSTALL is author-agnostic and quorum-proved, and
+STATE-UPDATE goes straight from its author to each target, never
+relayed (see `rmulticast`).
 
 The dataclass fields of each message kind are its schema: a body is
 those fields in declaration order, each in the encoding `FIELD_CODECS`
@@ -28,14 +30,15 @@ to (`body_bytes`).  `encode`, history links, the install-proof memo and
 reliable multicast all use that body, and `decode` takes the signed
 content as a prefix of the frame instead of building it again.
 
-Wire version 3 sends each fact once.  What a receiver can derive is not
-a field: an install's omega is the least view of its sequence
-(`Install.omega`), the reliable-multicast targets are the members of
-view and omega (`rmulticast.rm_targets`), a certificate's view is the
-certified view and its digest that of the payload beside it, and each
-view of a history after the root is the omega of the link before it.
-A change is `len | pid | sign` (`Change.canonical_bytes`), as a field
-and inside a view.
+Each fact is sent once (since wire version 3).  What a receiver can
+derive is not a field: an install's omega is the least view of its
+sequence (`Install.omega`), the targets of an install or a state update
+are the members of view and omega (`rm_targets`), a certificate's view
+is the certified view and its digest that of the payload beside it, and
+each view of a history after the root is the omega of the link before
+it.  A change is `len | pid | sign` (`Change.canonical_bytes`), as a
+field and inside a view.  Wire version 4 frames STATE-UPDATE without
+author and signature.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from .views import (
     short_digest,
 )
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 TAG_RECONFIG = 0x01
 TAG_REC_CONFIRM = 0x02
@@ -92,7 +95,7 @@ KIND_NAMES = {
 }
 
 # The kinds whose frames carry their author and signature; see the module doc.
-SIGNED_TAGS = frozenset({TAG_RECONFIG, TAG_CONVERGED, TAG_PREPARE, TAG_STATE_UPDATE})
+SIGNED_TAGS = frozenset({TAG_RECONFIG, TAG_CONVERGED, TAG_PREPARE})
 
 
 class CodecError(ValueError):
@@ -333,6 +336,14 @@ Message = (
     Reconfig | RecConfirm | Propose | Converged | Install | StateUpdate
     | Prepare | Ack | Commit | Deliver | HistoryRequest | HistoryGossip
 )
+
+
+def rm_targets(msg: Install | StateUpdate) -> list[ProcessId]:
+    """The processes an install or a state update goes to, derived alike by
+    every receiver: the sorted members of msg's replaced view and of its
+    omega.  An install's omega is derived from its sequence, so read this
+    only once the install proof holds."""
+    return sorted(msg.view.member_set | msg.omega.member_set)
 
 
 # --- field codecs -------------------------------------------------------------

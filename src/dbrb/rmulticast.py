@@ -1,80 +1,87 @@
-"""Static Byzantine reliable multicast for install and state-update traffic.
+"""Static Byzantine reliable multicast for install traffic.
 
-The target set of a message is not sent: it is the members of its replaced
-view and of its omega (`rm_targets`), which every receiver derives alike,
-so no sender picks its own relay targets.  Receivers relay a fresh message
-to the whole target set before acting on it, which gives agreement: once
-any correct member delivers, every correct member that has not left
-eventually delivers too.  Duplicate suppression is by the kind, canonical
-body and, for state updates, author of each message.
+The target set of an install is not sent: it is the members of its
+replaced view and of its omega (`rm_targets`), which every receiver
+derives alike, so no sender picks its own relay targets.  Receivers relay
+a fresh install to the whole target set before acting on it, which gives
+agreement: once any correct member delivers, every correct member that
+has not left eventually delivers too.  Totality needs that echo, since
+one correct member's install must reach members its author never sent to
+(the author may be Byzantine).  Duplicate suppression is by kind and
+canonical body.
+
+A state update is not multicast: its author sends it once, straight to
+each target, and it counts for the link sender (`_handle_state_update`).
+An echo would add nothing:
+
+- A correct member of the replaced view sends its own update to every
+  target in one step, when it accepts the install (which the install's
+  echo makes every correct member do), and links neither lose nor forge
+  messages.  So each correct target gets every correct member's update
+  with no relay, and those alone make the quorum it waits for: at most
+  `(n-1)//3` of the n members are Byzantine, and the quorum is n minus
+  that.
+- A relay goes to the same `rm_targets` as the update, so it never
+  reaches a target the author missed.  A target that drops the original,
+  because it has halted or is not a target, drops the relay too.
+- `state_updates` keeps each author's first update, so even with relays
+  two receivers can take different updates from one Byzantine author.
+  The echo gave no agreement on what a Byzantine member reported, and
+  the install step does not need it: it waits for a quorum of updates,
+  and what it must learn (a message acked or stored by a quorum of the
+  replaced view) reaches it through a correct member in the two quorums'
+  intersection, whatever the Byzantine members report.
 """
 
 from __future__ import annotations
 
-from .messages import Decoded, Install, StateUpdate, message_meta
+from .messages import Decoded, Install, message_meta, rm_targets
 from .discovery import verify_install_proof
-from .views import ProcessId
 
 
-def rm_targets(msg: Install | StateUpdate) -> list[ProcessId]:
-    """The sorted members of msg's replaced view and of its omega.  An
-    install's omega is derived from its sequence, so read this only once
-    the install proof holds."""
-    return sorted(msg.view.member_set | msg.omega.member_set)
-
-
-def _rm_key(decoded: Decoded) -> tuple[int, bytes, str]:
+def _rm_key(decoded: Decoded) -> tuple[int, bytes]:
     # An install's frame names no author (the converged quorum speaks for
-    # it); a state update is identified by its signer as well as its body.
-    # The received body is canonical (`decode` rejects any other), so equal
-    # messages always have equal keys.
-    return (decoded.msg.TAG, decoded.body, decoded.author or "")
+    # it).  The received body is canonical (`decode` rejects any other), so
+    # equal messages always have equal keys.
+    return (decoded.msg.TAG, decoded.body)
 
 
 class RMulticastMixin:
-    def _r_multicast(self, msg) -> None:
+    def _r_multicast(self, msg: Install) -> None:
         self._send_all(rm_targets(msg), msg)
 
     def _rm_receive(self, decoded: Decoded, raw: bytes) -> None:
-        """Check and deliver an install or a state update, the only kinds
-        the engine routes here.
+        """Check and deliver an install, the only kind the engine routes
+        here.
 
-        A received message passed every check below, and equal bodies
-        have equal targets, so a copy of it is dropped first, quietly.
+        A received install passed every check below, and equal bodies have
+        equal targets, so a copy of it is dropped first, quietly.
         """
         msg = decoded.msg
         key = _rm_key(decoded)
         if key in self.rm_received:
             return
-        is_install = isinstance(msg, Install)
-        if is_install and not verify_install_proof(msg, self.verifier):
+        if not verify_install_proof(msg, self.verifier):
             self._note("Drop", msg_kind=decoded.kind, detail="invalid install proof")
             return
         if self.pid not in rm_targets(msg):
             self._note("Drop", msg_kind=decoded.kind, detail="not in target set")
             return
-        if is_install:
-            if not self._is_trusted(msg.view):
-                # Replaced view unknown yet; park until a history arrives.
-                if all(k != key for k, _, _ in self.rm_pending):
-                    self.rm_pending.append((key, msg, raw))
-                    self._wrote("rm_pending")
-                return
-        elif decoded.author not in msg.view.member_set:  # a state update
-            self._note("Drop", msg_kind=decoded.kind, detail="sender not in replaced view")
+        if not self._is_trusted(msg.view):
+            # Replaced view unknown yet; park until a history arrives.
+            if all(k != key for k, _, _ in self.rm_pending):
+                self.rm_pending.append((key, msg, raw))
+                self._wrote("rm_pending")
             return
-        self._rm_deliver(key, msg, decoded.author, raw)
+        self._rm_deliver(key, msg, raw)
 
-    def _rm_deliver(self, key: tuple, msg, author: str, raw: bytes) -> None:
+    def _rm_deliver(self, key: tuple, msg: Install, raw: bytes) -> None:
         self.rm_received.add(key)
         meta = message_meta(msg)
         for q in rm_targets(msg):
             if q != self.pid:
                 self._send_raw(q, raw, meta)
-        if isinstance(msg, Install):
-            self._handle_install(msg)
-        else:
-            self._record_state_update(author, msg)
+        self._handle_install(msg)
 
     def _rm_pending_scan(self) -> None:
         """Deliver each parked install whose replaced view is now trusted.
@@ -92,8 +99,7 @@ class RMulticastMixin:
         still = []
         for key, msg, raw in self.rm_pending:
             if self._is_trusted(msg.view):
-                # Author identity is irrelevant for installs (quorum-proofed).
-                self._rm_deliver(key, msg, "", raw)
+                self._rm_deliver(key, msg, raw)
             else:
                 still.append((key, msg, raw))
         self.rm_pending = still

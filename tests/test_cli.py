@@ -127,6 +127,13 @@ def test_sweep_aggregates_and_exits_zero(capsys):
     assert " 5 " in printed or "     5" in printed
 
 
+def test_sweep_prints_messages_per_run(capsys):
+    # a static4 run sends 48 messages whatever the seed
+    assert cli.main(["sweep", "--scenario", str(SCENARIOS / "static4.json"),
+                     "--seeds", "0..2"]) == 0
+    assert "messages per run: min 48  median 48  max 48" in capsys.readouterr().out.splitlines()
+
+
 def test_sweep_of_truncated_runs_exits_three(tmp_path, capsys):
     scenario = json.loads((SCENARIOS / "static4.json").read_text())
     scenario["limits"]["max_steps"] = 2
@@ -147,11 +154,12 @@ def test_sweep_reports_failing_seeds_per_property(monkeypatch, capsys):
             verdicts["Totality"] = checker.FAIL
         if seed in (1, 2):
             verdicts["Liveness"] = checker.INCONCLUSIVE
-        return seed, list(verdicts.items())
+        return seed, list(verdicts.items()), 10 * seed
 
     monkeypatch.setattr(cli, "_sweep_one", verdicts_of)
     rc = cli.main(["sweep", "--scenario", str(SCENARIOS / "static4.json"), "--seeds", "0..3"])
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == ["Totality: Fail [1]", "Liveness: Inconclusive [1, 2]",
+    assert lines[-4:] == ["messages per run: min 0  median 15  max 30",
+                          "Totality: Fail [1]", "Liveness: Inconclusive [1, 2]",
                           "failing seeds: [1]"]

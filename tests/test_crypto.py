@@ -181,6 +181,18 @@ def test_verifier_memo_is_per_instance(keyring):
     assert calls == ["p1", "p1"]
 
 
+def test_signer_signs_each_content_once(keyring):
+    calls = []
+    real = keyring.sign
+    keyring.sign = lambda pid, payload: calls.append(payload) or real(pid, payload)
+    signer = keyring.signer_for("p1")
+    first = signer.sign(b"blob")
+    assert signer.sign(b"blob") == first == real("p1", b"blob")
+    assert calls == [b"blob"]
+    assert signer.sign(b"other") != first
+    assert calls == [b"blob", b"other"]
+
+
 def make_install(keyring):
     v1 = View(V0.changes | {plus("p5")})
     seq = frozenset({v1})

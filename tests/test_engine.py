@@ -234,16 +234,21 @@ def test_emit_propose_is_encoded_once_and_unsigned():
     assert {s.raw for s in proposes} == {proposes[0].raw}
 
 
-def test_state_update_multicast_signs_once_per_fan_out():
+def test_state_update_is_encoded_once_and_unsigned():
+    # STATE-UPDATE is a link-only kind: a member that accepts an install
+    # sends one unsigned frame straight to each target of the install
     bench, _ = fresh_pair()
     node = bench.nodes["p1"]
     v0 = bench.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    seq = frozenset({View(v0.changes | {plus("p5")})})
+    sigs = tuple((p, bench.keyring.sign(p, signed_content(Converged(seq, v0), p)))
+                 for p in ("p2", "p3", "p4"))
+    install = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
     signed = spy_signs(node)
-    node._r_multicast(StateUpdate(v0, v1, StateRecord(), ()))
-    updates = sends_of(node._outputs, "STATE-UPDATE")
-    assert [s.to for s in updates] == sorted(v1.member_set)
-    assert len(signed) == 1
+    actions = node.step(Receive("p2", bench.raw("p2", install), message_meta(install)))
+    updates = sends_of(actions, "STATE-UPDATE")
+    assert [s.to for s in updates] == ["p1", "p2", "p3", "p4", "p5"]
+    assert signed == []
     assert {s.raw for s in updates} == {updates[0].raw}
 
 

@@ -1,4 +1,4 @@
-"""Golden frames of wire version 3: the exact bytes of one frame of each kind.
+"""Golden frames of wire version 4: the exact bytes of one frame of each kind.
 
 Each frame is built from fixed values under the deterministic HMAC scheme,
 so the bytes are the same on every run and host.  Any change to the wire
@@ -72,74 +72,75 @@ def frames():
 
 GOLDEN = {
     "RECONFIG": (
-        "0301000000180270332d00000010000000030270312b0270322b0270332b027033000000"
-        "2095b6a39d75cc9f40f6f664e844344318c32c153d5a1d720bfff41cc397b64713"
+        "0401000000180270332d00000010000000030270312b0270322b0270332b027033000000"
+        "202d9ec6d9569c90ce325c53d14336139cd6bd9a19e52666f77951300c69cf2c5a"
     ),
-    "REC-CONFIRM": "03020000001400000010000000030270312b0270322b0270332b",
+    "REC-CONFIRM": "04020000001400000010000000030270312b0270322b0270332b",
     "PROPOSE": (
-        "0303000000700000000100000014000000040270312b0270322b0270332b0270342b0000"
+        "0403000000700000000100000014000000040270312b0270322b0270332b0270342b0000"
         "0010000000030270312b0270322b0270332b000000010270342b00000010000000030270"
-        "312b0270322b0270332b000000200969971a1fd8863db0665ca255740fdcc118ff920ea6"
-        "16449ccdb9d87d7dda3b"
+        "312b0270322b0270332b0000002035a5f89b817a52cd3007cfd8e9f67419c1863813ec77"
+        "5966dbf6397bc4f269f4"
     ),
     "CONVERGED": (
-        "0304000000300000000100000014000000040270312b0270322b0270332b0270342b0000"
-        "0010000000030270312b0270322b0270332b027031000000205eb7236adcf20cc80753d1"
-        "e5297a87c2d09928dd2a6fbdd6db3974822927fde0"
+        "0404000000300000000100000014000000040270312b0270322b0270332b0270342b0000"
+        "0010000000030270312b0270322b0270332b0270310000002096475c22c1121df01bf125"
+        "e7d3adb6628c0abc50f11af225218dfdc30be37b0e"
     ),
     "INSTALL": (
-        "0305000000e90000000100000014000000040270312b0270322b0270332b0270342b0000"
-        "0010000000030270312b0270322b0270332b00000003027031000000205eb7236adcf20c"
-        "c80753d1e5297a87c2d09928dd2a6fbdd6db3974822927fde0027032000000206df2474d"
-        "dd1f39e8fb368c972f74416074bf9acf86ce922097a1cfeda6d77ea60270330000002098"
-        "9564c68515a8f95e53346c6453f219897c6b0678ddba56079c1ebe657aa3bf0000000102"
-        "70342b00000010000000030270312b0270322b0270332b000000200969971a1fd8863db0"
-        "665ca255740fdcc118ff920ea616449ccdb9d87d7dda3b"
+        "0405000000e90000000100000014000000040270312b0270322b0270332b0270342b0000"
+        "0010000000030270312b0270322b0270332b000000030270310000002096475c22c1121d"
+        "f01bf125e7d3adb6628c0abc50f11af225218dfdc30be37b0e027032000000201900abbd"
+        "c3739e60407a1619478a16aa3d6c6e71a04272f32b9398cc0bb6db8602703300000020cb"
+        "6acaf11196d60a07dbe54f8472500f63fd0c22353057a3de9635bf159f23f20000000102"
+        "70342b00000010000000030270312b0270322b0270332b0000002035a5f89b817a52cd30"
+        "07cfd8e9f67419c1863813ec775966dbf6397bc4f269f4"
     ),
     "STATE-UPDATE": (
-        "03060000011300000010000000030270312b0270322b0270332b00000014000000040270"
+        "04060000011300000010000000030270312b0270322b0270332b00000014000000040270"
         "312b0270322b0270332b0270342b04000000016d00000010000000030270312b0270322b"
         "0270332b0000000302703100000020c281dff9c49a3939aba130b096a5615fa8cc9b930f"
         "9340a8460545be1d0a84660270320000002097b9658606e39ebd63984453bd6c3961f10a"
         "a7a96bac545b966dee0f2546393402703300000020a6bb2149ade71ae502d91fbcefba85"
         "6f38e1de628b4fd0a4f4fc71bfe95057b800000010000000030270312b0270322b027033"
-        "2b000000010270342b00000010000000030270312b0270322b0270332b00000020096997"
-        "1a1fd8863db0665ca255740fdcc118ff920ea616449ccdb9d87d7dda3b02703200000020"
-        "2f8c7b239c0f41f89b640fd213b36c49f5a605bb6f558deb807fd41c507fcd5f"
+        "2b000000010270342b00000010000000030270312b0270322b0270332b0000002035a5f8"
+        "9b817a52cd3007cfd8e9f67419c1863813ec775966dbf6397bc4f269f4"
     ),
     "PREPARE": (
-        "030700000019000000016d00000010000000030270312b0270322b0270332b0270310000"
-        "00202463c5a872b2421b1ecdf4239644fe9c3a5b3a343549ed95aa4d9c1c29863434"
+        "040700000019000000016d00000010000000030270312b0270322b0270332b0270310000"
+        "002070fccf6bbe613a89d0b71d6c90f5d0b8271729e6b8c41ceed8be9678c715f261"
     ),
     "ACK": (
-        "03080000003d000000016d0000002097b9658606e39ebd63984453bd6c3961f10aa7a96b"
+        "04080000003d000000016d0000002097b9658606e39ebd63984453bd6c3961f10aa7a96b"
         "ac545b966dee0f2546393400000010000000030270312b0270322b0270332b"
     ),
     "COMMIT": (
-        "0309000000aa000000016d00000010000000030270312b0270322b0270332b0000000302"
+        "0409000000aa000000016d00000010000000030270312b0270322b0270332b0000000302"
         "703100000020c281dff9c49a3939aba130b096a5615fa8cc9b930f9340a8460545be1d0a"
         "84660270320000002097b9658606e39ebd63984453bd6c3961f10aa7a96bac545b966dee"
         "0f2546393402703300000020a6bb2149ade71ae502d91fbcefba856f38e1de628b4fd0a4"
         "f4fc71bfe95057b800000014000000040270312b0270322b0270332b0270342b"
     ),
-    "DELIVER": "030a00000019000000016d00000010000000030270312b0270322b0270332b",
-    "HISTORY-REQUEST": "031000000000",
+    "DELIVER": (
+        "040a00000019000000016d00000010000000030270312b0270322b0270332b"
+    ),
+    "HISTORY-REQUEST": "041000000000",
     "HISTORY": (
-        "03110000010500000010000000030270312b0270322b0270332b00000001000000e90000"
+        "04110000010500000010000000030270312b0270322b0270332b00000001000000e90000"
         "000100000014000000040270312b0270322b0270332b0270342b00000010000000030270"
-        "312b0270322b0270332b00000003027031000000205eb7236adcf20cc80753d1e5297a87"
-        "c2d09928dd2a6fbdd6db3974822927fde0027032000000206df2474ddd1f39e8fb368c97"
-        "2f74416074bf9acf86ce922097a1cfeda6d77ea602703300000020989564c68515a8f95e"
-        "53346c6453f219897c6b0678ddba56079c1ebe657aa3bf000000010270342b0000001000"
-        "0000030270312b0270322b0270332b000000200969971a1fd8863db0665ca255740fdcc1"
-        "18ff920ea616449ccdb9d87d7dda3b"
+        "312b0270322b0270332b000000030270310000002096475c22c1121df01bf125e7d3adb6"
+        "628c0abc50f11af225218dfdc30be37b0e027032000000201900abbdc3739e60407a1619"
+        "478a16aa3d6c6e71a04272f32b9398cc0bb6db8602703300000020cb6acaf11196d60a07"
+        "dbe54f8472500f63fd0c22353057a3de9635bf159f23f2000000010270342b0000001000"
+        "0000030270312b0270322b0270332b0000002035a5f89b817a52cd3007cfd8e9f67419c1"
+        "863813ec775966dbf6397bc4f269f4"
     ),
 }
 
 
 def test_every_kind_has_a_golden_frame():
     assert list(GOLDEN) == list(KIND_NAMES.values())
-    assert WIRE_VERSION == 3
+    assert WIRE_VERSION == 4
 
 
 @pytest.mark.parametrize("kind", GOLDEN)

@@ -1,7 +1,7 @@
 """Which process a received message counts for.
 
 Links are authenticated, so a link-only kind counts for the process that
-sent it over the link, whatever process built it.  The four signed kinds
+sent it over the link, whatever process built it.  The three signed kinds
 are evidence a third party checks: each counts for its signer however it
 arrives, and a frame whose signature does not hold is dropped.
 """
@@ -50,6 +50,13 @@ def test_deliver_counts_for_its_link_sender(bench4):
     assert node.deliver_counts == {(V0, b"m"): {"p3"}}
 
 
+def test_state_update_counts_for_its_link_sender(bench4):
+    node = bench4.nodes["p2"]
+    assert StateUpdate.TAG not in SIGNED_TAGS
+    bench4.deliver("p2", "p1", StateUpdate(V0, V1, StateRecord(), ()), via="p3")
+    assert list(node.state_updates[V0]) == ["p3"]
+
+
 # Each signed kind, built by its author and relayed by p3 to p2, and what
 # p2 holds afterwards for the process it counted the message for.
 SIGNED = {
@@ -59,12 +66,10 @@ SIGNED = {
                   lambda node, actions: list(node.converged_votes[(V0, frozenset({V1}))])),
     "PREPARE": ("p1", Prepare(b"m", V0),
                 lambda node, actions: [s.to for s in sends_of(actions, "ACK")]),
-    "STATE-UPDATE": ("p1", StateUpdate(V0, V1, StateRecord(), ()),
-                     lambda node, actions: list(node.state_updates[V0])),
 }
 
 
-def test_the_signed_kinds_are_the_four_evidence_kinds():
+def test_the_signed_kinds_are_the_three_evidence_kinds():
     assert {m.TAG for _, m, _ in SIGNED.values()} == SIGNED_TAGS
 
 

@@ -156,7 +156,8 @@ def test_unknown_tag_rejected():
 
 def test_wire_version_checked():
     raw = bytearray(encode(Prepare(b"m", V0), KEYRING.signer_for("p1")))
-    for version in (2, 9):  # 2: the layout before omega and targets were derived
+    # 2: the layout before omega and targets were derived; 3: STATE-UPDATE signed
+    for version in (2, 3, 9):
         raw[0] = version
         with pytest.raises(CodecError, match=f"unsupported wire version {version}"):
             decode(bytes(raw), VERIFIER)
@@ -266,6 +267,16 @@ def test_link_only_frame_with_author_and_signature_rejected():
         content = _signed_content(msg.TAG, body_bytes(msg), "p1")
         with pytest.raises(CodecError, match="trailing bytes"):
             decode(content + blob(KEYRING.sign("p1", content)), VERIFIER)
+
+
+def test_state_update_frame_with_author_and_signature_rejected():
+    # version 3 signed a STATE-UPDATE; version 4 sends it link-only
+    update = StateUpdate(V0, V1, StateRecord(), ())
+    assert update.TAG not in SIGNED_TAGS
+    content = _signed_content(update.TAG, body_bytes(update), "p1")
+    with pytest.raises(CodecError, match="trailing bytes"):
+        decode(content + blob(KEYRING.sign("p1", content)), VERIFIER)
+    assert decode(content[:-len(text("p1"))], VERIFIER).msg == update
 
 
 def test_signed_frame_without_author_and_signature_rejected():

@@ -1,4 +1,5 @@
-"""Reliable multicast: target-set checks, relay-before-deliver, dedup."""
+"""Reliable multicast of installs: target-set checks, relay-before-deliver,
+dedup; and state updates, which are sent once and never relayed."""
 
 from conftest import notes_of, reconfig_proofs, sends_of
 from dbrb.engine import InvokeJoin, Receive, Send
@@ -80,18 +81,19 @@ def test_receiver_outside_target_set_drops(bench4):
     assert not sends_of(actions, "INSTALL")
 
 
-def test_state_update_relayed_and_recorded_once(bench4):
+def test_state_update_recorded_on_first_receipt_and_not_relayed(bench4):
     v0 = bench4.initial_view
     v1 = View(v0.changes | {plus("p5")})
+    node = bench4.nodes["p2"]
     upd = StateUpdate(v0, v1, StateRecord(), ())
-    raw = bench4.raw("p3", upd)
-    actions = bench4.nodes["p2"].step(Receive("p3", raw, message_meta(upd)))
-    relays = sends_of(actions, "STATE-UPDATE")
-    assert sorted(r.to for r in relays) == ["p1", "p3", "p4", "p5"]
-    assert "p3" in bench4.nodes["p2"].state_updates[v0]
-    # the same originator's update relayed through p4 must not relay again
-    actions = bench4.nodes["p2"].step(Receive("p4", raw, message_meta(upd)))
-    assert not sends_of(actions, "STATE-UPDATE")
+    actions = node.step(Receive("p3", bench4.raw("p3", upd), message_meta(upd)))
+    assert not sends_of(actions)
+    assert node.state_updates[v0] == {"p3": upd}
+    # a second update from p3 for the same view is not recorded
+    other = StateUpdate(v0, v1, StateRecord(), reconfig_proofs(bench4.keyring, frozenset({v1}), v0))
+    actions = node.step(Receive("p3", bench4.raw("p3", other), message_meta(other)))
+    assert not sends_of(actions)
+    assert node.state_updates[v0] == {"p3": upd}
 
 
 def test_state_update_from_non_member_dropped(bench4):

@@ -276,7 +276,7 @@ def test_delivered_multicast_leaves_no_work():
     node = bench.nodes["p2"]
     install_v1(bench, "p2")
     variant = install(bench, frozenset({V1}), V0, signers=("p2", "p3", "p4"))
-    key = (TAG_INSTALL, body_bytes(variant), "")
+    key = (TAG_INSTALL, body_bytes(variant))
     bench.deliver("p2", "p4", variant)
     assert key in node.rm_received
     assert_idle(node)

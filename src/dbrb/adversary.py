@@ -19,6 +19,7 @@ from .messages import (
     CodecError,
     Commit,
     Install,
+    Message,
     Prepare,
     decode,
     encode,
@@ -169,21 +170,21 @@ class StaleReplayer(AdversaryBase):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.period = int(self.params.get("period", 2))
-        self.recorded: list[tuple[bytes, dict]] = []
+        self.recorded: list[tuple[bytes, Message]] = []
         self.peers: list[str] = list(self.views[0].members)
         self.seen = 0
 
     def on_message(self, event: Receive, decoded) -> None:
-        self.recorded.append((event.raw, event.meta))
+        self.recorded.append((event.raw, decoded.msg))
         if decoded.author not in self.peers:
             self.peers.append(decoded.author)
         self.seen += 1
         if self.seen % self.period or not self.recorded:
             return
-        raw, meta = self.recorded[self.rng.randrange(len(self.recorded))]
+        raw, msg = self.recorded[self.rng.randrange(len(self.recorded))]
         target = self.peers[self.rng.randrange(len(self.peers))]
         if target != self.pid:
-            self._outputs.append(Send(target, raw, meta))
+            self._outputs.append(Send(target, raw, message_meta(msg)))
 
 
 STRATEGIES = {

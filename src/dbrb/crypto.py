@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from typing import Callable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -173,20 +174,22 @@ def build_certificate(view: View, signatures: dict[ProcessId, bytes]) -> Message
     return MessageCertificate(view, tuple(sorted(signatures.items())))
 
 
+def quorum_signed(view: View, signatures: Signatures, content: Callable[[ProcessId], bytes],
+                  verifier: Verifier) -> bool:
+    """A quorum of view's members signed: distinct signers, a non-empty
+    membership, every signer a member, and at least `view.quorum_size` of
+    them; then each signature holds over `content(signer)`, in list order.
+    Returns False on any malformation, a view with no members included."""
+    signers = [pid for pid, _ in signatures]
+    members = view.member_set
+    if (len(signers) != len(set(signers)) or not members
+            or not members.issuperset(signers) or len(signers) < view.quorum_size):
+        return False
+    return all(verifier.verify(pid, content(pid), sig) for pid, sig in signatures)
+
+
 def verify_certificate(cert: MessageCertificate, payload: bytes, verifier: Verifier) -> bool:
-    """Full check that cert certifies payload in `cert.view`: distinct
-    signers, all members of that view, at least a quorum of them, each
-    signing `ack_payload(sha256(payload), cert.view)`.  Returns False on any
-    malformation."""
-    signers = [pid for pid, _ in cert.signatures]
-    if len(signers) != len(set(signers)):
-        return False
-    member_set = cert.view.member_set
-    if not member_set:
-        return False
-    if any(pid not in member_set for pid in signers):
-        return False
-    if len(signers) < cert.view.quorum_size:
-        return False
+    """Full check that cert certifies payload in `cert.view`: a quorum of
+    its members each signed `ack_payload(sha256(payload), cert.view)`."""
     signed = ack_payload(hashlib.sha256(payload).digest(), cert.view)
-    return all(verifier.verify(pid, signed, sig) for pid, sig in cert.signatures)
+    return quorum_signed(cert.view, cert.signatures, lambda _: signed, verifier)

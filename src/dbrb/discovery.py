@@ -10,7 +10,7 @@ certificates but are never install targets themselves).
 
 from __future__ import annotations
 
-from .crypto import Verifier
+from .crypto import Verifier, quorum_signed
 from .messages import (
     Converged,
     HistoryGossip,
@@ -48,18 +48,10 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
         return False
     if [p.change for p in install.proofs] != added_changes(install.seq, install.view):
         return False
-    signers = [pid for pid, _ in install.converged_sigs]
-    if len(signers) != len(set(signers)):
-        return False
-    members = install.view.member_set
-    if any(pid not in members for pid in signers):
-        return False
-    if len(signers) < install.view.quorum_size:
-        return False
     # one CONVERGED body; each signer's content only appends the author
     converged = Converged(install.seq, install.view)
-    return (all(verifier.verify(pid, signed_content(converged, pid), sig)
-                for pid, sig in install.converged_sigs)
+    return (quorum_signed(install.view, install.converged_sigs,
+                          lambda pid: signed_content(converged, pid), verifier)
             and all(p.verify(verifier) for p in install.proofs))
 
 

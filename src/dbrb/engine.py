@@ -11,7 +11,7 @@ which wakes that field's readers, and `step` runs only the woken scans
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .broadcast import BroadcastMixin
@@ -70,7 +70,6 @@ class InvokeBroadcast:
 class Receive:
     sender: ProcessId
     raw: bytes
-    meta: dict = field(default_factory=dict)
 
 
 InputEvent = InvokeJoin | InvokeLeave | InvokeBroadcast | Receive
@@ -94,13 +93,8 @@ class Flood:
 
 @dataclass(frozen=True)
 class Callback:
-    kind: str  # Delivered | JoinComplete | LeaveComplete
+    kind: str  # Delivered | JoinComplete | LeaveComplete (the node has halted)
     payload: Optional[bytes]
-
-
-@dataclass(frozen=True)
-class Halt:
-    pass
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class Note:
     views: Optional[dict]  # name -> View, or a frozenset of Views for a sequence
 
 
-OutputAction = Send | Flood | Callback | Halt | Note
+OutputAction = Send | Flood | Callback | Note
 
 # Tested on every step and send, where a global is cheaper than `Phase.HALTED`.
 _DORMANT, _HALTED = Phase.DORMANT, Phase.HALTED
@@ -152,7 +146,8 @@ _READERS = {f: sum(1 << i for i, (_, reads) in enumerate(SCANS) if f in reads)
 
 class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     def __init__(self, pid: ProcessId, initial_view: View, sender_id: ProcessId,
-                 signer: Signer, verifier: Verifier, initial_member: bool) -> None:
+                 signer: Signer, verifier: Verifier) -> None:
+        initial_member = pid in initial_view.member_set
         self.pid = pid
         self.initial_view = initial_view
         self.sender_id = sender_id
@@ -183,7 +178,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.state_updates: dict[View, dict[ProcessId, StateUpdate]] = {}
 
         # reliable multicast state
-        self.rm_received: set[tuple[int, bytes]] = set()
+        self.rm_received: set[bytes] = set()  # install frames
         self.rm_pending: list = []
 
         # discovery state
@@ -247,9 +242,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     def _callback(self, kind: str, payload: Optional[bytes]) -> None:
         self._outputs.append(Callback(kind, payload))
 
-    def _halt(self) -> None:
-        self._outputs.append(Halt())
-
     def _note(self, kind: str, msg_kind: str | None = None, view: str | None = None,
               payload: str | None = None, detail: str | None = None,
               views: dict | None = None) -> None:
@@ -301,7 +293,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         elif isinstance(msg, Converged):
             self._handle_converged(author, msg, decoded.signature)
         elif isinstance(msg, Install):
-            self._rm_receive(decoded, event.raw)
+            self._rm_receive(msg, event.raw)
         elif isinstance(msg, StateUpdate):
             self._handle_state_update(author, msg)
         elif isinstance(msg, Prepare):

@@ -10,7 +10,6 @@ engine's `SCANS` table declares as its readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .crypto import verify_certificate
@@ -59,19 +58,6 @@ class Phase(IntEnum):
     LEAVE_CONFIRMED = 6  # a quorum confirmed the leave request
     LEAVER_LOOP = 7      # out of the view, relaying its stored message
     HALTED = 8           # leave complete; takes no more events
-
-
-@dataclass
-class PendingInstall:
-    omega: View
-    seq: frozenset[View]
-    view: View
-
-
-@dataclass
-class BufferedPropose:
-    seq: frozenset[View]
-    view: View
 
 
 def change_order(c: Change) -> tuple[str, str]:
@@ -227,7 +213,7 @@ class MembershipMixin:
             self.pool[change] = proof
             self._wrote("pool")
         self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(msg.seq)
-        self.propose_buffer.append(BufferedPropose(msg.seq, v))
+        self.propose_buffer.append(msg)
         self._wrote("propose_votes", "propose_buffer")
 
     def _accepts(self, seq: frozenset[View], v: View) -> bool:
@@ -245,7 +231,7 @@ class MembershipMixin:
     def _propose_buffer_scan(self) -> None:
         if not self.propose_buffer:
             return
-        still: list[BufferedPropose] = []
+        still: list[Propose] = []
         for item in self.propose_buffer:
             seq, v = item.seq, item.view
             if not self._accepts(seq, v):
@@ -271,7 +257,7 @@ class MembershipMixin:
             seq = self.seqs.get(v)
             if not seq or (v, seq) in self.converged_sent:
                 continue
-            backers = [q for q in votes if q in v.member_set and seq in votes[q]]
+            backers = [q for q in votes if seq in votes[q]]  # members only: _handle_propose
             if len(backers) >= v.quorum_size:
                 self.lcseqs[v] = seq
                 self._wrote("lcseqs")
@@ -294,7 +280,7 @@ class MembershipMixin:
                 continue
             if self.pid not in v.member_set:
                 continue
-            backers = sorted(q for q in votes if q in v.member_set)
+            backers = sorted(votes)  # members only: _handle_converged
             if len(backers) < v.quorum_size:
                 continue
             if not seq or not is_sequence(seq) or not all(v.changes < w.changes for w in seq):
@@ -308,7 +294,7 @@ class MembershipMixin:
             install = Install(seq, v, conv_sigs, tuple(self.pool[c] for c in needed))
             self.install_sent.add((v, seq))
             self._note("StateNote", detail="converged-on", views={"v": v, "seq": seq})
-            self._r_multicast(install)
+            self._send_all(rm_targets(install), install)
 
     # -- install handling --------------------------------------------------------
 
@@ -347,11 +333,11 @@ class MembershipMixin:
                 recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_order)),
             )
             self._send_all(rm_targets(update), update)
-        if self.cv.changes < omega.changes:
-            pending = PendingInstall(omega, seq, v)
-            if pending not in self.pending_installs:
-                self.pending_installs.append(pending)
-                self._wrote("pending_installs")
+        # one pending install per (view, seq): variants differ only in signatures
+        if self.cv.changes < omega.changes and all(
+                (p.view, p.seq) != (v, seq) for p in self.pending_installs):
+            self.pending_installs.append(msg)
+            self._wrote("pending_installs")
 
     def _handle_state_update(self, author: str, msg: StateUpdate) -> None:
         """Record the first update each member of the replaced view sends.
@@ -409,22 +395,21 @@ class MembershipMixin:
     def _pending_install_scan(self) -> None:
         if not self.pending_installs:
             return
-        still: list[PendingInstall] = []
+        still: list[Install] = []
         for pending in self.pending_installs:
             if not (self.cv.changes < pending.omega.changes):
                 continue  # overtaken by a newer install
-            updates = self.state_updates.get(pending.view, {})
-            senders = [q for q in updates if q in pending.view.member_set]
-            if len(senders) < pending.view.quorum_size:
+            updates = self.state_updates.get(pending.view, {})  # members only
+            if len(updates) < pending.view.quorum_size:
                 still.append(pending)
                 continue
-            self._complete_install(pending, [updates[q] for q in senders])
+            self._complete_install(pending, list(updates.values()))
             if self.phase is Phase.HALTED:
                 self.pending_installs = []
                 return
         self.pending_installs = still
 
-    def _complete_install(self, pending: PendingInstall, updates: list[StateUpdate]) -> None:
+    def _complete_install(self, pending: Install, updates: list[StateUpdate]) -> None:
         omega, seq, v = pending.omega, pending.seq, pending.view
         requests: dict[Change, ReconfigProof] = {}
         for upd in updates:
@@ -471,7 +456,6 @@ class MembershipMixin:
     def _finish_leave(self) -> None:
         self._set_phase(Phase.HALTED)
         self._callback("LeaveComplete", None)
-        self._halt()
 
     def _leaver_commit(self) -> None:
         ev = self.state_record.stored

@@ -172,11 +172,6 @@ class Reader:
 #
 # The field annotations below are the wire schema; see `FIELD_CODECS`.
 
-# Install's converged signatures are laid out as a certificate's, but a
-# misordered list is reported as theirs.
-ConvergedSignatures = Signatures
-
-
 @dataclass(frozen=True)
 class ReconfigProof:
     """A signed reconfiguration request: the originator's proof of intent."""
@@ -257,7 +252,7 @@ class Install:
     TAG = TAG_INSTALL
     seq: frozenset[View]
     view: View  # the replaced view
-    converged_sigs: ConvergedSignatures
+    converged_sigs: Signatures
     proofs: tuple[ReconfigProof, ...] = ()
 
     @cached_property
@@ -495,8 +490,7 @@ FIELD_CODECS: dict[str, Codec] = {
     "tuple[ReconfigProof, ...]": _sorted_tuple(
         (lambda p: _proof_body(p) + _blob(p.signature), _read_proof),
         "reconfig proofs not canonical", key=_proof_key),
-    "Signatures": _sorted_tuple(_SIGNATURE, "certificate signatures not canonical"),
-    "ConvergedSignatures": _sorted_tuple(_SIGNATURE, "converged signatures not canonical"),
+    "Signatures": _sorted_tuple(_SIGNATURE, "signatures not canonical"),
     "StateRecord": (_write_record, _read_record),
     "tuple[Install, ...]": (_write_links, _read_links),
 }
@@ -564,9 +558,7 @@ def encode(msg: Message, signer: Signer) -> bytes:
 class Decoded:
     msg: Message
     author: Optional[ProcessId]  # None for a link-only kind: its link sender
-    kind: str
     signature: bytes  # empty for a link-only kind
-    body: bytes  # as received; equal to body_bytes(msg)
 
 
 def _parse_body(tag: int, body: bytes, bodies: Optional[dict] = None) -> Message:
@@ -623,7 +615,7 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
     r.expect_done()
     if author is not None and not verifier.verify(author, raw[:signed_end], sig):
         raise CodecError("bad envelope signature")
-    return Decoded(_parse_body(tag, body, bodies), author, KIND_NAMES[tag], sig, body)
+    return Decoded(_parse_body(tag, body, bodies), author, sig)
 
 
 def message_meta(msg: Message) -> dict:

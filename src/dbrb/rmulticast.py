@@ -7,8 +7,9 @@ a fresh install to the whole target set before acting on it, which gives
 agreement: once any correct member delivers, every correct member that
 has not left eventually delivers too.  Totality needs that echo, since
 one correct member's install must reach members its author never sent to
-(the author may be Byzantine).  Duplicate suppression is by kind and
-canonical body.
+(the author may be Byzantine).  Duplicates are suppressed by frame: an
+install's frame is link-only, a function of its body, and `decode`
+accepts only canonical bodies, so equal installs have equal frames.
 
 A state update is not multicast: its author sends it once, straight to
 each target, and it counts for the link sender (`_handle_state_update`).
@@ -35,48 +36,36 @@ An echo would add nothing:
 
 from __future__ import annotations
 
-from .messages import Decoded, Install, message_meta, rm_targets
+from .messages import Install, message_meta, rm_targets
 from .discovery import verify_install_proof
 
 
-def _rm_key(decoded: Decoded) -> tuple[int, bytes]:
-    # An install's frame names no author (the converged quorum speaks for
-    # it).  The received body is canonical (`decode` rejects any other), so
-    # equal messages always have equal keys.
-    return (decoded.msg.TAG, decoded.body)
-
-
 class RMulticastMixin:
-    def _r_multicast(self, msg: Install) -> None:
-        self._send_all(rm_targets(msg), msg)
-
-    def _rm_receive(self, decoded: Decoded, raw: bytes) -> None:
+    def _rm_receive(self, msg: Install, raw: bytes) -> None:
         """Check and deliver an install, the only kind the engine routes
         here.
 
-        A received install passed every check below, and equal bodies have
+        A received install passed every check below, and equal frames have
         equal targets, so a copy of it is dropped first, quietly.
         """
-        msg = decoded.msg
-        key = _rm_key(decoded)
-        if key in self.rm_received:
+        if raw in self.rm_received:
             return
         if not verify_install_proof(msg, self.verifier):
-            self._note("Drop", msg_kind=decoded.kind, detail="invalid install proof")
+            self._note("Drop", msg_kind="INSTALL", detail="invalid install proof")
             return
         if self.pid not in rm_targets(msg):
-            self._note("Drop", msg_kind=decoded.kind, detail="not in target set")
+            self._note("Drop", msg_kind="INSTALL", detail="not in target set")
             return
         if not self._is_trusted(msg.view):
             # Replaced view unknown yet; park until a history arrives.
-            if all(k != key for k, _, _ in self.rm_pending):
-                self.rm_pending.append((key, msg, raw))
+            if all(r != raw for _, r in self.rm_pending):
+                self.rm_pending.append((msg, raw))
                 self._wrote("rm_pending")
             return
-        self._rm_deliver(key, msg, raw)
+        self._rm_deliver(msg, raw)
 
-    def _rm_deliver(self, key: tuple, msg: Install, raw: bytes) -> None:
-        self.rm_received.add(key)
+    def _rm_deliver(self, msg: Install, raw: bytes) -> None:
+        self.rm_received.add(raw)
         meta = message_meta(msg)
         for q in rm_targets(msg):
             if q != self.pid:
@@ -97,9 +86,9 @@ class RMulticastMixin:
         if not self.rm_pending:
             return
         still = []
-        for key, msg, raw in self.rm_pending:
+        for msg, raw in self.rm_pending:
             if self._is_trusted(msg.view):
-                self._rm_deliver(key, msg, raw)
+                self._rm_deliver(msg, raw)
             else:
-                still.append((key, msg, raw))
+                still.append((msg, raw))
         self.rm_pending = still

@@ -21,7 +21,6 @@ from .crypto import make_keyring
 from .engine import (
     Callback,
     Flood,
-    Halt,
     InvokeBroadcast,
     InvokeJoin,
     InvokeLeave,
@@ -189,8 +188,7 @@ class _Run:
             if role is None:
                 self.engines[pid] = Node(
                     pid, self.initial_view, scenario.sender,
-                    self.keyring.signer_for(pid), self.keyring.verifier(),
-                    initial_member=pid in scenario.initial_members)
+                    self.keyring.signer_for(pid), self.keyring.verifier())
             else:
                 self.engines[pid] = make_adversary(
                     role["strategy"], pid, self.initial_view,
@@ -263,9 +261,9 @@ class _Run:
                     if not self.first_deliver_seen:
                         self.first_deliver_seen = True
                         self._fire_after_triggers()
-            elif isinstance(action, Halt):
-                self.halted.add(actor)
-                self._trace("StateNote", actor, detail="halt")
+                elif action.kind == "LeaveComplete":  # the node has halted
+                    self.halted.add(actor)
+                    self._trace("StateNote", actor, detail="halt")
             elif isinstance(action, Note):
                 if action.kind == "Install":
                     self.installs += 1
@@ -319,7 +317,7 @@ class _Run:
                     continue
                 self._trace("Receive", to, peer=frm, msg_kind=meta.get("msg"),
                             view=meta.get("view"), payload=meta.get("payload"))
-                self._apply_actions(to, self.engines[to].step(Receive(frm, raw, meta)))
+                self._apply_actions(to, self.engines[to].step(Receive(frm, raw)))
         header = {
             "schema": TRACE_SCHEMA,
             "scenario": self.sc.name,

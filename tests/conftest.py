@@ -6,7 +6,7 @@ import pytest
 from dbrb.crypto import make_keyring
 from dbrb.engine import Node, Receive
 from dbrb.membership import Phase, added_changes
-from dbrb.messages import Reconfig, ReconfigProof, encode, message_meta, signed_content
+from dbrb.messages import Reconfig, ReconfigProof, encode, signed_content
 from dbrb.views import View
 
 
@@ -20,13 +20,12 @@ class Bench:
         self.sender = sender
         self.nodes = {}
         for pid in universe or members:
-            self.add_node(pid, initial_member=pid in members)
+            self.add_node(pid)
 
-    def add_node(self, pid, initial_member=False):
+    def add_node(self, pid):
         # each node verifies through its own memo, as in the simulator
         self.nodes[pid] = Node(pid, self.initial_view, self.sender,
-                               self.keyring.signer_for(pid), self.keyring.verifier(),
-                               initial_member=initial_member)
+                               self.keyring.signer_for(pid), self.keyring.verifier())
         return self.nodes[pid]
 
     def raw(self, author, msg):
@@ -35,8 +34,7 @@ class Bench:
     def deliver(self, to, author, msg, via=None):
         """Encode msg as author and step the target node with it, sent over
         the link from `via` (author by default)."""
-        return self.nodes[to].step(Receive(via or author, self.raw(author, msg),
-                                           message_meta(msg)))
+        return self.nodes[to].step(Receive(via or author, self.raw(author, msg)))
 
 
 _DIGEST_SKIP = ("signer", "verifier", "_outputs", "_decoded", "_bodies", "_dirty")

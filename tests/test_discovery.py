@@ -102,8 +102,7 @@ def test_participants_answer_history_requests(bench4):
 
 def test_dormant_nodes_stay_silent(bench4):
     joiner = bench4.nodes["p5"]
-    actions = joiner.step(Receive("p1", bench4.raw("p1", HistoryRequest()),
-                                  {"msg": "HISTORY-REQUEST"}))
+    actions = joiner.step(Receive("p1", bench4.raw("p1", HistoryRequest())))
     assert not actions
 
 

@@ -23,7 +23,6 @@ from dbrb.messages import (
     StateRecord,
     StateUpdate,
     ViewHistory,
-    message_meta,
     signed_content,
 )
 from dbrb.views import View, plus
@@ -39,8 +38,7 @@ def test_identical_event_sequences_give_identical_state_and_outputs():
     a, b = fresh_pair()
     events = [
         InvokeBroadcast(b"m"),
-        Receive("p5", a.raw("p5", Reconfig(plus("p5"), a.initial_view)),
-                {"msg": "RECONFIG"}),
+        Receive("p5", a.raw("p5", Reconfig(plus("p5"), a.initial_view))),
     ]
     outs_a = [a.nodes["p1"].step(e) for e in events]
     outs_b = [b.nodes["p1"].step(e) for e in events]
@@ -52,8 +50,7 @@ def test_mutating_events_change_the_digest():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
     before = state_digest(node)
-    node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
-                      {"msg": "PREPARE"}))
+    node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view))))
     assert state_digest(node) != before
 
 
@@ -61,7 +58,7 @@ def test_undecodable_input_changes_nothing():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
     before = state_digest(node)
-    actions = node.step(Receive("p1", b"not a message", {}))
+    actions = node.step(Receive("p1", b"not a message"))
     assert state_digest(node) == before
     assert not sends_of(actions)
 
@@ -72,7 +69,7 @@ def test_forged_signature_changes_nothing():
     raw = bytearray(bench.raw("p1", Prepare(b"m", bench.initial_view)))
     raw[-1] ^= 0x01
     before = state_digest(node)
-    node.step(Receive("p1", bytes(raw), {"msg": "PREPARE"}))
+    node.step(Receive("p1", bytes(raw)))
     assert state_digest(node) == before
 
 
@@ -87,8 +84,7 @@ def test_halted_node_rejects_events():
 def test_dormant_node_never_sends():
     bench, _ = fresh_pair()
     node = bench.nodes["p5"]
-    actions = node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
-                                {"msg": "PREPARE"}))
+    actions = node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view))))
     assert not actions
 
 
@@ -109,7 +105,7 @@ def test_random_event_sequences_replay_identically(script):
                 msg = Deliver(payload, bench.initial_view)
             else:
                 msg = Reconfig(plus(author), bench.initial_view)
-            node.step(Receive(author, bench.raw(author, msg), message_meta(msg)))
+            node.step(Receive(author, bench.raw(author, msg)))
         digests.append(state_digest(node))
     assert digests[0] == digests[1]
 
@@ -125,7 +121,7 @@ def test_discovery_reply_injection_extends_trust():
                  for pid in ("p1", "p2", "p3"))
     link = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
     reply = HistoryGossip(ViewHistory(v0, (link,)))
-    actions = node.step(Receive("p1", bench.raw("p1", reply), message_meta(reply)))
+    actions = node.step(Receive("p1", bench.raw("p1", reply)))
     assert node._is_trusted(v1)
     reconfigs = sends_of(actions, "RECONFIG")
     assert sorted(r.to for r in reconfigs) == sorted(v1.members)
@@ -142,7 +138,7 @@ def test_repeated_message_is_decoded_once_and_handled_again(monkeypatch):
                         lambda raw, verifier, bodies=None:
                         decodes.append(raw) or real(raw, verifier, bodies))
     msg = Reconfig(plus("p5"), bench.initial_view)
-    event = Receive("p5", bench.raw("p5", msg), message_meta(msg))
+    event = Receive("p5", bench.raw("p5", msg))
     first = node.step(event)
     again = node.step(event)
     assert decodes == [event.raw]
@@ -159,7 +155,7 @@ def test_undecodable_message_is_never_cached():
     node = bench.nodes["p2"]
     raw = bytearray(bench.raw("p1", Prepare(b"m", bench.initial_view)))
     raw[-1] ^= 0x01
-    notes = [notes_of(node.step(Receive("p1", bytes(raw), {"msg": "PREPARE"})), "Drop")
+    notes = [notes_of(node.step(Receive("p1", bytes(raw))), "Drop")
              for _ in range(3)]
     assert notes[0] == notes[1] == notes[2]
     assert [n.detail for n in notes[0]] == ["undecodable message: bad envelope signature"]
@@ -169,10 +165,8 @@ def test_undecodable_message_is_never_cached():
 def test_decode_memo_is_not_protocol_state():
     bench, _ = fresh_pair()
     node = bench.nodes["p2"]
-    node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view)),
-                      {"msg": "PREPARE"}))
-    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), bench.initial_view)),
-                      {"msg": "RECONFIG"}))
+    node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view))))
+    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), bench.initial_view))))
     assert node._decoded and node._bodies
     assert node.seqs != {}
     digest = state_digest(node)
@@ -207,7 +201,7 @@ def test_one_body_from_two_authors_is_parsed_once(monkeypatch):
                         (write, lambda r: parsed.append(1) or read(r)))
     msg = Converged(frozenset({bench.initial_view}), bench.initial_view)
     for author in ("p1", "p3"):
-        node.step(Receive(author, bench.raw(author, msg), message_meta(msg)))
+        node.step(Receive(author, bench.raw(author, msg)))
     assert len(parsed) == 1
     assert len(node._decoded) == 2 and len(node._bodies) == 1
 
@@ -225,7 +219,7 @@ def test_emit_propose_is_encoded_once_and_unsigned():
     bench, _ = fresh_pair()
     node = bench.nodes["p1"]
     v0 = bench.initial_view
-    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), v0)), {"msg": "RECONFIG"}))
+    node.step(Receive("p5", bench.raw("p5", Reconfig(plus("p5"), v0))))
     signed = spy_signs(node)
     node._emit_propose(v0)
     proposes = sends_of(node._outputs, "PROPOSE")
@@ -245,7 +239,7 @@ def test_state_update_is_encoded_once_and_unsigned():
                  for p in ("p2", "p3", "p4"))
     install = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
     signed = spy_signs(node)
-    actions = node.step(Receive("p2", bench.raw("p2", install), message_meta(install)))
+    actions = node.step(Receive("p2", bench.raw("p2", install)))
     updates = sends_of(actions, "STATE-UPDATE")
     assert [s.to for s in updates] == ["p1", "p2", "p3", "p4", "p5"]
     assert signed == []
@@ -289,7 +283,7 @@ def test_no_scan_has_work_left_after_a_step(monkeypatch, name):
     def checked_step(node, event):
         out = real_step(node, event)
         # a parked multicast copy is never of a message already received
-        assert not {key for key, _, _ in node.rm_pending} & node.rm_received
+        assert not {raw for _, raw in node.rm_pending} & node.rm_received
         if node.phase is Phase.HALTED:
             return out
         steps.append(node.pid)
@@ -311,8 +305,7 @@ def test_state_digest_orders_dataclass_keys(bench4):
     node = bench4.nodes["p1"]
     v0 = bench4.initial_view
     for joiner in ("p5", "p6"):
-        node.step(Receive(joiner, bench4.raw(joiner, Reconfig(plus(joiner), v0)),
-                          {"msg": "RECONFIG"}))
+        node.step(Receive(joiner, bench4.raw(joiner, Reconfig(plus(joiner), v0))))
     assert len(node.recv) == len(node.pool) == 2
     digest = state_digest(node)
     node.recv = dict(reversed(node.recv.items()))

@@ -149,4 +149,4 @@ def test_frame_bytes_are_pinned(kind):
     raw = encode(msg, KEYRING.signer_for(sender))
     assert raw.hex() == GOLDEN[kind]
     decoded = decode(raw, KEYRING.verifier())
-    assert decoded.kind == kind and decoded.msg == msg
+    assert KIND_NAMES[decoded.msg.TAG] == kind and decoded.msg == msg

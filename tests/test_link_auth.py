@@ -25,7 +25,6 @@ from dbrb.messages import (
     Reconfig,
     StateRecord,
     StateUpdate,
-    message_meta,
     signed_content,
 )
 from dbrb.views import View, plus
@@ -97,7 +96,7 @@ def test_flipped_signature_byte_is_dropped(bench4, kind):
     raw = bytearray(bench4.raw(author, msg))
     raw[-1] ^= 0x01
     before = state_digest(node)
-    actions = node.step(Receive(author, bytes(raw), message_meta(msg)))
+    actions = node.step(Receive(author, bytes(raw)))
     assert [n.detail for n in notes_of(actions, "Drop")] == [
         "undecodable message: bad envelope signature"]
     assert not sends_of(actions)
@@ -111,6 +110,6 @@ def test_adversary_counts_a_link_only_kind_for_its_link_sender():
     sender.step(InvokeBroadcast(b"m"))
     sig = bench.keyring.sign("p2", ack_payload(hashlib.sha256(b"m").digest(), V0))
     assert Ack.TAG not in SIGNED_TAGS
-    sender.step(Receive("p2", bench.raw("p3", Ack(b"m", sig, V0)), {"msg": "ACK"}))
+    sender.step(Receive("p2", bench.raw("p3", Ack(b"m", sig, V0))))
     acks = sender.ack_sigs[(b"m", V0)]
     assert set(acks) == {"p1", "p2"} and acks["p2"] == sig  # its own, then p2's

@@ -85,8 +85,7 @@ def test_propose_union_of_recv_changes():
         node.recv[change] = proof
         node.pool[change] = proof
     node.seqs.pop(v0, None)
-    actions = node.step(Receive("p5", bench.raw("p5", RecConfirm(v0)),
-                                {"msg": "REC-CONFIRM"}))
+    actions = node.step(Receive("p5", bench.raw("p5", RecConfirm(v0))))
     proposes = sends_of(actions, "PROPOSE")
     assert proposes
     proposed = decode(proposes[0].raw, bench.verifier).msg
@@ -150,6 +149,34 @@ def test_propose_containing_its_own_view_flagged(bench4):
     assert v0 not in node.propose_votes
     assert not node.propose_buffer
     assert not node.seqs.get(v0)
+
+
+def test_propose_of_a_non_sequence_flagged(bench4):
+    # two incomparable views: no sequence, so neither a vote nor a buffer entry
+    node = bench4.nodes["p2"]
+    v0 = bench4.initial_view
+    split = {View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})}
+    actions = bench4.deliver("p2", "p4", proofed_propose(bench4, split, v0))
+    assert [(n.kind, n.detail) for n in notes_of(actions)] == [
+        ("Flag", "proposal is not a sequence")]
+    assert not sends_of(actions)
+    assert node.propose_votes == {} and node.propose_buffer == []
+
+
+@pytest.mark.parametrize("kind", ["PROPOSE", "CONVERGED"])
+def test_propose_and_converged_from_a_non_member_dropped(bench4, kind):
+    # the tallies hold members' votes only, so their quorum scans count
+    # every voter without checking membership again
+    node = bench4.nodes["p2"]
+    v0 = bench4.initial_view
+    seq = {View(v0.changes | {plus("p5")})}
+    msg = proofed_propose(bench4, seq, v0) if kind == "PROPOSE" else Converged(frozenset(seq), v0)
+    actions = bench4.deliver("p2", "p5", msg)
+    assert [(n.kind, n.msg_kind, n.detail) for n in notes_of(actions)] == [
+        ("Drop", kind, "sender not a member")]
+    assert not sends_of(actions)
+    assert node.propose_votes == {} and node.propose_buffer == []
+    assert node.converged_votes == {}
 
 
 def test_propose_without_change_proof_rejected(bench4):

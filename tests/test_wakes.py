@@ -24,9 +24,9 @@ from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import SCANS, Node
 from dbrb.membership import Phase
 from dbrb.messages import (
-    TAG_INSTALL,
     Commit,
     Converged,
+    HistoryGossip,
     Install,
     Propose,
     Reconfig,
@@ -34,7 +34,7 @@ from dbrb.messages import (
     StateRecord,
     StateUpdate,
     StoredEvidence,
-    body_bytes,
+    ViewHistory,
     decode,
     signed_content,
 )
@@ -276,9 +276,8 @@ def test_delivered_multicast_leaves_no_work():
     node = bench.nodes["p2"]
     install_v1(bench, "p2")
     variant = install(bench, frozenset({V1}), V0, signers=("p2", "p3", "p4"))
-    key = (TAG_INSTALL, body_bytes(variant))
     bench.deliver("p2", "p4", variant)
-    assert key in node.rm_received
+    assert bench.raw("p4", variant) in node.rm_received
     assert_idle(node)
 
 
@@ -291,6 +290,33 @@ def test_stored_commit_clears_the_pending_store():
     assert node.state_record.stored is None
     bench.deliver("p2", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V1))
     assert node.state_record.stored is not None and node.pending_store == []
+    assert_idle(node)
+
+
+def test_stored_evidence_is_adopted_once_its_certificate_view_is_valid():
+    # p2 trusts V12 = V1 + p6 through a history whose one link skips V1, and
+    # moves from V12 to V15 = V12 - p6 with one update storing a message
+    # certified in V1, which p2 cannot use yet.  A later install from V0
+    # through {V1, V12} makes V1 trusted: p2 adopts the stored message and
+    # commits it in its current view, in that same step.
+    bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
+    node = bench.nodes["p2"]
+    v12 = View(V1.changes | {plus("p6")})
+    v15 = View(v12.changes | {minus("p6")})
+    link = install(bench, frozenset({v12}), V0)
+    bench.deliver("p2", "p1", HistoryGossip(ViewHistory(V0, (link,))))
+    assert node._is_trusted(v12) and not node._is_valid_view(V1)
+    bench.deliver("p2", "p1", install(bench, frozenset({v15}), v12,
+                                      signers=("p1", "p2", "p3", "p4", "p5")))
+    stored = StoredEvidence(b"m", cert(bench, b"m", V1, ["p1", "p2", "p3", "p4"]), V1)
+    for author in ("p1", "p3", "p4", "p5", "p6"):
+        record = StateRecord(stored=stored) if author == "p3" else StateRecord()
+        bench.deliver("p2", author, state_update(v12, v15, record))
+    assert node.cv == v15 and v15 in node.installed
+    assert node.pending_store == [stored] and node.state_record.stored is None
+    actions = bench.deliver("p2", "p1", install(bench, frozenset({V1, v12}), V0))
+    assert node.state_record.stored == stored and node.pending_store == []
+    assert [c.to for c in sends_of(actions, "COMMIT")] == list(v15.members)
     assert_idle(node)
 
 

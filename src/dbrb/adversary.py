@@ -25,7 +25,7 @@ from .messages import (
     encode,
     message_meta,
 )
-from .views import View, seq_sort_key
+from .views import Tally, View, seq_sort_key
 
 
 class AdversaryBase:
@@ -99,7 +99,7 @@ class EquivocatingSender(AdversaryBase):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.payloads: list[bytes] = []
-        self.ack_sigs: dict[tuple[bytes, View], dict[str, bytes]] = {}
+        self.acks = Tally()  # (view, payload): ack signatures
         self.certs: dict[bytes, MessageCertificate] = {}
 
     def _halves(self, view: View) -> tuple[list[str], list[str]]:
@@ -110,7 +110,7 @@ class EquivocatingSender(AdversaryBase):
         if self.pid in view.member_set:
             digest = hashlib.sha256(payload).digest()
             sig = self.signer.sign(ack_payload(digest, view))
-            self.ack_sigs.setdefault((payload, view), {})[self.pid] = sig
+            self.acks.add(view, payload, self.pid, sig)
 
     def _spray_prepares(self, view: View) -> None:
         halves = self._halves(view)
@@ -128,7 +128,7 @@ class EquivocatingSender(AdversaryBase):
             digest = hashlib.sha256(msg.payload).digest()
             if self.verifier.verify(decoded.author,
                                     ack_payload(digest, msg.view), msg.signature):
-                self.ack_sigs.setdefault((msg.payload, msg.view), {})[decoded.author] = msg.signature
+                self.acks.add(msg.view, msg.payload, decoded.author, msg.signature)
             self._chase_certificates()
         elif isinstance(msg, Install) and self.payloads:
             self._spray_prepares(self.latest_view)
@@ -137,8 +137,8 @@ class EquivocatingSender(AdversaryBase):
                                Commit(payload, cert, self.latest_view))
 
     def _chase_certificates(self) -> None:
-        for (payload, view), sigs in self.ack_sigs.items():
-            if payload in self.certs or len(sigs) < view.quorum_size:
+        for (view, payload), sigs in self.acks.quorums():
+            if payload in self.certs:
                 continue
             cert = build_certificate(view, dict(sorted(sigs.items())))
             self.certs[payload] = cert

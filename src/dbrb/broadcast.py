@@ -86,29 +86,26 @@ class BroadcastMixin:
             self._note("Drop", msg_kind="ACK", detail="not the sender")
             return
         v = msg.view
-        if author not in v.member_set or (author, v) in self.ack_sigs:
+        if author not in v.member_set or self.acks.voted(author, v):
             return
         digest = hashlib.sha256(msg.payload).digest()
         if not self.verifier.verify(author, ack_payload(digest, v), msg.signature):
             self._note("Flag", msg_kind="ACK", detail="bad ack signature")
             return
-        self.ack_sigs[(author, v)] = msg.signature
-        self.ack_counts.setdefault((v, msg.payload), set()).add(author)
-        self._wrote("ack_sigs", "ack_counts")
+        self.acks.add(v, msg.payload, author, msg.signature)
+        self._wrote("acks")
 
     def _cert_scan(self) -> None:
         if self.cer is not None or self.pid != self.sender_id:
             return
-        for (v, payload), senders in self.ack_counts.items():
-            if not self._is_valid_view(v) or len(senders) < v.quorum_size:
-                continue
-            sigs = {q: self.ack_sigs[(q, v)] for q in sorted(senders)}
-            self.cer = build_certificate(v, sigs)
-            self._note("StateNote", view=v.short, payload=short_digest(payload),
-                       detail="certificate", views={"v_cer": v})
-            if self.cv in self.installed:
-                self._disseminate(Commit(payload, self.cer, self.cv))
-            return
+        for (v, payload), sigs in self.acks.quorums():
+            if self._is_valid_view(v):
+                self.cer = build_certificate(v, dict(sorted(sigs.items())))
+                self._note("StateNote", view=v.short, payload=short_digest(payload),
+                           detail="certificate", views={"v_cer": v})
+                if self.cv in self.installed:
+                    self._disseminate(Commit(payload, self.cer, self.cv))
+                return
 
     def _commit_ready(self, msg: Commit) -> bool:
         """The COMMIT can be checked now: it is for this node's installed,
@@ -160,22 +157,18 @@ class BroadcastMixin:
 
     def _handle_deliver(self, author: str, msg: Deliver) -> None:
         v = msg.view
-        if author not in v.member_set or (author, v) in self.delivers:
-            return
-        self.delivers.add((author, v))
-        self.deliver_counts.setdefault((v, msg.payload), set()).add(author)
-        self._wrote("deliver_counts")
+        if not self.delivers.voted(author, v) and self.delivers.add(v, msg.payload, author):
+            self._wrote("delivers")
 
     def _deliver_scan(self) -> None:
         if self.delivered:
             return
-        for (v, payload), senders in self.deliver_counts.items():
-            if not self._is_valid_view(v) or len(senders) < v.quorum_size:
-                continue
-            self.delivered = True
-            self._wrote("delivered")
-            self._callback("Delivered", payload)
-            return
+        for (v, payload), _ in self.delivers.quorums():
+            if self._is_valid_view(v):
+                self.delivered = True
+                self._wrote("delivered")
+                self._callback("Delivered", payload)
+                return
 
     # -- state transfer and view-change re-dissemination ------------------------
 

@@ -41,7 +41,7 @@ from .messages import (
     message_meta,
 )
 from .rmulticast import RMulticastMixin
-from .views import ProcessId, View
+from .views import ProcessId, Tally, View
 
 
 class HaltedError(RuntimeError):
@@ -128,9 +128,8 @@ SCANS = (
     ("_converged_quorum_scan", ("converged_votes", "install_sent", "pool")),
     ("_pending_install_scan", ("pending_installs", "cv", "state_updates", "phase")),
     ("_maybe_propose", ("recv", "cv", "installed", "seqs")),
-    ("_cert_scan", ("cer", "ack_counts", "ack_sigs", "cv", "installed",
-                    "trusted_hist", "trusted_aux")),
-    ("_deliver_scan", ("delivered", "deliver_counts", "trusted_hist", "trusted_aux")),
+    ("_cert_scan", ("cer", "acks", "cv", "installed", "trusted_hist", "trusted_aux")),
+    ("_deliver_scan", ("delivered", "delivers", "trusted_hist", "trusted_aux")),
     ("_confirm_scan", ("phase", "rec_confirms")),
     ("_join_kick", ("phase", "got_history", "last_reconfig_target", "trusted_hist")),
     ("_leave_kick", ("phase", "bpayload", "delivered", "cv")),
@@ -168,14 +167,14 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.phase = Phase.MEMBER if initial_member else Phase.DORMANT
         self.got_history = False
         self.last_reconfig_target: Optional[View] = None
-        self.rec_confirms: dict[View, set[ProcessId]] = {}
-        self.propose_votes: dict = {}
-        self.converged_votes: dict = {}
+        self.rec_confirms = Tally()  # (view, None): the members that confirmed
+        self.propose_votes = Tally()  # (view, seq)
+        self.converged_votes = Tally()  # (view, seq): signatures
         self.converged_sent: set = set()
         self.install_sent: set = set()
         self.propose_buffer: list = []
         self.pending_installs: list = []
-        self.state_updates: dict[View, dict[ProcessId, StateUpdate]] = {}
+        self.state_updates = Tally()  # (view, None): one update per member
 
         # reliable multicast state
         self.rm_received: set[bytes] = set()  # install frames
@@ -190,10 +189,8 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.bpayload: Optional[bytes] = None
         self.cer = None
         self.delivered = False
-        self.ack_sigs: dict = {}
-        self.ack_counts: dict = {}
-        self.delivers: set = set()
-        self.deliver_counts: dict = {}
+        self.acks = Tally()  # (view, payload): ack signatures, one per member and view
+        self.delivers = Tally()  # (view, payload), one per member and view
         self.state_record = StateRecord()
         self.pending_commits: list = []
         self.pending_store: list = []

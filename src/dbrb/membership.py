@@ -31,6 +31,7 @@ from .messages import (
 )
 from .views import (
     Change,
+    Tally,
     View,
     comparable,
     is_sequence,
@@ -92,7 +93,7 @@ class MembershipMixin:
         if self.phase > Phase.MEMBER:
             raise ContractError("leave already invoked")
         self._set_phase(Phase.LEAVING)
-        self.rec_confirms.clear()
+        self.rec_confirms = Tally()
         self._wrote("rec_confirms")
 
     def _send_reconfig(self, change: Change, target: View) -> None:
@@ -148,13 +149,11 @@ class MembershipMixin:
         self._send(author, RecConfirm(self.cv))
 
     def _handle_rec_confirm(self, author: str, msg: RecConfirm) -> None:
-        if author in msg.view.member_set:
-            self.rec_confirms.setdefault(msg.view, set()).add(author)
+        if self.rec_confirms.add(msg.view, None, author):
             self._wrote("rec_confirms")
 
     def _confirm_scan(self) -> None:
-        if self.phase in (Phase.JOINING, Phase.LEAVE_SENT) and any(
-                len(senders) >= v.quorum_size for v, senders in self.rec_confirms.items()):
+        if self.phase in (Phase.JOINING, Phase.LEAVE_SENT) and any(self.rec_confirms.quorums()):
             self._set_phase(Phase(self.phase + 1))  # JOIN_CONFIRMED or LEAVE_CONFIRMED
 
     # -- propose -------------------------------------------------------------
@@ -212,7 +211,7 @@ class MembershipMixin:
                 return
             self.pool[change] = proof
             self._wrote("pool")
-        self.propose_votes.setdefault(v, {}).setdefault(author, set()).add(msg.seq)
+        self.propose_votes.add(v, msg.seq, author)
         self.propose_buffer.append(msg)
         self._wrote("propose_votes", "propose_buffer")
 
@@ -253,12 +252,9 @@ class MembershipMixin:
         self.propose_buffer = still
 
     def _propose_quorum_scan(self) -> None:
-        for v, votes in self.propose_votes.items():
+        for v in dict.fromkeys(w for w, _ in self.propose_votes.votes):  # in first-vote order
             seq = self.seqs.get(v)
-            if not seq or (v, seq) in self.converged_sent:
-                continue
-            backers = [q for q in votes if seq in votes[q]]  # members only: _handle_propose
-            if len(backers) >= v.quorum_size:
+            if seq and (v, seq) not in self.converged_sent and self.propose_votes.quorum(v, seq):
                 self.lcseqs[v] = seq
                 self._wrote("lcseqs")
                 self.converged_sent.add((v, seq))
@@ -271,17 +267,12 @@ class MembershipMixin:
         if author not in v.member_set:
             self._note("Drop", msg_kind="CONVERGED", detail="sender not a member")
             return
-        self.converged_votes.setdefault((v, msg.seq), {}).setdefault(author, signature)
+        self.converged_votes.add(v, msg.seq, author, signature)
         self._wrote("converged_votes")
 
     def _converged_quorum_scan(self) -> None:
-        for (v, seq), votes in self.converged_votes.items():
-            if (v, seq) in self.install_sent:
-                continue
-            if self.pid not in v.member_set:
-                continue
-            backers = sorted(votes)  # members only: _handle_converged
-            if len(backers) < v.quorum_size:
+        for (v, seq), votes in self.converged_votes.quorums():
+            if (v, seq) in self.install_sent or self.pid not in v.member_set:
                 continue
             if not seq or not is_sequence(seq) or not all(v.changes < w.changes for w in seq):
                 self._note("Flag", detail="converged quorum on malformed sequence")
@@ -290,7 +281,7 @@ class MembershipMixin:
             needed = added_changes(seq, v)
             if any(c not in self.pool for c in needed):
                 continue  # wait for the reconfig proofs to arrive
-            conv_sigs = tuple((q, votes[q]) for q in backers[:v.quorum_size])
+            conv_sigs = tuple((q, votes[q]) for q in sorted(votes)[:v.quorum_size])
             install = Install(seq, v, conv_sigs, tuple(self.pool[c] for c in needed))
             self.install_sent.add((v, seq))
             self._note("StateNote", detail="converged-on", views={"v": v, "seq": seq})
@@ -352,8 +343,7 @@ class MembershipMixin:
         if author not in msg.view.member_set:
             self._note("Drop", msg_kind="STATE-UPDATE", detail="sender not in replaced view")
             return
-        per_view = self.state_updates.setdefault(msg.view, {})
-        if author in per_view:
+        if self.state_updates.voted(author, msg.view):
             return
         if not self._verify_state_update(msg):
             self._note("Flag", msg_kind="STATE-UPDATE", detail="invalid embedded evidence")
@@ -362,7 +352,7 @@ class MembershipMixin:
             if proof.change not in self.pool:
                 self.pool[proof.change] = proof
                 self._wrote("pool")
-        per_view[author] = msg
+        self.state_updates.add(msg.view, None, author, msg)
         self._wrote("state_updates")
 
     def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
@@ -399,8 +389,8 @@ class MembershipMixin:
         for pending in self.pending_installs:
             if not (self.cv.changes < pending.omega.changes):
                 continue  # overtaken by a newer install
-            updates = self.state_updates.get(pending.view, {})  # members only
-            if len(updates) < pending.view.quorum_size:
+            updates = self.state_updates.quorum(pending.view, None)
+            if updates is None:
                 still.append(pending)
                 continue
             self._complete_install(pending, list(updates.values()))

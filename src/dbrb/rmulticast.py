@@ -25,8 +25,9 @@ An echo would add nothing:
 - A relay goes to the same `rm_targets` as the update, so it never
   reaches a target the author missed.  A target that drops the original,
   because it has halted or is not a target, drops the relay too.
-- `state_updates` keeps each author's first update, so even with relays
-  two receivers can take different updates from one Byzantine author.
+- The `state_updates` tally keeps each author's first update per replaced
+  view (`Tally.voted`), so even with relays two receivers can take
+  different updates from one Byzantine author.
   The echo gave no agreement on what a Byzantine member reported, and
   the install step does not need it: it waits for a quorum of updates,
   and what it must learn (a message acked or stored by a quorum of the

@@ -1,18 +1,18 @@
 """View algebra: signed membership changes, views, and comparable view sequences.
 
 A view is an append-only set of join/leave changes.  Its member set and
-quorum threshold are derived, never stored.  Everything here is an
-immutable value type with a canonical byte encoding, so two equal views
-byte-compare (and hash) equal everywhere in the system.
+quorum threshold are derived, never stored.  Everything here but `Tally`
+is an immutable value type with a canonical byte encoding, so two equal
+views byte-compare (and hash) equal everywhere in the system.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 ProcessId = str
 
@@ -144,6 +144,41 @@ class View:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"View({','.join(c.token for c in self.sorted_changes)})"
+
+
+@dataclass
+class Tally:
+    """The votes a quorum wait reads: `(view, value)` -> `{author: evidence}`.
+
+    A vote counts only from a member of its view, and only an author's first
+    vote for a key counts; kinds that allow one vote per author per view
+    check `voted` first.  Keys keep their first-vote order.
+    """
+
+    votes: dict[tuple[View, Any], dict[ProcessId, Any]] = field(default_factory=dict)
+
+    def add(self, view: View, value: Any, author: ProcessId, evidence: Any = None) -> bool:
+        """Count the vote; False if it does not count."""
+        if author in view.member_set:
+            votes = self.votes.setdefault((view, value), {})
+            if author not in votes:
+                votes[author] = evidence
+                return True
+        return False
+
+    def voted(self, author: ProcessId, view: View) -> bool:
+        """The author has a vote counted in `view`, for any value."""
+        return any(v == view for (v, _), votes in self.votes.items() if author in votes)
+
+    def quorum(self, view: View, value: Any) -> dict[ProcessId, Any] | None:
+        """The votes for `value` in `view` if a quorum of its members sent them."""
+        votes = self.votes.get((view, value))
+        return votes if votes and len(votes) >= view.quorum_size else None
+
+    def quorums(self) -> Iterator[tuple[tuple[View, Any], dict[ProcessId, Any]]]:
+        """Each key a quorum voted for, with its votes, in first-vote order."""
+        return ((key, votes) for key, votes in self.votes.items()
+                if len(votes) >= key[0].quorum_size)
 
 
 def comparable(v1: View, v2: View) -> bool:

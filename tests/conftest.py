@@ -45,6 +45,8 @@ def state_digest(node):
 
     Every value encodes to JSON lists and strings; set members and dict
     entries are ordered by their JSON text, which any two encodings have.
+    A type it does not know raises `TypeError`, rather than be digested by
+    a `repr` that may hold only its memory address.
     """
     def enc(x):
         if isinstance(x, bytes):
@@ -61,7 +63,9 @@ def state_digest(node):
             return sorted(([enc(k), enc(v)] for k, v in x.items()), key=json.dumps)
         if hasattr(x, "__dataclass_fields__"):
             return [[f, enc(getattr(x, f))] for f in sorted(x.__dataclass_fields__)]
-        return repr(x)
+        if x is None or isinstance(x, (str, int, bool)):
+            return repr(x)
+        raise TypeError(f"state_digest cannot encode {type(x).__name__}")
 
     payload = {k: enc(v) for k, v in node.__dict__.items() if k not in _DIGEST_SKIP}
     blob = json.dumps(payload, sort_keys=True).encode()

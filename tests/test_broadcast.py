@@ -116,7 +116,7 @@ def test_bad_ack_signature_ignored(bench4):
     sender.step(InvokeBroadcast(b"m"))
     actions = bench4.deliver("p1", "p2", Ack(b"m", b"garbage", bench4.initial_view))
     assert notes_of(actions, "Flag")
-    assert not sender.ack_sigs
+    assert not sender.acks.votes
 
 
 def test_commit_stores_relays_and_delivers(bench4):
@@ -194,7 +194,19 @@ def test_deliver_write_once_per_sender_and_view(bench4):
     v0 = bench4.initial_view
     bench4.deliver("p2", "p1", Deliver(b"m1", v0))
     bench4.deliver("p2", "p1", Deliver(b"m2", v0))
-    assert node.deliver_counts == {(v0, b"m1"): {"p1"}}
+    assert node.delivers.votes == {(v0, b"m1"): {"p1": None}}
+    # ACK too: p2 acks m1, then m2, in V0 at the sender.  The second ACK is
+    # not even verified, so its garbage signature raises no Flag.
+    sender = bench4.nodes["p1"]
+    verified = []
+    real_verify = sender.verifier.verify
+    sender.verifier.verify = lambda *args: verified.append(args) or real_verify(*args)
+    sig = bench4.keyring.sign("p2", ack_payload(hashlib.sha256(b"m1").digest(), v0))
+    bench4.deliver("p1", "p2", Ack(b"m1", sig, v0))
+    assert len(verified) == 1
+    actions = bench4.deliver("p1", "p2", Ack(b"m2", b"garbage", v0))
+    assert len(verified) == 1 and not notes_of(actions)
+    assert sender.acks.votes == {(v0, b"m1"): {"p2": sig}}
 
 
 def prep_evidence(bench, payload, view):

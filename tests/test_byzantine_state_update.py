@@ -83,9 +83,9 @@ def test_update_sent_to_some_targets_only():
     queue += sends(bench, "p1", install, rm_targets(install))
     run(bench, queue)
     assert_installed(bench, install.omega)
-    assert bench.nodes["p1"].state_updates[install.view]["p4"] == partial
+    assert bench.nodes["p1"].state_updates.votes[(install.view, None)]["p4"] == partial
     for pid in ("p2", "p3", "p5"):
-        assert "p4" not in bench.nodes[pid].state_updates[install.view]
+        assert "p4" not in bench.nodes[pid].state_updates.votes[(install.view, None)]
 
 
 def test_two_updates_to_two_halves():
@@ -97,7 +97,8 @@ def test_two_updates_to_two_halves():
     queue += sends(bench, "p1", install, rm_targets(install))
     run(bench, queue)
     assert_installed(bench, install.omega)
-    held = {pid: bench.nodes[pid].state_updates[install.view]["p4"] for pid in CORRECT}
+    held = {pid: bench.nodes[pid].state_updates.votes[(install.view, None)]["p4"]
+            for pid in CORRECT}
     assert held == {"p1": first, "p2": first, "p3": second, "p5": second}
 
 
@@ -112,12 +113,12 @@ def test_relayed_update_counts_for_the_relayer():
     node.step(Receive("p4", p1_raw))
     node.step(Receive("p3", bench.raw("p3", p3_update)))
     actions = bench.deliver("p2", "p1", install)
-    assert node.state_updates[v0] == {"p4": p1_update, "p3": p3_update}
+    assert node.state_updates.votes[(v0, None)] == {"p4": p1_update, "p3": p3_update}
     assert [s.to for s in sends_of(actions, "STATE-UPDATE")] == rm_targets(install)
     assert node.cv == v0 and node.suspended
     # p1's own copy counts for p1 and completes the install
     node.step(Receive("p1", p1_raw))
-    assert set(node.state_updates[v0]) == {"p1", "p3", "p4"}
+    assert set(node.state_updates.votes[(v0, None)]) == {"p1", "p3", "p4"}
     assert node.cv == v1 and v1 in node.installed
 
 
@@ -178,7 +179,7 @@ def test_update_with_invalid_evidence_records_nothing(defect):
     actions = bench.deliver("p2", "p4", update)
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [
         ("Flag", "invalid embedded evidence")]
-    assert not node.state_updates.get(v0)
+    assert not node.state_updates.votes
 
 
 def test_update_with_valid_evidence_is_recorded():
@@ -190,7 +191,7 @@ def test_update_with_valid_evidence_is_recorded():
                                                                ["p1", "p2", "p3"]), v0))
     update = StateUpdate(v0, View(v0.changes | {plus("p5")}), record, ())
     assert not notes_of(bench.deliver("p2", "p4", update))
-    assert bench.nodes["p2"].state_updates[v0] == {"p4": update}
+    assert bench.nodes["p2"].state_updates.votes == {(v0, None): {"p4": update}}
 
 
 def test_update_to_a_process_outside_its_targets_is_dropped():
@@ -202,4 +203,4 @@ def test_update_to_a_process_outside_its_targets_is_dropped():
     actions = bench.deliver("p6", "p4", StateUpdate(v0, View(v0.changes | {plus("p5")}),
                                                     StateRecord(), ()))
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [("Drop", "not in target set")]
-    assert node.state_updates == {}
+    assert node.state_updates.votes == {}

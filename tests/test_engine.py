@@ -52,6 +52,17 @@ def test_mutating_events_change_the_digest():
     before = state_digest(node)
     node.step(Receive("p1", bench.raw("p1", Prepare(b"m", bench.initial_view))))
     assert state_digest(node) != before
+    # a vote that only a Tally holds changes the digest too
+    before = state_digest(node)
+    node.step(Receive("p1", bench.raw("p1", Deliver(b"m", bench.initial_view))))
+    assert node.delivers.votes and state_digest(node) != before
+
+
+def test_state_digest_refuses_an_unknown_type(bench4):
+    node = bench4.nodes["p2"]
+    node.extra = object()
+    with pytest.raises(TypeError, match="cannot encode object"):
+        state_digest(node)
 
 
 def test_undecodable_input_changes_nothing():
@@ -182,7 +193,7 @@ def test_kept_bytes_are_not_protocol_state(bench4):
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
     update = StateUpdate(v0, v1, StateRecord(), ())
     bench4.deliver("p2", "p3", update)
-    held = [node.pool[plus("p5")], node.state_updates[v0]["p3"]]
+    held = [node.pool[plus("p5")], node.state_updates.votes[(v0, None)]["p3"]]
     held[0].verify(node.verifier)
     assert all(set(vars(x)) & {"_body", "_signed"} for x in held)
     digest = state_digest(node)

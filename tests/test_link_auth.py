@@ -38,22 +38,21 @@ def test_propose_counts_for_its_link_sender(bench4):
     propose = Propose(frozenset({V1}), V0, reconfig_proofs(bench4.keyring, frozenset({V1}), V0))
     assert Propose.TAG not in SIGNED_TAGS
     bench4.deliver("p1", "p2", propose, via="p3")
-    assert set(node.propose_votes[V0]) == {"p3"}
+    assert node.propose_votes.votes == {(V0, frozenset({V1})): {"p3": None}}
 
 
 def test_deliver_counts_for_its_link_sender(bench4):
     node = bench4.nodes["p1"]
     assert Deliver.TAG not in SIGNED_TAGS
     bench4.deliver("p1", "p2", Deliver(b"m", V0), via="p3")
-    assert node.delivers == {("p3", V0)}
-    assert node.deliver_counts == {(V0, b"m"): {"p3"}}
+    assert node.delivers.votes == {(V0, b"m"): {"p3": None}}
 
 
 def test_state_update_counts_for_its_link_sender(bench4):
     node = bench4.nodes["p2"]
     assert StateUpdate.TAG not in SIGNED_TAGS
     bench4.deliver("p2", "p1", StateUpdate(V0, V1, StateRecord(), ()), via="p3")
-    assert list(node.state_updates[V0]) == ["p3"]
+    assert list(node.state_updates.votes[(V0, None)]) == ["p3"]
 
 
 # Each signed kind, built by its author and relayed by p3 to p2, and what
@@ -62,7 +61,7 @@ SIGNED = {
     "RECONFIG": ("p5", Reconfig(plus("p5"), V0),
                  lambda node, actions: [s.to for s in sends_of(actions, "REC-CONFIRM")]),
     "CONVERGED": ("p1", Converged(frozenset({V1}), V0),
-                  lambda node, actions: list(node.converged_votes[(V0, frozenset({V1}))])),
+                  lambda node, actions: list(node.converged_votes.votes[(V0, frozenset({V1}))])),
     "PREPARE": ("p1", Prepare(b"m", V0),
                 lambda node, actions: [s.to for s in sends_of(actions, "ACK")]),
 }
@@ -84,7 +83,7 @@ def test_relayed_signature_is_kept_as_its_signers_evidence(bench4):
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), V0), via="p3")
     bench4.deliver("p2", "p1", Converged(frozenset({V1}), V0), via="p3")
     assert node.pool[plus("p5")].verify(bench4.verifier)
-    sig = node.converged_votes[(V0, frozenset({V1}))]["p1"]
+    sig = node.converged_votes.votes[(V0, frozenset({V1}))]["p1"]
     assert bench4.verifier.verify(
         "p1", signed_content(Converged(frozenset({V1}), V0), "p1"), sig)
 
@@ -111,5 +110,5 @@ def test_adversary_counts_a_link_only_kind_for_its_link_sender():
     sig = bench.keyring.sign("p2", ack_payload(hashlib.sha256(b"m").digest(), V0))
     assert Ack.TAG not in SIGNED_TAGS
     sender.step(Receive("p2", bench.raw("p3", Ack(b"m", sig, V0))))
-    acks = sender.ack_sigs[(b"m", V0)]
+    acks = sender.acks.votes[(V0, b"m")]
     assert set(acks) == {"p1", "p2"} and acks["p2"] == sig  # its own, then p2's

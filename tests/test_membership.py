@@ -127,7 +127,7 @@ def test_propose_with_no_novel_view_dropped(bench4):
     actions = bench4.deliver("p2", "p3", proofed_propose(bench4, {v1}, v0))
     # vote is recorded but no re-dissemination happens
     assert not sends_of(actions, "PROPOSE")
-    assert node.propose_votes[v0]["p3"] == {frozenset({v1})}
+    assert node.propose_votes.votes == {(v0, frozenset({v1})): {"p3": None}}
 
 
 def test_propose_not_more_recent_than_cv_ignored(bench4):
@@ -146,7 +146,7 @@ def test_propose_containing_its_own_view_flagged(bench4):
     actions = bench4.deliver("p2", "p4", proofed_propose(bench4, {v0, v1}, v0))
     assert [n.detail for n in notes_of(actions, "Flag")] == ["proposal not above its view"]
     assert not sends_of(actions)
-    assert v0 not in node.propose_votes
+    assert not node.propose_votes.votes
     assert not node.propose_buffer
     assert not node.seqs.get(v0)
 
@@ -160,7 +160,7 @@ def test_propose_of_a_non_sequence_flagged(bench4):
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [
         ("Flag", "proposal is not a sequence")]
     assert not sends_of(actions)
-    assert node.propose_votes == {} and node.propose_buffer == []
+    assert node.propose_votes.votes == {} and node.propose_buffer == []
 
 
 @pytest.mark.parametrize("kind", ["PROPOSE", "CONVERGED"])
@@ -175,8 +175,8 @@ def test_propose_and_converged_from_a_non_member_dropped(bench4, kind):
     assert [(n.kind, n.msg_kind, n.detail) for n in notes_of(actions)] == [
         ("Drop", kind, "sender not a member")]
     assert not sends_of(actions)
-    assert node.propose_votes == {} and node.propose_buffer == []
-    assert node.converged_votes == {}
+    assert node.propose_votes.votes == {} and node.propose_buffer == []
+    assert node.converged_votes.votes == {}
 
 
 def test_propose_without_change_proof_rejected(bench4):
@@ -261,6 +261,20 @@ def test_converged_subquorum_is_silent(bench4):
     assert not sends_of(actions, "INSTALL")
 
 
+def test_converged_quorum_on_a_non_sequence_is_flagged_once(bench4):
+    # p2, p3 and p4 converge on two incomparable views: a quorum with no
+    # sequence to install, flagged once; a fourth vote changes nothing
+    v0 = bench4.initial_view
+    split = frozenset({View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})})
+    actions = []
+    for author in ["p2", "p3", "p4"]:
+        actions += bench4.deliver("p1", author, Converged(split, v0))
+    assert [(n.kind, n.detail) for n in notes_of(actions)] == [
+        ("Flag", "converged quorum on malformed sequence")]
+    assert not sends_of(actions)
+    assert bench4.deliver("p1", "p1", Converged(split, v0)) == []
+
+
 def test_converged_votes_count_by_sequence_value(bench4):
     # each copy is parsed afresh, so the votes name equal but distinct sequences
     v0 = bench4.initial_view
@@ -272,7 +286,7 @@ def test_converged_votes_count_by_sequence_value(bench4):
         node._bodies.clear()
         same = frozenset({View(frozenset(v1.changes))})
         actions = bench4.deliver("p2", author, Converged(same, v0))
-    assert len(node.converged_votes) == 1
+    assert len(node.converged_votes.votes) == 1
     assert len(sends_of(actions, "INSTALL")) == 5
 
 
@@ -514,29 +528,13 @@ def made_up_message(bench, kind, view):
     return Deliver(b"m", view)
 
 
-# Each tally, and the entries in it that p4 made for one of the views given.
+# The tallies each kind fills; PROPOSE fills `propose_buffer` too.
 TALLIES = {
-    "PROPOSE": {
-        "propose_buffer": lambda held, views: [e for e in held if e.view in views],
-        "propose_votes": lambda held, views: [v for v in views if "p4" in held.get(v, {})],
-    },
-    "CONVERGED": {
-        "converged_votes": lambda held, views: [k for k, votes in held.items()
-                                                if k[0] in views and "p4" in votes],
-    },
-    "REC-CONFIRM": {
-        "rec_confirms": lambda held, views: [v for v in views if "p4" in held.get(v, ())],
-    },
-    "ACK": {
-        "ack_sigs": lambda held, views: [k for k in held if k[0] == "p4" and k[1] in views],
-        "ack_counts": lambda held, views: [k for k, who in held.items()
-                                           if k[0] in views and "p4" in who],
-    },
-    "DELIVER": {
-        "delivers": lambda held, views: [k for k in held if k[0] == "p4" and k[1] in views],
-        "deliver_counts": lambda held, views: [k for k, who in held.items()
-                                               if k[0] in views and "p4" in who],
-    },
+    "PROPOSE": "propose_votes",
+    "CONVERGED": "converged_votes",
+    "REC-CONFIRM": "rec_confirms",
+    "ACK": "acks",
+    "DELIVER": "delivers",
 }
 
 
@@ -551,6 +549,10 @@ def test_one_author_holds_a_bounded_share_of_each_tally(bench4, kind):
     made_up = {View(bench4.initial_view.changes | {plus(f"x{i}")}) for i in range(300)}
     for view in made_up:
         bench4.deliver("p1", "p4", made_up_message(bench4, kind, view))
-    held = {name: len(from_p4(getattr(node, name), made_up))
-            for name, from_p4 in TALLIES[kind].items()}
+    # the tally's entries for a made-up view that hold p4's vote
+    name = TALLIES[kind]
+    held = {name: len([key for key, votes in getattr(node, name).votes.items()
+                       if key[0] in made_up and "p4" in votes])}
+    if kind == "PROPOSE":
+        held["propose_buffer"] = len([e for e in node.propose_buffer if e.view in made_up])
     assert all(n <= 16 for n in held.values()), held

@@ -136,12 +136,12 @@ def test_state_update_recorded_on_first_receipt_and_not_relayed(bench4):
     upd = StateUpdate(v0, v1, StateRecord(), ())
     actions = node.step(Receive("p3", bench4.raw("p3", upd)))
     assert not sends_of(actions)
-    assert node.state_updates[v0] == {"p3": upd}
+    assert node.state_updates.votes == {(v0, None): {"p3": upd}}
     # a second update from p3 for the same view is not recorded
     other = StateUpdate(v0, v1, StateRecord(), reconfig_proofs(bench4.keyring, frozenset({v1}), v0))
     actions = node.step(Receive("p3", bench4.raw("p3", other)))
     assert not sends_of(actions)
-    assert node.state_updates[v0] == {"p3": upd}
+    assert node.state_updates.votes == {(v0, None): {"p3": upd}}
 
 
 def test_state_update_from_non_member_dropped(bench4):
@@ -152,4 +152,4 @@ def test_state_update_from_non_member_dropped(bench4):
         Receive("p5", bench4.raw("p5", upd)))
     assert any("sender not in replaced view" in (n.detail or "")
                for n in notes_of(actions, "Drop"))
-    assert v0 not in bench4.nodes["p2"].state_updates
+    assert bench4.nodes["p2"].state_updates.votes == {}

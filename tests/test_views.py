@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from dbrb.views import (
     Change,
     MAX_CHANGES,
+    Tally,
     View,
     ViewError,
     comparable,
@@ -23,6 +24,31 @@ def test_quorum_formula():
     assert members_view(4).quorum_size == 3
     assert members_view(1).quorum_size == 1
     assert members_view(10).quorum_size == 7
+
+
+def test_tally_counts_each_members_first_vote():
+    v4 = members_view(4)
+    tally = Tally()
+    assert not tally.add(v4, "x", "p9", "sig")  # not a member
+    assert tally.add(v4, "x", "p1", "first")
+    assert not tally.add(v4, "x", "p1", "second")
+    assert tally.add(v4, "y", "p1", "other value")  # one vote per key, not per view
+    assert tally.votes == {(v4, "x"): {"p1": "first"}, (v4, "y"): {"p1": "other value"}}
+    assert tally.voted("p1", v4) and not tally.voted("p2", v4)
+    assert not tally.voted("p1", members_view(5))
+
+
+def test_tally_quorums_in_first_vote_order():
+    v4, v1 = members_view(4), members_view(1)
+    tally = Tally()
+    for author in ("p1", "p2"):
+        tally.add(v4, "x", author)
+    tally.add(v1, "y", "p1")
+    assert tally.quorum(v4, "x") is None and tally.quorum(v4, "z") is None
+    assert list(tally.quorums()) == [((v1, "y"), {"p1": None})]
+    tally.add(v4, "x", "p3")
+    assert tally.quorum(v4, "x") == {"p1": None, "p2": None, "p3": None}
+    assert [key for key, _ in tally.quorums()] == [(v4, "x"), (v1, "y")]
 
 
 def test_quorum_empty_membership_is_error():

@@ -331,21 +331,45 @@ def test_new_cv_drops_a_stale_pending_commit():
     assert_idle(node)
 
 
-def test_leaving_cv_drops_a_stale_pending_commit():
-    # p4 leaves with a stored message: the leaver loop moves `cv` to the
-    # best trusted view (`_leaver_commit`), which strands the pending commit
-    bench = make_bench()
+V_LEFT = View(V0.changes | {minus("p4")})
+
+
+def leaver_in_loop(bench):
+    """p4, holding a stored message and a pending commit, installs V0 - p4
+    and enters the leaver loop."""
     node = bench.nodes["p4"]
-    v_left = View(V0.changes | {minus("p4")})
     bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V0, ["p1", "p2", "p3"]), V0))
     bench.deliver("p4", "p1", Commit(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]),
                                      V0))
     assert node.state_record.stored is not None
     assert [msg.view for _, msg in node.pending_commits] == [V0]
-    bench.deliver("p4", "p1", install(bench, frozenset({v_left}), V0))
+    bench.deliver("p4", "p1", install(bench, frozenset({V_LEFT}), V0))
     for author in ("p1", "p2", "p3"):
-        bench.deliver("p4", author, state_update(V0, v_left))
-    assert node.phase is Phase.LEAVER_LOOP and node.cv == v_left and node.pending_commits == []
+        bench.deliver("p4", author, state_update(V0, V_LEFT))
+    return node
+
+
+def test_leaving_cv_drops_a_stale_pending_commit():
+    # p4 leaves with a stored message: the leaver loop moves `cv` to the
+    # best trusted view (`_leaver_commit`), which strands the pending commit
+    node = leaver_in_loop(make_bench())
+    assert node.phase is Phase.LEAVER_LOOP and node.cv == V_LEFT and node.pending_commits == []
+    assert_idle(node)
+
+
+def test_leaver_commits_again_in_a_newer_trusted_view():
+    # a history through V0 - p4 + p5 makes a newer view the best trusted
+    # one: the leaver loop (`_leaver_loop_kick`) moves `cv` there and
+    # commits its stored message to that view's members
+    bench = make_bench()
+    node = leaver_in_loop(bench)
+    v_next = View(V_LEFT.changes | {plus("p5")})
+    links = (install(bench, frozenset({V_LEFT}), V0), install(bench, frozenset({v_next}), V_LEFT))
+    actions = bench.deliver("p4", "p1", HistoryGossip(ViewHistory(V0, links)))
+    assert node.phase is Phase.LEAVER_LOOP and node.cv == v_next
+    commits = sends_of(actions, "COMMIT")
+    assert [c.to for c in commits] == ["p1", "p2", "p3", "p5"]
+    assert decode(commits[0].raw, bench.verifier).msg.view == v_next
     assert_idle(node)
 
 
@@ -422,7 +446,7 @@ def test_install_after_its_state_updates_completes_in_the_same_step():
     node = bench.nodes["p2"]
     for author in ("p1", "p3", "p4"):
         bench.deliver("p2", author, state_update(V0, V1))
-    assert node.cv == V0 and set(node.state_updates[V0]) == {"p1", "p3", "p4"}
+    assert node.cv == V0 and set(node.state_updates.votes[(V0, None)]) == {"p1", "p3", "p4"}
     bench.deliver("p2", "p1", install(bench, frozenset({V1}), V0))
     assert node.cv == V1 and V1 in node.installed and node.pending_installs == []
     assert_idle(node)

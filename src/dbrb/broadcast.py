@@ -118,7 +118,7 @@ class BroadcastMixin:
         commits in it while this node is still suspended, and re-sends only
         on its next install, so such a COMMIT is parked, not dropped."""
         return self.phase < Phase.LEAVER_LOOP and (
-            msg.view == self.cv or self.cv.changes < msg.view.changes)
+            msg.view == self.cv or self.cv < msg.view)
 
     def _handle_commit(self, author: str, msg: Commit) -> None:
         if self._commit_ready(msg):

@@ -49,8 +49,9 @@ class MalformedTrace(ValueError):
     pass
 
 
-# A view is the frozenset of its change tokens ("+p1", "-p2"), so inclusion
-# of views is inclusion of sets, and a sequence is a set of such views.
+# A view is the frozenset of its change tokens ("+p1", "-p2"), as a
+# `views.View` is, so inclusion of views is inclusion of sets, and a
+# sequence is a set of such views.
 ViewSet = frozenset[str]
 
 

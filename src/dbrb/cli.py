@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,16 +23,9 @@ def _resolve_scenario(arg: str) -> Path:
     p = Path(arg)
     if p.exists():
         return p
-    candidates = []
-    env_dir = os.environ.get("DBRB_SCENARIO_DIR")
-    if env_dir:
-        candidates.append(Path(env_dir) / f"{arg}.json")
-        candidates.append(Path(env_dir) / arg)
-    packaged = resources.files("dbrb") / "scenarios" / f"{arg}.json"
-    candidates.append(Path(str(packaged)))
-    for c in candidates:
-        if c.exists():
-            return c
+    packaged = Path(str(resources.files("dbrb") / "scenarios" / f"{arg}.json"))
+    if packaged.exists():
+        return packaged
     raise simnet.ScenarioError(f"scenario not found: {arg}")
 
 

@@ -44,7 +44,7 @@ def verify_install_proof(install: Install, verifier: Verifier) -> bool:
 def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
     if not install.seq or not is_sequence(install.seq):
         return False  # else `install.omega` is defined from here on
-    if not all(install.view.changes < w.changes for w in install.seq):
+    if not all(install.view < w for w in install.seq):
         return False
     if [p.change for p in install.proofs] != added_changes(install.seq, install.view):
         return False

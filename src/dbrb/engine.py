@@ -123,7 +123,7 @@ SCANS = (
                               "trusted_hist", "trusted_aux")),
     ("_pending_store_scan", ("pending_store", "state_record", "cv", "installed", "delivered",
                              "trusted_hist", "trusted_aux")),
-    ("_propose_buffer_scan", ("propose_buffer", "formats", "cv", "seqs", "installed", "lcseqs")),
+    ("_propose_buffer_scan", ("propose_buffer", "formats", "cv", "seqs", "lcseqs")),
     ("_propose_quorum_scan", ("propose_votes", "seqs", "converged_sent")),
     ("_converged_quorum_scan", ("converged_votes", "install_sent", "pool")),
     ("_pending_install_scan", ("pending_installs", "cv", "state_updates", "phase")),

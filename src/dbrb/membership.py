@@ -30,9 +30,11 @@ from .messages import (
     signed_content,
 )
 from .views import (
+    MINUS,
     Change,
     Tally,
     View,
+    change_key,
     comparable,
     is_sequence,
     minus,
@@ -61,16 +63,12 @@ class Phase(IntEnum):
     HALTED = 8           # leave complete; takes no more events
 
 
-def change_order(c: Change) -> tuple[str, str]:
-    return (c.process, c.sign)
-
-
 def added_changes(seq: frozenset[View], v: View) -> list[Change]:
     """The changes the views of `seq` add to `v`, in (process, sign) order."""
     needed: set[Change] = set()
     for w in seq:
-        needed |= w.changes - v.changes
-    return sorted(needed, key=change_order)
+        needed |= w - v
+    return sorted(needed, key=change_key)
 
 
 class MembershipMixin:
@@ -128,17 +126,17 @@ class MembershipMixin:
         if self.suspended:
             self._note("Drop", msg_kind="RECONFIG", detail="processing suspended")
             return
-        if author != msg.change.process:
+        if author != msg.change[1:]:
             self._note("Flag", msg_kind="RECONFIG", detail="change not signed by subject")
             return
         change, v = msg.change, msg.view
         if v != self.cv:
             self._note("Drop", msg_kind="RECONFIG", detail="stale view")
             return
-        if change in v.changes:
+        if change in v:
             self._note("Drop", msg_kind="RECONFIG", detail="change already applied")
             return
-        if change.sign == "-" and plus(change.process) not in v.changes:
+        if change[0] == MINUS and plus(change[1:]) not in v:
             self._note("Drop", msg_kind="RECONFIG", detail="leave without prior join")
             return
         proof = ReconfigProof(change, v, signature)
@@ -163,16 +161,16 @@ class MembershipMixin:
             return
         if self.seqs.get(self.cv):
             return
-        effective = {c for c in self.recv if c not in self.cv.changes}
+        effective = {c for c in self.recv if c not in self.cv}
         if not effective:
             return
-        proposal = View(self.cv.changes | effective)
+        proposal = View(self.cv | effective)
         self._set_seq(self.cv, frozenset({proposal}))
         self._emit_propose(self.cv)
 
     def _propose_proofs(self, seq: frozenset[View], v: View) -> tuple[ReconfigProof, ...]:
         needed = added_changes(seq, v)
-        missing = [c.token for c in needed if c not in self.pool]
+        missing = [c for c in needed if c not in self.pool]
         if missing:
             raise AssertionError(f"proof pool missing changes: {sorted(missing)}")
         return tuple(self.pool[c] for c in needed)
@@ -197,7 +195,7 @@ class MembershipMixin:
         if not is_sequence(msg.seq) or not msg.seq:
             self._note("Flag", msg_kind="PROPOSE", detail="proposal is not a sequence")
             return
-        if not all(v.changes < w.changes for w in msg.seq):
+        if not all(v < w for w in msg.seq):
             self._note("Flag", msg_kind="PROPOSE", detail="proposal not above its view")
             return
         offered = {p.change: p for p in msg.proofs}
@@ -207,7 +205,7 @@ class MembershipMixin:
             proof = offered.get(change)
             if proof is None or not proof.verify(self.verifier):
                 self._note("Drop", msg_kind="PROPOSE",
-                           detail=f"missing reconfig proof for {change.token}")
+                           detail=f"missing reconfig proof for {change}")
                 return
             self.pool[change] = proof
             self._wrote("pool")
@@ -221,12 +219,6 @@ class MembershipMixin:
             return False
         return frozenset() in entries or seq in entries
 
-    def _known_views(self, v: View) -> set[View]:
-        known = set(self.seqs.get(v, frozenset()))
-        known.add(self.cv)
-        known.update(self.installed)
-        return known
-
     def _propose_buffer_scan(self) -> None:
         if not self.propose_buffer:
             return
@@ -236,13 +228,13 @@ class MembershipMixin:
             if not self._accepts(seq, v):
                 still.append(item)  # may unlock once an install fills FORMAT
                 continue
-            if not all(self.cv.changes < w.changes for w in seq):
+            if not all(self.cv < w for w in seq):
                 continue
-            if not (seq - self._known_views(v)):
-                continue  # nothing new in it; drop to stop echo storms
             local = self.seqs.get(v, frozenset())
+            if seq <= local:
+                continue  # nothing new in it; drop to stop echo storms
             if any(not comparable(a, b) for a in seq for b in local):
-                merged = most_recent(seq).union(most_recent(local))
+                merged = View(most_recent(seq) | most_recent(local))
                 self._set_seq(v, frozenset(self.lcseqs.get(v, frozenset()) | {merged}))
             else:
                 self._set_seq(v, local | seq)
@@ -274,7 +266,7 @@ class MembershipMixin:
         for (v, seq), votes in self.converged_votes.quorums():
             if (v, seq) in self.install_sent or self.pid not in v.member_set:
                 continue
-            if not seq or not is_sequence(seq) or not all(v.changes < w.changes for w in seq):
+            if not seq or not is_sequence(seq) or not all(v < w for w in seq):
                 self._note("Flag", detail="converged quorum on malformed sequence")
                 self.install_sent.add((v, seq))
                 continue
@@ -292,14 +284,14 @@ class MembershipMixin:
     def _state_of(self, v: View) -> StateRecord:
         """The local broadcast state restricted to views inside v."""
         rec = self.state_record
-        ack = rec.ack if rec.ack and rec.ack.view.changes <= v.changes else None
+        ack = rec.ack if rec.ack and rec.ack.view <= v else None
         conflicting = None
         if rec.conflicting:
             a, b = rec.conflicting
-            if a.view.changes <= v.changes and b.view.changes <= v.changes:
+            if a.view <= v and b.view <= v:
                 conflicting = rec.conflicting
         stored = None
-        if rec.stored and rec.stored.assoc_view.changes <= v.changes:
+        if rec.stored and rec.stored.assoc_view <= v:
             stored = rec.stored
         return StateRecord(ack, conflicting, stored)
 
@@ -313,7 +305,7 @@ class MembershipMixin:
         self.formats.setdefault(omega, set()).add(seq - {omega})
         self._wrote("pool", "formats")
         if self.pid in v.member_set:
-            if self.cv.changes < omega.changes and not self.suspended:
+            if self.cv < omega and not self.suspended:
                 self.suspended = True
                 self._wrote("suspended")
                 self._note("StateNote", detail="suspend")
@@ -321,11 +313,11 @@ class MembershipMixin:
                 view=v,
                 omega=omega,
                 record=self._state_of(v),
-                recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_order)),
+                recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_key)),
             )
             self._send_all(rm_targets(update), update)
         # one pending install per (view, seq): variants differ only in signatures
-        if self.cv.changes < omega.changes and all(
+        if self.cv < omega and all(
                 (p.view, p.seq) != (v, seq) for p in self.pending_installs):
             self.pending_installs.append(msg)
             self._wrote("pending_installs")
@@ -357,7 +349,7 @@ class MembershipMixin:
 
     def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
         """ev is a prepare the sender signed in a view no later than v."""
-        return ev.view.changes <= v.changes and self.verifier.verify(
+        return ev.view <= v and self.verifier.verify(
             self.sender_id, signed_content(Prepare(ev.payload, ev.view), self.sender_id),
             ev.signature)
 
@@ -374,9 +366,9 @@ class MembershipMixin:
                 return False
         if rec.stored:
             ev = rec.stored
-            if not ev.assoc_view.changes <= v.changes:
+            if not ev.assoc_view <= v:
                 return False
-            if not ev.cert.view.changes <= ev.assoc_view.changes:
+            if not ev.cert.view <= ev.assoc_view:
                 return False
             if not verify_certificate(ev.cert, ev.payload, self.verifier):
                 return False
@@ -387,7 +379,7 @@ class MembershipMixin:
             return
         still: list[Install] = []
         for pending in self.pending_installs:
-            if not (self.cv.changes < pending.omega.changes):
+            if not (self.cv < pending.omega):
                 continue  # overtaken by a newer install
             updates = self.state_updates.quorum(pending.view, None)
             if updates is None:
@@ -405,8 +397,8 @@ class MembershipMixin:
         for upd in updates:
             for proof in upd.recv:
                 requests.setdefault(proof.change, proof)
-        for change in sorted(requests, key=change_order):
-            if change not in omega.changes and change not in self.recv:
+        for change in sorted(requests, key=change_key):
+            if change not in omega and change not in self.recv:
                 self.recv[change] = requests[change]
                 self._wrote("recv")
         self._state_transfer([upd.record for upd in updates])
@@ -417,9 +409,9 @@ class MembershipMixin:
             if self.phase < Phase.MEMBER:
                 self._set_phase(Phase.MEMBER)
                 self._callback("JoinComplete", None)
-            newer = frozenset(w for w in seq if self.cv.changes < w.changes)
+            newer = frozenset(w for w in seq if self.cv < w)
             if newer:
-                if not self.seqs.get(self.cv) and all(self.cv.changes < w.changes for w in newer):
+                if not self.seqs.get(self.cv) and all(self.cv < w for w in newer):
                     self._set_seq(self.cv, newer)
                     self._emit_propose(self.cv)
             else:
@@ -450,7 +442,7 @@ class MembershipMixin:
     def _leaver_commit(self) -> None:
         ev = self.state_record.stored
         best = self._best_view()
-        if len(best.changes) > len(self.cv.changes):
+        if len(best) > len(self.cv):
             self.cv = best
             self._wrote("cv")
         self._send_all(self.cv.members, Commit(ev.payload, ev.cert, self.cv))
@@ -460,5 +452,5 @@ class MembershipMixin:
             return
         if self.delivered:
             self._finish_leave()
-        elif len(self._best_view().changes) > len(self.cv.changes):
+        elif len(self._best_view()) > len(self.cv):
             self._leaver_commit()

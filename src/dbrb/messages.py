@@ -36,7 +36,7 @@ sequence (`Install.omega`), the targets of an install or a state update
 are the members of view and omega (`rm_targets`), a certificate's view
 is the certified view and its digest that of the payload beside it, and
 each view of a history after the root is the omega of the link before
-it.  A change is `len | pid | sign` (`Change.canonical_bytes`), as a
+it.  A change is `len | pid | sign` (`views.change_bytes`), as a
 field and inside a view.  Wire version 4 frames STATE-UPDATE without
 author and signature.
 """
@@ -50,14 +50,15 @@ from typing import Callable, NoReturn, Optional, get_args
 
 from .crypto import MessageCertificate, Signatures, Signer, Verifier
 from .views import (
-    Change,
     MINUS,
     PLUS,
+    Change,
     ProcessId,
     View,
     ViewError,
+    change_bytes,
+    change_key,
     id_bytes,
-    intern_change,
     least_recent,
     seq_sort_key,
     seq_sorted,
@@ -185,11 +186,11 @@ class ReconfigProof:
         signed = self.__dict__.get("_signed")
         if signed is None:
             signed = self.__dict__["_signed"] = _signed_content(
-                TAG_RECONFIG, _proof_body(self), self.change.process)
+                TAG_RECONFIG, _proof_body(self), self.change[1:])
         return signed
 
     def verify(self, verifier: Verifier) -> bool:
-        return verifier.verify(self.change.process, self.signed_bytes(), self.signature)
+        return verifier.verify(self.change[1:], self.signed_bytes(), self.signature)
 
 
 @dataclass(frozen=True)
@@ -353,16 +354,16 @@ def _blob(b: bytes) -> bytes:
     return _U32.pack(len(b)) + b
 
 
-_BYTE_SIGN = {0x2B: PLUS, 0x2D: MINUS}
-
-
 def _read_change(r: Reader) -> Change:
-    """The reverse of `Change.canonical_bytes`: len | pid | sign."""
+    """The reverse of `views.change_bytes`: len | pid | sign.  The one place
+    a change arrives from outside, so its checks are here."""
     pid = r.text()
-    sign = _BYTE_SIGN.get(r.u8())
-    if sign is None:
+    sign = chr(r.u8())
+    if sign != PLUS and sign != MINUS:
         raise CodecError("bad change sign byte")
-    return intern_change(sign, pid)
+    if not pid:
+        raise CodecError("empty process id")
+    return sign + pid
 
 
 def _write_view(v: View) -> bytes:
@@ -382,7 +383,7 @@ def _read_view(r: Reader) -> View:
     inner = Reader(raw)
     changes = [_read_change(inner) for _ in range(inner.u32())]
     inner.expect_done()
-    view = View.of(changes)
+    view = View(changes)
     if view.canonical_bytes != raw:  # misordered or repeated changes
         raise CodecError("non-canonical view encoding")
     if len(_VIEW_CACHE) < _VIEW_CACHE_MAX:
@@ -427,7 +428,7 @@ def _proof_body(p: ReconfigProof) -> bytes:
     a parsed proof was read from, or else derived once and kept."""
     body = p.__dict__.get("_body")
     if body is None:
-        body = p.__dict__["_body"] = p.change.canonical_bytes + _write_view(p.view)
+        body = p.__dict__["_body"] = change_bytes(p.change) + _write_view(p.view)
     return body
 
 
@@ -439,10 +440,6 @@ def _read_proof(r: Reader) -> ReconfigProof:
     proof = ReconfigProof(change, view, r.blob())
     proof.__dict__["_body"] = body
     return proof
-
-
-def _proof_key(p: ReconfigProof) -> tuple[ProcessId, str]:
-    return (p.change.process, p.change.sign)
 
 
 _SIGNATURE: Codec = (lambda pair: id_bytes(pair[0]) + _blob(pair[1]),
@@ -484,12 +481,12 @@ def _read_links(r: Reader) -> tuple[Install, ...]:
 # One codec per field type, keyed by the annotation as written.
 FIELD_CODECS: dict[str, Codec] = {
     "bytes": (_blob, Reader.blob),
-    "Change": (lambda c: c.canonical_bytes, _read_change),
+    "Change": (change_bytes, _read_change),
     "View": (_write_view, _read_view),
     "frozenset[View]": (_write_seq, _read_seq),
     "tuple[ReconfigProof, ...]": _sorted_tuple(
         (lambda p: _proof_body(p) + _blob(p.signature), _read_proof),
-        "reconfig proofs not canonical", key=_proof_key),
+        "reconfig proofs not canonical", key=lambda p: change_key(p.change)),
     "Signatures": _sorted_tuple(_SIGNATURE, "signatures not canonical"),
     "StateRecord": (_write_record, _read_record),
     "tuple[Install, ...]": (_write_links, _read_links),
@@ -576,7 +573,7 @@ def _parse_body(tag: int, body: bytes, bodies: Optional[dict] = None) -> Message
     r = Reader(body, 0, bodies)
     try:
         msg = KIND_CODECS[tag][1](r)
-    except ViewError as exc:  # oversized or malformed view payloads
+    except ViewError as exc:  # an oversized view
         raise CodecError(str(exc)) from exc
     r.expect_done()
     msg.__dict__["_body"] = body

@@ -158,7 +158,7 @@ class Trace:
 
 
 def _tokens(v: View) -> list[str]:
-    return [c.token for c in v.sorted_changes]
+    return list(v.sorted_changes)
 
 
 def _trace_views(views: Optional[dict]) -> Optional[dict]:

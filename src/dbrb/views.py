@@ -1,9 +1,12 @@
-"""View algebra: signed membership changes, views, and comparable view sequences.
+"""View algebra: membership changes, views, and comparable view sequences.
 
-A view is an append-only set of join/leave changes.  Its member set and
-quorum threshold are derived, never stored.  Everything here but `Tally`
-is an immutable value type with a canonical byte encoding, so two equal
-views byte-compare (and hash) equal everywhere in the system.
+A change is its token, `+` or `-` followed by the process id (`"+p1"`),
+and a view is the frozenset of its changes, so `v < w` (w is more recent
+than v) is set inclusion, and the engine, the trace and the checker hold a
+view alike.  A view's member set and quorum threshold are derived, never
+stored.  Everything here but `Tally` is an immutable value with a
+canonical byte encoding, so two equal views byte-compare (and hash) equal
+everywhere in the system.
 """
 
 from __future__ import annotations
@@ -15,38 +18,18 @@ from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 ProcessId = str
+# "+p" or "-p": the sign, then the process id (`c[0]` and `c[1:]`)
+Change = str
 
 PLUS = "+"
 MINUS = "-"
-_SIGN_BYTE = {PLUS: b"\x2b", MINUS: b"\x2d"}
 
 # Upper bound on changes per view; keeps adversarial messages from ballooning.
 MAX_CHANGES = 1024
 
 
 class ViewError(ValueError):
-    """Raised on domain violations (empty membership, malformed change sets)."""
-
-
-@dataclass(frozen=True)
-class Change:
-    sign: str
-    process: ProcessId
-
-    def __post_init__(self) -> None:
-        if self.sign not in (PLUS, MINUS):
-            raise ViewError(f"invalid change sign: {self.sign!r}")
-        if not self.process:
-            raise ViewError("empty process id")
-
-    @property
-    def token(self) -> str:
-        return self.sign + self.process
-
-    @cached_property
-    def canonical_bytes(self) -> bytes:
-        """len | pid | sign: the one encoding of a change, in a view and as a field."""
-        return id_bytes(self.process) + _SIGN_BYTE[self.sign]
+    """Raised on domain violations (empty membership, oversized change sets)."""
 
 
 def id_bytes(pid: ProcessId) -> bytes:
@@ -58,56 +41,42 @@ def id_bytes(pid: ProcessId) -> bytes:
     return bytes((len(raw),)) + raw
 
 
-# Changes repeat in every view; one shared instance per (sign, pid) lets set
-# operations on change sets compare by identity.  The cap keeps Byzantine
-# pids from growing the table without bound; past it, changes are built
-# fresh and still compare equal.
-_CHANGES: dict[tuple[str, ProcessId], Change] = {}
-_CHANGES_MAX = 4096
-
-
-def intern_change(sign: str, p: ProcessId) -> Change:
-    """The shared `Change(sign, p)`."""
-    c = _CHANGES.get((sign, p))
-    if c is None:
-        c = Change(sign, p)
-        if len(_CHANGES) < _CHANGES_MAX:
-            _CHANGES[(sign, p)] = c
-    return c
-
-
 def plus(p: ProcessId) -> Change:
-    return intern_change(PLUS, p)
+    return PLUS + p
 
 
 def minus(p: ProcessId) -> Change:
-    return intern_change(MINUS, p)
+    return MINUS + p
 
 
-def _change_sort_key(c: Change) -> tuple[bytes, bytes]:
-    return (c.process.encode(), _SIGN_BYTE[c.sign])
+def change_key(c: Change) -> tuple[ProcessId, str]:
+    """The one change order: by process id, then `+` before `-`.  It is the
+    order of the changes' bytes, since UTF-8 keeps code point order."""
+    return (c[1:], c[0])
 
 
-@dataclass(frozen=True)
-class View:
-    changes: frozenset[Change]
+def change_bytes(c: Change) -> bytes:
+    """len | pid | sign: the one encoding of a change, in a view and as a field."""
+    return id_bytes(c[1:]) + c[0].encode()
 
-    def __post_init__(self) -> None:
-        if len(self.changes) > MAX_CHANGES:
+
+class View(frozenset):
+    """The frozenset of a view's change tokens, with the facts derived from it."""
+
+    def __new__(cls, changes: Iterable[Change] = ()) -> "View":
+        view = super().__new__(cls, changes)
+        if len(view) > MAX_CHANGES:
             raise ViewError(f"change set exceeds cap of {MAX_CHANGES}")
-
-    @classmethod
-    def of(cls, changes: Iterable[Change]) -> "View":
-        return cls(frozenset(changes))
+        return view
 
     @classmethod
     def initial(cls, members: Iterable[ProcessId]) -> "View":
-        return cls.of(plus(p) for p in members)
+        return cls(map(plus, members))
 
     @cached_property
     def members(self) -> tuple[ProcessId, ...]:
-        added = {c.process for c in self.changes if c.sign == PLUS}
-        removed = {c.process for c in self.changes if c.sign == MINUS}
+        added = {c[1:] for c in self if c[0] == PLUS}
+        removed = {c[1:] for c in self if c[0] == MINUS}
         return tuple(sorted(added - removed))
 
     @cached_property
@@ -123,13 +92,12 @@ class View:
 
     @cached_property
     def sorted_changes(self) -> tuple[Change, ...]:
-        return tuple(sorted(self.changes, key=_change_sort_key))
+        return tuple(sorted(self, key=change_key))
 
     @cached_property
     def canonical_bytes(self) -> bytes:
         """The change count, then each change's bytes in canonical order."""
-        return struct.pack(">I", len(self.changes)) + b"".join(
-            [c.canonical_bytes for c in self.sorted_changes])
+        return struct.pack(">I", len(self)) + b"".join(map(change_bytes, self.sorted_changes))
 
     @cached_property
     def digest(self) -> bytes:
@@ -139,11 +107,8 @@ class View:
     def short(self) -> str:
         return self.digest[:8].hex()
 
-    def union(self, other: "View") -> "View":
-        return View(self.changes | other.changes)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"View({','.join(c.token for c in self.sorted_changes)})"
+        return f"View({','.join(self.sorted_changes)})"
 
 
 @dataclass
@@ -182,14 +147,14 @@ class Tally:
 
 
 def comparable(v1: View, v2: View) -> bool:
-    return v1.changes <= v2.changes or v2.changes <= v1.changes
+    return v1 <= v2 or v2 <= v1
 
 
 def is_sequence(views: Iterable[View]) -> bool:
     """True iff the views are pairwise comparable (the empty set qualifies)."""
-    ordered = sorted(set(views), key=lambda v: len(v.changes))
+    ordered = sorted(set(views), key=len)
     for a, b in zip(ordered, ordered[1:]):
-        if not a.changes < b.changes:
+        if not a < b:
             return False
     return True
 
@@ -198,7 +163,7 @@ def least_recent(seq: Iterable[View]) -> View:
     views = list(seq)
     if not views:
         raise ViewError("least_recent of empty sequence")
-    candidates = [v for v in views if not any(w.changes < v.changes for w in views)]
+    candidates = [v for v in views if not any(w < v for w in views)]
     if len(candidates) != 1:
         raise ViewError("least_recent: views are not a sequence")
     return candidates[0]
@@ -208,14 +173,14 @@ def most_recent(seq: Iterable[View]) -> View:
     views = list(seq)
     if not views:
         raise ViewError("most_recent of empty sequence")
-    candidates = [v for v in views if not any(v.changes < w.changes for w in views)]
+    candidates = [v for v in views if not any(v < w for w in views)]
     if len(candidates) != 1:
         raise ViewError("most_recent: views are not a sequence")
     return candidates[0]
 
 
 def seq_sort_key(v: View) -> tuple[int, bytes]:
-    return (len(v.changes), v.canonical_bytes)
+    return (len(v), v.canonical_bytes)
 
 
 def seq_sorted(views: Iterable[View]) -> list[View]:

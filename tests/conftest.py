@@ -74,8 +74,7 @@ def state_digest(node):
 
 def reconfig_proofs(keyring, seq, view):
     """One proof, signed by its subject, for each change seq adds to view."""
-    return tuple(ReconfigProof(c, view, keyring.sign(c.process,
-                                                     signed_content(Reconfig(c, view), c.process)))
+    return tuple(ReconfigProof(c, view, keyring.sign(c[1:], signed_content(Reconfig(c, view), c[1:])))
                  for c in added_changes(seq, view))
 
 

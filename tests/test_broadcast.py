@@ -77,7 +77,7 @@ def test_prepare_fenced_when_no_message_allowed(bench4):
 
 
 def test_prepare_wrong_view_ignored(bench4):
-    stale = View.of([plus("p1"), plus("p2")])
+    stale = View([plus("p1"), plus("p2")])
     actions = bench4.deliver("p2", "p1", Prepare(b"m", stale))
     assert not sends_of(actions, "ACK")
 
@@ -142,7 +142,7 @@ def test_second_commit_only_replies_deliver(bench4):
 
 def test_commit_wrong_view_ignored(bench4):
     v0 = bench4.initial_view
-    stale = View.of([plus("p1"), plus("p2"), plus("p3")])
+    stale = View([plus("p1"), plus("p2"), plus("p3")])
     cert = make_cert(bench4, b"m", stale, ["p1", "p2"])
     actions = bench4.deliver("p2", "p1", Commit(b"m", cert, stale))
     assert not sends_of(actions)
@@ -168,7 +168,7 @@ def test_deliver_quorum_fires_once_per_payload_and_view(bench4):
     assert [c.kind for c in cbs] == ["Delivered"]
     assert node.delivered
     # a second quorum in a later view must not deliver again
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node.trusted_aux.add(v1)
     actions = []
     for pid in ["p1", "p3", "p4"]:
@@ -179,7 +179,7 @@ def test_deliver_quorum_fires_once_per_payload_and_view(bench4):
 def test_deliver_split_across_views_never_fires(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node.trusted_aux.add(v1)
     bench4.deliver("p2", "p1", Deliver(b"m", v0))
     bench4.deliver("p2", "p3", Deliver(b"m", v0))
@@ -261,8 +261,8 @@ def test_state_transfer_unique_ack_does_not_widen(bench4):
 # -- the fence through real installs: it never reopens or switches payloads --
 
 V0 = View.initial(["p1", "p2", "p3", "p4"])
-V1 = View(V0.changes | {plus("p5")})
-V2 = View(V1.changes | {plus("p6")})
+V1 = View(V0 | {plus("p5")})
+V2 = View(V1 | {plus("p6")})
 
 
 def transfer(bench, view, omega, records):
@@ -327,7 +327,7 @@ def test_new_view_sender_reuses_certificate(bench4):
     sender = bench4.nodes["p1"]
     sender.step(InvokeBroadcast(b"m"))
     prime_acks(bench4, b"m", bench4.initial_view, ["p1", "p2", "p3"])
-    v1 = View(bench4.initial_view.changes | {plus("p5")})
+    v1 = View(bench4.initial_view | {plus("p5")})
     sender.cv = v1
     sender.installed.add(v1)
     sender._outputs = []
@@ -362,7 +362,7 @@ def test_one_author_cannot_crowd_out_parked_commits(bench4):
     node = bench4.nodes["p2"]
     cert = make_cert(bench4, b"m", V0, ["p1", "p2", "p3"])
     for i in range(300):
-        bench4.deliver("p2", "p4", Commit(b"m", cert, View(V0.changes | {plus(f"x{i}")})))
+        bench4.deliver("p2", "p4", Commit(b"m", cert, View(V0 | {plus(f"x{i}")})))
     seq = frozenset({V1})
     sigs = tuple((q, bench4.keyring.sign(q, signed_content(Converged(seq, V0), q)))
                  for q in ("p1", "p3", "p4"))

@@ -42,12 +42,12 @@ from dbrb.views import View, minus, plus
 V0 = View.initial(["p1", "p2", "p3", "p4"])
 VIEWS = (
     View(frozenset()),                                # no members
-    View.of([minus("p4")]),                           # leaves only
-    View.of([plus("x9")]),                            # a process outside the universe
+    View([minus("p4")]),                           # leaves only
+    View([plus("x9")]),                            # a process outside the universe
     V0,
-    View(V0.changes | {plus("p5")}),
-    View(V0.changes | {minus("p3")}),
-    View(V0.changes | {plus("p5"), plus("p6")}),
+    View(V0 | {plus("p5")}),
+    View(V0 | {minus("p3")}),
+    View(V0 | {plus("p5"), plus("p6")}),
 )
 
 

@@ -38,7 +38,7 @@ def join_in_flight():
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5"])
     bench.nodes["p5"].step(InvokeJoin())
     v0 = bench.initial_view
-    seq = frozenset({View(v0.changes | {plus("p5")})})
+    seq = frozenset({View(v0 | {plus("p5")})})
     sigs = tuple((p, bench.keyring.sign(p, signed_content(Converged(seq, v0), p)))
                  for p in ("p1", "p2", "p3"))
     return bench, Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
@@ -151,7 +151,7 @@ def defective_records(bench):
     """A state record with each defect of `DEFECTS`, the rest valid."""
     v0 = bench.initial_view
     inner = View.initial(["p1", "p2", "p3"])  # inside V0
-    outer = View(v0.changes | {plus("p6")})  # not inside V0
+    outer = View(v0 | {plus("p6")})  # not inside V0
     good = certified(bench, b"m", v0, ["p1", "p2", "p3"])
     forged = build_certificate(v0, {p: b"forged" for p in ("p1", "p2", "p3")})
     return {
@@ -174,7 +174,7 @@ def test_update_with_invalid_evidence_records_nothing(defect):
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5"])
     v0 = bench.initial_view
     node = bench.nodes["p2"]
-    update = StateUpdate(v0, View(v0.changes | {plus("p5")}), defective_records(bench)[defect],
+    update = StateUpdate(v0, View(v0 | {plus("p5")}), defective_records(bench)[defect],
                          ())
     actions = bench.deliver("p2", "p4", update)
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [
@@ -189,7 +189,7 @@ def test_update_with_valid_evidence_is_recorded():
     record = StateRecord(ack=prepared(bench, b"m", v0),
                          stored=StoredEvidence(b"m", certified(bench, b"m", v0,
                                                                ["p1", "p2", "p3"]), v0))
-    update = StateUpdate(v0, View(v0.changes | {plus("p5")}), record, ())
+    update = StateUpdate(v0, View(v0 | {plus("p5")}), record, ())
     assert not notes_of(bench.deliver("p2", "p4", update))
     assert bench.nodes["p2"].state_updates.votes == {(v0, None): {"p4": update}}
 
@@ -200,7 +200,7 @@ def test_update_to_a_process_outside_its_targets_is_dropped():
     v0 = bench.initial_view
     node = bench.nodes["p6"]
     node.step(InvokeJoin())
-    actions = bench.deliver("p6", "p4", StateUpdate(v0, View(v0.changes | {plus("p5")}),
+    actions = bench.deliver("p6", "p4", StateUpdate(v0, View(v0 | {plus("p5")}),
                                                     StateRecord(), ()))
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [("Drop", "not in target set")]
     assert node.state_updates.votes == {}

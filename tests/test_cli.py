@@ -18,8 +18,7 @@ def test_run_writes_trace_and_exits_zero(tmp_path, capsys):
     assert "deliveries=4" in printed
 
 
-def test_run_accepts_bare_scenario_names(tmp_path, monkeypatch):
-    monkeypatch.setenv("DBRB_SCENARIO_DIR", str(SCENARIOS))
+def test_run_accepts_bare_scenario_names(tmp_path):
     rc = cli.main(["run", "--scenario", "static4", "--seed", "0",
                    "--out", str(tmp_path / "t.jsonl")])
     assert rc == 0

@@ -105,7 +105,7 @@ def test_rejects_view_mismatch(keyring):
     # signed in V0, relabelled to a view with the same members: the view a
     # certificate names must be the one its signatures cover
     verifier = keyring.verifier()
-    other = View(V0.changes | {plus("p5"), minus("p5")})
+    other = View(V0 | {plus("p5"), minus("p5")})
     assert other.member_set == V0.member_set
     cert = make_cert(keyring, ["p1", "p2", "p3"])
     assert verify_certificate(cert, PAYLOAD, verifier)
@@ -115,7 +115,7 @@ def test_rejects_view_mismatch(keyring):
 def test_rejects_signatures_bound_to_other_view(keyring):
     # quorum of signatures, but over (payload, v1) while claiming v0
     verifier = keyring.verifier()
-    v1 = View(V0.changes | {plus("p5")})
+    v1 = View(V0 | {plus("p5")})
     sigs = {pid: sign_ack(keyring, pid, PAYLOAD, v1) for pid in ["p1", "p2", "p3"]}
     cert = build_certificate(V0, sigs)
     assert not verify_certificate(cert, PAYLOAD, verifier)
@@ -194,7 +194,7 @@ def test_signer_signs_each_content_once(keyring):
 
 
 def make_install(keyring):
-    v1 = View(V0.changes | {plus("p5")})
+    v1 = View(V0 | {plus("p5")})
     seq = frozenset({v1})
     sigs = tuple((pid, keyring.sign(pid, signed_content(Converged(seq, V0), pid)))
                  for pid in ("p1", "p2", "p3"))

@@ -30,13 +30,13 @@ def test_base_history_verifies(bench4):
 
 
 def test_wrong_root_rejected(bench4):
-    other = View.of([plus("x")])
+    other = View([plus("x")])
     assert not verify_history(ViewHistory(other), bench4.initial_view, bench4.verifier)
 
 
 def test_linked_history_verifies(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     link = make_link(bench4, v0, v1)
     h = ViewHistory(v0, (link,))
     assert verify_history(h, v0, bench4.verifier)
@@ -44,7 +44,7 @@ def test_linked_history_verifies(bench4):
 
 def test_corrupted_converged_signature_rejected(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     link = make_link(bench4, v0, v1)
     sigs = list(link.converged_sigs)
     sigs[0] = (sigs[0][0], b"garbage")
@@ -55,7 +55,7 @@ def test_corrupted_converged_signature_rejected(bench4):
 
 def test_extend_trust_adopts_longer_history(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     h = ViewHistory(v0, (make_link(bench4, v0, v1),))
     node._extend_trust(h)
@@ -70,7 +70,7 @@ def test_extend_trust_adopts_longer_history(bench4):
 
 def test_unverifiable_history_ignored(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     link = make_link(bench4, v0, v1, signers=("p1",))  # sub-quorum
     node = bench4.nodes["p2"]
     node._extend_trust(ViewHistory(v0, (link,)))
@@ -80,8 +80,8 @@ def test_unverifiable_history_ignored(bench4):
 
 def test_auxiliary_views_in_links_become_valid(bench4):
     v0 = bench4.initial_view
-    v_a = View(v0.changes | {plus("p5")})
-    v_ab = View(v_a.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_ab = View(v_a | {plus("p6")})
     seq = frozenset({v_a, v_ab})
     sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
@@ -108,7 +108,7 @@ def test_dormant_nodes_stay_silent(bench4):
 
 def test_trust_growth_triggers_gossip(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     gossip = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v1),)))
     actions = bench4.deliver("p2", "p1", gossip)
@@ -125,8 +125,8 @@ def test_diverging_views_are_flagged_once(bench4, route):
     # verifies, together they diverge; the second view is flagged when it is
     # trusted, by history or by install, and repeats add no flag
     v0 = bench4.initial_view
-    v_a = View(v0.changes | {plus("p5")})
-    v_b = View(v0.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_b = View(v0 | {plus("p6")})
     h_a = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v_a),)))
     link_b = make_link(bench4, v0, v_b, ("p2", "p3", "p4"))
     b = HistoryGossip(ViewHistory(v0, (link_b,))) if route == "history" else link_b
@@ -144,7 +144,7 @@ def test_malformed_sequence_is_dropped_before_omega_is_read(bench4, seq):
     # INSTALL route is also `test_rmulticast.py`'s least-view test)
     v0 = bench4.initial_view
     views = {"empty": set(),
-             "incomparable": {View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})}}
+             "incomparable": {View(v0 | {plus("p5")}), View(v0 | {plus("p6")})}}
     seq = frozenset(views[seq])
     sigs = tuple((pid, bench4.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))

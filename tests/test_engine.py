@@ -126,7 +126,7 @@ def test_discovery_reply_injection_extends_trust():
     node = bench.nodes["p5"]
     node.step(InvokeJoin())
     v0 = bench.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     seq = frozenset({v1})
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
@@ -189,7 +189,7 @@ def test_decode_memo_is_not_protocol_state():
 def test_kept_bytes_are_not_protocol_state(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
     update = StateUpdate(v0, v1, StateRecord(), ())
     bench4.deliver("p2", "p3", update)
@@ -245,7 +245,7 @@ def test_state_update_is_encoded_once_and_unsigned():
     bench, _ = fresh_pair()
     node = bench.nodes["p1"]
     v0 = bench.initial_view
-    seq = frozenset({View(v0.changes | {plus("p5")})})
+    seq = frozenset({View(v0 | {plus("p5")})})
     sigs = tuple((p, bench.keyring.sign(p, signed_content(Converged(seq, v0), p)))
                  for p in ("p2", "p3", "p4"))
     install = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))

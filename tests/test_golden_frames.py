@@ -37,7 +37,7 @@ from dbrb.views import View, minus, plus
 
 KEYRING = make_keyring("hmac")
 V0 = View.initial(["p1", "p2", "p3"])
-V1 = View(V0.changes | {plus("p4")})
+V1 = View(V0 | {plus("p4")})
 SEQ = frozenset({V1})
 
 

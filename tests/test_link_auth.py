@@ -30,7 +30,7 @@ from dbrb.messages import (
 from dbrb.views import View, plus
 
 V0 = View.initial(["p1", "p2", "p3", "p4"])
-V1 = View(V0.changes | {plus("p5")})
+V1 = View(V0 | {plus("p5")})
 
 
 def test_propose_counts_for_its_link_sender(bench4):

@@ -52,7 +52,7 @@ def test_reconfig_leave_without_join_ignored(bench4):
 
 
 def test_reconfig_stale_view_ignored(bench4):
-    stale = View(bench4.initial_view.changes | {plus("px")})
+    stale = View(bench4.initial_view | {plus("px")})
     actions = bench4.deliver("p2", "p5", reconfig_from(bench4, "p5", view=stale))
     assert not sends_of(actions)
 
@@ -90,14 +90,14 @@ def test_propose_union_of_recv_changes():
     assert proposes
     proposed = decode(proposes[0].raw, bench.verifier).msg
     (view,) = proposed.seq
-    assert view.changes == v0.changes | {plus("p5"), minus("p4")}
+    assert view == v0 | {plus("p5"), minus("p4")}
 
 
 def test_propose_plain_union_when_compatible(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
-    v12 = View(v1.changes | {plus("p6")})
+    v1 = View(v0 | {plus("p5")})
+    v12 = View(v1 | {plus("p6")})
     bench4.add_node("p6")
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     assert node.seqs[v0] == frozenset({v1})
@@ -111,11 +111,11 @@ def test_propose_conflict_merges_most_recent_views(bench4):
     v0 = bench4.initial_view
     bench4.add_node("p6")
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
-    v_a = View(v0.changes | {plus("p5")})
-    v_b = View(v0.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_b = View(v0 | {plus("p6")})
     actions = bench4.deliver("p2", "p3", proofed_propose(bench4, {v_b}, v0))
     # incomparable proposals; LCSEQ is empty so the merge is the union view
-    assert node.seqs[v0] == frozenset({v_a.union(v_b)})
+    assert node.seqs[v0] == frozenset({View(v_a | v_b)})
     assert sends_of(actions, "PROPOSE")
 
 
@@ -123,7 +123,7 @@ def test_propose_with_no_novel_view_dropped(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     actions = bench4.deliver("p2", "p3", proofed_propose(bench4, {v1}, v0))
     # vote is recorded but no re-dissemination happens
     assert not sends_of(actions, "PROPOSE")
@@ -142,7 +142,7 @@ def test_propose_containing_its_own_view_flagged(bench4):
     # a Byzantine member proposes a sequence that holds the view it replaces
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     actions = bench4.deliver("p2", "p4", proofed_propose(bench4, {v0, v1}, v0))
     assert [n.detail for n in notes_of(actions, "Flag")] == ["proposal not above its view"]
     assert not sends_of(actions)
@@ -155,7 +155,7 @@ def test_propose_of_a_non_sequence_flagged(bench4):
     # two incomparable views: no sequence, so neither a vote nor a buffer entry
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    split = {View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})}
+    split = {View(v0 | {plus("p5")}), View(v0 | {plus("p6")})}
     actions = bench4.deliver("p2", "p4", proofed_propose(bench4, split, v0))
     assert [(n.kind, n.detail) for n in notes_of(actions)] == [
         ("Flag", "proposal is not a sequence")]
@@ -169,7 +169,7 @@ def test_propose_and_converged_from_a_non_member_dropped(bench4, kind):
     # every voter without checking membership again
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    seq = {View(v0.changes | {plus("p5")})}
+    seq = {View(v0 | {plus("p5")})}
     msg = proofed_propose(bench4, seq, v0) if kind == "PROPOSE" else Converged(frozenset(seq), v0)
     actions = bench4.deliver("p2", "p5", msg)
     assert [(n.kind, n.msg_kind, n.detail) for n in notes_of(actions)] == [
@@ -182,7 +182,7 @@ def test_propose_and_converged_from_a_non_member_dropped(bench4, kind):
 def test_propose_without_change_proof_rejected(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bare = Propose(frozenset({v1}), v0, ())
     actions = bench4.deliver("p2", "p3", bare)
     assert notes_of(actions, "Drop")
@@ -191,7 +191,7 @@ def test_propose_without_change_proof_rejected(bench4):
 
 def test_propose_quorum_triggers_converged(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     msg = proofed_propose(bench4, {v1}, v0)
@@ -207,9 +207,9 @@ def test_propose_quorum_triggers_converged(bench4):
 
 def test_propose_quorum_needs_matching_sequences(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.add_node("p6")
-    v_other = View(v0.changes | {plus("p6")})
+    v_other = View(v0 | {plus("p6")})
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     bench4.deliver("p2", "p1", proofed_propose(bench4, {v1}, v0))
     # a vote for a different sequence must not count toward the quorum
@@ -220,13 +220,13 @@ def test_propose_quorum_needs_matching_sequences(bench4):
 def test_propose_votes_count_by_sequence_not_body(bench4):
     # one sequence in three PROPOSE bodies that differ in their proof sets
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     proofs = reconfig_proofs(bench4.keyring, {v1}, v0)
-    extra = reconfig_proofs(bench4.keyring, {View(v0.changes | {minus("p4")})}, v0)
+    extra = reconfig_proofs(bench4.keyring, {View(v0 | {minus("p4")})}, v0)
     bodies = [Propose(frozenset({v1}), v0, proofs),
               Propose(frozenset({v1}), v0, ()),  # p2 already holds the proof of +p5
-              Propose(frozenset({View(frozenset(v1.changes))}), v0, extra + proofs)]
+              Propose(frozenset({View(v1)}), v0, extra + proofs)]
     assert len({body_bytes(m) for m in bodies}) == 3
     actions = bench4.deliver("p2", "p2", bodies[0])
     actions += bench4.deliver("p2", "p1", bodies[1])
@@ -237,7 +237,7 @@ def test_propose_votes_count_by_sequence_not_body(bench4):
 
 def test_converged_quorum_emits_install(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     actions = []
@@ -254,7 +254,7 @@ def test_converged_quorum_emits_install(bench4):
 
 def test_converged_subquorum_is_silent(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     actions = bench4.deliver("p2", "p1", Converged(frozenset({v1}), v0))
     actions += bench4.deliver("p2", "p3", Converged(frozenset({v1}), v0))
@@ -265,7 +265,7 @@ def test_converged_quorum_on_a_non_sequence_is_flagged_once(bench4):
     # p2, p3 and p4 converge on two incomparable views: a quorum with no
     # sequence to install, flagged once; a fourth vote changes nothing
     v0 = bench4.initial_view
-    split = frozenset({View(v0.changes | {plus("p5")}), View(v0.changes | {plus("p6")})})
+    split = frozenset({View(v0 | {plus("p5")}), View(v0 | {plus("p6")})})
     actions = []
     for author in ["p2", "p3", "p4"]:
         actions += bench4.deliver("p1", author, Converged(split, v0))
@@ -278,13 +278,13 @@ def test_converged_quorum_on_a_non_sequence_is_flagged_once(bench4):
 def test_converged_votes_count_by_sequence_value(bench4):
     # each copy is parsed afresh, so the votes name equal but distinct sequences
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     actions = []
     for author in ["p1", "p3", "p4"]:
         node._bodies.clear()
-        same = frozenset({View(frozenset(v1.changes))})
+        same = frozenset({View(v1)})
         actions = bench4.deliver("p2", author, Converged(same, v0))
     assert len(node.converged_votes.votes) == 1
     assert len(sends_of(actions, "INSTALL")) == 5
@@ -293,8 +293,8 @@ def test_converged_votes_count_by_sequence_value(bench4):
 def test_converged_chain_install_targets_least_view(bench4):
     v0 = bench4.initial_view
     bench4.add_node("p6")
-    v_a = View(v0.changes | {plus("p5")})
-    v_ab = View(v_a.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_ab = View(v_a | {plus("p6")})
     bench4.deliver("p2", "p5", reconfig_from(bench4, "p5"))
     bench4.deliver("p2", "p6", reconfig_from(bench4, "p6", change=plus("p6")))
     bench4.deliver("p2", "p3", proofed_propose(bench4, {v_a, v_ab}, v0))
@@ -399,7 +399,7 @@ def test_install_variant_after_completion_is_degenerate(bench4):
     # state update, but no suspension, no view change, no second install mark
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v1 and v1 in node.installed
@@ -415,7 +415,7 @@ def test_install_variant_after_completion_is_degenerate(bench4):
 def test_install_suspends_then_completes(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     assert node.suspended
     assert sends_of(actions, "STATE-UPDATE")
@@ -433,7 +433,7 @@ def test_install_while_suspended_drops_old_view_traffic(bench4):
 
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     actions = bench4.deliver("p2", "p1", Prepare(b"m", v0))
     assert not sends_of(actions, "ACK")
@@ -444,8 +444,8 @@ def test_install_chain_proposes_remainder_without_installing(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     bench4.add_node("p6")
-    v_a = View(v0.changes | {plus("p5")})
-    v_ab = View(v_a.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_ab = View(v_a | {plus("p6")})
     seq = frozenset({v_a, v_ab})
     # the chain propose needs originator proofs for the new changes
     for change, author in [(plus("p5"), "p5"), (plus("p6"), "p6")]:
@@ -470,7 +470,7 @@ def test_joiner_completes_join_via_install(bench4):
     joiner = bench4.nodes["p5"]
     joiner.step(InvokeJoin())
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     bench4.deliver("p5", "p1", signed_install(bench4, frozenset({v1}), v0))
     actions = feed_state_updates(bench4, "p5", v0, v1, ["p1", "p3", "p4"])
     cbs = callbacks_of(actions)
@@ -482,7 +482,7 @@ def test_joiner_completes_join_via_install(bench4):
 def test_state_updates_buffered_before_install_arrives(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v0  # nothing to complete yet
     actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
@@ -497,8 +497,8 @@ def test_install_without_reconfig_proofs_is_dropped():
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
     node = bench.nodes["p2"]
     v0 = bench.initial_view
-    v_a = View(v0.changes | {plus("p5")})
-    v_ab = View(v_a.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_ab = View(v_a | {plus("p6")})
     seq = frozenset({v_a, v_ab})
     stripped = dataclasses.replace(signed_install(bench, seq, v0), proofs=())
     drops = notes_of(bench.deliver("p2", "p4", stripped), "Drop")
@@ -517,9 +517,9 @@ def made_up_message(bench, kind, view):
     if kind == "PROPOSE":
         proof = ReconfigProof(minus("p4"), view, bench.keyring.sign(
             "p4", signed_content(Reconfig(minus("p4"), view), "p4")))
-        return Propose(frozenset({View(view.changes | {minus("p4")})}), view, (proof,))
+        return Propose(frozenset({View(view | {minus("p4")})}), view, (proof,))
     if kind == "CONVERGED":
-        return Converged(frozenset({View(view.changes | {minus("p4")})}), view)
+        return Converged(frozenset({View(view | {minus("p4")})}), view)
     if kind == "REC-CONFIRM":
         return RecConfirm(view)
     if kind == "ACK":
@@ -546,7 +546,7 @@ def test_one_author_holds_a_bounded_share_of_each_tally(bench4, kind):
     # 300 messages from p4 to the sender p1, each for a view V0 + x<i>
     node = bench4.nodes["p1"]
     node.step(InvokeBroadcast(b"m"))
-    made_up = {View(bench4.initial_view.changes | {plus(f"x{i}")}) for i in range(300)}
+    made_up = {View(bench4.initial_view | {plus(f"x{i}")}) for i in range(300)}
     for view in made_up:
         bench4.deliver("p1", "p4", made_up_message(bench4, kind, view))
     # the tally's entries for a made-up view that hold p4's vote

@@ -15,6 +15,7 @@ from dbrb.messages import (
     TAG_HISTORY,
     TAG_INSTALL,
     TAG_PROPOSE,
+    TAG_RECONFIG,
     TAG_REC_CONFIRM,
     TAG_STATE_UPDATE,
     SIGNED_TAGS,
@@ -46,13 +47,12 @@ from dbrb.messages import (
     message_meta,
     signed_content,
 )
-from dbrb import views as view_algebra
-from dbrb.views import MAX_CHANGES, PLUS, Change, View, ViewError, plus, minus
+from dbrb.views import MAX_CHANGES, View, ViewError, change_bytes, plus, minus
 
 KEYRING = make_keyring("hmac")
 VERIFIER = KEYRING.verifier()
 V0 = View.initial(["p1", "p2", "p3", "p4"])
-V1 = View(V0.changes | {plus("p5")})
+V1 = View(V0 | {plus("p5")})
 SEQ = frozenset({V1})
 
 
@@ -178,13 +178,22 @@ def test_non_canonical_view_rejected():
 def test_change_has_one_encoding():
     # len | pid | sign, as a field and inside a view
     c = minus("p2")
-    assert c.canonical_bytes == enc("Change", c) == b"\x02p2\x2d"
-    assert View.of([plus("p1"), c]).canonical_bytes == u32(2) + b"\x02p1\x2b" + c.canonical_bytes
+    assert change_bytes(c) == enc("Change", c) == b"\x02p2\x2d"
+    assert View([plus("p1"), c]).canonical_bytes == u32(2) + b"\x02p1\x2b" + change_bytes(c)
 
 
 def test_view_sign_byte_checked():
     with pytest.raises(CodecError, match="bad change sign byte"):
         read_view(Reader(blob(u32(1) + struct.pack(">B", 2) + b"pa" + b"\x00")))
+
+
+def test_change_with_empty_process_id_rejected():
+    # as a field and inside a view
+    empty = text("") + b"\x2b"
+    for tag, body in ((TAG_RECONFIG, empty + enc("View", V0)),
+                      (TAG_REC_CONFIRM, blob(u32(1) + empty))):
+        with pytest.raises(CodecError, match="empty process id"):
+            decode(frame(tag, body), VERIFIER)
 
 
 def test_truncated_message_rejected():
@@ -312,7 +321,7 @@ def test_any_accepted_body_is_canonical(msg, data):
     assert body_bytes(decoded.msg) == bytes(body)
 
 
-V2 = View(V1.changes | {plus("p6")})
+V2 = View(V1 | {plus("p6")})
 
 
 def test_sequence_out_of_order_rejected():
@@ -350,9 +359,9 @@ def test_converged_signatures_out_of_order_rejected():
 
 
 def test_reconfig_proofs_out_of_order_rejected():
-    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c.process, signed_content(Reconfig(c, V0), c.process)))
+    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c[1:], signed_content(Reconfig(c, V0), c[1:])))
     proofs = (make(plus("p6")), make(plus("p5")))
-    body = (enc("frozenset[View]", frozenset({View(V0.changes | {plus("p5"), plus("p6")})}))
+    body = (enc("frozenset[View]", frozenset({View(V0 | {plus("p5"), plus("p6")})}))
             + enc("View", V0) + proof_bytes(proofs))
     with pytest.raises(CodecError, match="reconfig proofs not canonical"):
         decode(frame(TAG_PROPOSE, body), VERIFIER)
@@ -458,24 +467,14 @@ def test_memo_decode_equals_memo_free_decode(pool, data):
 
 
 def test_parsed_views_share_their_changes():
-    fresh = lambda pids: View.of(Change(PLUS, p) for p in pids)  # not interned
-    va = fresh(["q1", "q2", "q3", "q4"])
-    vb = fresh(["q1", "q2", "q3", "q4", "q5"])
+    # a parsed view is the set of its change tokens, so views parsed from
+    # two frames compare as sets, with each other and with a parsed change
+    va = View.initial(["q1", "q2", "q3", "q4"])
     got_a = decode(encode(RecConfirm(va), KEYRING.signer_for("q1")), VERIFIER).msg.view
-    got_b = decode(encode(Reconfig(Change(PLUS, "q5"), vb), KEYRING.signer_for("q5")),
-                   VERIFIER).msg
-    by_token = lambda v: {c.token: c for c in v.changes}
-    a, b = by_token(got_a), by_token(got_b.view)
-    assert a.keys() < b.keys()
-    assert all(b[t] is c and c is plus(t[1:]) for t, c in a.items())
-    assert got_b.change is b["+q5"]
-
-
-def test_change_table_is_capped(monkeypatch):
-    monkeypatch.setattr(view_algebra, "_CHANGES_MAX", len(view_algebra._CHANGES))
-    c = plus("never-seen-before")
-    assert c == plus("never-seen-before") and c is not plus("never-seen-before")
-    assert ("+", "never-seen-before") not in view_algebra._CHANGES
+    got_b = decode(encode(Reconfig(plus("q5"), View(va | {plus("q5")})),
+                          KEYRING.signer_for("q5")), VERIFIER).msg
+    assert got_a == {"+q1", "+q2", "+q3", "+q4"} and got_a < got_b.view
+    assert got_b.change == "+q5" and got_b.view - got_a == {got_b.change}
 
 
 # --- bytes a value keeps ------------------------------------------------------
@@ -517,7 +516,7 @@ def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch):
     raw = encode(make_install(), KEYRING.signer_for("p1"))
     proof = decode(raw, KEYRING.verifier()).msg.proofs[0]
     assert kept_body(proof) in raw
-    monkeypatch.setattr(Change, "canonical_bytes", property(lambda c: pytest.fail("re-encoded")))
+    monkeypatch.setattr(codec, "change_bytes", lambda c: pytest.fail("re-encoded"))
     monkeypatch.setattr(codec, "_write_view", lambda v: pytest.fail("re-encoded"))
     assert proof.verify(VERIFIER)
     assert proof.signed_bytes() == _signed_content(Reconfig.TAG, kept_body(proof), "p5")
@@ -553,7 +552,7 @@ def test_failed_derivations_are_never_kept():
         with pytest.raises(ViewError, match="identifier too long"):
             body_bytes(commit)
     assert "_body" not in vars(msg) and "_signed" not in vars(proof)
-    assert "_body" not in vars(commit) and "canonical_bytes" not in vars(msg.change)
+    assert "_body" not in vars(commit)
 
 
 def test_kept_bytes_are_not_fields():

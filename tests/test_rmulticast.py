@@ -22,7 +22,7 @@ from dbrb.views import View, minus, plus
 def make_install(bench, seq=None, view=None, signers=("p1", "p2", "p3")):
     view = view or bench.initial_view
     if seq is None:
-        seq = frozenset({View(view.changes | {plus("p5")})})
+        seq = frozenset({View(view | {plus("p5")})})
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, view), pid)))
                  for pid in signers)
     return Install(seq, view, sigs, reconfig_proofs(bench.keyring, seq, view))
@@ -32,7 +32,7 @@ def test_own_install_is_sent_to_every_target(bench4):
     # p2 holds p5's request, then a converged quorum forms: p2 sends its own
     # install to the members of V0 and of V0 + p5, itself included
     v0 = bench4.initial_view
-    seq = frozenset({View(v0.changes | {plus("p5")})})
+    seq = frozenset({View(v0 | {plus("p5")})})
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
     for author in ("p1", "p3"):
         assert not sends_of(bench4.deliver("p2", author, Converged(seq, v0)), "INSTALL")
@@ -62,8 +62,8 @@ def test_second_receipt_is_silent(bench4):
 def test_install_with_wrong_least_view_dropped(bench4):
     # omega is derived as the least view of seq; a seq with none is dropped
     v0 = bench4.initial_view
-    v_a = View(v0.changes | {plus("p5")})
-    v_b = View(v0.changes | {plus("p6")})
+    v_a = View(v0 | {plus("p5")})
+    v_b = View(v0 | {plus("p6")})
     for seq in (frozenset(), frozenset({v_a, v_b})):
         bad = make_install(bench4, seq=seq)
         actions = bench4.deliver("p2", "p1", bad)
@@ -80,8 +80,8 @@ def test_install_with_subquorum_proof_dropped(bench4):
 
 
 @pytest.mark.parametrize("replaced, seq", [
-    (View(frozenset()), frozenset({View.of([plus("p5")])})),
-    (View.of([plus("p5"), minus("p5")]), frozenset({View.of([plus("p5"), minus("p5"), plus("p6")])})),
+    (View(frozenset()), frozenset({View([plus("p5")])})),
+    (View([plus("p5"), minus("p5")]), frozenset({View([plus("p5"), minus("p5"), plus("p6")])})),
 ], ids=["empty", "left"])
 def test_install_replacing_a_view_with_no_members_is_dropped(replaced, seq):
     # no quorum of such a view exists, so no install from it can be proved;
@@ -104,8 +104,8 @@ def test_install_of_an_untrusted_view_is_parked_until_a_history_trusts_it():
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
     node = bench.nodes["p2"]
     v0 = bench.initial_view
-    v1 = View(v0.changes | {plus("p5")})
-    v2 = View(v1.changes | {plus("p6")})
+    v1 = View(v0 | {plus("p5")})
+    v2 = View(v1 | {plus("p6")})
     parked = make_install(bench, seq=frozenset({v2}), view=v1,
                           signers=("p1", "p2", "p3", "p4"))
     for author in ("p1", "p3"):
@@ -131,7 +131,7 @@ def test_receiver_outside_target_set_drops(bench4):
 
 def test_state_update_recorded_on_first_receipt_and_not_relayed(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     upd = StateUpdate(v0, v1, StateRecord(), ())
     actions = node.step(Receive("p3", bench4.raw("p3", upd)))
@@ -146,7 +146,7 @@ def test_state_update_recorded_on_first_receipt_and_not_relayed(bench4):
 
 def test_state_update_from_non_member_dropped(bench4):
     v0 = bench4.initial_view
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     upd = StateUpdate(v0, v1, StateRecord(), ())
     actions = bench4.nodes["p2"].step(
         Receive("p5", bench4.raw("p5", upd)))

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbrb.messages import FIELD_CODECS, CodecError, Reader
 from dbrb.views import (
-    Change,
     MAX_CHANGES,
     Tally,
     View,
     ViewError,
+    change_key,
     comparable,
     is_sequence,
     least_recent,
@@ -52,7 +53,7 @@ def test_tally_quorums_in_first_vote_order():
 
 
 def test_quorum_empty_membership_is_error():
-    empty = View.of([plus("a"), minus("a")])
+    empty = View([plus("a"), minus("a")])
     assert empty.members == ()
     with pytest.raises(ViewError):
         empty.quorum_size
@@ -67,24 +68,24 @@ def test_quorum_intersection_exceeds_faults():
 
 
 def test_members_derived_from_changes():
-    v = View.of([plus("a"), plus("b"), minus("b")])
+    v = View([plus("a"), plus("b"), minus("b")])
     assert v.members == ("a",)
     assert "a" in v.member_set and "b" not in v.member_set
 
 
 def test_compare_examples():
     v0 = members_view(4)
-    v1 = View(v0.changes | {plus("p5")})
-    assert v0.changes < v1.changes
+    v1 = View(v0 | {plus("p5")})
+    assert v0 < v1
     assert comparable(v0, v1) and comparable(v1, v0)
     assert comparable(v0, v0)
-    assert not comparable(View.of([plus("a")]), View.of([plus("b")]))
+    assert not comparable(View([plus("a")]), View([plus("b")]))
 
 
 def test_least_most_recent():
     v0 = members_view(4)
-    v1 = View(v0.changes | {plus("p5")})
-    v2 = View(v1.changes | {plus("p6")})
+    v1 = View(v0 | {plus("p5")})
+    v2 = View(v1 | {plus("p6")})
     assert least_recent({v0, v1}) == v0
     assert most_recent({v0, v1}) == v1
     assert least_recent({v1}) == most_recent({v1}) == v1
@@ -100,34 +101,61 @@ def test_least_most_empty_is_error():
 
 
 def test_least_most_reject_non_sequences():
-    a, b = View.of([plus("a")]), View.of([plus("b")])
+    a, b = View([plus("a")]), View([plus("b")])
     with pytest.raises(ViewError):
         least_recent({a, b})
 
 
 def test_is_sequence():
     v0 = members_view(4)
-    v1 = View(v0.changes | {plus("p5")})
+    v1 = View(v0 | {plus("p5")})
     assert is_sequence({v0, v1})
-    assert not is_sequence({View.of([plus("a")]), View.of([plus("b")])})
+    assert not is_sequence({View([plus("a")]), View([plus("b")])})
     assert is_sequence(set())
 
 
 def test_change_set_cap():
     changes = [plus(f"p{i}") for i in range(MAX_CHANGES + 1)]
     with pytest.raises(ViewError):
-        View.of(changes)
+        View(changes)
 
 
 def test_change_rejects_bad_sign():
-    with pytest.raises(ViewError):
-        Change("*", "p1")
+    # a change arrives from outside only as a field or inside a view, and
+    # both read it through the field codec
+    read_change = FIELD_CODECS["Change"][1]
+    assert read_change(Reader(b"\x02p1-")) == minus("p1")
+    with pytest.raises(CodecError, match="bad change sign byte"):
+        read_change(Reader(b"\x02p1*"))
 
 
-small_views = st.sets(
-    st.tuples(st.sampled_from("+-"), st.sampled_from(["a", "b", "c", "d", "e"])),
-    max_size=8,
-).map(lambda s: View.of(Change(sign, p) for sign, p in s))
+def test_view_is_the_frozenset_of_its_tokens():
+    v = View([plus("a"), plus("b"), minus("b")])
+    plain = frozenset({"+a", "+b", "-b"})
+    assert v == plain and hash(v) == hash(plain)
+    assert {plain: 1}[v] == 1 and v in {plain}
+    assert v.sorted_changes == ("+a", "+b", "-b")
+    assert View(v | {plus("c")}) > v
+
+
+# pids a scenario accepts (alphanumeric or "_"), non-ASCII ones included
+pid_chars = st.characters(categories=("L", "N"), include_characters="_").filter(
+    lambda ch: ch.isalnum() or ch == "_")
+alnum_pids = st.text(pid_chars, min_size=1, max_size=4)
+
+
+def tokens(pids):
+    return st.builds(lambda sign, pid: sign + pid, st.sampled_from("+-"), pids)
+
+
+@given(st.lists(tokens(alnum_pids), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_change_key_is_the_byte_order(changes):
+    by_bytes = sorted(changes, key=lambda c: (c[1:].encode(), c[0].encode()))
+    assert sorted(changes, key=change_key) == by_bytes
+
+
+small_views = st.sets(tokens(st.sampled_from("abcde")), max_size=8).map(View)
 
 
 @given(small_views, small_views, small_views)
@@ -137,11 +165,11 @@ def test_compare_is_a_partial_order(a, b, c):
     # comparability, and a pair is comparable iff it is a sequence
     assert comparable(a, b) == comparable(b, a) == is_sequence({a, b})
     # antisymmetry
-    if a.changes <= b.changes and b.changes <= a.changes:
+    if a <= b and b <= a:
         assert a == b
     # transitivity
-    if a.changes < b.changes < c.changes:
-        assert comparable(a, c) and a.changes < c.changes
+    if a < b < c:
+        assert comparable(a, c) and a < c
     # reflexivity
     assert comparable(a, a)
 
@@ -149,16 +177,14 @@ def test_compare_is_a_partial_order(a, b, c):
 @given(small_views)
 @settings(max_examples=200, deadline=None)
 def test_canonical_serialization_round_trips(v):
-    from dbrb.messages import FIELD_CODECS, Reader
-
     write_view, read_view = FIELD_CODECS["View"]
     assert read_view(Reader(write_view(v))) == v
 
 
 def test_least_most_fixed_points_under_interior_insertion():
     v0 = members_view(4)
-    v2 = View(v0.changes | {plus("p5"), plus("p6")})
-    mid = View(v0.changes | {plus("p5")})
+    v2 = View(v0 | {plus("p5"), plus("p6")})
+    mid = View(v0 | {plus("p5")})
     seq = {v0, v2}
     assert least_recent(seq | {mid}) == least_recent(seq)
     assert most_recent(seq | {mid}) == most_recent(seq)

@@ -257,7 +257,7 @@ def cert(bench, payload, view, signers):
 
 
 V0 = View.initial(["p1", "p2", "p3", "p4"])
-V1 = View(V0.changes | {plus("p5")})
+V1 = View(V0 | {plus("p5")})
 # a view inside V0 that p2 never trusts: certificates formed in it stay unverifiable
 V_SUB = View.initial(["p1", "p2", "p3"])
 
@@ -301,8 +301,8 @@ def test_stored_evidence_is_adopted_once_its_certificate_view_is_valid():
     # commits it in its current view, in that same step.
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
     node = bench.nodes["p2"]
-    v12 = View(V1.changes | {plus("p6")})
-    v15 = View(v12.changes | {minus("p6")})
+    v12 = View(V1 | {plus("p6")})
+    v15 = View(v12 | {minus("p6")})
     link = install(bench, frozenset({v12}), V0)
     bench.deliver("p2", "p1", HistoryGossip(ViewHistory(V0, (link,))))
     assert node._is_trusted(v12) and not node._is_valid_view(V1)
@@ -331,7 +331,7 @@ def test_new_cv_drops_a_stale_pending_commit():
     assert_idle(node)
 
 
-V_LEFT = View(V0.changes | {minus("p4")})
+V_LEFT = View(V0 | {minus("p4")})
 
 
 def leaver_in_loop(bench):
@@ -363,7 +363,7 @@ def test_leaver_commits_again_in_a_newer_trusted_view():
     # commits its stored message to that view's members
     bench = make_bench()
     node = leaver_in_loop(bench)
-    v_next = View(V_LEFT.changes | {plus("p5")})
+    v_next = View(V_LEFT | {plus("p5")})
     links = (install(bench, frozenset({V_LEFT}), V0), install(bench, frozenset({v_next}), V_LEFT))
     actions = bench.deliver("p4", "p1", HistoryGossip(ViewHistory(V0, links)))
     assert node.phase is Phase.LEAVER_LOOP and node.cv == v_next
@@ -379,7 +379,7 @@ def test_install_unlocks_a_buffered_propose_and_its_quorum():
     # the votes already held are then a quorum for a CONVERGED
     bench = make_bench()
     node = bench.nodes["p2"]
-    v2 = View(V1.changes | {plus("p6")})
+    v2 = View(V1 | {plus("p6")})
     sig = bench.keyring.sign("p6", signed_content(Reconfig(plus("p6"), V1), "p6"))
     propose = Propose(frozenset({v2}), V1, (ReconfigProof(plus("p6"), V1, sig),))
     for author in ("p1", "p3", "p4", "p5"):

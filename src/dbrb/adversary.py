@@ -42,6 +42,12 @@ class AdversaryBase:
         self.views = [initial_view]
         self._outputs: list = []
 
+    def _period(self, default: int) -> int:  # act on every period-th message
+        period = int(self.params.get("period", default))
+        if period < 1:
+            raise ValueError(f"period must be at least 1, not {period}")
+        return period
+
     @property
     def latest_view(self) -> View:
         return max(self.views, key=seq_sort_key)
@@ -150,7 +156,7 @@ class CertificateForger(AdversaryBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.period = int(self.params.get("period", 3))
+        self.period = self._period(3)
         self.seen = 0
 
     def on_message(self, event: Receive, decoded) -> None:
@@ -169,7 +175,7 @@ class StaleReplayer(AdversaryBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.period = int(self.params.get("period", 2))
+        self.period = self._period(2)
         self.recorded: list[tuple[bytes, Message]] = []
         self.peers: list[str] = list(self.views[0].members)
         self.seen = 0

@@ -26,10 +26,11 @@ from .messages import (
 )
 from .views import short_digest
 
-# COMMITs parked at once per link sender.  A correct author has at most one
-# parked at a time in the packaged scenarios, and a Byzantine sender at most
-# seven; the bound keeps a member that sends COMMITs for made-up newer views
-# from crowding out the COMMITs of the others.
+# COMMITs parked at once per link sender, ready ones included, since every
+# COMMIT waits here for `_pending_commit_scan`, later in its step.  A correct
+# author has at most one parked at a time in the packaged scenarios, and a
+# Byzantine sender at most seven; the bound keeps a member that sends COMMITs
+# for made-up newer views from crowding out the COMMITs of the others.
 PENDING_COMMITS_PER_AUTHOR = 16
 
 
@@ -121,9 +122,7 @@ class BroadcastMixin:
             msg.view == self.cv or self.cv < msg.view)
 
     def _handle_commit(self, author: str, msg: Commit) -> None:
-        if self._commit_ready(msg):
-            self._commit_checked(author, msg)
-        elif not self._commit_may_wait(msg):
+        if not self._commit_may_wait(msg):
             left = self.phase >= Phase.LEAVER_LOOP
             self._note("Drop", msg_kind="COMMIT", view=msg.view.short,
                        detail="left the view" if left else f"view mismatch cv={self.cv.short}")

@@ -3,10 +3,12 @@
 The engine performs no IO, reads no clock, and draws no randomness, so a
 given (state, event) pair always yields the same successor state and
 action list.  Quorum waits from the pseudo-blocking protocol description
-live in buffers, each re-checked by one scan method.  `SCANS` declares
-the fields each scan reads; a write names the field it wrote (`_wrote`),
-which wakes that field's readers, and `step` runs only the woken scans
-(`_repoll`) before it returns.
+live in buffers, each re-checked by one scan method.  A message handler
+records what it received or replies to its sender; only a wait's scan acts
+on what the wait collected, even if met on arrival, so each wait has one
+path.  `SCANS` declares the fields each scan reads; a write names the
+field it wrote (`_wrote`), which wakes that field's readers, and `step`
+runs only the woken scans (`_repoll`) before it returns.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ SCANS = (
     ("_pending_store_scan", ("pending_store", "state_record", "cv", "installed", "delivered",
                              "trusted_hist", "trusted_aux")),
     ("_propose_buffer_scan", ("propose_buffer", "formats", "cv", "seqs", "lcseqs")),
-    ("_propose_quorum_scan", ("propose_votes", "seqs", "converged_sent")),
+    ("_propose_quorum_scan", ("propose_votes", "seqs", "lcseqs")),
     ("_converged_quorum_scan", ("converged_votes", "install_sent", "pool")),
     ("_pending_install_scan", ("pending_installs", "cv", "state_updates", "phase")),
     ("_maybe_propose", ("recv", "cv", "installed", "seqs")),
@@ -170,7 +172,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         self.rec_confirms = Tally()  # (view, None): the members that confirmed
         self.propose_votes = Tally()  # (view, seq)
         self.converged_votes = Tally()  # (view, seq): signatures
-        self.converged_sent: set = set()
         self.install_sent: set = set()
         self.propose_buffer: list = []
         self.pending_installs: list = []
@@ -327,9 +328,10 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         only from the step's input or from another firing, and sends leave
         the node), a once-only value (`phase`, which only moves forward,
         `state_record.stored`, `delivered`, `cer`), a key it never fires on
-        again (`converged_sent`, `install_sent`, `rm_received`), or a growth
-        of `cv` or of the trust store (`_maybe_propose` and the kicks), which
-        grow only through the finitely many views the step brings.
+        again (`install_sent`, and `lcseqs[v]`, which each firing strictly
+        grows), or a growth of `cv` or of the trust store (`_maybe_propose`
+        and the kicks), which grow only through the finitely many views the
+        step brings.
 
         A write wakes every scan that declares its field, whether or not it
         gave that scan work.  A woken scan with nothing to do changes no

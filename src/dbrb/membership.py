@@ -244,12 +244,15 @@ class MembershipMixin:
         self.propose_buffer = still
 
     def _propose_quorum_scan(self) -> None:
+        # CONVERGED goes once per (v, seq).  seqs[v] always contains lcseqs[v]
+        # (a union grows it, the conflict merge keeps lcseqs[v], the first
+        # proposals set it only while unset), so every earlier converged
+        # sequence is a strict subset of seqs[v]: only lcseqs[v] can equal it.
         for v in dict.fromkeys(w for w, _ in self.propose_votes.votes):  # in first-vote order
             seq = self.seqs.get(v)
-            if seq and (v, seq) not in self.converged_sent and self.propose_votes.quorum(v, seq):
+            if seq and seq != self.lcseqs.get(v) and self.propose_votes.quorum(v, seq):
                 self.lcseqs[v] = seq
                 self._wrote("lcseqs")
-                self.converged_sent.add((v, seq))
                 self._send_all(v.members, Converged(seq, v))
 
     # -- converged / install emission ------------------------------------------

@@ -43,8 +43,8 @@ from .discovery import verify_install_proof
 
 class RMulticastMixin:
     def _rm_receive(self, msg: Install, raw: bytes) -> None:
-        """Check and deliver an install, the only kind the engine routes
-        here.
+        """Check an install, the only kind the engine routes here, and park
+        it for `_rm_pending_scan`, which relays and accepts it.
 
         A received install passed every check below, and equal frames have
         equal targets, so a copy of it is dropped first, quietly.
@@ -57,39 +57,29 @@ class RMulticastMixin:
         if self.pid not in rm_targets(msg):
             self._note("Drop", msg_kind="INSTALL", detail="not in target set")
             return
-        if not self._is_trusted(msg.view):
-            # Replaced view unknown yet; park until a history arrives.
-            if all(r != raw for _, r in self.rm_pending):
-                self.rm_pending.append((msg, raw))
-                self._wrote("rm_pending")
-            return
-        self._rm_deliver(msg, raw)
-
-    def _rm_deliver(self, msg: Install, raw: bytes) -> None:
         self.rm_received.add(raw)
-        meta = message_meta(msg)
-        for q in rm_targets(msg):
-            if q != self.pid:
-                self._send_raw(q, raw, meta)
-        self._handle_install(msg)
+        self.rm_pending.append((msg, raw))
+        self._wrote("rm_pending")
 
     def _rm_pending_scan(self) -> None:
-        """Deliver each parked install whose replaced view is now trusted.
+        """Relay and accept each parked install whose replaced view is trusted.
 
-        No parked copy is of a message already received, so neither this
-        scan nor `_rm_deliver` looks for one.  A copy is parked only while
-        its replaced view is untrusted, and no install of an untrusted view
-        is delivered.  The trust growth that admits the view wakes this
-        scan, which reads `trusted_hist`, so it delivers the parked copy
-        within that same step, before any other copy can reach
-        `_rm_receive`.
+        A frame is parked at most once, because `_rm_receive` marks it
+        received as it parks it, so this scan needs no check for copies.
+        An install whose replaced view is untrusted waits here until a
+        history, or an install this node accepts, extends trust to that
+        view; the growth wakes this scan, which reads `trusted_hist`.
         """
         if not self.rm_pending:
             return
         still = []
         for msg, raw in self.rm_pending:
             if self._is_trusted(msg.view):
-                self._rm_deliver(msg, raw)
+                meta = message_meta(msg)
+                for q in rm_targets(msg):
+                    if q != self.pid:
+                        self._send_raw(q, raw, meta)
+                self._handle_install(msg)
             else:
                 still.append((msg, raw))
         self.rm_pending = still

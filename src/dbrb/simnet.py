@@ -94,6 +94,8 @@ class Scenario:
         missing = [p for p in self.initial_members if p not in self.universe]
         if missing or not self.initial_members:
             raise ScenarioError("initial members must be a nonempty universe subset")
+        if len(set(self.initial_members)) != len(self.initial_members):
+            raise ScenarioError("duplicate initial members")
         if self.sender not in self.universe:
             raise ScenarioError("sender outside universe")
         for pid, role in self.roles.items():
@@ -204,7 +206,6 @@ class _Run:
         self.installs = 0
         self.truncated = False
         self.pending_after: list[dict] = []
-        self.first_deliver_seen = False
 
     # -- plumbing -------------------------------------------------------------
 
@@ -258,9 +259,7 @@ class _Run:
                 self._trace("Callback", actor, payload=digest, detail=action.kind)
                 if action.kind == "Delivered":
                     self.deliveries += 1
-                    if not self.first_deliver_seen:
-                        self.first_deliver_seen = True
-                        self._fire_after_triggers()
+                    self._fire_after_triggers()  # fires once: it empties pending_after
                 elif action.kind == "LeaveComplete":  # the node has halted
                     self.halted.add(actor)
                     self._trace("StateNote", actor, detail="halt")

@@ -356,6 +356,25 @@ def test_new_view_relayer_recommits_until_can_leave(bench4):
     assert not sends_of(actions, "COMMIT")
 
 
+def test_an_author_at_the_cap_has_even_a_ready_commit_refused(bench4):
+    # every COMMIT that may wait is parked before it is checked, so one for
+    # cv counts against its author's cap too: p4's is refused quietly, and
+    # p1's that follows is checked, stored, relayed and answered
+    node = bench4.nodes["p2"]
+    cert = make_cert(bench4, b"m", V0, ["p1", "p2", "p3"])
+    for i in range(16):
+        bench4.deliver("p2", "p4", Commit(b"m", cert, View(V0 | {plus(f"x{i}")})))
+    assert [author for author, _ in node.pending_commits] == ["p4"] * 16
+    assert bench4.deliver("p2", "p4", Commit(b"m", cert, V0)) == []
+    assert node.state_record.stored is None
+    actions = bench4.deliver("p2", "p1", Commit(b"m", cert, V0))
+    assert node.state_record.stored == StoredEvidence(b"m", cert, V0)
+    assert [n.detail for n in notes_of(actions)] == ["commit-accepted"]
+    assert [s.to for s in sends_of(actions, "COMMIT")] == list(V0.members)
+    assert [s.to for s in sends_of(actions, "DELIVER")] == ["p1"]
+    assert len(node.pending_commits) == 16
+
+
 def test_one_author_cannot_crowd_out_parked_commits(bench4):
     # p4 parks COMMITs for made-up newer views; p1's COMMIT for cv, sent
     # while p2 is suspended, must still be parked

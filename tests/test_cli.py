@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from dbrb import checker, cli, simnet
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
@@ -53,6 +55,28 @@ def test_run_rejects_an_over_long_process_id(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli.main(["run", "--scenario", str(path), "--seed", "0",
                      "--out", str(tmp_path / "t.jsonl")]) == 0
+
+
+@pytest.mark.parametrize("strategy", ["forge_certificate", "replay_stale_view"])
+def test_run_rejects_a_period_below_one(tmp_path, capsys, strategy):
+    data = json.loads((SCENARIOS / "static4.json").read_text())
+    data["roles"] = {"p4": {"strategy": strategy, "params": {"period": 0}}}
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "t.jsonl")]) == cli.EXIT_USAGE
+    assert "error: period must be at least 1, not 0" in capsys.readouterr().err
+
+
+def test_run_rejects_repeated_initial_members(tmp_path, capsys):
+    # n would be counted from the list, not the view, in the f-bound tag
+    data = json.loads((SCENARIOS / "static4.json").read_text())
+    data["initial_members"].append(data["initial_members"][0])
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["run", "--scenario", str(path), "--seed", "0",
+                     "--out", str(tmp_path / "t.jsonl")]) == cli.EXIT_USAGE
+    assert "duplicate initial members" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():

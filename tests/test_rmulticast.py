@@ -97,10 +97,10 @@ def test_install_replacing_a_view_with_no_members_is_dropped(replaced, seq):
 
 
 def test_install_of_an_untrusted_view_is_parked_until_a_history_trusts_it():
-    # V1 -> V2 reaches p2 before p2 trusts V1: it is parked, once however
-    # often it comes.  The history that proves V0 -> V1 wakes the parked
-    # install in the same step: p2 echoes it to its five other targets and
-    # sends its own state update.
+    # V1 -> V2 reaches p2 before p2 trusts V1: it is parked, and marked
+    # received, once however often it comes.  The history that proves
+    # V0 -> V1 wakes the parked install in the same step: p2 echoes it to
+    # its five other targets and sends its own state update.
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
     node = bench.nodes["p2"]
     v0 = bench.initial_view
@@ -112,12 +112,31 @@ def test_install_of_an_untrusted_view_is_parked_until_a_history_trusts_it():
         actions = bench.deliver("p2", author, parked)
         assert not actions
         assert node.rm_pending == [(parked, bench.raw(author, parked))]
+        assert bench.raw(author, parked) in node.rm_received
     actions = bench.deliver("p2", "p1", HistoryGossip(ViewHistory(v0, (make_install(bench),))))
     echoes = sends_of(actions, "INSTALL")
     assert [s.to for s in echoes] == ["p1", "p3", "p4", "p5", "p6"]
     assert {s.raw for s in echoes} == {bench.raw("p1", parked)}
     assert [s.to for s in sends_of(actions, "STATE-UPDATE")] == rm_targets(parked)
     assert node.rm_pending == [] and node.suspended
+
+
+def test_install_parked_behind_a_later_install_is_accepted_in_its_step():
+    # V1 -> V2 is parked until p2 trusts V1; accepting V0 -> V1, which
+    # arrives next, extends trust to V1, and that growth wakes the scan
+    # again in the same step: p2 relays and accepts V1 -> V2 too
+    bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
+    node = bench.nodes["p2"]
+    v1 = View(bench.initial_view | {plus("p5")})
+    parked = make_install(bench, seq=frozenset({View(v1 | {plus("p6")})}), view=v1,
+                          signers=("p1", "p2", "p3", "p4"))
+    first = make_install(bench)
+    assert not bench.deliver("p2", "p3", parked)
+    actions = bench.deliver("p2", "p1", first)
+    relayed = [s.raw for s in sends_of(actions, "INSTALL")]
+    assert relayed == [bench.raw("p1", first)] * 4 + [bench.raw("p3", parked)] * 5
+    assert [n.detail for n in notes_of(actions, "StateNote")].count("install-accepted") == 2
+    assert node.rm_pending == [] and node._is_trusted(v1)
 
 
 def test_receiver_outside_target_set_drops(bench4):

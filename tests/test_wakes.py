@@ -203,6 +203,17 @@ def test_needless_and_misplaced_wrote_are_reported():
     ]
 
 
+def test_only_a_scan_acts_on_an_install_or_a_commit():
+    # handlers record, scans act: INSTALL and COMMIT handlers only park, and
+    # only their wait's scan relays, accepts or checks what was parked
+    methods = {name: m for p in SOURCES for name, m in module_methods(p.read_text()).items()}
+    callers = {target: sorted(name for name, m in methods.items() if target in m.calls)
+               for target in ("_handle_install", "_commit_ready", "_commit_checked")}
+    assert callers == {"_handle_install": ["_rm_pending_scan"],
+                       "_commit_ready": ["_pending_commit_scan"],
+                       "_commit_checked": ["_pending_commit_scan"]}
+
+
 def make_bench():
     return Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5"])
 
@@ -270,8 +281,8 @@ def install_v1(bench, to, updates=None):
 
 
 def test_delivered_multicast_leaves_no_work():
-    # `rm_received` growth needs no wake: no copy of a message is parked
-    # once it is received (`test_engine.py` checks that after every step)
+    # `rm_received` growth needs no wake: only `_rm_receive` reads it, and
+    # a copy of a received install stops there, before it is parked
     bench = make_bench()
     node = bench.nodes["p2"]
     install_v1(bench, "p2")

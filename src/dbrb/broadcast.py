@@ -20,9 +20,8 @@ from .messages import (
     Commit,
     Deliver,
     Prepare,
-    PrepareEvidence,
+    Signed,
     StateRecord,
-    StoredEvidence,
 )
 from .views import short_digest
 
@@ -39,7 +38,7 @@ class BroadcastMixin:
         """The ack fence: open until the record holds an ack, then open only
         to its payload, and closed once it holds a conflicting pair."""
         rec = self.state_record
-        return rec.conflicting is None and (rec.ack is None or rec.ack.payload == payload)
+        return rec.conflicting is None and (rec.ack is None or rec.ack.msg.payload == payload)
 
     # -- operations ------------------------------------------------------------
 
@@ -52,7 +51,7 @@ class BroadcastMixin:
             raise ContractError("single broadcast instance per run")
         self.bpayload = payload
         self._wrote("bpayload")
-        if self.cv in self.installed:
+        if self.cv == self.installed:
             self._disseminate(Prepare(payload, self.cv))
 
     def _disseminate(self, msg) -> None:
@@ -73,8 +72,7 @@ class BroadcastMixin:
             return
         if self._may_ack(msg.payload):
             if self.state_record.ack is None:
-                self.state_record = replace(
-                    self.state_record, ack=PrepareEvidence(msg.payload, msg.view, signature))
+                self.state_record = replace(self.state_record, ack=Signed(msg, signature))
                 self._wrote("state_record")
             digest = hashlib.sha256(msg.payload).digest()
             sig = self.signer.sign(ack_payload(digest, self.cv))
@@ -104,7 +102,7 @@ class BroadcastMixin:
                 self.cer = build_certificate(v, dict(sorted(sigs.items())))
                 self._note("StateNote", view=v.short, payload=short_digest(payload),
                            detail="certificate", views={"v_cer": v})
-                if self.cv in self.installed:
+                if self.cv == self.installed:
                     self._disseminate(Commit(payload, self.cer, self.cv))
                 return
 
@@ -138,7 +136,7 @@ class BroadcastMixin:
         self._note("StateNote", view=v_cer.short, payload=short_digest(msg.payload),
                    detail="commit-accepted", views={"v_cer": v_cer})
         if self.state_record.stored is None:
-            self._adopt_stored(StoredEvidence(msg.payload, msg.cert, msg.view))
+            self._adopt_stored(msg)
             self._disseminate(Commit(msg.payload, msg.cert, self.cv))
         self._send(author, Deliver(msg.payload, self.cv))
 
@@ -172,10 +170,10 @@ class BroadcastMixin:
     # -- state transfer and view-change re-dissemination ------------------------
 
     def _state_transfer(self, records: list[StateRecord]) -> None:
-        acked: dict[bytes, PrepareEvidence] = {}
+        acked: dict[bytes, Signed[Prepare]] = {}
         for rec in records:
             if rec.ack is not None:
-                acked.setdefault(rec.ack.payload, rec.ack)
+                acked.setdefault(rec.ack.msg.payload, rec.ack)
         conflict_pairs = [rec.conflicting for rec in records if rec.conflicting]
         if len(acked) == 1:
             payload, evidence = next(iter(acked.items()))
@@ -202,9 +200,9 @@ class BroadcastMixin:
                     self.pending_store.append(rec.stored)
                     self._wrote("pending_store")
 
-    def _adopt_stored(self, evidence: StoredEvidence) -> None:
-        """Store the first committed message; callers check none is stored."""
-        self.state_record = replace(self.state_record, stored=evidence)
+    def _adopt_stored(self, msg: Commit) -> None:
+        """Store the first accepted COMMIT; callers check none is stored."""
+        self.state_record = replace(self.state_record, stored=msg)
         self._wrote("state_record")
 
     def _pending_store_scan(self) -> None:
@@ -216,7 +214,7 @@ class BroadcastMixin:
                 break
             if self._is_valid_view(evidence.cert.view):
                 self._adopt_stored(evidence)
-                if self.cv in self.installed and not self.delivered:
+                if self.cv == self.installed and not self.delivered:
                     self._disseminate(Commit(evidence.payload, evidence.cert, self.cv))
             else:
                 still.append(evidence)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .crypto import Verifier, quorum_signed
 from .messages import (
     Converged,
-    HistoryGossip,
     Install,
     ViewHistory,
     body_bytes,
@@ -46,13 +45,13 @@ def _install_proof_holds(install: Install, verifier: Verifier) -> bool:
         return False  # else `install.omega` is defined from here on
     if not all(install.view < w for w in install.seq):
         return False
-    if [p.change for p in install.proofs] != added_changes(install.seq, install.view):
+    if [p.msg.change for p in install.proofs] != added_changes(install.seq, install.view):
         return False
     # one CONVERGED body; each signer's content only appends the author
     converged = Converged(install.seq, install.view)
     return (quorum_signed(install.view, install.converged_sigs,
                           lambda pid: signed_content(converged, pid), verifier)
-            and all(p.verify(verifier) for p in install.proofs))
+            and all(p.verify(verifier, p.msg.change[1:]) for p in install.proofs))
 
 
 def verify_history(history: ViewHistory, initial: View, verifier: Verifier) -> bool:
@@ -71,8 +70,9 @@ def verify_history(history: ViewHistory, initial: View, verifier: Verifier) -> b
 class DiscoveryMixin:
     """Trust store; mixed into the node engine.
 
-    Uses node state: trusted_hist (view -> history), trusted_aux,
-    initial_view, verifier, plus the emit helpers.
+    Uses node state: trusted_hist (view -> the HISTORY message that proves
+    it, sent as it is), trusted_aux, initial_view, verifier, plus the emit
+    helpers.
     """
 
     def _is_trusted(self, view: View) -> bool:
@@ -116,12 +116,6 @@ class DiscoveryMixin:
         for link in history.links:
             self._trust_aux(link)
 
-    def _extend_trust(self, history: ViewHistory) -> None:
-        if not verify_history(history, self.initial_view, self.verifier):
-            self._note("Drop", detail="unverifiable view history")
-            return
-        self._trust_views(history)
-
     def _absorb_install(self, install: Install) -> None:
         """Extend the trust chain through a validated install message."""
         base = self.trusted_hist.get(install.view)
@@ -131,10 +125,13 @@ class DiscoveryMixin:
 
     def _handle_history_request(self, author: str) -> None:
         if self.phase >= Phase.MEMBER:
-            self._send(author, HistoryGossip(self._best_history()))
+            self._send(author, self._best_history())
 
-    def _handle_history(self, gossip: HistoryGossip) -> None:
-        self._extend_trust(gossip.history)
+    def _handle_history(self, history: ViewHistory) -> None:
+        if not verify_history(history, self.initial_view, self.verifier):
+            self._note("Drop", detail="unverifiable view history")
+            return
+        self._trust_views(history)
 
     def _gossip_kick(self) -> None:
         """Push the best history to the universe whenever it grows."""
@@ -144,4 +141,4 @@ class DiscoveryMixin:
         if self.last_gossiped == best:
             return
         self.last_gossiped = best
-        self._flood(HistoryGossip(self.trusted_hist[best]))
+        self._flood(self.trusted_hist[best])

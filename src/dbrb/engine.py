@@ -27,7 +27,6 @@ from .messages import (
     Converged,
     Decoded,
     Deliver,
-    HistoryGossip,
     HistoryRequest,
     Install,
     Message,
@@ -157,7 +156,8 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
 
         # membership state
         self.cv = initial_view
-        self.installed: set[View] = {initial_view} if initial_member else set()
+        # the view this node installed last
+        self.installed: Optional[View] = initial_view if initial_member else None
         self.recv: dict = {}
         self.seqs: dict[View, frozenset[View]] = {}
         self.lcseqs: dict[View, frozenset[View]] = {}
@@ -304,7 +304,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
             self._handle_deliver(author, msg)
         elif isinstance(msg, HistoryRequest):
             self._handle_history_request(author)
-        elif isinstance(msg, HistoryGossip):
+        elif isinstance(msg, ViewHistory):
             self.got_history = True
             self._wrote("got_history")
             self._handle_history(msg)
@@ -326,12 +326,13 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         It terminates because each firing uses up something finite that
         does not come back within the step: a buffered entry (a buffer grows
         only from the step's input or from another firing, and sends leave
-        the node), a once-only value (`phase`, which only moves forward,
-        `state_record.stored`, `delivered`, `cer`), a key it never fires on
-        again (`install_sent`, and `lcseqs[v]`, which each firing strictly
-        grows), or a growth of `cv` or of the trust store (`_maybe_propose`
-        and the kicks), which grow only through the finitely many views the
-        step brings.
+        the node; each extra pass of `_rm_pending_scan` over its buffer
+        accepts at least one parked install), a once-only value (`phase`,
+        which only moves forward, `state_record.stored`, `delivered`,
+        `cer`), a key it never fires on again (`install_sent`, and
+        `lcseqs[v]`, which each firing strictly grows), or a growth of `cv`
+        or of the trust store (`_maybe_propose` and the kicks), which grow
+        only through the finitely many views the step brings.
 
         A write wakes every scan that declares its field, whether or not it
         gave that scan work.  A woken scan with nothing to do changes no

@@ -18,16 +18,14 @@ from .messages import (
     Converged,
     Install,
     Prepare,
-    PrepareEvidence,
     Propose,
     RecConfirm,
     Reconfig,
-    ReconfigProof,
     HistoryRequest,
+    Signed,
     StateRecord,
     StateUpdate,
     rm_targets,
-    signed_content,
 )
 from .views import (
     MINUS,
@@ -139,7 +137,7 @@ class MembershipMixin:
         if change[0] == MINUS and plus(change[1:]) not in v:
             self._note("Drop", msg_kind="RECONFIG", detail="leave without prior join")
             return
-        proof = ReconfigProof(change, v, signature)
+        proof = Signed(msg, signature)
         self.pool.setdefault(change, proof)
         if change not in self.recv:
             self.recv[change] = proof
@@ -157,7 +155,7 @@ class MembershipMixin:
     # -- propose -------------------------------------------------------------
 
     def _maybe_propose(self) -> None:
-        if not self.recv or self.cv not in self.installed:
+        if not self.recv or self.cv != self.installed:
             return
         if self.seqs.get(self.cv):
             return
@@ -168,7 +166,7 @@ class MembershipMixin:
         self._set_seq(self.cv, frozenset({proposal}))
         self._emit_propose(self.cv)
 
-    def _propose_proofs(self, seq: frozenset[View], v: View) -> tuple[ReconfigProof, ...]:
+    def _propose_proofs(self, seq: frozenset[View], v: View) -> tuple[Signed[Reconfig], ...]:
         needed = added_changes(seq, v)
         missing = [c for c in needed if c not in self.pool]
         if missing:
@@ -198,12 +196,12 @@ class MembershipMixin:
         if not all(v < w for w in msg.seq):
             self._note("Flag", msg_kind="PROPOSE", detail="proposal not above its view")
             return
-        offered = {p.change: p for p in msg.proofs}
+        offered = {p.msg.change: p for p in msg.proofs}
         for change in added_changes(msg.seq, v):
             if change in self.pool:
                 continue
             proof = offered.get(change)
-            if proof is None or not proof.verify(self.verifier):
+            if proof is None or not proof.verify(self.verifier, change[1:]):
                 self._note("Drop", msg_kind="PROPOSE",
                            detail=f"missing reconfig proof for {change}")
                 return
@@ -287,14 +285,14 @@ class MembershipMixin:
     def _state_of(self, v: View) -> StateRecord:
         """The local broadcast state restricted to views inside v."""
         rec = self.state_record
-        ack = rec.ack if rec.ack and rec.ack.view <= v else None
+        ack = rec.ack if rec.ack and rec.ack.msg.view <= v else None
         conflicting = None
         if rec.conflicting:
             a, b = rec.conflicting
-            if a.view <= v and b.view <= v:
+            if a.msg.view <= v and b.msg.view <= v:
                 conflicting = rec.conflicting
         stored = None
-        if rec.stored and rec.stored.assoc_view <= v:
+        if rec.stored and rec.stored.view <= v:
             stored = rec.stored
         return StateRecord(ack, conflicting, stored)
 
@@ -304,7 +302,7 @@ class MembershipMixin:
                    views={"omega": omega, "v": v, "seq": seq})
         self._absorb_install(msg)
         for proof in msg.proofs:  # verified with the install proof
-            self.pool.setdefault(proof.change, proof)
+            self.pool.setdefault(proof.msg.change, proof)
         self.formats.setdefault(omega, set()).add(seq - {omega})
         self._wrote("pool", "formats")
         if self.pid in v.member_set:
@@ -344,17 +342,15 @@ class MembershipMixin:
             self._note("Flag", msg_kind="STATE-UPDATE", detail="invalid embedded evidence")
             return
         for proof in msg.recv:
-            if proof.change not in self.pool:
-                self.pool[proof.change] = proof
+            if proof.msg.change not in self.pool:
+                self.pool[proof.msg.change] = proof
                 self._wrote("pool")
         self.state_updates.add(msg.view, None, author, msg)
         self._wrote("state_updates")
 
-    def _sender_prepared(self, ev: PrepareEvidence, v: View) -> bool:
+    def _sender_prepared(self, ev: Signed[Prepare], v: View) -> bool:
         """ev is a prepare the sender signed in a view no later than v."""
-        return ev.view <= v and self.verifier.verify(
-            self.sender_id, signed_content(Prepare(ev.payload, ev.view), self.sender_id),
-            ev.signature)
+        return ev.msg.view <= v and ev.verify(self.verifier, self.sender_id)
 
     def _verify_state_update(self, msg: StateUpdate) -> bool:
         v = msg.view
@@ -363,19 +359,19 @@ class MembershipMixin:
             return False
         if rec.conflicting:
             a, b = rec.conflicting
-            if a.payload == b.payload:
+            if a.msg.payload == b.msg.payload:
                 return False
             if not (self._sender_prepared(a, v) and self._sender_prepared(b, v)):
                 return False
         if rec.stored:
-            ev = rec.stored
-            if not ev.assoc_view <= v:
+            stored = rec.stored
+            if not stored.view <= v:
                 return False
-            if not ev.cert.view <= ev.assoc_view:
+            if not stored.cert.view <= stored.view:
                 return False
-            if not verify_certificate(ev.cert, ev.payload, self.verifier):
+            if not verify_certificate(stored.cert, stored.payload, self.verifier):
                 return False
-        return all(p.verify(self.verifier) for p in msg.recv)
+        return all(p.verify(self.verifier, p.msg.change[1:]) for p in msg.recv)
 
     def _pending_install_scan(self) -> None:
         if not self.pending_installs:
@@ -396,10 +392,10 @@ class MembershipMixin:
 
     def _complete_install(self, pending: Install, updates: list[StateUpdate]) -> None:
         omega, seq, v = pending.omega, pending.seq, pending.view
-        requests: dict[Change, ReconfigProof] = {}
+        requests: dict[Change, Signed[Reconfig]] = {}
         for upd in updates:
             for proof in upd.recv:
-                requests.setdefault(proof.change, proof)
+                requests.setdefault(proof.msg.change, proof)
         for change in sorted(requests, key=change_key):
             if change not in omega and change not in self.recv:
                 self.recv[change] = requests[change]
@@ -418,7 +414,7 @@ class MembershipMixin:
                     self._set_seq(self.cv, newer)
                     self._emit_propose(self.cv)
             else:
-                self.installed.add(self.cv)
+                self.installed = self.cv
                 self._wrote("installed")
                 if self.suspended:
                     self.suspended = False

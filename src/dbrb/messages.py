@@ -2,7 +2,7 @@
 
 Links are authenticated (`Receive.sender` is the true sender), so a frame
 is signed only if a third party must check its author.  The kinds in
-`SIGNED_TAGS` are such evidence: RECONFIG (a `ReconfigProof`), CONVERGED
+`SIGNED_TAGS` are such evidence: RECONFIG (reconfig proofs), CONVERGED
 (install proofs) and PREPARE (ack evidence in state records).  Their
 frames are
 
@@ -16,19 +16,28 @@ install-proved links, INSTALL is author-agnostic and quorum-proved, and
 STATE-UPDATE goes straight from its author to each target, never
 relayed (see `rmulticast`).
 
+Evidence is the message it proves.  A third party holds a signed kind's
+message with its author's signature as a `Signed` value, laid out as the
+message's body then the signature: a reconfig proof is a
+`Signed[Reconfig]`, ack evidence a `Signed[Prepare]`.  A stored message is
+the accepted `Commit`, and a view history is the HISTORY message itself.
+
 The dataclass fields of each message kind are its schema: a body is
 those fields in declaration order, each in the encoding `FIELD_CODECS`
 gives its annotated type, and nested records are laid out the same way.
+A message inside another body is laid out as its own body.
 All collections inside bodies are canonically ordered, making the
 encoding bit-exact for equal values, and `decode` accepts only that
 canonical encoding, in its tag's layout: a decoded body always equals
 the re-encoding of the message parsed from it.
 
 So each message value derives its body once: a parsed value keeps the
-body it was parsed from, any other value the body it is first encoded
-to (`body_bytes`).  `encode`, history links, the install-proof memo and
-reliable multicast all use that body, and `decode` takes the signed
-content as a prefix of the frame instead of building it again.
+body it was parsed from, a frame's or the slice of the body it was
+embedded in, and any other value the body it is first encoded to
+(`body_bytes`).  `encode`, `signed_content`, history links, embedded
+evidence and the install-proof memo all use that body, and `decode`
+takes the signed content as a prefix of the frame instead of building
+it again.
 
 Each fact is sent once (since wire version 3).  What a receiver can
 derive is not a field: an install's omega is the least view of its
@@ -46,7 +55,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, NoReturn, Optional, get_args
+from typing import Callable, Generic, NoReturn, Optional, TypeVar, get_args
 
 from .crypto import MessageCertificate, Signatures, Signer, Verifier
 from .views import (
@@ -173,51 +182,32 @@ class Reader:
 #
 # The field annotations below are the wire schema; see `FIELD_CODECS`.
 
-@dataclass(frozen=True)
-class ReconfigProof:
-    """A signed reconfiguration request: the originator's proof of intent."""
+M = TypeVar("M")
 
-    change: Change
-    view: View
+
+@dataclass(frozen=True)
+class Signed(Generic[M]):
+    """A message of a signed kind with its author's signature.
+
+    The author is not on the wire: whoever holds the value knows it.  A
+    reconfig proof's author is the subject of its change, and ack
+    evidence's the sender.
+    """
+
+    msg: M
     signature: bytes
 
-    def signed_bytes(self) -> bytes:
-        """The originator's signed content, derived once and kept (see `body_bytes`)."""
-        signed = self.__dict__.get("_signed")
-        if signed is None:
-            signed = self.__dict__["_signed"] = _signed_content(
-                TAG_RECONFIG, _proof_body(self), self.change[1:])
-        return signed
-
-    def verify(self, verifier: Verifier) -> bool:
-        return verifier.verify(self.change[1:], self.signed_bytes(), self.signature)
-
-
-@dataclass(frozen=True)
-class PrepareEvidence:
-    """A sender-signed prepare, carried inside state updates."""
-
-    payload: bytes
-    view: View
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class StoredEvidence:
-    """Certificate-backed stored message, carried inside state updates."""
-
-    payload: bytes
-    cert: MessageCertificate  # certifies payload in cert.view
-    assoc_view: View
+    def verify(self, verifier: Verifier, author: ProcessId) -> bool:
+        return verifier.verify(author, signed_content(self.msg, author), self.signature)
 
 
 @dataclass(frozen=True)
 class StateRecord:
     """On the wire: a flag byte naming the parts present, then those parts."""
 
-    ack: Optional[PrepareEvidence] = None
-    conflicting: Optional[tuple[PrepareEvidence, PrepareEvidence]] = None
-    stored: Optional[StoredEvidence] = None
+    ack: Optional[Signed[Prepare]] = None
+    conflicting: Optional[tuple[Signed[Prepare], Signed[Prepare]]] = None
+    stored: Optional[Commit] = None  # the accepted COMMIT, certificate and all
 
 
 @dataclass(frozen=True)
@@ -238,7 +228,7 @@ class Propose:
     TAG = TAG_PROPOSE
     seq: frozenset[View]
     view: View
-    proofs: tuple[ReconfigProof, ...] = ()
+    proofs: tuple[Signed[Reconfig], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -254,7 +244,7 @@ class Install:
     seq: frozenset[View]
     view: View  # the replaced view
     converged_sigs: Signatures
-    proofs: tuple[ReconfigProof, ...] = ()
+    proofs: tuple[Signed[Reconfig], ...] = ()
 
     @cached_property
     def omega(self) -> View:
@@ -269,7 +259,7 @@ class StateUpdate:
     view: View  # the replaced view this update is associated with
     omega: View
     record: StateRecord
-    recv: tuple[ReconfigProof, ...]
+    recv: tuple[Signed[Reconfig], ...]
 
 
 @dataclass(frozen=True)
@@ -309,12 +299,13 @@ class HistoryRequest:
 
 @dataclass(frozen=True)
 class ViewHistory:
-    """Alternating chain v0, m0, v1, m1, ... vn rooted at the initial view.
+    """HISTORY: the chain v0, m0, v1, m1, ... vn rooted at the initial view.
 
     Only v0 is carried: each later view is the omega of the link before it.
     On the wire: v0, the link count, then each link's INSTALL body as a blob.
     """
 
+    TAG = TAG_HISTORY
     root: View
     links: tuple[Install, ...] = ()
 
@@ -322,15 +313,9 @@ class ViewHistory:
         return ViewHistory(self.root, self.links + (link,))
 
 
-@dataclass(frozen=True)
-class HistoryGossip:
-    TAG = TAG_HISTORY
-    history: ViewHistory
-
-
 Message = (
     Reconfig | RecConfirm | Propose | Converged | Install | StateUpdate
-    | Prepare | Ack | Commit | Deliver | HistoryRequest | HistoryGossip
+    | Prepare | Ack | Commit | Deliver | HistoryRequest | ViewHistory
 )
 
 
@@ -423,23 +408,23 @@ def _sorted_tuple(item: Codec, error: str, key=None) -> Codec:
     return write, read
 
 
-def _proof_body(p: ReconfigProof) -> bytes:
-    """The RECONFIG body p's originator signed, change then view: the slice
-    a parsed proof was read from, or else derived once and kept."""
-    body = p.__dict__.get("_body")
-    if body is None:
-        body = p.__dict__["_body"] = change_bytes(p.change) + _write_view(p.view)
-    return body
-
-
-def _read_proof(r: Reader) -> ReconfigProof:
+def _read_kind(tag: int, r: Reader) -> Message:
+    """Read a message of kind tag from inside another message's body, and
+    keep the slice it was read from as its body, as `_parse_body` keeps a
+    frame's."""
     start = r.pos
-    change = _read_change(r)
-    view = _read_view(r)
-    body = r.data[start:r.pos]
-    proof = ReconfigProof(change, view, r.blob())
-    proof.__dict__["_body"] = body
-    return proof
+    msg = KIND_CODECS[tag][1](r)
+    msg.__dict__["_body"] = r.data[start:r.pos]
+    return msg
+
+
+def _write_signed(s: Signed) -> bytes:
+    """A `Signed` value: its message's body, then the signature as a blob."""
+    return body_bytes(s.msg) + _blob(s.signature)
+
+
+def _read_signed(tag: int, r: Reader) -> Signed:
+    return Signed(_read_kind(tag, r), r.blob())
 
 
 _SIGNATURE: Codec = (lambda pair: id_bytes(pair[0]) + _blob(pair[1]),
@@ -450,11 +435,11 @@ def _write_record(rec: StateRecord) -> bytes:
     flags = (1 if rec.ack else 0) | (2 if rec.conflicting else 0) | (4 if rec.stored else 0)
     parts = [bytes((flags,))]
     if rec.ack:
-        parts.append(_PREP_EVIDENCE[0](rec.ack))
+        parts.append(_write_signed(rec.ack))
     if rec.conflicting:
-        parts.extend(map(_PREP_EVIDENCE[0], rec.conflicting))
+        parts.extend(map(_write_signed, rec.conflicting))
     if rec.stored:
-        parts.append(_STORED_EVIDENCE[0](rec.stored))
+        parts.append(body_bytes(rec.stored))
     return b"".join(parts)
 
 
@@ -462,10 +447,9 @@ def _read_record(r: Reader) -> StateRecord:
     flags = r.u8()
     if flags > 7:
         raise CodecError("unknown state record flags")
-    read_prep = _PREP_EVIDENCE[1]
-    ack = read_prep(r) if flags & 1 else None
-    conflicting = (read_prep(r), read_prep(r)) if flags & 2 else None
-    stored = _STORED_EVIDENCE[1](r) if flags & 4 else None
+    ack = _read_signed(TAG_PREPARE, r) if flags & 1 else None
+    conflicting = tuple(_read_signed(TAG_PREPARE, r) for _ in range(2)) if flags & 2 else None
+    stored = _read_kind(TAG_COMMIT, r) if flags & 4 else None
     return StateRecord(ack, conflicting, stored)
 
 
@@ -484,9 +468,9 @@ FIELD_CODECS: dict[str, Codec] = {
     "Change": (change_bytes, _read_change),
     "View": (_write_view, _read_view),
     "frozenset[View]": (_write_seq, _read_seq),
-    "tuple[ReconfigProof, ...]": _sorted_tuple(
-        (lambda p: _proof_body(p) + _blob(p.signature), _read_proof),
-        "reconfig proofs not canonical", key=lambda p: change_key(p.change)),
+    "tuple[Signed[Reconfig], ...]": _sorted_tuple(
+        (_write_signed, lambda r: _read_signed(TAG_RECONFIG, r)),
+        "reconfig proofs not canonical", key=lambda p: change_key(p.msg.change)),
     "Signatures": _sorted_tuple(_SIGNATURE, "signatures not canonical"),
     "StateRecord": (_write_record, _read_record),
     "tuple[Install, ...]": (_write_links, _read_links),
@@ -509,18 +493,17 @@ def _fields_codec(cls) -> Codec:
 
 
 FIELD_CODECS["MessageCertificate"] = _fields_codec(MessageCertificate)
-FIELD_CODECS["ViewHistory"] = _fields_codec(ViewHistory)
-_PREP_EVIDENCE = _fields_codec(PrepareEvidence)
-_STORED_EVIDENCE = _fields_codec(StoredEvidence)
 
 # The body codec of each message kind, by tag.
 KIND_CODECS: dict[int, Codec] = {cls.TAG: _fields_codec(cls) for cls in get_args(Message)}
 
 
-# A value derives its body and (for a ReconfigProof) its signed content
-# once, and keeps each in its instance dict under a private name.  Outside
-# the dataclass fields, the kept values take no part in ==, hash or repr;
-# a value with other fields (`dataclasses.replace`) starts with none.
+# A message derives its body once and keeps it in its instance dict under
+# a private name.  Outside the dataclass fields, the kept body takes no
+# part in ==, hash or repr; a value with other fields
+# (`dataclasses.replace`) starts with none.  A `Signed` value keeps
+# nothing: its signed content is its message's body between a header and
+# the author.
 
 
 def body_bytes(msg: Message) -> bytes:
@@ -532,13 +515,10 @@ def body_bytes(msg: Message) -> bytes:
     return body
 
 
-def _signed_content(tag: int, body: bytes, author: ProcessId) -> bytes:
-    return b"".join((_HEAD.pack(WIRE_VERSION, tag, len(body)), body, id_bytes(author)))
-
-
 def signed_content(msg: Message, author: ProcessId) -> bytes:
     """The bytes author signs to send msg: version|tag|body-len|body|author."""
-    return _signed_content(msg.TAG, body_bytes(msg), author)
+    body = body_bytes(msg)
+    return b"".join((_HEAD.pack(WIRE_VERSION, msg.TAG, len(body)), body, id_bytes(author)))
 
 
 def encode(msg: Message, signer: Signer) -> bytes:

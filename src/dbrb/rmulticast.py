@@ -68,18 +68,23 @@ class RMulticastMixin:
         received as it parks it, so this scan needs no check for copies.
         An install whose replaced view is untrusted waits here until a
         history, or an install this node accepts, extends trust to that
-        view; the growth wakes this scan, which reads `trusted_hist`.
+        view; the growth wakes this scan, which reads `trusted_hist`.  An
+        install accepted in one pass may trust the view another parked
+        install replaces, so the scan passes again while a pass accepted
+        something: that install is taken up in the same call, before any
+        other scan acts on the view in between.
         """
-        if not self.rm_pending:
-            return
-        still = []
-        for msg, raw in self.rm_pending:
-            if self._is_trusted(msg.view):
-                meta = message_meta(msg)
-                for q in rm_targets(msg):
-                    if q != self.pid:
-                        self._send_raw(q, raw, meta)
-                self._handle_install(msg)
-            else:
-                still.append((msg, raw))
-        self.rm_pending = still
+        accepted = True
+        while self.rm_pending and accepted:
+            still = []
+            for msg, raw in self.rm_pending:
+                if self._is_trusted(msg.view):
+                    meta = message_meta(msg)
+                    for q in rm_targets(msg):
+                        if q != self.pid:
+                            self._send_raw(q, raw, meta)
+                    self._handle_install(msg)
+                else:
+                    still.append((msg, raw))
+            accepted = len(still) < len(self.rm_pending)
+            self.rm_pending = still

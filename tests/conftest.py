@@ -6,7 +6,7 @@ import pytest
 from dbrb.crypto import make_keyring
 from dbrb.engine import Node, Receive
 from dbrb.membership import Phase, added_changes
-from dbrb.messages import Reconfig, ReconfigProof, encode, signed_content
+from dbrb.messages import Reconfig, Signed, encode, signed_content
 from dbrb.views import View
 
 
@@ -72,10 +72,14 @@ def state_digest(node):
     return hashlib.sha256(blob).hexdigest()
 
 
+def signed(keyring, author, msg):
+    """msg with author's signature, as a third party holds it."""
+    return Signed(msg, keyring.sign(author, signed_content(msg, author)))
+
+
 def reconfig_proofs(keyring, seq, view):
     """One proof, signed by its subject, for each change seq adds to view."""
-    return tuple(ReconfigProof(c, view, keyring.sign(c[1:], signed_content(Reconfig(c, view), c[1:])))
-                 for c in added_changes(seq, view))
+    return tuple(signed(keyring, c[1:], Reconfig(c, view)) for c in added_changes(seq, view))
 
 
 @pytest.fixture

@@ -15,10 +15,9 @@ from dbrb.messages import (
     Deliver,
     Install,
     Prepare,
-    PrepareEvidence,
+    Signed,
     StateRecord,
     StateUpdate,
-    StoredEvidence,
     decode,
     signed_content,
 )
@@ -49,7 +48,7 @@ def test_broadcast_disseminates_prepare(bench4):
 
 def test_broadcast_deferred_when_view_not_installed(bench4):
     sender = bench4.nodes["p1"]
-    sender.installed.discard(sender.cv)
+    sender.installed = None
     actions = sender.step(InvokeBroadcast(b"m"))
     assert not sends_of(actions)
     assert sender.bpayload == b"m"
@@ -64,7 +63,7 @@ def test_prepare_acked_in_current_view(bench4):
     actions = bench4.deliver("p2", "p1", Prepare(b"m", bench4.initial_view))
     acks = sends_of(actions, "ACK")
     assert [a.to for a in acks] == ["p1"]
-    assert bench4.nodes["p2"].state_record.ack.payload == b"m"
+    assert bench4.nodes["p2"].state_record.ack.msg.payload == b"m"
 
 
 def test_prepare_fenced_when_no_message_allowed(bench4):
@@ -91,7 +90,7 @@ def test_never_acks_two_payloads(bench4):
     bench4.deliver("p2", "p1", Prepare(b"m1", bench4.initial_view))
     actions = bench4.deliver("p2", "p1", Prepare(b"m2", bench4.initial_view))
     assert not sends_of(actions, "ACK")
-    assert bench4.nodes["p2"].state_record.ack.payload == b"m1"
+    assert bench4.nodes["p2"].state_record.ack.msg.payload == b"m1"
 
 
 def test_ack_quorum_builds_certificate_and_commits(bench4):
@@ -211,7 +210,7 @@ def test_deliver_write_once_per_sender_and_view(bench4):
 
 def prep_evidence(bench, payload, view):
     sig = bench.keyring.sign("p1", signed_content(Prepare(payload, view), "p1"))
-    return PrepareEvidence(payload, view, sig)
+    return Signed(Prepare(payload, view), sig)
 
 
 def test_state_transfer_adopts_unique_acked_message(bench4):
@@ -219,7 +218,7 @@ def test_state_transfer_adopts_unique_acked_message(bench4):
     records = [StateRecord(ack=prep_evidence(bench4, b"m", bench4.initial_view)),
                StateRecord(), StateRecord()]
     node._state_transfer(records)
-    assert node.state_record.ack.payload == b"m"
+    assert node.state_record.ack.msg.payload == b"m"
 
 
 def test_state_transfer_closes_fence_on_two_acked(bench4):
@@ -245,7 +244,7 @@ def test_state_transfer_adopts_stored_message(bench4):
     node = bench4.nodes["p2"]
     v0 = bench4.initial_view
     cert = make_cert(bench4, b"m", v0, ["p1", "p2", "p3"])
-    stored = StoredEvidence(b"m", cert, v0)
+    stored = Commit(b"m", cert, v0)
     node._state_transfer([StateRecord(stored=stored)])
     assert node.state_record.stored is not None
     assert node.state_record.stored.payload == b"m"
@@ -255,7 +254,7 @@ def test_state_transfer_unique_ack_does_not_widen(bench4):
     node = bench4.nodes["p2"]
     node.state_record = StateRecord(ack=prep_evidence(bench4, b"other", bench4.initial_view))
     node._state_transfer([StateRecord(ack=prep_evidence(bench4, b"m", bench4.initial_view))])
-    assert node.state_record.ack.payload == b"other"
+    assert node.state_record.ack.msg.payload == b"other"
 
 
 # -- the fence through real installs: it never reopens or switches payloads --
@@ -276,7 +275,7 @@ def transfer(bench, view, omega, records):
                                            reconfig_proofs(bench.keyring, seq, view)))
     for q, record in zip(others, records):
         bench.deliver("p2", q, StateUpdate(view, omega, record, ()))
-    assert bench.nodes["p2"].cv == omega and omega in bench.nodes["p2"].installed
+    assert bench.nodes["p2"].cv == omega and bench.nodes["p2"].installed == omega
 
 
 def close_fence(bench):
@@ -310,7 +309,7 @@ def test_transfer_of_another_payload_keeps_the_acked_one(bench4):
     assert sends_of(bench4.deliver("p2", "p1", Prepare(b"m1", V0)), "ACK")
     transfer(bench4, V0, V1, [StateRecord(ack=prep_evidence(bench4, b"m2", V0)),
                               StateRecord(), StateRecord()])
-    assert node.state_record.ack.payload == b"m1"
+    assert node.state_record.ack.msg.payload == b"m1"
     assert node.state_record.conflicting is None
 
 
@@ -329,7 +328,7 @@ def test_new_view_sender_reuses_certificate(bench4):
     prime_acks(bench4, b"m", bench4.initial_view, ["p1", "p2", "p3"])
     v1 = View(bench4.initial_view | {plus("p5")})
     sender.cv = v1
-    sender.installed.add(v1)
+    sender.installed = v1
     sender._outputs = []
     sender._new_view()
     actions, sender._outputs = sender._outputs, []
@@ -368,7 +367,7 @@ def test_an_author_at_the_cap_has_even_a_ready_commit_refused(bench4):
     assert bench4.deliver("p2", "p4", Commit(b"m", cert, V0)) == []
     assert node.state_record.stored is None
     actions = bench4.deliver("p2", "p1", Commit(b"m", cert, V0))
-    assert node.state_record.stored == StoredEvidence(b"m", cert, V0)
+    assert node.state_record.stored == Commit(b"m", cert, V0)
     assert [n.detail for n in notes_of(actions)] == ["commit-accepted"]
     assert [s.to for s in sends_of(actions, "COMMIT")] == list(V0.members)
     assert [s.to for s in sends_of(actions, "DELIVER")] == ["p1"]

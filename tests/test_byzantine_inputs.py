@@ -23,17 +23,15 @@ from dbrb.messages import (
     Commit,
     Converged,
     Deliver,
-    HistoryGossip,
     HistoryRequest,
     Install,
     Prepare,
-    PrepareEvidence,
     Propose,
     RecConfirm,
     Reconfig,
+    Signed,
     StateRecord,
     StateUpdate,
-    StoredEvidence,
     ViewHistory,
     signed_content,
 )
@@ -71,7 +69,7 @@ def messages(bench, kind, v, w, signers):
 
     def prepared(payload, view):
         sig = keyring.sign("p1", signed_content(Prepare(payload, view), "p1"))
-        return PrepareEvidence(payload, view, sig)
+        return Signed(Prepare(payload, view), sig)
 
     return {
         "RECONFIG": [Reconfig(plus("p4"), v), Reconfig(minus("p4"), v), Reconfig(plus("p5"), v)],
@@ -82,7 +80,7 @@ def messages(bench, kind, v, w, signers):
         "STATE-UPDATE": [
             StateUpdate(v, w, StateRecord(), proofs),
             StateUpdate(v, w, StateRecord(ack=prepared(b"m", v),
-                                          stored=StoredEvidence(b"m", cert, w)), proofs),
+                                          stored=Commit(b"m", cert, w)), proofs),
             StateUpdate(v, w, StateRecord(conflicting=(prepared(b"a", v), prepared(b"b", w))),
                         ()),
         ],
@@ -91,8 +89,8 @@ def messages(bench, kind, v, w, signers):
         "COMMIT": [Commit(b"m", cert, v), Commit(b"m", cert, w)],
         "DELIVER": [Deliver(b"m", v)],
         "HISTORY-REQUEST": [HistoryRequest()],
-        "HISTORY": [HistoryGossip(ViewHistory(v, (install,))),
-                    HistoryGossip(ViewHistory(V0, (install,)))],
+        "HISTORY": [ViewHistory(v, (install,)),
+                    ViewHistory(V0, (install,))],
     }[kind]
 
 

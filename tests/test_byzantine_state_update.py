@@ -18,13 +18,13 @@ from dbrb.crypto import ack_payload, build_certificate
 from dbrb.engine import InvokeJoin, Receive, Send
 from dbrb.membership import Phase
 from dbrb.messages import (
+    Commit,
     Converged,
     Install,
     Prepare,
-    PrepareEvidence,
+    Signed,
     StateRecord,
     StateUpdate,
-    StoredEvidence,
     message_meta,
     rm_targets,
     signed_content,
@@ -72,7 +72,7 @@ def byzantine_updates(install):
 def assert_installed(bench, v1):
     for pid in CORRECT:
         node = bench.nodes[pid]
-        assert node.cv == v1 and v1 in node.installed and not node.suspended, pid
+        assert node.cv == v1 and node.installed == v1 and not node.suspended, pid
     assert bench.nodes["p5"].phase is Phase.MEMBER
 
 
@@ -119,7 +119,7 @@ def test_relayed_update_counts_for_the_relayer():
     # p1's own copy counts for p1 and completes the install
     node.step(Receive("p1", p1_raw))
     assert set(node.state_updates.votes[(v0, None)]) == {"p1", "p3", "p4"}
-    assert node.cv == v1 and v1 in node.installed
+    assert node.cv == v1 and node.installed == v1
 
 
 # -- one update from p4 whose embedded evidence does not hold ------------------
@@ -128,7 +128,7 @@ def test_relayed_update_counts_for_the_relayer():
 def prepared(bench, payload, view, signer="p1"):
     """Ack evidence: the PREPARE of payload in view, signed by `signer`."""
     content = signed_content(Prepare(payload, view), signer)
-    return PrepareEvidence(payload, view, bench.keyring.sign(signer, content))
+    return Signed(Prepare(payload, view), bench.keyring.sign(signer, content))
 
 
 def certified(bench, payload, view, signers):
@@ -161,11 +161,11 @@ def defective_records(bench):
         "conflict not signed by the sender": StateRecord(
             conflicting=(prepared(bench, b"a", v0), prepared(bench, b"b", v0, "p4"))),
         "stored outside the update's view": StateRecord(
-            stored=StoredEvidence(b"m", good, outer)),
+            stored=Commit(b"m", good, outer)),
         "certificate outside the associated view": StateRecord(
-            stored=StoredEvidence(b"m", good, inner)),
+            stored=Commit(b"m", good, inner)),
         "certificate that does not verify": StateRecord(
-            stored=StoredEvidence(b"m", forged, v0)),
+            stored=Commit(b"m", forged, v0)),
     }
 
 
@@ -187,7 +187,7 @@ def test_update_with_valid_evidence_is_recorded():
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5"])
     v0 = bench.initial_view
     record = StateRecord(ack=prepared(bench, b"m", v0),
-                         stored=StoredEvidence(b"m", certified(bench, b"m", v0,
+                         stored=Commit(b"m", certified(bench, b"m", v0,
                                                                ["p1", "p2", "p3"]), v0))
     update = StateUpdate(v0, View(v0 | {plus("p5")}), record, ())
     assert not notes_of(bench.deliver("p2", "p4", update))

@@ -7,7 +7,6 @@ from dbrb.discovery import verify_history
 from dbrb.engine import Flood, Receive
 from dbrb.messages import (
     Converged,
-    HistoryGossip,
     HistoryRequest,
     Install,
     ViewHistory,
@@ -58,12 +57,12 @@ def test_extend_trust_adopts_longer_history(bench4):
     v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
     h = ViewHistory(v0, (make_link(bench4, v0, v1),))
-    node._extend_trust(h)
+    node._handle_history(h)
     assert node.trusted_hist == {v0: ViewHistory(v0), v1: h}
     assert node._is_trusted(v1)
     assert node._best_view() == v1
     # a shorter history changes nothing
-    node._extend_trust(ViewHistory(v0))
+    node._handle_history(ViewHistory(v0))
     assert node.trusted_hist == {v0: ViewHistory(v0), v1: h}
     assert node._best_view() == v1
 
@@ -73,7 +72,7 @@ def test_unverifiable_history_ignored(bench4):
     v1 = View(v0 | {plus("p5")})
     link = make_link(bench4, v0, v1, signers=("p1",))  # sub-quorum
     node = bench4.nodes["p2"]
-    node._extend_trust(ViewHistory(v0, (link,)))
+    node._handle_history(ViewHistory(v0, (link,)))
     assert list(node.trusted_hist) == [v0] and not node.trusted_aux
     assert not node._is_trusted(v1)
 
@@ -87,7 +86,7 @@ def test_auxiliary_views_in_links_become_valid(bench4):
                  for pid in ("p1", "p2", "p3"))
     link = Install(seq, v0, sigs, reconfig_proofs(bench4.keyring, seq, v0))
     node = bench4.nodes["p2"]
-    node._extend_trust(ViewHistory(v0, (link,)))
+    node._handle_history(ViewHistory(v0, (link,)))
     assert node._is_valid_view(v_ab)  # auxiliary: acceptable as v_cer
     assert not node._is_trusted(v_ab)  # but not an install chain entry
 
@@ -97,7 +96,7 @@ def test_participants_answer_history_requests(bench4):
     replies = sends_of(actions, "HISTORY")
     assert [r.to for r in replies] == ["p5"]
     msg = decode(replies[0].raw, bench4.verifier).msg
-    assert msg.history == ViewHistory(bench4.initial_view)
+    assert msg == ViewHistory(bench4.initial_view)
 
 
 def test_dormant_nodes_stay_silent(bench4):
@@ -110,7 +109,7 @@ def test_trust_growth_triggers_gossip(bench4):
     v0 = bench4.initial_view
     v1 = View(v0 | {plus("p5")})
     node = bench4.nodes["p2"]
-    gossip = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v1),)))
+    gossip = ViewHistory(v0, (make_link(bench4, v0, v1),))
     actions = bench4.deliver("p2", "p1", gossip)
     floods = [a for a in actions if isinstance(a, Flood)]
     assert any(f.meta["msg"] == "HISTORY" for f in floods)
@@ -127,9 +126,9 @@ def test_diverging_views_are_flagged_once(bench4, route):
     v0 = bench4.initial_view
     v_a = View(v0 | {plus("p5")})
     v_b = View(v0 | {plus("p6")})
-    h_a = HistoryGossip(ViewHistory(v0, (make_link(bench4, v0, v_a),)))
+    h_a = ViewHistory(v0, (make_link(bench4, v0, v_a),))
     link_b = make_link(bench4, v0, v_b, ("p2", "p3", "p4"))
-    b = HistoryGossip(ViewHistory(v0, (link_b,))) if route == "history" else link_b
+    b = ViewHistory(v0, (link_b,)) if route == "history" else link_b
     flags = [[f.detail for f in notes_of(bench4.deliver("p2", "p1", msg), "Flag")]
              for msg in (h_a, b, h_a, b)]
     assert flags == [[], [f"diverging verified histories: {v_a.short} vs {v_b.short}"], [], []]
@@ -152,7 +151,7 @@ def test_malformed_sequence_is_dropped_before_omega_is_read(bench4, seq):
     actions = bench4.deliver("p2", "p1", bad)
     assert [n.detail for n in notes_of(actions, "Drop")] == ["invalid install proof"]
     assert not sends_of(actions)
-    actions = bench4.deliver("p3", "p1", HistoryGossip(ViewHistory(v0, (bad,))))
+    actions = bench4.deliver("p3", "p1", ViewHistory(v0, (bad,)))
     assert [n.detail for n in notes_of(actions, "Drop")] == ["unverifiable view history"]
     assert not sends_of(actions)
     for pid in ("p2", "p3"):

@@ -16,7 +16,6 @@ from dbrb.messages import (
     TAG_CONVERGED,
     Converged,
     Deliver,
-    HistoryGossip,
     Install,
     Prepare,
     Reconfig,
@@ -131,7 +130,7 @@ def test_discovery_reply_injection_extends_trust():
     sigs = tuple((pid, bench.keyring.sign(pid, signed_content(Converged(seq, v0), pid)))
                  for pid in ("p1", "p2", "p3"))
     link = Install(seq, v0, sigs, reconfig_proofs(bench.keyring, seq, v0))
-    reply = HistoryGossip(ViewHistory(v0, (link,)))
+    reply = ViewHistory(v0, (link,))
     actions = node.step(Receive("p1", bench.raw("p1", reply)))
     assert node._is_trusted(v1)
     reconfigs = sends_of(actions, "RECONFIG")
@@ -193,13 +192,15 @@ def test_kept_bytes_are_not_protocol_state(bench4):
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), v0))
     update = StateUpdate(v0, v1, StateRecord(), ())
     bench4.deliver("p2", "p3", update)
-    held = [node.pool[plus("p5")], node.state_updates.votes[(v0, None)]["p3"]]
-    held[0].verify(node.verifier)
-    assert all(set(vars(x)) & {"_body", "_signed"} for x in held)
+    proof = node.pool[plus("p5")]
+    held = [proof.msg, node.state_updates.votes[(v0, None)]["p3"]]
+    assert proof.verify(node.verifier, "p5")
+    # a signed value keeps nothing; the messages keep their bodies
+    assert set(vars(proof)) == {"msg", "signature"}
+    assert all("_body" in vars(x) for x in held)
     digest = state_digest(node)
     for x in held:
-        for name in ("_body", "_signed"):
-            vars(x).pop(name, None)
+        del vars(x)["_body"]
     assert state_digest(node) == digest
 
 

@@ -17,17 +17,15 @@ from dbrb.messages import (
     Commit,
     Converged,
     Deliver,
-    HistoryGossip,
     HistoryRequest,
     Install,
     Prepare,
     Propose,
     RecConfirm,
     Reconfig,
-    ReconfigProof,
+    Signed,
     StateRecord,
     StateUpdate,
-    StoredEvidence,
     ViewHistory,
     decode,
     encode,
@@ -47,13 +45,14 @@ def sign(pid, msg):
 
 def frames():
     """kind -> (message, the process that sends it)"""
-    proof = ReconfigProof(plus("p4"), V0, sign("p4", Reconfig(plus("p4"), V0)))
+    reconfig = Reconfig(plus("p4"), V0)
+    proof = Signed(reconfig, sign("p4", reconfig))
     install = Install(SEQ, V0, tuple((p, sign(p, Converged(SEQ, V0))) for p in ("p1", "p2", "p3")),
                       (proof,))
     digest = hashlib.sha256(b"m").digest()
     cert = build_certificate(V0, {p: KEYRING.sign(p, ack_payload(digest, V0))
                                   for p in ("p1", "p2", "p3")})
-    record = StateRecord(stored=StoredEvidence(b"m", cert, V0))
+    record = StateRecord(stored=Commit(b"m", cert, V0))
     return {
         "RECONFIG": (Reconfig(minus("p3"), V0), "p3"),
         "REC-CONFIRM": (RecConfirm(V0), "p1"),
@@ -66,7 +65,7 @@ def frames():
         "COMMIT": (Commit(b"m", cert, V1), "p1"),
         "DELIVER": (Deliver(b"m", V0), "p3"),
         "HISTORY-REQUEST": (HistoryRequest(), "p4"),
-        "HISTORY": (HistoryGossip(ViewHistory(V0, (install,))), "p1"),
+        "HISTORY": (ViewHistory(V0, (install,)), "p1"),
     }
 
 

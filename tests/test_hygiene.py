@@ -1,8 +1,9 @@
 """Lint steps: every name a module imports is referenced in that module,
 no function in `src/dbrb` imports anything, every function, class and
 method defined in `src/dbrb` is named somewhere else in it, every field
-`Node.__init__` sets is read somewhere in it, and no code but
-`Node.__init__` and `_set_phase` assigns `self.phase`.
+`Node.__init__` sets is read somewhere in it, no code but
+`Node.__init__` and `_set_phase` assigns `self.phase`, and no record in
+`messages` repeats a message kind's fields.
 
 Uses only the stdlib `ast` module.  Package `__init__.py` files, which
 import to re-export, and `from __future__` imports are exempt.  Imports
@@ -175,3 +176,37 @@ def test_phase_write_is_reported():
               "    def __init__(self):\n        self.phase = 0\n\n"
               "def k(self):\n    self.phase = 3\n")
     assert phase_writes(source) == ["Node.f", "Node.g", "MembershipMixin.__init__", "k"]
+
+
+def kind_copies(source: str) -> list[str]:
+    """The dataclasses other than message kinds (the classes with a `TAG`)
+    whose field types, in order, are those of a kind with fields, alone or
+    followed by `bytes`: a second record of that kind's message, or of it
+    with a signature, where `Signed` and the kind itself would do."""
+    kinds, records = {}, {}
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef) or not any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+            continue
+        layout = tuple(ast.unparse(item.annotation) for item in node.body
+                       if isinstance(item, ast.AnnAssign))
+        is_kind = any(isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TAG" for t in item.targets) for item in node.body)
+        (kinds if is_kind else records)[node.name] = layout
+    return sorted(name for name, layout in records.items()
+                  if any(kind and layout in (kind, kind + ("bytes",)) for kind in kinds.values()))
+
+
+def test_no_record_copies_a_message_kind():
+    assert kind_copies((ROOT / "src" / "dbrb" / "messages.py").read_text()) == []
+
+
+def test_kind_copy_is_reported():
+    source = ("@dataclass(frozen=True)\nclass Ping:\n    TAG = 1\n    view: View\n    n: int\n\n"
+              "@dataclass\nclass Empty:\n    TAG = 2\n\n"
+              "@dataclass(frozen=True)\nclass PingCopy:\n    view: View\n    n: int\n\n"
+              "@dataclass\nclass SignedPing:\n    view: View\n    n: int\n    sig: bytes\n\n"
+              "@dataclass\nclass Other:\n    n: int\n    view: View\n\n"
+              "@dataclass\nclass Signature:\n    sig: bytes\n\n"
+              "class Plain:\n    view: View\n    n: int\n")
+    assert kind_copies(source) == ["PingCopy", "SignedPing"]

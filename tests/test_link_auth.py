@@ -82,7 +82,7 @@ def test_relayed_signature_is_kept_as_its_signers_evidence(bench4):
     node = bench4.nodes["p2"]
     bench4.deliver("p2", "p5", Reconfig(plus("p5"), V0), via="p3")
     bench4.deliver("p2", "p1", Converged(frozenset({V1}), V0), via="p3")
-    assert node.pool[plus("p5")].verify(bench4.verifier)
+    assert node.pool[plus("p5")].verify(bench4.verifier, "p5")
     sig = node.converged_votes.votes[(V0, frozenset({V1}))]["p1"]
     assert bench4.verifier.verify(
         "p1", signed_content(Converged(frozenset({V1}), V0), "p1"), sig)

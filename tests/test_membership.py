@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from conftest import Bench, callbacks_of, notes_of, reconfig_proofs, sends_of
+from conftest import Bench, callbacks_of, notes_of, reconfig_proofs, sends_of, signed
 from dbrb.crypto import ack_payload
 from dbrb.engine import InvokeBroadcast, InvokeJoin, InvokeLeave, Receive
 from dbrb.membership import ContractError, Phase
@@ -13,11 +13,10 @@ from dbrb.messages import (
     Ack,
     Converged,
     Deliver,
-    HistoryGossip,
+    Prepare,
     Propose,
     RecConfirm,
     Reconfig,
-    ReconfigProof,
     body_bytes,
     decode,
     signed_content,
@@ -80,8 +79,7 @@ def test_propose_union_of_recv_changes():
     # so craft the recv set directly to exercise the union rule
     v0 = bench.initial_view
     for change, author in [(plus("p5"), "p5"), (minus("p4"), "p4")]:
-        proof = ReconfigProof(change, v0,
-                              bench.keyring.sign(author, signed_content(Reconfig(change, v0), author)))
+        proof = signed(bench.keyring, author, Reconfig(change, v0))
         node.recv[change] = proof
         node.pool[change] = proof
     node.seqs.pop(v0, None)
@@ -325,7 +323,7 @@ def test_join_reconfig_after_history(bench4):
     joiner = bench4.nodes["p5"]
     joiner.step(InvokeJoin())
     history = bench4.nodes["p1"]._best_history()
-    actions = bench4.deliver("p5", "p1", HistoryGossip(history))
+    actions = bench4.deliver("p5", "p1", history)
     reconfigs = sends_of(actions, "RECONFIG")
     assert sorted(r.to for r in reconfigs) == ["p1", "p2", "p3", "p4"]
 
@@ -402,7 +400,7 @@ def test_install_variant_after_completion_is_degenerate(bench4):
     v1 = View(v0 | {plus("p5")})
     bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
-    assert node.cv == v1 and v1 in node.installed
+    assert node.cv == v1 and node.installed == v1
     variant = signed_install(bench4, frozenset({v1}), v0,
                              signers=("p2", "p3", "p4"))
     actions = bench4.deliver("p2", "p1", variant)
@@ -419,10 +417,10 @@ def test_install_suspends_then_completes(bench4):
     actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     assert node.suspended
     assert sends_of(actions, "STATE-UPDATE")
-    assert v1 not in node.installed
+    assert node.installed != v1
     actions = feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
     assert node.cv == v1
-    assert v1 in node.installed
+    assert node.installed == v1
     assert not node.suspended
     installs = notes_of(actions, "Install")
     assert [n.views for n in installs] == [{"cv": v1}]
@@ -449,14 +447,12 @@ def test_install_chain_proposes_remainder_without_installing(bench4):
     seq = frozenset({v_a, v_ab})
     # the chain propose needs originator proofs for the new changes
     for change, author in [(plus("p5"), "p5"), (plus("p6"), "p6")]:
-        proof = ReconfigProof(change, v0,
-                              bench4.keyring.sign(author,
-                                                  signed_content(Reconfig(change, v0), author)))
+        proof = signed(bench4.keyring, author, Reconfig(change, v0))
         node.pool[change] = proof
     bench4.deliver("p2", "p1", signed_install(bench4, seq, v0))
     actions = feed_state_updates(bench4, "p2", v0, v_a, ["p1", "p3", "p4"])
     assert node.cv == v_a
-    assert v_a not in node.installed
+    assert node.installed != v_a
     assert node.suspended  # still not installed; processing stays stopped
     proposes = sends_of(actions, "PROPOSE")
     assert sorted(p.to for p in proposes) == sorted(v_a.members)
@@ -476,7 +472,7 @@ def test_joiner_completes_join_via_install(bench4):
     cbs = callbacks_of(actions)
     assert any(c.kind == "JoinComplete" for c in cbs)
     assert joiner.phase is Phase.MEMBER and joiner.cv == v1
-    assert v1 in joiner.installed
+    assert joiner.installed == v1
 
 
 def test_state_updates_buffered_before_install_arrives(bench4):
@@ -487,7 +483,7 @@ def test_state_updates_buffered_before_install_arrives(bench4):
     assert node.cv == v0  # nothing to complete yet
     actions = bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
     assert node.cv == v1  # the buffered quorum completes the install at once
-    assert v1 in node.installed
+    assert node.installed == v1
 
 
 def test_install_without_reconfig_proofs_is_dropped():
@@ -515,8 +511,7 @@ def made_up_message(bench, kind, view):
     """One message from p4 for `view`, which no install ever made; p4 signs
     what it must itself."""
     if kind == "PROPOSE":
-        proof = ReconfigProof(minus("p4"), view, bench.keyring.sign(
-            "p4", signed_content(Reconfig(minus("p4"), view), "p4")))
+        proof = signed(bench.keyring, "p4", Reconfig(minus("p4"), view))
         return Propose(frozenset({View(view | {minus("p4")})}), view, (proof,))
     if kind == "CONVERGED":
         return Converged(frozenset({View(view | {minus("p4")})}), view)

@@ -6,7 +6,8 @@ import typing
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbrb.crypto import MessageCertificate, build_certificate, make_keyring, ack_payload
+from dbrb.crypto import (MessageCertificate, build_certificate, make_keyring, ack_payload,
+                         verify_certificate)
 from dbrb import messages as codec
 from dbrb.messages import (
     FIELD_CODECS,
@@ -25,22 +26,18 @@ from dbrb.messages import (
     Commit,
     Converged,
     Deliver,
-    HistoryGossip,
     HistoryRequest,
     Install,
     Prepare,
     Propose,
     RecConfirm,
     Reconfig,
-    ReconfigProof,
+    Signed,
     StateRecord,
     StateUpdate,
-    PrepareEvidence,
-    StoredEvidence,
     Message,
     Reader,
     ViewHistory,
-    _signed_content,
     body_bytes,
     decode,
     encode,
@@ -86,8 +83,8 @@ def make_install(author="p1"):
         (pid, KEYRING.sign(pid, signed_content(Converged(SEQ, V0), pid)))
         for pid in ["p1", "p2", "p3"]
     )
-    proof = ReconfigProof(plus("p5"), V0,
-                          KEYRING.sign("p5", signed_content(Reconfig(plus("p5"), V0), "p5")))
+    reconfig = Reconfig(plus("p5"), V0)
+    proof = Signed(reconfig, KEYRING.sign("p5", signed_content(reconfig, "p5")))
     return Install(SEQ, V0, sigs, (proof,))
 
 
@@ -99,9 +96,9 @@ def make_cert():
 
 def test_round_trip_all_kinds():
     cert = make_cert()
-    stored = StoredEvidence(b"m", cert, V0)
-    prep_ev = PrepareEvidence(b"m", V0, b"sig-bytes")
-    record = StateRecord(ack=prep_ev, conflicting=(prep_ev, PrepareEvidence(b"m2", V0, b"s2")),
+    stored = Commit(b"m", cert, V0)
+    prep_ev = Signed(Prepare(b"m", V0), b"sig-bytes")
+    record = StateRecord(ack=prep_ev, conflicting=(prep_ev, Signed(Prepare(b"m2", V0), b"s2")),
                          stored=stored)
     install = make_install()
     history = ViewHistory(V0, (install,))
@@ -118,7 +115,7 @@ def test_round_trip_all_kinds():
         Commit(b"m", cert, V0),
         Deliver(b"m", V0),
         HistoryRequest(),
-        HistoryGossip(history),
+        history,
     ]
     for msg in messages:
         roundtrip(msg)
@@ -205,9 +202,9 @@ def test_truncated_message_rejected():
 def test_reconfig_proof_round_trip_verifies():
     install = make_install()
     proof = install.proofs[0]
-    assert proof.verify(VERIFIER)
-    bad = ReconfigProof(proof.change, proof.view, b"junk")
-    assert not bad.verify(VERIFIER)
+    assert proof.verify(VERIFIER, "p5")
+    bad = Signed(Reconfig(proof.msg.change, proof.msg.view), b"junk")
+    assert not bad.verify(VERIFIER, "p5")
 
 
 def test_oversized_view_decodes_as_codec_error():
@@ -242,14 +239,18 @@ def built(cls):
     return st.builds(cls, *(FIELD_STRATEGIES[f.type] for f in dataclasses.fields(cls)))
 
 
-FIELD_STRATEGIES["tuple[ReconfigProof, ...]"] = st.lists(built(ReconfigProof), max_size=3).map(tuple)
+def signed_by_anyone(cls):
+    return st.builds(Signed, built(cls), blobs)
+
+
+FIELD_STRATEGIES["tuple[Signed[Reconfig], ...]"] = st.lists(
+    signed_by_anyone(Reconfig), max_size=3).map(tuple)
 FIELD_STRATEGIES["MessageCertificate"] = built(MessageCertificate)
-prep_evidence = built(PrepareEvidence)
+prep_evidence = signed_by_anyone(Prepare)
 FIELD_STRATEGIES["StateRecord"] = st.builds(
     StateRecord, st.none() | prep_evidence, st.none() | st.tuples(prep_evidence, prep_evidence),
-    st.none() | built(StoredEvidence))
+    st.none() | built(Commit))
 FIELD_STRATEGIES["tuple[Install, ...]"] = st.lists(built(Install), max_size=2).map(tuple)
-FIELD_STRATEGIES["ViewHistory"] = built(ViewHistory)
 KINDS = typing.get_args(Message)
 messages = st.one_of(*(built(cls) for cls in KINDS))
 
@@ -262,9 +263,10 @@ def test_strategies_cover_the_schema():
 def frame(tag, body, author="p1"):
     """Frame a hand-written body as `encode` does a canonical one: signed by
     author if its kind is signed, and with neither author nor signature if not."""
+    head = struct.pack(">BBI", WIRE_VERSION, tag, len(body))
     if tag not in SIGNED_TAGS:
-        return struct.pack(">BBI", WIRE_VERSION, tag, len(body)) + body
-    content = _signed_content(tag, body, author)
+        return head + body
+    content = head + body + text(author)
     return content + blob(KEYRING.sign(author, content))
 
 
@@ -272,7 +274,7 @@ def test_link_only_frame_with_author_and_signature_rejected():
     # only a signed kind's frame carries the author and signature after the body
     for msg in (Propose(SEQ, V0), Deliver(b"m", V0), HistoryRequest()):
         assert msg.TAG not in SIGNED_TAGS
-        content = _signed_content(msg.TAG, body_bytes(msg), "p1")
+        content = signed_content(msg, "p1")
         with pytest.raises(CodecError, match="trailing bytes"):
             decode(content + blob(KEYRING.sign("p1", content)), VERIFIER)
 
@@ -281,7 +283,7 @@ def test_state_update_frame_with_author_and_signature_rejected():
     # version 3 signed a STATE-UPDATE; version 4 sends it link-only
     update = StateUpdate(V0, V1, StateRecord(), ())
     assert update.TAG not in SIGNED_TAGS
-    content = _signed_content(update.TAG, body_bytes(update), "p1")
+    content = signed_content(update, "p1")
     with pytest.raises(CodecError, match="trailing bytes"):
         decode(content + blob(KEYRING.sign("p1", content)), VERIFIER)
     assert decode(content[:-len(text("p1"))], VERIFIER).msg == update
@@ -339,7 +341,7 @@ def test_sequence_with_repeated_view_rejected():
 def proof_bytes(proofs):
     # the proofs in the order given
     return u32(len(proofs)) + b"".join(
-        enc("Change", p.change) + enc("View", p.view) + blob(p.signature) for p in proofs)
+        enc("Change", p.msg.change) + enc("View", p.msg.view) + blob(p.signature) for p in proofs)
 
 
 def install_body(sigs, proofs):
@@ -359,7 +361,9 @@ def test_converged_signatures_out_of_order_rejected():
 
 
 def test_reconfig_proofs_out_of_order_rejected():
-    make = lambda c: ReconfigProof(c, V0, KEYRING.sign(c[1:], signed_content(Reconfig(c, V0), c[1:])))
+    def make(c):
+        return Signed(Reconfig(c, V0), KEYRING.sign(c[1:], signed_content(Reconfig(c, V0), c[1:])))
+
     proofs = (make(plus("p6")), make(plus("p5")))
     body = (enc("frozenset[View]", frozenset({View(V0 | {plus("p5"), plus("p6")})}))
             + enc("View", V0) + proof_bytes(proofs))
@@ -381,7 +385,7 @@ def test_state_record_unknown_flags_rejected():
     for flags, ok in ((0, True), (8, False), (0x80, False)):
         record = bytes((flags,)) if flags else enc("StateRecord", StateRecord())
         body = (enc("View", V0) + enc("View", V1)
-                + record + enc("tuple[ReconfigProof, ...]", ()))
+                + record + enc("tuple[Signed[Reconfig], ...]", ()))
         raw = frame(TAG_STATE_UPDATE, body)
         if ok:
             decode(raw, VERIFIER)
@@ -400,9 +404,9 @@ def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
     parsed = []
     write, read = KIND_CODECS[TAG_INSTALL]
     monkeypatch.setitem(KIND_CODECS, TAG_INSTALL, (write, lambda r: parsed.append(1) or read(r)))
-    gossip = HistoryGossip(ViewHistory(V0, (install,)))
+    gossip = ViewHistory(V0, (install,))
     decoded = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies)
-    assert decoded.msg.history.links[0] is known
+    assert decoded.msg.links[0] is known
     assert parsed == []
     assert (TAG_HISTORY, body_bytes(decoded.msg)) in bodies
 
@@ -410,8 +414,8 @@ def test_known_install_is_not_parsed_again_as_a_history_link(monkeypatch):
 def test_link_first_seen_in_a_history_is_known_as_an_install():
     bodies = {}
     install = make_install()
-    gossip = HistoryGossip(ViewHistory(V0, (install,)))
-    link = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies).msg.history.links[0]
+    gossip = ViewHistory(V0, (install,))
+    link = decode(encode(gossip, KEYRING.signer_for("p2")), VERIFIER, bodies).msg.links[0]
     assert decode(encode(install, KEYRING.signer_for("p3")), VERIFIER, bodies).msg is link
 
 
@@ -447,9 +451,9 @@ def test_memo_decode_equals_memo_free_decode(pool, data):
     pool = list(pool)
     for msg in list(pool):
         if isinstance(msg, Install):
-            pool.append(HistoryGossip(ViewHistory(msg.view, (msg,))))
-        elif isinstance(msg, HistoryGossip):
-            pool.extend(msg.history.links)
+            pool.append(ViewHistory(msg.view, (msg,)))
+        elif isinstance(msg, ViewHistory):
+            pool.extend(msg.links)
     bodies = {}
     for _ in range(data.draw(st.integers(1, 12))):
         msg = data.draw(st.sampled_from(pool))
@@ -484,10 +488,17 @@ def fresh_body(msg):
     return KIND_CODECS[msg.TAG][0](msg)
 
 
-def proofs_in(msg):
-    if isinstance(msg, HistoryGossip):
-        return [p for link in msg.history.links for p in link.proofs]
-    return list(getattr(msg, "proofs", ())) + list(getattr(msg, "recv", ()))
+def embedded(msg):
+    """The messages inside msg's body other than history links: reconfig
+    proofs (in links too), and a state record's ack evidence and COMMIT."""
+    if isinstance(msg, ViewHistory):
+        return [x for link in msg.links for x in embedded(link)]
+    found = [p.msg for p in getattr(msg, "proofs", ()) + getattr(msg, "recv", ())]
+    rec = getattr(msg, "record", None)
+    if rec is not None:
+        found += [e.msg for e in (rec.ack, *(rec.conflicting or ())) if e]
+        found += [rec.stored] if rec.stored else []
+    return found
 
 
 def kept_body(msg):
@@ -501,25 +512,53 @@ def test_kept_body_is_a_fresh_encoding(msg, author):
     # value (history links included) the bytes it was parsed from
     raw = encode(msg, KEYRING.signer_for(author))
     parsed = decode(raw, KEYRING.verifier(), {}).msg
-    values = [msg, parsed]
-    if isinstance(msg, HistoryGossip):
-        values += msg.history.links + parsed.history.links
+    # a message inside a body keeps the body it was read from or first
+    # encoded to, as a reconfig proof keeps the RECONFIG body its author
+    # signed; it comes first, as a fresh encoding of the message around it
+    # would derive its body
+    values = embedded(msg) + embedded(parsed) + [msg, parsed]
+    if isinstance(msg, ViewHistory):
+        values += msg.links + parsed.links
     for value in values:
         assert kept_body(value) == fresh_body(value) == body_bytes(value)
-    # a proof keeps the RECONFIG body its originator signed: the slice it
-    # was parsed from, or what it was first encoded to
-    for proof in proofs_in(msg) + proofs_in(parsed):
-        assert kept_body(proof) == fresh_body(Reconfig(proof.change, proof.view))
 
 
-def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch):
-    raw = encode(make_install(), KEYRING.signer_for("p1"))
-    proof = decode(raw, KEYRING.verifier()).msg.proofs[0]
-    assert kept_body(proof) in raw
-    monkeypatch.setattr(codec, "change_bytes", lambda c: pytest.fail("re-encoded"))
-    monkeypatch.setattr(codec, "_write_view", lambda v: pytest.fail("re-encoded"))
-    assert proof.verify(VERIFIER)
-    assert proof.signed_bytes() == _signed_content(Reconfig.TAG, kept_body(proof), "p5")
+def update_with_evidence():
+    prepare = Prepare(b"m", V0)
+    ack = Signed(prepare, KEYRING.sign("p1", signed_content(prepare, "p1")))
+    return StateUpdate(V0, V1, StateRecord(ack=ack, stored=Commit(b"m", make_cert(), V0)), ())
+
+
+# an embedded value -> (the message it is sent in, where it sits there, its
+# check): a reconfig proof in an INSTALL, and the ack evidence and the
+# stored COMMIT in a STATE-UPDATE
+EMBEDDED = {
+    "proof": (make_install, lambda msg: msg.proofs[0],
+              lambda proof, verifier: proof.verify(verifier, "p5")),
+    "ack": (update_with_evidence, lambda msg: msg.record.ack,
+            lambda ack, verifier: ack.verify(verifier, "p1")),
+    "stored": (update_with_evidence, lambda msg: msg.record.stored,
+               lambda commit, verifier: verify_certificate(commit.cert, commit.payload, verifier)),
+}
+
+
+@pytest.mark.parametrize("kind", EMBEDDED)
+def test_parsed_proof_signs_the_slice_it_was_read_from(monkeypatch, kind):
+    make, pick, check = EMBEDDED[kind]
+    raw = encode(make(), KEYRING.signer_for("p2"))
+    value = pick(decode(raw, KEYRING.verifier()).msg)
+    msg = value.msg if isinstance(value, Signed) else value
+    assert kept_body(msg) in raw
+
+    def fail(*args):
+        pytest.fail("re-encoded")
+
+    monkeypatch.setattr(codec, "change_bytes", fail)
+    monkeypatch.setattr(codec, "_write_view", fail)
+    for tag, (_, read) in list(KIND_CODECS.items()):
+        monkeypatch.setitem(KIND_CODECS, tag, (fail, read))
+    assert check(value, KEYRING.verifier())
+    assert body_bytes(msg) is kept_body(msg)
 
 
 @given(messages, pids)
@@ -532,7 +571,7 @@ def test_decode_verifies_the_content_the_author_signed(msg, author):
     verifier.verify = lambda pid, payload, sig: seen.append((pid, payload)) or real(pid, payload, sig)
     decoded = decode(encode(msg, KEYRING.signer_for(author)), verifier)
     if msg.TAG in SIGNED_TAGS:
-        assert seen == [(author, _signed_content(msg.TAG, body_bytes(decoded.msg), author))]
+        assert seen == [(author, signed_content(decoded.msg, author))]
     else:
         assert seen == [] and decoded.signature == b""
 
@@ -542,16 +581,17 @@ def test_failed_derivations_are_never_kept():
     # certificate signed by one
     long_pid = "x" * 256
     msg = Reconfig(plus(long_pid), V0)
-    proof = ReconfigProof(plus(long_pid), V0, b"sig")
+    proof = Signed(Reconfig(plus(long_pid), V0), b"sig")
     commit = Commit(b"m", MessageCertificate(V0, ((long_pid, b"sig"),)), V0)
     for _ in range(2):
         with pytest.raises(ViewError, match="identifier too long"):
             body_bytes(msg)
         with pytest.raises(ViewError, match="identifier too long"):
-            proof.verify(VERIFIER)
+            proof.verify(VERIFIER, long_pid)
         with pytest.raises(ViewError, match="identifier too long"):
             body_bytes(commit)
-    assert "_body" not in vars(msg) and "_signed" not in vars(proof)
+    assert "_body" not in vars(msg) and "_body" not in vars(proof.msg)
+    assert set(vars(proof)) == {"msg", "signature"}  # a signed value keeps nothing
     assert "_body" not in vars(commit)
 
 
@@ -559,9 +599,11 @@ def test_kept_bytes_are_not_fields():
     install, twin = make_install(), make_install()
     body_bytes(install)
     message_meta(install)
-    install.proofs[0].verify(VERIFIER)
+    install.proofs[0].verify(VERIFIER, "p5")
     assert set(vars(install)) - {f.name for f in dataclasses.fields(install)} == {"_body"}
-    assert "_signed" in vars(install.proofs[0]) and "_signed" not in vars(twin.proofs[0])
+    # a signed value keeps nothing; its message keeps the body it was signed over
+    assert set(vars(install.proofs[0])) == {"msg", "signature"}
+    assert set(vars(install.proofs[0].msg)) - {"change", "view"} == {"_body"}
     assert install == twin and hash(install) == hash(twin) and repr(install) == repr(twin)
     # a value with other fields derives its own
     other = dataclasses.replace(install, converged_sigs=install.converged_sigs[:2])
@@ -571,10 +613,10 @@ def test_kept_bytes_are_not_fields():
 
 def test_history_links_are_not_encoded_again(monkeypatch):
     install = make_install()
-    gossip = decode(encode(HistoryGossip(ViewHistory(V0, (install,))),
+    gossip = decode(encode(ViewHistory(V0, (install,)),
                            KEYRING.signer_for("p2")), VERIFIER, {}).msg
     monkeypatch.setitem(KIND_CODECS, TAG_INSTALL,
                         (lambda msg: pytest.fail("re-encoded"), KIND_CODECS[TAG_INSTALL][1]))
-    relayed = HistoryGossip(gossip.history)
+    relayed = ViewHistory(gossip.root, gossip.links)
     assert body_bytes(decode(encode(relayed, KEYRING.signer_for("p3")), VERIFIER).msg) == \
         body_bytes(gossip)

@@ -4,15 +4,15 @@ dedup; and state updates, which are sent once and never relayed."""
 import pytest
 
 from conftest import Bench, notes_of, reconfig_proofs, sends_of
-from dbrb.engine import InvokeJoin, Receive, Send
+from dbrb.engine import Flood, InvokeJoin, Receive, Send
 from dbrb.messages import (
     Converged,
-    HistoryGossip,
     Install,
     Reconfig,
     StateRecord,
     StateUpdate,
     ViewHistory,
+    decode,
     rm_targets,
     signed_content,
 )
@@ -113,7 +113,7 @@ def test_install_of_an_untrusted_view_is_parked_until_a_history_trusts_it():
         assert not actions
         assert node.rm_pending == [(parked, bench.raw(author, parked))]
         assert bench.raw(author, parked) in node.rm_received
-    actions = bench.deliver("p2", "p1", HistoryGossip(ViewHistory(v0, (make_install(bench),))))
+    actions = bench.deliver("p2", "p1", ViewHistory(v0, (make_install(bench),)))
     echoes = sends_of(actions, "INSTALL")
     assert [s.to for s in echoes] == ["p1", "p3", "p4", "p5", "p6"]
     assert {s.raw for s in echoes} == {bench.raw("p1", parked)}
@@ -123,8 +123,9 @@ def test_install_of_an_untrusted_view_is_parked_until_a_history_trusts_it():
 
 def test_install_parked_behind_a_later_install_is_accepted_in_its_step():
     # V1 -> V2 is parked until p2 trusts V1; accepting V0 -> V1, which
-    # arrives next, extends trust to V1, and that growth wakes the scan
-    # again in the same step: p2 relays and accepts V1 -> V2 too
+    # arrives next, extends trust to V1, and the scan passes again in the
+    # same call: p2 relays and accepts V1 -> V2 too, before it floods the
+    # history it trusts, so it floods once, the history through V2
     bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
     node = bench.nodes["p2"]
     v1 = View(bench.initial_view | {plus("p5")})
@@ -137,6 +138,9 @@ def test_install_parked_behind_a_later_install_is_accepted_in_its_step():
     assert relayed == [bench.raw("p1", first)] * 4 + [bench.raw("p3", parked)] * 5
     assert [n.detail for n in notes_of(actions, "StateNote")].count("install-accepted") == 2
     assert node.rm_pending == [] and node._is_trusted(v1)
+    floods = [a for a in actions if isinstance(a, Flood)]
+    assert len(floods) == 1
+    assert decode(floods[0].raw, bench.verifier).msg.links == (first, parked)
 
 
 def test_receiver_outside_target_set_drops(bench4):

@@ -26,14 +26,12 @@ from dbrb.membership import Phase
 from dbrb.messages import (
     Commit,
     Converged,
-    HistoryGossip,
     Install,
     Propose,
     Reconfig,
-    ReconfigProof,
+    Signed,
     StateRecord,
     StateUpdate,
-    StoredEvidence,
     ViewHistory,
     decode,
     signed_content,
@@ -295,7 +293,7 @@ def test_delivered_multicast_leaves_no_work():
 def test_stored_commit_clears_the_pending_store():
     bench = make_bench()
     node = bench.nodes["p2"]
-    unverifiable = StoredEvidence(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]), V0)
+    unverifiable = Commit(b"m", cert(bench, b"m", V_SUB, ["p1", "p2", "p3"]), V0)
     install_v1(bench, "p2", {"p1": state_update(V0, V1, StateRecord(stored=unverifiable))})
     assert node.cv == V1 and node.pending_store == [unverifiable]
     assert node.state_record.stored is None
@@ -315,15 +313,15 @@ def test_stored_evidence_is_adopted_once_its_certificate_view_is_valid():
     v12 = View(V1 | {plus("p6")})
     v15 = View(v12 | {minus("p6")})
     link = install(bench, frozenset({v12}), V0)
-    bench.deliver("p2", "p1", HistoryGossip(ViewHistory(V0, (link,))))
+    bench.deliver("p2", "p1", ViewHistory(V0, (link,)))
     assert node._is_trusted(v12) and not node._is_valid_view(V1)
     bench.deliver("p2", "p1", install(bench, frozenset({v15}), v12,
                                       signers=("p1", "p2", "p3", "p4", "p5")))
-    stored = StoredEvidence(b"m", cert(bench, b"m", V1, ["p1", "p2", "p3", "p4"]), V1)
+    stored = Commit(b"m", cert(bench, b"m", V1, ["p1", "p2", "p3", "p4"]), V1)
     for author in ("p1", "p3", "p4", "p5", "p6"):
         record = StateRecord(stored=stored) if author == "p3" else StateRecord()
         bench.deliver("p2", author, state_update(v12, v15, record))
-    assert node.cv == v15 and v15 in node.installed
+    assert node.cv == v15 and node.installed == v15
     assert node.pending_store == [stored] and node.state_record.stored is None
     actions = bench.deliver("p2", "p1", install(bench, frozenset({V1, v12}), V0))
     assert node.state_record.stored == stored and node.pending_store == []
@@ -376,7 +374,7 @@ def test_leaver_commits_again_in_a_newer_trusted_view():
     node = leaver_in_loop(bench)
     v_next = View(V_LEFT | {plus("p5")})
     links = (install(bench, frozenset({V_LEFT}), V0), install(bench, frozenset({v_next}), V_LEFT))
-    actions = bench.deliver("p4", "p1", HistoryGossip(ViewHistory(V0, links)))
+    actions = bench.deliver("p4", "p1", ViewHistory(V0, links))
     assert node.phase is Phase.LEAVER_LOOP and node.cv == v_next
     commits = sends_of(actions, "COMMIT")
     assert [c.to for c in commits] == ["p1", "p2", "p3", "p5"]
@@ -392,7 +390,7 @@ def test_install_unlocks_a_buffered_propose_and_its_quorum():
     node = bench.nodes["p2"]
     v2 = View(V1 | {plus("p6")})
     sig = bench.keyring.sign("p6", signed_content(Reconfig(plus("p6"), V1), "p6"))
-    propose = Propose(frozenset({v2}), V1, (ReconfigProof(plus("p6"), V1, sig),))
+    propose = Propose(frozenset({v2}), V1, (Signed(Reconfig(plus("p6"), V1), sig),))
     for author in ("p1", "p3", "p4", "p5"):
         assert not sends_of(bench.deliver("p2", author, propose))
     assert len(node.propose_buffer) == 4 and V1 not in node.seqs
@@ -406,17 +404,17 @@ def test_install_unlocks_a_buffered_propose_and_its_quorum():
 
 
 def test_installing_cv_wakes_maybe_propose():
-    # `cv` is written, and wakes its readers, just before `installed[cv]`;
+    # `cv` is written, and wakes its readers, just before `installed`;
     # the installed mark must wake `_maybe_propose` on its own as well
     bench = make_bench()
     node = bench.nodes["p2"]
     bench.deliver("p2", "p1", install(bench, frozenset({V1}), V0))
     for author in ("p1", "p3"):
         bench.deliver("p2", author, state_update(V0, V1))
-    installed = lambda n: n.cv == V1 and V1 in n.installed
+    installed = lambda n: n.cv == V1 and n.installed == V1
     assert "installed" in wakes_after(bench, "p2", "p4", state_update(V0, V1), installed)
     assert "installed" in reads("_maybe_propose")
-    assert V1 in node.installed
+    assert node.installed == V1
     assert_idle(node)
 
 
@@ -459,5 +457,5 @@ def test_install_after_its_state_updates_completes_in_the_same_step():
         bench.deliver("p2", author, state_update(V0, V1))
     assert node.cv == V0 and set(node.state_updates.votes[(V0, None)]) == {"p1", "p3", "p4"}
     bench.deliver("p2", "p1", install(bench, frozenset({V1}), V0))
-    assert node.cv == V1 and V1 in node.installed and node.pending_installs == []
+    assert node.cv == V1 and node.installed == V1 and node.pending_installs == []
     assert_idle(node)

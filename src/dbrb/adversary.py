@@ -7,7 +7,6 @@ verify what they send; they simply cannot forge other processes' keys.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import replace
 from typing import Optional
@@ -114,8 +113,7 @@ class EquivocatingSender(AdversaryBase):
 
     def _self_ack(self, payload: bytes, view: View) -> None:
         if self.pid in view.member_set:
-            digest = hashlib.sha256(payload).digest()
-            sig = self.signer.sign(ack_payload(digest, view))
+            sig = self.signer.sign(ack_payload(payload, view))
             self.acks.add(view, payload, self.pid, sig)
 
     def _spray_prepares(self, view: View) -> None:
@@ -131,9 +129,8 @@ class EquivocatingSender(AdversaryBase):
     def on_message(self, event: Receive, decoded) -> None:
         msg = decoded.msg
         if isinstance(msg, Ack):
-            digest = hashlib.sha256(msg.payload).digest()
             if self.verifier.verify(decoded.author,
-                                    ack_payload(digest, msg.view), msg.signature):
+                                    ack_payload(msg.payload, msg.view), msg.signature):
                 self.acks.add(msg.view, msg.payload, decoded.author, msg.signature)
             self._chase_certificates()
         elif isinstance(msg, Install) and self.payloads:

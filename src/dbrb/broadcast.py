@@ -10,7 +10,6 @@ equivocating sender across views.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 
 from .crypto import ack_payload, build_certificate, verify_certificate
@@ -67,15 +66,14 @@ class BroadcastMixin:
             self._note("Drop", msg_kind="PREPARE", detail="not from the sender")
             return
         if msg.view != self.cv:
-            self._note("Drop", msg_kind="PREPARE", view=msg.view.short,
-                       detail=f"view mismatch cv={self.cv.short}")
+            self._note("Drop", msg_kind="PREPARE", view=msg.view, detail="view mismatch",
+                       views={"cv": self.cv})
             return
         if self._may_ack(msg.payload):
             if self.state_record.ack is None:
                 self.state_record = replace(self.state_record, ack=Signed(msg, signature))
                 self._wrote("state_record")
-            digest = hashlib.sha256(msg.payload).digest()
-            sig = self.signer.sign(ack_payload(digest, self.cv))
+            sig = self.signer.sign(ack_payload(msg.payload, self.cv))
             self._send(author, Ack(msg.payload, sig, self.cv))
         else:
             self._note("Drop", msg_kind="PREPARE", detail="ack fence closed")
@@ -87,8 +85,7 @@ class BroadcastMixin:
         v = msg.view
         if author not in v.member_set or self.acks.voted(author, v):
             return
-        digest = hashlib.sha256(msg.payload).digest()
-        if not self.verifier.verify(author, ack_payload(digest, v), msg.signature):
+        if not self.verifier.verify(author, ack_payload(msg.payload, v), msg.signature):
             self._note("Flag", msg_kind="ACK", detail="bad ack signature")
             return
         self.acks.add(v, msg.payload, author, msg.signature)
@@ -100,8 +97,8 @@ class BroadcastMixin:
         for (v, payload), sigs in self.acks.quorums():
             if self._is_valid_view(v):
                 self.cer = build_certificate(v, dict(sorted(sigs.items())))
-                self._note("StateNote", view=v.short, payload=short_digest(payload),
-                           detail="certificate", views={"v_cer": v})
+                self._note("StateNote", view=v, payload=short_digest(payload),
+                           detail="certificate")
                 if self.cv == self.installed:
                     self._disseminate(Commit(payload, self.cer, self.cv))
                 return
@@ -122,8 +119,9 @@ class BroadcastMixin:
     def _handle_commit(self, author: str, msg: Commit) -> None:
         if not self._commit_may_wait(msg):
             left = self.phase >= Phase.LEAVER_LOOP
-            self._note("Drop", msg_kind="COMMIT", view=msg.view.short,
-                       detail="left the view" if left else f"view mismatch cv={self.cv.short}")
+            self._note("Drop", msg_kind="COMMIT", view=msg.view,
+                       detail="left the view" if left else "view mismatch",
+                       views=None if left else {"cv": self.cv})
         elif sum(a == author for a, _ in self.pending_commits) < PENDING_COMMITS_PER_AUTHOR:
             self.pending_commits.append((author, msg))
             self._wrote("pending_commits")
@@ -133,8 +131,8 @@ class BroadcastMixin:
             self._note("Drop", msg_kind="COMMIT", detail="invalid certificate")
             return
         v_cer = msg.cert.view
-        self._note("StateNote", view=v_cer.short, payload=short_digest(msg.payload),
-                   detail="commit-accepted", views={"v_cer": v_cer})
+        self._note("StateNote", view=v_cer, payload=short_digest(msg.payload),
+                   detail="commit-accepted")
         if self.state_record.stored is None:
             self._adopt_stored(msg)
             self._disseminate(Commit(msg.payload, msg.cert, self.cv))

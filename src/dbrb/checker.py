@@ -56,11 +56,12 @@ ViewSet = frozenset[str]
 
 
 def _read_views(e: dict, *names: str) -> list:
-    """The named views of a note; "seq" names a sequence, in trace order."""
+    """The named views of a note: "view" is the view the note is about, any
+    other name one of its `views`; "seq" names a sequence, in trace order."""
     try:
-        views = e["views"]
-        return [tuple(frozenset(v) for v in views[n]) if n == "seq" else frozenset(views[n])
-                for n in names]
+        return [frozenset(e["view"]) if n == "view"
+                else tuple(map(frozenset, e["views"][n])) if n == "seq"
+                else frozenset(e["views"][n]) for n in names]
     except (KeyError, TypeError) as exc:
         name = e.get("detail") or e["kind"]
         raise MalformedTrace(f"{name} note without views {names} at step {e['step']}") from exc
@@ -122,14 +123,14 @@ def check(trace: Trace, scenario: Scenario) -> list[Verdict]:
         elif actor in byzantine:
             continue
         elif kind == "Install":
-            (cv,) = _read_views(e, "cv")
+            (cv,) = _read_views(e, "view")
             installs.append((step, cv))
             if (actor, cv) not in accepted:
                 unaccepted.append((step, actor))
         elif kind != "StateNote":
             continue
         elif detail == "install-accepted":
-            omega, v, seq = _read_views(e, "omega", "v", "seq")
+            omega, v, seq = _read_views(e, "view", "v", "seq")
             accepted.add((actor, omega))
             valid_views += [(step, w) for w in (omega, v) + seq]
             converged.setdefault(v, []).append((step, frozenset(seq)))
@@ -137,7 +138,7 @@ def check(trace: Trace, scenario: Scenario) -> list[Verdict]:
             v, seq = _read_views(e, "v", "seq")
             converged.setdefault(v, []).append((step, frozenset(seq)))
         elif detail == "commit-accepted":
-            (v_cer,) = _read_views(e, "v_cer")
+            (v_cer,) = _read_views(e, "view")
             valid_views.append((step, v_cer))
 
     verdicts = [

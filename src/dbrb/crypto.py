@@ -24,13 +24,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .views import ProcessId, View
+from .views import ProcessId, View, payload_digest
 
 
 class Keyring:
     """Deterministic per-process key material for one scheme."""
-
-    name = "base"
 
     def sign(self, pid: ProcessId, payload: bytes) -> bytes:
         raise NotImplementedError
@@ -47,8 +45,6 @@ class Keyring:
 
 class HmacKeyring(Keyring):
     """Keyed-digest scheme: unforgeable without the per-process secret."""
-
-    name = "hmac"
 
     def __init__(self) -> None:
         self._secrets: dict[ProcessId, bytes] = {}
@@ -68,8 +64,6 @@ class HmacKeyring(Keyring):
 
 
 class Ed25519Keyring(Keyring):
-    name = "ed25519"
-
     def __init__(self) -> None:
         self._priv: dict[ProcessId, Ed25519PrivateKey] = {}
         self._pub: dict[ProcessId, Ed25519PublicKey] = {}
@@ -99,12 +93,12 @@ class Ed25519Keyring(Keyring):
             return False
 
 
-def make_keyring(name: str) -> Keyring:
-    if name == "hmac":
+def make_keyring(scheme: str) -> Keyring:
+    if scheme == "hmac":
         return HmacKeyring()
-    if name == "ed25519":
+    if scheme == "ed25519":
         return Ed25519Keyring()
-    raise ValueError(f"unknown crypto scheme: {name}")
+    raise ValueError(f"unknown crypto scheme: {scheme}")
 
 
 class Signer:
@@ -152,9 +146,9 @@ class Verifier:
         return True
 
 
-def ack_payload(message_digest: bytes, view: View) -> bytes:
-    """Bytes covered by an acknowledgment signature: digest(m) || canonical(view)."""
-    return message_digest + view.canonical_bytes
+def ack_payload(payload: bytes, view: View) -> bytes:
+    """Bytes covered by an acknowledgment signature: sha256(m) || canonical(view)."""
+    return payload_digest(payload) + view.canonical_bytes
 
 
 # (signer, signature) pairs, ordered by signer.
@@ -190,6 +184,6 @@ def quorum_signed(view: View, signatures: Signatures, content: Callable[[Process
 
 def verify_certificate(cert: MessageCertificate, payload: bytes, verifier: Verifier) -> bool:
     """Full check that cert certifies payload in `cert.view`: a quorum of
-    its members each signed `ack_payload(sha256(payload), cert.view)`."""
-    signed = ack_payload(hashlib.sha256(payload).digest(), cert.view)
+    its members each signed `ack_payload(payload, cert.view)`."""
+    signed = ack_payload(payload, cert.view)
     return quorum_signed(cert.view, cert.signatures, lambda _: signed, verifier)

@@ -71,8 +71,8 @@ class DiscoveryMixin:
     """Trust store; mixed into the node engine.
 
     Uses node state: trusted_hist (view -> the HISTORY message that proves
-    it, sent as it is), trusted_aux, initial_view, verifier, plus the emit
-    helpers.
+    it, sent as it is), trusted_aux, got_history (a verified history came
+    in), initial_view, verifier, plus the emit helpers.
     """
 
     def _is_trusted(self, view: View) -> bool:
@@ -95,8 +95,8 @@ class DiscoveryMixin:
         """
         for existing in self.trusted_hist:
             if not comparable(existing, view):
-                self._note("Flag", detail=f"diverging verified histories: "
-                                          f"{existing.short} vs {view.short}")
+                self._note("Flag", view=view, detail="diverging verified histories",
+                           views={"trusted": existing})
         self.trusted_hist[view] = history
         self._wrote("trusted_hist")
 
@@ -131,6 +131,8 @@ class DiscoveryMixin:
         if not verify_history(history, self.initial_view, self.verifier):
             self._note("Drop", detail="unverifiable view history")
             return
+        self.got_history = True
+        self._wrote("got_history")
         self._trust_views(history)
 
     def _gossip_kick(self) -> None:

@@ -102,10 +102,10 @@ class Callback:
 class Note:
     kind: str  # Install | StateNote | Drop | Flag
     msg_kind: Optional[str]
-    view: Optional[str]
+    view: Optional[View]  # the view the note is about
     payload: Optional[str]
     detail: Optional[str]
-    views: Optional[dict]  # name -> View, or a frozenset of Views for a sequence
+    views: Optional[dict]  # the others: name -> View, or a frozenset of Views for a sequence
 
 
 OutputAction = Send | Flood | Callback | Note
@@ -240,7 +240,7 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
     def _callback(self, kind: str, payload: Optional[bytes]) -> None:
         self._outputs.append(Callback(kind, payload))
 
-    def _note(self, kind: str, msg_kind: str | None = None, view: str | None = None,
+    def _note(self, kind: str, msg_kind: str | None = None, view: View | None = None,
               payload: str | None = None, detail: str | None = None,
               views: dict | None = None) -> None:
         self._outputs.append(Note(kind, msg_kind, view, payload, detail, views))
@@ -305,8 +305,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         elif isinstance(msg, HistoryRequest):
             self._handle_history_request(author)
         elif isinstance(msg, ViewHistory):
-            self.got_history = True
-            self._wrote("got_history")
             self._handle_history(msg)
         else:  # pragma: no cover
             self._note("Drop", detail="unroutable message kind")

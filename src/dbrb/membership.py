@@ -298,8 +298,8 @@ class MembershipMixin:
 
     def _handle_install(self, msg: Install) -> None:
         omega, seq, v = msg.omega, msg.seq, msg.view
-        self._note("StateNote", view=omega.short, detail="install-accepted",
-                   views={"omega": omega, "v": v, "seq": seq})
+        self._note("StateNote", view=omega, detail="install-accepted",
+                   views={"v": v, "seq": seq})
         self._absorb_install(msg)
         for proof in msg.proofs:  # verified with the install proof
             self.pool.setdefault(proof.msg.change, proof)
@@ -404,7 +404,7 @@ class MembershipMixin:
         if self.pid in omega.member_set:
             self.cv = omega
             self._wrote("cv")
-            self._note("StateNote", view=omega.short, detail="cv", views={"cv": omega})
+            self._note("StateNote", view=omega, detail="cv")
             if self.phase < Phase.MEMBER:
                 self._set_phase(Phase.MEMBER)
                 self._callback("JoinComplete", None)
@@ -420,7 +420,7 @@ class MembershipMixin:
                     self.suspended = False
                     self._wrote("suspended")
                     self._note("StateNote", detail="resume")
-                self._note("Install", view=self.cv.short, views={"cv": self.cv})
+                self._note("Install", view=self.cv)
                 self._new_view()
                 self._leave_resend_on_install()
         else:

@@ -273,7 +273,7 @@ class Prepare:
 class Ack:
     TAG = TAG_ACK
     payload: bytes
-    signature: bytes  # over ack_payload(digest(payload), view)
+    signature: bytes  # over ack_payload(payload, view)
     view: View
 
 
@@ -596,12 +596,13 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
 
 
 def message_meta(msg: Message) -> dict:
-    """Trace metadata: kind plus short digests of the associated view/payload."""
+    """Trace metadata: kind, the view's change tokens and the payload's short
+    digest.  It is built once per fan-out, so its sends share the list."""
     view = getattr(msg, "view", None)
     payload = getattr(msg, "payload", None)
     meta = {"msg": KIND_NAMES[msg.TAG]}
     if view is not None:
-        meta["view"] = view.short
+        meta["view"] = list(view.sorted_changes)
     if payload is not None:
         meta["payload"] = short_digest(payload)
     return meta

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .views import View, seq_sorted, short_digest
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 
 class ScenarioError(ValueError):
@@ -219,7 +219,7 @@ class _Run:
         return self.rng.randint(1, self.sc.max_delay_steps)
 
     def _trace(self, kind: str, actor: str, peer: Optional[str] = None,
-               msg_kind: Optional[str] = None, view: Optional[str] = None,
+               msg_kind: Optional[str] = None, view: Optional[list] = None,
                payload: Optional[str] = None, detail: Optional[str] = None,
                views: Optional[dict] = None) -> None:
         self.events.append({
@@ -229,7 +229,7 @@ class _Run:
             "actor": actor,
             "peer": peer,
             "msg_kind": msg_kind,
-            "view_digest": view,
+            "view": view,
             "payload_digest": payload,
             "detail": detail,
             "views": views,
@@ -262,12 +262,12 @@ class _Run:
                     self._fire_after_triggers()  # fires once: it empties pending_after
                 elif action.kind == "LeaveComplete":  # the node has halted
                     self.halted.add(actor)
-                    self._trace("StateNote", actor, detail="halt")
             elif isinstance(action, Note):
                 if action.kind == "Install":
                     self.installs += 1
+                view = None if action.view is None else _tokens(action.view)
                 self._trace(action.kind, actor, msg_kind=action.msg_kind,
-                            view=action.view, payload=action.payload,
+                            view=view, payload=action.payload,
                             detail=action.detail, views=_trace_views(action.views))
 
     def _fire_after_triggers(self) -> None:

@@ -99,14 +99,6 @@ class View(frozenset):
         """The change count, then each change's bytes in canonical order."""
         return struct.pack(">I", len(self)) + b"".join(map(change_bytes, self.sorted_changes))
 
-    @cached_property
-    def digest(self) -> bytes:
-        return hashlib.sha256(self.canonical_bytes).digest()
-
-    @property
-    def short(self) -> str:
-        return self.digest[:8].hex()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"View({','.join(self.sorted_changes)})"
 

@@ -6,7 +6,6 @@ failure detail otherwise.  Runs are cached so the cross-trace criteria
 the behavioral criteria produced.
 """
 
-import hashlib
 import time
 from itertools import combinations
 from pathlib import Path
@@ -58,12 +57,13 @@ def test_criterion_1_golden_join_during_broadcast():
         certs = [e for e in trace.events if e["kind"] == "StateNote"
                  and e["detail"] == "certificate"]
         assert certs, "no certificate was collected"
-        assert certs[0]["views"]["v_cer"] == list(v0.sorted_changes)
+        assert certs[0]["view"] == list(v0.sorted_changes)
         # members of the successor view reject the commit tagged with the old view
         rejects = {e["actor"] for e in trace.events
                    if e["kind"] == "Drop" and e["msg_kind"] == "COMMIT"
-                   and e["detail"] == f"view mismatch cv={v1.short}"
-                   and e["view_digest"] == v0.short}
+                   and e["detail"] == "view mismatch"
+                   and e["views"] == {"cv": list(v1.sorted_changes)}
+                   and e["view"] == list(v0.sorted_changes)}
         assert {"p2", "p3", "p4"} <= rejects, f"commit not rejected in v1: {rejects}"
         # the re-tagged commit then delivers everywhere, exactly once each
         payload = next(e["payload_digest"] for e in trace.events
@@ -103,11 +103,11 @@ def _one_certified_payload_per_view(name, seed):
     """No two certificates with different payloads for the same view."""
     trace, _ = run_checked(name, seed)
     byz = scenario(name).byzantine()
-    per_view: dict[str, set[str]] = {}
+    per_view: dict[tuple[str, ...], set[str]] = {}
     for e in trace.events:
         if (e["kind"] == "StateNote" and e["actor"] not in byz
                 and e["detail"] == "commit-accepted"):
-            per_view.setdefault(e["view_digest"], set()).add(e["payload_digest"])
+            per_view.setdefault(tuple(e["view"]), set()).add(e["payload_digest"])
     return all(len(payloads) <= 1 for payloads in per_view.values())
 
 
@@ -190,14 +190,12 @@ def test_criterion_7_certificate_oracle():
     members = ["p1", "p2", "p3", "p4"]
     v0 = View.initial(members)
     payload = b"oracle payload"
-    digest = hashlib.sha256(payload).digest()
     for scheme in ("hmac", "ed25519"):
         keyring = make_keyring(scheme)
         verifier = keyring.verifier()
 
         def cert_for(signers, signed_payload=payload, view=v0):
-            d = hashlib.sha256(signed_payload).digest()
-            sigs = {p: keyring.sign(p, ack_payload(d, view)) for p in signers}
+            sigs = {p: keyring.sign(p, ack_payload(signed_payload, view)) for p in signers}
             return build_certificate(view, sigs)
 
         # exhaustive subsets: accepted exactly at and above the quorum size

@@ -1,6 +1,5 @@
 """Prepare/ack/commit/deliver handlers and the ack fence."""
 
-import hashlib
 
 import pytest
 
@@ -25,17 +24,15 @@ from dbrb.views import View, plus
 
 
 def make_cert(bench, payload, view, signers):
-    digest = hashlib.sha256(payload).digest()
-    sigs = {p: bench.keyring.sign(p, ack_payload(digest, view)) for p in signers}
+    sigs = {p: bench.keyring.sign(p, ack_payload(payload, view)) for p in signers}
     return build_certificate(view, sigs)
 
 
 def prime_acks(bench, payload, view, ackers):
     """Feed the sender valid acks from the given members."""
-    digest = hashlib.sha256(payload).digest()
     actions = []
     for pid in ackers:
-        sig = bench.keyring.sign(pid, ack_payload(digest, view))
+        sig = bench.keyring.sign(pid, ack_payload(payload, view))
         actions = bench.deliver("p1", pid, Ack(payload, sig, view))
     return actions
 
@@ -200,7 +197,7 @@ def test_deliver_write_once_per_sender_and_view(bench4):
     verified = []
     real_verify = sender.verifier.verify
     sender.verifier.verify = lambda *args: verified.append(args) or real_verify(*args)
-    sig = bench4.keyring.sign("p2", ack_payload(hashlib.sha256(b"m1").digest(), v0))
+    sig = bench4.keyring.sign("p2", ack_payload(b"m1", v0))
     bench4.deliver("p1", "p2", Ack(b"m1", sig, v0))
     assert len(verified) == 1
     actions = bench4.deliver("p1", "p2", Ack(b"m2", b"garbage", v0))

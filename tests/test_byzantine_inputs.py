@@ -8,7 +8,6 @@ message gets past the signature checks to the handler's own rules.  Each
 goes to a member (p2), a joiner (p5) and the sender (p1).
 """
 
-import hashlib
 import itertools
 
 import pytest
@@ -61,8 +60,7 @@ def messages(bench, kind, v, w, signers):
     keyring = bench.keyring
     seq = frozenset({w})
     proofs = reconfig_proofs(keyring, seq, v)
-    digest = hashlib.sha256(b"m").digest()
-    cert = build_certificate(v, {p: keyring.sign(p, ack_payload(digest, v)) for p in signers})
+    cert = build_certificate(v, {p: keyring.sign(p, ack_payload(b"m", v)) for p in signers})
     converged = tuple((p, keyring.sign(p, signed_content(Converged(seq, v), p)))
                       for p in signers)
     install = Install(seq, v, converged, proofs)
@@ -85,7 +83,7 @@ def messages(bench, kind, v, w, signers):
                         ()),
         ],
         "PREPARE": [Prepare(b"m", v)],
-        "ACK": [Ack(b"m", keyring.sign("p4", ack_payload(digest, v)), v)],
+        "ACK": [Ack(b"m", keyring.sign("p4", ack_payload(b"m", v)), v)],
         "COMMIT": [Commit(b"m", cert, v), Commit(b"m", cert, w)],
         "DELIVER": [Deliver(b"m", v)],
         "HISTORY-REQUEST": [HistoryRequest()],

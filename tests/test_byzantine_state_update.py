@@ -9,7 +9,6 @@ updates alone, and a frame counts for the process that sent it over the
 link, whoever built it.
 """
 
-import hashlib
 
 import pytest
 
@@ -132,8 +131,7 @@ def prepared(bench, payload, view, signer="p1"):
 
 
 def certified(bench, payload, view, signers):
-    digest = hashlib.sha256(payload).digest()
-    return build_certificate(view, {p: bench.keyring.sign(p, ack_payload(digest, view))
+    return build_certificate(view, {p: bench.keyring.sign(p, ack_payload(payload, view))
                                     for p in signers})
 
 

@@ -21,16 +21,16 @@ def scenario(**overrides):
 
 
 def synthetic(events, truncated=False):
-    """Rows from (kind, actor[, payload_digest[, detail[, views]]]) tuples."""
+    """Rows from (kind, actor[, payload_digest[, detail[, view[, views]]]]) tuples."""
     rows = []
     for i, e in enumerate(events):
         row = {"step": i, "t": i, "kind": e[0], "actor": e[1], "peer": None,
-               "msg_kind": None, "view_digest": None,
+               "msg_kind": None, "view": e[4] if len(e) > 4 else None,
                "payload_digest": e[2] if len(e) > 2 else None,
                "detail": e[3] if len(e) > 3 else None,
-               "views": e[4] if len(e) > 4 else None}
+               "views": e[5] if len(e) > 5 else None}
         rows.append(row)
-    return simnet.Trace({"schema": 2, "scenario": "t-check", "seed": 0},
+    return simnet.Trace({"schema": simnet.TRACE_SCHEMA, "scenario": "t-check", "seed": 0},
                         rows, {"truncated": truncated})
 
 
@@ -39,8 +39,7 @@ def view(*members):
 
 
 def accepted_install(actor, omega, v):
-    return ("StateNote", actor, None, "install-accepted",
-            {"omega": omega, "v": v, "seq": [omega]})
+    return ("StateNote", actor, None, "install-accepted", omega, {"v": v, "seq": [omega]})
 
 
 def by_prop(verdicts):
@@ -193,8 +192,8 @@ def test_incomparable_installed_views_detected():
     trace = synthetic([
         accepted_install("p1", a, v0),
         accepted_install("p2", b, v0),
-        ("Install", "p1", None, None, {"cv": a}),
-        ("Install", "p2", None, None, {"cv": b}),
+        ("Install", "p1", None, None, a),
+        ("Install", "p2", None, None, b),
     ])
     v = by_prop(checker.check(trace, scenario()))["InstalledViewsChain"]
     assert v.status == checker.FAIL
@@ -203,7 +202,7 @@ def test_incomparable_installed_views_detected():
 
 def test_install_without_accepted_install_fails_chain():
     v0, v1 = view("p1", "p2", "p3", "p4"), view("p1", "p2", "p3", "p4", "p5")
-    install = ("Install", "p1", None, None, {"cv": v1})
+    install = ("Install", "p1", None, None, v1)
     backed = synthetic([accepted_install("p1", v1, v0), install])
     assert by_prop(checker.check(backed, scenario()))["InstalledViewsChain"].status \
         == checker.PASS
@@ -218,7 +217,7 @@ def test_install_without_accepted_install_fails_chain():
 
 def test_byzantine_install_carries_no_obligation():
     sc = scenario(roles={"p4": {"strategy": "silent"}})
-    trace = synthetic([("Install", "p4", None, None, {"cv": view("p1", "p2")})])
+    trace = synthetic([("Install", "p4", None, None, view("p1", "p2"))])
     assert by_prop(checker.check(trace, sc))["InstalledViewsChain"].status == checker.PASS
 
 
@@ -235,8 +234,8 @@ def test_incomparable_valid_views_detected():
 
 def test_incomparable_commit_view_detected():
     trace = synthetic([
-        ("StateNote", "p1", None, "commit-accepted", {"v_cer": view("p1", "p2", "p5")}),
-        ("StateNote", "p2", None, "commit-accepted", {"v_cer": view("p1", "p2", "p6")}),
+        ("StateNote", "p1", None, "commit-accepted", view("p1", "p2", "p5")),
+        ("StateNote", "p2", None, "commit-accepted", view("p1", "p2", "p6")),
     ])
     v = by_prop(checker.check(trace, scenario()))["ValidViewsComparable"]
     assert v.status == checker.FAIL
@@ -245,9 +244,9 @@ def test_incomparable_commit_view_detected():
 def test_unordered_converged_sequences_detected():
     v0 = view("p1", "p2")
     trace = synthetic([
-        ("StateNote", "p1", None, "converged-on",
+        ("StateNote", "p1", None, "converged-on", None,
          {"v": v0, "seq": [view("p1", "p2", "p5")]}),
-        ("StateNote", "p2", None, "converged-on",
+        ("StateNote", "p2", None, "converged-on", None,
          {"v": v0, "seq": [view("p1", "p2", "p6")]}),
     ])
     v = by_prop(checker.check(trace, scenario()))["ConvergedTotalOrder"]
@@ -257,8 +256,8 @@ def test_unordered_converged_sequences_detected():
 def test_ordered_converged_sequences_pass():
     v0, v1 = view("p1", "p2"), view("p1", "p2", "p5")
     trace = synthetic([
-        ("StateNote", "p1", None, "converged-on", {"v": v0, "seq": [v1]}),
-        ("StateNote", "p2", None, "converged-on",
+        ("StateNote", "p1", None, "converged-on", None, {"v": v0, "seq": [v1]}),
+        ("StateNote", "p2", None, "converged-on", None,
          {"v": v0, "seq": [v1, view("p1", "p2", "p5", "p6")]}),
     ])
     assert by_prop(checker.check(trace, scenario()))["ConvergedTotalOrder"].status \
@@ -267,12 +266,13 @@ def test_ordered_converged_sequences_pass():
 
 @pytest.mark.parametrize("note", [
     ("Install", "p1", None, None, None),
-    ("Install", "p1", None, None, {}),
-    ("StateNote", "p1", None, "install-accepted", None),
-    ("StateNote", "p1", None, "install-accepted", {"omega": ["+p1"], "v": ["+p1"]}),
-    ("StateNote", "p1", None, "converged-on", {"v": ["+p1"]}),
+    ("Install", "p1", None, None, None, {"cv": ["+p1"]}),
+    ("StateNote", "p1", None, "install-accepted", None, {"v": ["+p1"], "seq": [["+p1"]]}),
+    ("StateNote", "p1", None, "install-accepted", ["+p1"], None),
+    ("StateNote", "p1", None, "install-accepted", ["+p1"], {"v": ["+p1"]}),
+    ("StateNote", "p1", None, "converged-on", None, {"v": ["+p1"]}),
     ("StateNote", "p1", None, "commit-accepted", None),
-    ("StateNote", "p1", None, "commit-accepted", {"v_cer": None}),
+    ("StateNote", "p1", None, "commit-accepted", None, {"v_cer": ["+p1"]}),
 ])
 def test_named_note_without_views_is_malformed(note):
     with pytest.raises(checker.MalformedTrace, match="without views"):

@@ -6,7 +6,6 @@ verification accepts exactly the subsets the quorum rule allows.
 """
 
 import dataclasses
-import hashlib
 import struct
 from itertools import combinations
 
@@ -58,7 +57,7 @@ def test_hmac_signatures_are_pinned():
 
 
 def sign_ack(keyring, pid, payload, view):
-    return keyring.sign(pid, ack_payload(hashlib.sha256(payload).digest(), view))
+    return keyring.sign(pid, ack_payload(payload, view))
 
 
 def make_cert(keyring, signers, payload=PAYLOAD, view=V0):

@@ -129,9 +129,10 @@ def test_diverging_views_are_flagged_once(bench4, route):
     h_a = ViewHistory(v0, (make_link(bench4, v0, v_a),))
     link_b = make_link(bench4, v0, v_b, ("p2", "p3", "p4"))
     b = ViewHistory(v0, (link_b,)) if route == "history" else link_b
-    flags = [[f.detail for f in notes_of(bench4.deliver("p2", "p1", msg), "Flag")]
+    flags = [[(f.detail, f.view, f.views)
+              for f in notes_of(bench4.deliver("p2", "p1", msg), "Flag")]
              for msg in (h_a, b, h_a, b)]
-    assert flags == [[], [f"diverging verified histories: {v_a.short} vs {v_b.short}"], [], []]
+    assert flags == [[], [("diverging verified histories", v_b, {"trusted": v_a})], [], []]
     assert bench4.nodes["p2"]._is_trusted(v_a) and bench4.nodes["p2"]._is_trusted(v_b)
 
 

@@ -5,7 +5,6 @@ so the bytes are the same on every run and host.  Any change to the wire
 must update these frames on purpose, and bump `WIRE_VERSION` with them.
 """
 
-import hashlib
 
 import pytest
 
@@ -49,8 +48,7 @@ def frames():
     proof = Signed(reconfig, sign("p4", reconfig))
     install = Install(SEQ, V0, tuple((p, sign(p, Converged(SEQ, V0))) for p in ("p1", "p2", "p3")),
                       (proof,))
-    digest = hashlib.sha256(b"m").digest()
-    cert = build_certificate(V0, {p: KEYRING.sign(p, ack_payload(digest, V0))
+    cert = build_certificate(V0, {p: KEYRING.sign(p, ack_payload(b"m", V0))
                                   for p in ("p1", "p2", "p3")})
     record = StateRecord(stored=Commit(b"m", cert, V0))
     return {
@@ -61,7 +59,7 @@ def frames():
         "INSTALL": (install, "p1"),
         "STATE-UPDATE": (StateUpdate(V0, V1, record, (proof,)), "p2"),
         "PREPARE": (Prepare(b"m", V0), "p1"),
-        "ACK": (Ack(b"m", KEYRING.sign("p2", ack_payload(digest, V0)), V0), "p2"),
+        "ACK": (Ack(b"m", KEYRING.sign("p2", ack_payload(b"m", V0)), V0), "p2"),
         "COMMIT": (Commit(b"m", cert, V1), "p1"),
         "DELIVER": (Deliver(b"m", V0), "p3"),
         "HISTORY-REQUEST": (HistoryRequest(), "p4"),

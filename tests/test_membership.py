@@ -1,7 +1,6 @@
 """Reconfiguration handlers, driven one message at a time."""
 
 import dataclasses
-import hashlib
 
 import pytest
 
@@ -17,6 +16,7 @@ from dbrb.messages import (
     Propose,
     RecConfirm,
     Reconfig,
+    ViewHistory,
     body_bytes,
     decode,
     signed_content,
@@ -328,6 +328,20 @@ def test_join_reconfig_after_history(bench4):
     assert sorted(r.to for r in reconfigs) == ["p1", "p2", "p3", "p4"]
 
 
+def test_join_waits_out_an_unverifiable_history(bench4):
+    # a HISTORY rooted in another initial view is dropped, and it is not the
+    # history the joiner waits for: no RECONFIG goes out until one verifies
+    joiner = bench4.nodes["p5"]
+    joiner.step(InvokeJoin())
+    forged = ViewHistory(View.initial(["p1", "p2", "p3", "p9"]))
+    actions = bench4.deliver("p5", "p1", forged)
+    assert [n.detail for n in notes_of(actions, "Drop")] == ["unverifiable view history"]
+    assert not sends_of(actions, "RECONFIG")
+    assert not joiner.got_history
+    actions = bench4.deliver("p5", "p1", bench4.nodes["p1"]._best_history())
+    assert sorted(r.to for r in sends_of(actions, "RECONFIG")) == ["p1", "p2", "p3", "p4"]
+
+
 def test_join_on_initial_member_rejected(bench4):
     with pytest.raises(ContractError):
         bench4.nodes["p1"].step(InvokeJoin())
@@ -423,7 +437,7 @@ def test_install_suspends_then_completes(bench4):
     assert node.installed == v1
     assert not node.suspended
     installs = notes_of(actions, "Install")
-    assert [n.views for n in installs] == [{"cv": v1}]
+    assert [(n.view, n.views) for n in installs] == [(v1, None)]
 
 
 def test_install_while_suspended_drops_old_view_traffic(bench4):
@@ -518,8 +532,7 @@ def made_up_message(bench, kind, view):
     if kind == "REC-CONFIRM":
         return RecConfirm(view)
     if kind == "ACK":
-        digest = hashlib.sha256(b"m").digest()
-        return Ack(b"m", bench.keyring.sign("p4", ack_payload(digest, view)), view)
+        return Ack(b"m", bench.keyring.sign("p4", ack_payload(b"m", view)), view)
     return Deliver(b"m", view)
 
 

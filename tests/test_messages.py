@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import struct
 import typing
 
@@ -89,8 +88,7 @@ def make_install(author="p1"):
 
 
 def make_cert():
-    digest = hashlib.sha256(b"m").digest()
-    sigs = {p: KEYRING.sign(p, ack_payload(digest, V0)) for p in ["p1", "p2", "p3"]}
+    sigs = {p: KEYRING.sign(p, ack_payload(b"m", V0)) for p in ["p1", "p2", "p3"]}
     return build_certificate(V0, sigs)
 
 

@@ -1,10 +1,12 @@
 """Simulator semantics: reliability, determinism, truncation, validation."""
 
+import re
 from pathlib import Path
 
 import pytest
 
 from dbrb import simnet
+from dbrb.views import change_key
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
@@ -45,6 +47,36 @@ def test_receive_pairs_with_prior_send():
         elif e["kind"] == "Receive":
             assert open_sends.get(key, 0) > 0, f"receive without send: {e}"
             open_sends[key] -= 1
+
+
+def test_trace_names_each_view_once_as_its_tokens():
+    # one run of every packaged scenario: a view is only ever its sorted
+    # change tokens, in `view` or in `views`, never twice in one event and
+    # never inside a `detail`
+    hex_digest = re.compile(r"[0-9a-f]{16}")
+    named = set()
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        sc = simnet.Scenario.load(path)
+        tokens = {s + p for p in sc.universe for s in "+-"}
+
+        def is_view(x):
+            return (isinstance(x, list) and set(x) <= tokens
+                    and x == sorted(set(x), key=change_key))
+
+        for e in simnet.run(sc, 0).events:
+            view, views, detail = e["view"], e["views"] or {}, e["detail"] or ""
+            assert view is None or is_view(view), e
+            for name, x in views.items():
+                assert all(map(is_view, x)) if name == "seq" else is_view(x), e
+            single = [view] + [x for name, x in views.items() if name != "seq"]
+            single = [tuple(x) for x in single if x is not None]
+            assert len(single) == len(set(single)), e
+            assert not hex_digest.search(detail), e
+            assert not any(c in detail for c in tokens), e
+            if view is not None and e["kind"] not in ("Send", "Receive"):
+                named.add(e["detail"] or e["kind"])
+    assert named >= {"Install", "cv", "install-accepted", "commit-accepted", "certificate",
+                     "view mismatch"}
 
 
 def test_steps_strictly_increase():

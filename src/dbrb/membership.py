@@ -314,7 +314,8 @@ class MembershipMixin:
                 view=v,
                 omega=omega,
                 record=self._state_of(v),
-                recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_key)),
+                recv=tuple(self.recv[c] for c in sorted(self.recv, key=change_key)
+                           if c not in omega),  # see `rmulticast`
             )
             self._send_all(rm_targets(update), update)
         # one pending install per (view, seq): variants differ only in signatures

@@ -33,6 +33,24 @@ An echo would add nothing:
   and what it must learn (a message acked or stored by a quorum of the
   replaced view) reaches it through a correct member in the two quorums'
   intersection, whatever the Byzantine members report.
+
+An update carries only the reconfig proofs of changes outside its
+install's omega (`_handle_install`).  A target reads them in two places:
+
+- `_complete_install` moves into `recv` only the changes outside omega,
+  so a proof of a change in omega was skipped there anyway.  Omega
+  contains the replaced view, so this also leaves out every change the
+  replaced view already holds.
+- `_handle_state_update` puts each proof into `pool`, from which a node
+  builds the proofs of its PROPOSEs and INSTALLs.  The install itself
+  carries a proof for each change in omega minus the replaced view, and
+  every target accepts that install by reliable multicast, which puts its
+  proofs into `pool`.  So a proof left out matters only when the update
+  overtakes both that install and every PROPOSE that carried the proof;
+  then the target waits for them, which delays its own install but never
+  loses it.
+
+Receivers still accept, and verify, any proof a Byzantine member attaches.
 """
 
 from __future__ import annotations

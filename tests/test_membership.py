@@ -500,6 +500,25 @@ def test_state_updates_buffered_before_install_arrives(bench4):
     assert node.installed == v1
 
 
+def test_state_update_carries_only_proofs_outside_omega():
+    bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5", "p6"])
+    v0 = bench.initial_view
+    v1 = View(v0 | {plus("p5")})
+    for pid in ("p5", "p6"):
+        bench.deliver("p2", pid, reconfig_from(bench, pid))
+    assert set(bench.nodes["p2"].recv) == {plus("p5"), plus("p6")}
+    install = signed_install(bench, frozenset({v1}), v0)
+    (frame, *_) = sends_of(bench.deliver("p2", "p1", install), "STATE-UPDATE")
+    update = decode(frame.raw, bench.verifier).msg
+    assert [p.msg.change for p in update.recv] == [plus("p6")]
+    target = bench.nodes["p3"]
+    bench.deliver("p3", "p1", install)
+    for author in ("p1", "p2", "p4"):
+        bench.deliver("p3", author, update)
+    assert target.cv == v1
+    assert plus("p6") in target.recv and plus("p5") not in target.recv
+
+
 def test_install_without_reconfig_proofs_is_dropped():
     # A Byzantine member relays a genuine converged quorum with its proofs
     # stripped.  Accepted, it would move p2 to v_a, and p2 would then have to

@@ -6,7 +6,7 @@ is signed only if a third party must check its author.  The kinds in
 (install proofs) and PREPARE (ack evidence in state records).  Their
 frames are
 
-    version(1) | tag(1) | body-len(4) | body | author | signature
+    version(1) | tag(1) | body-len | body | author | signature
 
 and the author signs all but the signature, so they cannot be
 re-attributed.  Any other kind is framed version|tag|body-len|body and
@@ -47,12 +47,12 @@ is the certified view and its digest that of the payload beside it, and
 each view of a history after the root is the omega of the link before
 it.  A change is `len | pid | sign` (`views.change_bytes`), as a
 field and inside a view.  Wire version 4 frames STATE-UPDATE without
-author and signature.
+author and signature.  Wire version 5 writes every length and count,
+the header's body-len too, as a minimal varint (`views.varint`).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Generic, NoReturn, Optional, TypeVar, get_args
@@ -72,9 +72,10 @@ from .views import (
     seq_sort_key,
     seq_sorted,
     short_digest,
+    varint,
 )
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 TAG_RECONFIG = 0x01
 TAG_REC_CONFIRM = 0x02
@@ -112,10 +113,6 @@ class CodecError(ValueError):
     pass
 
 
-_U32 = struct.Struct(">I")
-_HEAD = struct.Struct(">BBI")  # version, tag, body length
-
-
 class Reader:
     """Cursor over one byte string; each read checks the bytes are there.
 
@@ -142,23 +139,29 @@ class Reader:
         self.pos = pos + 1
         return self.data[pos]
 
-    def u32(self) -> int:
-        pos = self.pos
-        if pos + 4 > len(self.data):
-            raise CodecError("truncated message")
-        self.pos = pos + 4
-        return _U32.unpack_from(self.data, pos)[0]
+    def varint(self) -> int:
+        """The reverse of `views.varint`: only a minimal encoding is read."""
+        data, pos = self.data, self.pos
+        if pos < len(data) and data[pos] < 0x80:
+            self.pos = pos + 1
+            return data[pos]
+        if pos + 1 < len(data) and 0 < data[pos + 1] < 0x80:
+            self.pos = pos + 2
+            return data[pos] & 0x7F | data[pos + 1] << 7
+        n = 0
+        for i, b in enumerate(data[pos:pos + 5]):
+            n |= (b & 0x7F) << 7 * i
+            if b < 0x80:
+                if b == 0:
+                    raise CodecError("non-canonical varint")
+                if n > 0xFFFFFFFF:
+                    raise CodecError("varint out of range")
+                self.pos = pos + i + 1
+                return n
+        raise CodecError("truncated message" if pos + 5 > len(data) else "varint out of range")
 
     def blob(self) -> bytes:
-        data, pos = self.data, self.pos
-        if pos + 4 > len(data):
-            raise CodecError("truncated message")
-        start = pos + 4
-        end = start + _U32.unpack_from(data, pos)[0]
-        if end > len(data):
-            raise CodecError("truncated message")
-        self.pos = end
-        return data[start:end]
+        return self.take(self.varint())
 
     def text(self) -> str:
         data, pos = self.data, self.pos
@@ -336,7 +339,7 @@ Codec = tuple[Callable[[object], bytes], Callable[[Reader], object]]
 
 
 def _blob(b: bytes) -> bytes:
-    return _U32.pack(len(b)) + b
+    return varint(len(b)) + b
 
 
 def _read_change(r: Reader) -> Change:
@@ -366,7 +369,7 @@ def _read_view(r: Reader) -> View:
     if cached is not None:
         return cached
     inner = Reader(raw)
-    changes = [_read_change(inner) for _ in range(inner.u32())]
+    changes = [_read_change(inner) for _ in range(inner.varint())]
     inner.expect_done()
     view = View(changes)
     if view.canonical_bytes != raw:  # misordered or repeated changes
@@ -378,11 +381,11 @@ def _read_view(r: Reader) -> View:
 
 def _write_seq(seq: frozenset[View]) -> bytes:
     ordered = seq_sorted(seq)
-    return _U32.pack(len(ordered)) + b"".join(map(_write_view, ordered))
+    return varint(len(ordered)) + b"".join(map(_write_view, ordered))
 
 
 def _read_seq(r: Reader) -> frozenset[View]:
-    views = [_read_view(r) for _ in range(r.u32())]
+    views = [_read_view(r) for _ in range(r.varint())]
     keys = [seq_sort_key(v) for v in views]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise CodecError("sequence views not canonical")
@@ -396,10 +399,10 @@ def _sorted_tuple(item: Codec, error: str, key=None) -> Codec:
 
     def write(items: tuple) -> bytes:
         ordered = sorted(items, key=key)
-        return _U32.pack(len(ordered)) + b"".join(map(write_item, ordered))
+        return varint(len(ordered)) + b"".join(map(write_item, ordered))
 
     def read(r: Reader) -> tuple:
-        items = tuple([read_item(r) for _ in range(r.u32())])
+        items = tuple([read_item(r) for _ in range(r.varint())])
         keys = list(items) if key is None else [key(i) for i in items]
         if keys != sorted(keys):
             raise CodecError(error)
@@ -454,12 +457,12 @@ def _read_record(r: Reader) -> StateRecord:
 
 
 def _write_links(links: tuple[Install, ...]) -> bytes:
-    return _U32.pack(len(links)) + b"".join([_blob(body_bytes(link)) for link in links])
+    return varint(len(links)) + b"".join([_blob(body_bytes(link)) for link in links])
 
 
 def _read_links(r: Reader) -> tuple[Install, ...]:
     """Each link is an INSTALL body, parsed through `_parse_body`'s memo."""
-    return tuple([_parse_body(TAG_INSTALL, r.blob(), r.bodies) for _ in range(r.u32())])
+    return tuple([_parse_body(TAG_INSTALL, r.blob(), r.bodies) for _ in range(r.varint())])
 
 
 # One codec per field type, keyed by the annotation as written.
@@ -518,17 +521,16 @@ def body_bytes(msg: Message) -> bytes:
 def signed_content(msg: Message, author: ProcessId) -> bytes:
     """The bytes author signs to send msg: version|tag|body-len|body|author."""
     body = body_bytes(msg)
-    return b"".join((_HEAD.pack(WIRE_VERSION, msg.TAG, len(body)), body, id_bytes(author)))
+    return b"".join((bytes((WIRE_VERSION, msg.TAG)), varint(len(body)), body, id_bytes(author)))
 
 
 def encode(msg: Message, signer: Signer) -> bytes:
     """The frame of msg, signed by signer's process if its kind is signed."""
     if msg.TAG not in SIGNED_TAGS:
         body = body_bytes(msg)
-        return _HEAD.pack(WIRE_VERSION, msg.TAG, len(body)) + body
+        return b"".join((bytes((WIRE_VERSION, msg.TAG)), varint(len(body)), body))
     content = signed_content(msg, signer.pid)
-    sig = signer.sign(content)
-    return b"".join((content, _U32.pack(len(sig)), sig))
+    return content + _blob(signer.sign(content))
 
 
 @dataclass(frozen=True)
@@ -579,13 +581,11 @@ def decode(raw: bytes, verifier: Verifier, bodies: Optional[dict] = None) -> Dec
     envelope signature is checked before the body is looked up in, or
     parsed into, the `bodies` memo of `_parse_body`.
     """
-    if len(raw) < _HEAD.size:
-        _reject_head(raw)
-    version, tag, size = _HEAD.unpack_from(raw)
-    if version != WIRE_VERSION or tag not in KIND_CODECS:
+    if len(raw) < 2 or raw[0] != WIRE_VERSION or raw[1] not in KIND_CODECS:
         _reject_head(raw[:2])
-    r = Reader(raw, _HEAD.size)
-    body = r.take(size)
+    tag = raw[1]
+    r = Reader(raw, 2)
+    body = r.blob()
     author = r.text() if tag in SIGNED_TAGS else None
     signed_end = r.pos
     sig = b"" if author is None else r.blob()

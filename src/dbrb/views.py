@@ -12,7 +12,6 @@ everywhere in the system.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Iterator
@@ -39,6 +38,21 @@ def id_bytes(pid: ProcessId) -> bytes:
     if len(raw) > 255:
         raise ViewError("identifier too long")
     return bytes((len(raw),)) + raw
+
+
+# Each value below 0x80 as the last byte of a varint, and as any other byte.
+_VARINT_LAST = tuple(bytes((n,)) for n in range(0x80))
+_VARINT_MORE = tuple(bytes((n | 0x80,)) for n in range(0x80))
+
+
+def varint(n: int) -> bytes:
+    """n as a minimal unsigned LEB128 varint: 7 bits a byte, low bits first,
+    the high bit set on every byte but the last; at most 2**32 - 1."""
+    if n < 0x80:
+        return _VARINT_LAST[n]
+    if n > 0xFFFFFFFF:
+        raise ViewError("length exceeds 2**32 - 1")
+    return _VARINT_MORE[n & 0x7F] + varint(n >> 7)
 
 
 def plus(p: ProcessId) -> Change:
@@ -96,8 +110,8 @@ class View(frozenset):
 
     @cached_property
     def canonical_bytes(self) -> bytes:
-        """The change count, then each change's bytes in canonical order."""
-        return struct.pack(">I", len(self)) + b"".join(map(change_bytes, self.sorted_changes))
+        """The change count as a varint, then each change's bytes in canonical order."""
+        return varint(len(self)) + b"".join(map(change_bytes, self.sorted_changes))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"View({','.join(self.sorted_changes)})"

@@ -6,7 +6,6 @@ verification accepts exactly the subsets the quorum rule allows.
 """
 
 import dataclasses
-import struct
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,7 @@ from dbrb.crypto import (
 )
 from dbrb.discovery import verify_install_proof
 from dbrb.messages import FIELD_CODECS, Converged, Install, body_bytes, signed_content
-from dbrb.views import View, minus, plus
+from dbrb.views import View, minus, plus, varint
 
 MEMBERS = ["p1", "p2", "p3", "p4"]
 V0 = View.initial(MEMBERS)
@@ -143,7 +142,7 @@ def test_certificate_serialization_layout(keyring):
     cert = make_cert(keyring, ["p3", "p1", "p2"])
     blob = cert_bytes(cert)
     assert blob == cert_bytes(make_cert(keyring, ["p1", "p2", "p3"]))
-    view_block = struct.pack(">I", len(V0.canonical_bytes)) + V0.canonical_bytes
+    view_block = varint(len(V0.canonical_bytes)) + V0.canonical_bytes
     assert blob.startswith(view_block)  # no digest: the payload travels beside it
     # signer identities appear in sorted order after the view block
     tail = blob[len(view_block):]

@@ -1,4 +1,4 @@
-"""Golden frames of wire version 4: the exact bytes of one frame of each kind.
+"""Golden frames of wire version 5: the exact bytes of one frame of each kind.
 
 Each frame is built from fixed values under the deterministic HMAC scheme,
 so the bytes are the same on every run and host.  Any change to the wire
@@ -13,6 +13,7 @@ from dbrb.messages import (
     KIND_NAMES,
     WIRE_VERSION,
     Ack,
+    CodecError,
     Commit,
     Converged,
     Deliver,
@@ -69,75 +70,67 @@ def frames():
 
 GOLDEN = {
     "RECONFIG": (
-        "0401000000180270332d00000010000000030270312b0270322b0270332b027033000000"
-        "202d9ec6d9569c90ce325c53d14336139cd6bd9a19e52666f77951300c69cf2c5a"
+        "0501120270332d0d030270312b0270322b0270332b02703320ab8b289da5ba50ac883792"
+        "90021875c7b2100aba981ee0bb665b5af511dbde3e"
     ),
-    "REC-CONFIRM": "04020000001400000010000000030270312b0270322b0270332b",
+    "REC-CONFIRM": "05020e0d030270312b0270322b0270332b",
     "PROPOSE": (
-        "0403000000700000000100000014000000040270312b0270322b0270332b0270342b0000"
-        "0010000000030270312b0270322b0270332b000000010270342b00000010000000030270"
-        "312b0270322b0270332b0000002035a5f89b817a52cd3007cfd8e9f67419c1863813ec77"
-        "5966dbf6397bc4f269f4"
+        "0503550111040270312b0270322b0270332b0270342b0d030270312b0270322b0270332b"
+        "010270342b0d030270312b0270322b0270332b2003914e47ffbef46657148abe052ba4c0"
+        "c93bda5acb057071347ad74ccef2319c"
     ),
     "CONVERGED": (
-        "0404000000300000000100000014000000040270312b0270322b0270332b0270342b0000"
-        "0010000000030270312b0270322b0270332b0270310000002096475c22c1121df01bf125"
-        "e7d3adb6628c0abc50f11af225218dfdc30be37b0e"
+        "0504210111040270312b0270322b0270332b0270342b0d030270312b0270322b0270332b"
+        "0270312099291ef8f49d3273add16313a5a9d4458584dda86e38d15a11c4e2b398cd5edc"
     ),
     "INSTALL": (
-        "0405000000e90000000100000014000000040270312b0270322b0270332b0270342b0000"
-        "0010000000030270312b0270322b0270332b000000030270310000002096475c22c1121d"
-        "f01bf125e7d3adb6628c0abc50f11af225218dfdc30be37b0e027032000000201900abbd"
-        "c3739e60407a1619478a16aa3d6c6e71a04272f32b9398cc0bb6db8602703300000020cb"
-        "6acaf11196d60a07dbe54f8472500f63fd0c22353057a3de9635bf159f23f20000000102"
-        "70342b00000010000000030270312b0270322b0270332b0000002035a5f89b817a52cd30"
-        "07cfd8e9f67419c1863813ec775966dbf6397bc4f269f4"
+        "0505c2010111040270312b0270322b0270332b0270342b0d030270312b0270322b027033"
+        "2b030270312099291ef8f49d3273add16313a5a9d4458584dda86e38d15a11c4e2b398cd"
+        "5edc02703220a84ce21b6eb68f53fb2a22e5ed650393e4d84cec7ed6ad2cc5c82efa7b12"
+        "516602703320aee6d41e7106d3555375b90699afbc520061bd61c4e5a676cff8f5ad6390"
+        "2116010270342b0d030270312b0270322b0270332b2003914e47ffbef46657148abe052b"
+        "a4c0c93bda5acb057071347ad74ccef2319c"
     ),
     "STATE-UPDATE": (
-        "04060000011300000010000000030270312b0270322b0270332b00000014000000040270"
-        "312b0270322b0270332b0270342b04000000016d00000010000000030270312b0270322b"
-        "0270332b0000000302703100000020c281dff9c49a3939aba130b096a5615fa8cc9b930f"
-        "9340a8460545be1d0a84660270320000002097b9658606e39ebd63984453bd6c3961f10a"
-        "a7a96bac545b966dee0f2546393402703300000020a6bb2149ade71ae502d91fbcefba85"
-        "6f38e1de628b4fd0a4f4fc71bfe95057b800000010000000030270312b0270322b027033"
-        "2b000000010270342b00000010000000030270312b0270322b0270332b0000002035a5f8"
-        "9b817a52cd3007cfd8e9f67419c1863813ec775966dbf6397bc4f269f4"
+        "0506e0010d030270312b0270322b0270332b11040270312b0270322b0270332b0270342b"
+        "04016d0d030270312b0270322b0270332b0302703120e8d6273af18f45aa65678ad95a7b"
+        "5b14290ccda9d7f59579bcb547cb78b4665802703220a3eabca0028c9f1416ba31655e70"
+        "09b935889b84f44c009469eeb9e4544bf1e00270332049b0caf741f46296e20ebf24fac7"
+        "5e287cbc3ed0b31d124e8af707cebbe7134f0d030270312b0270322b0270332b01027034"
+        "2b0d030270312b0270322b0270332b2003914e47ffbef46657148abe052ba4c0c93bda5a"
+        "cb057071347ad74ccef2319c"
     ),
     "PREPARE": (
-        "040700000019000000016d00000010000000030270312b0270322b0270332b0270310000"
-        "002070fccf6bbe613a89d0b71d6c90f5d0b8271729e6b8c41ceed8be9678c715f261"
+        "050710016d0d030270312b0270322b0270332b02703120acc57c44d04d2b81e081f349dd"
+        "edc168585377cc7e552c5a2e1453c9b359c266"
     ),
     "ACK": (
-        "04080000003d000000016d0000002097b9658606e39ebd63984453bd6c3961f10aa7a96b"
-        "ac545b966dee0f2546393400000010000000030270312b0270322b0270332b"
+        "050831016d20a3eabca0028c9f1416ba31655e7009b935889b84f44c009469eeb9e4544b"
+        "f1e00d030270312b0270322b0270332b"
     ),
     "COMMIT": (
-        "0409000000aa000000016d00000010000000030270312b0270322b0270332b0000000302"
-        "703100000020c281dff9c49a3939aba130b096a5615fa8cc9b930f9340a8460545be1d0a"
-        "84660270320000002097b9658606e39ebd63984453bd6c3961f10aa7a96bac545b966dee"
-        "0f2546393402703300000020a6bb2149ade71ae502d91fbcefba856f38e1de628b4fd0a4"
-        "f4fc71bfe95057b800000014000000040270312b0270322b0270332b0270342b"
+        "05098f01016d0d030270312b0270322b0270332b0302703120e8d6273af18f45aa65678a"
+        "d95a7b5b14290ccda9d7f59579bcb547cb78b4665802703220a3eabca0028c9f1416ba31"
+        "655e7009b935889b84f44c009469eeb9e4544bf1e00270332049b0caf741f46296e20ebf"
+        "24fac75e287cbc3ed0b31d124e8af707cebbe7134f11040270312b0270322b0270332b02"
+        "70342b"
     ),
-    "DELIVER": (
-        "040a00000019000000016d00000010000000030270312b0270322b0270332b"
-    ),
-    "HISTORY-REQUEST": "041000000000",
+    "DELIVER": "050a10016d0d030270312b0270322b0270332b",
+    "HISTORY-REQUEST": "051000",
     "HISTORY": (
-        "04110000010500000010000000030270312b0270322b0270332b00000001000000e90000"
-        "000100000014000000040270312b0270322b0270332b0270342b00000010000000030270"
-        "312b0270322b0270332b000000030270310000002096475c22c1121df01bf125e7d3adb6"
-        "628c0abc50f11af225218dfdc30be37b0e027032000000201900abbdc3739e60407a1619"
-        "478a16aa3d6c6e71a04272f32b9398cc0bb6db8602703300000020cb6acaf11196d60a07"
-        "dbe54f8472500f63fd0c22353057a3de9635bf159f23f2000000010270342b0000001000"
-        "0000030270312b0270322b0270332b0000002035a5f89b817a52cd3007cfd8e9f67419c1"
-        "863813ec775966dbf6397bc4f269f4"
+        "0511d3010d030270312b0270322b0270332b01c2010111040270312b0270322b0270332b"
+        "0270342b0d030270312b0270322b0270332b030270312099291ef8f49d3273add16313a5"
+        "a9d4458584dda86e38d15a11c4e2b398cd5edc02703220a84ce21b6eb68f53fb2a22e5ed"
+        "650393e4d84cec7ed6ad2cc5c82efa7b12516602703320aee6d41e7106d3555375b90699"
+        "afbc520061bd61c4e5a676cff8f5ad63902116010270342b0d030270312b0270322b0270"
+        "332b2003914e47ffbef46657148abe052ba4c0c93bda5acb057071347ad74ccef2319c"
     ),
 }
 
 
 def test_every_kind_has_a_golden_frame():
     assert list(GOLDEN) == list(KIND_NAMES.values())
-    assert WIRE_VERSION == 4
+    assert WIRE_VERSION == 5
 
 
 @pytest.mark.parametrize("kind", GOLDEN)
@@ -147,3 +140,10 @@ def test_frame_bytes_are_pinned(kind):
     assert raw.hex() == GOLDEN[kind]
     decoded = decode(raw, KEYRING.verifier())
     assert KIND_NAMES[decoded.msg.TAG] == kind and decoded.msg == msg
+
+
+def test_version_4_frame_rejected():
+    # the REC-CONFIRM of version 4, whose lengths and counts were 4-byte u32s
+    raw = bytes.fromhex("04020000001400000010000000030270312b0270322b0270332b")
+    with pytest.raises(CodecError, match="unsupported wire version 4"):
+        decode(raw, KEYRING.verifier())

@@ -1,13 +1,14 @@
 import dataclasses
-import struct
 import typing
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import Bench, notes_of, sends_of
 from dbrb.crypto import (MessageCertificate, build_certificate, make_keyring, ack_payload,
                          verify_certificate)
 from dbrb import messages as codec
+from dbrb.engine import Receive
 from dbrb.messages import (
     FIELD_CODECS,
     KIND_CODECS,
@@ -43,7 +44,7 @@ from dbrb.messages import (
     message_meta,
     signed_content,
 )
-from dbrb.views import MAX_CHANGES, View, ViewError, change_bytes, plus, minus
+from dbrb.views import MAX_CHANGES, View, ViewError, change_bytes, plus, minus, varint
 
 KEYRING = make_keyring("hmac")
 VERIFIER = KEYRING.verifier()
@@ -52,12 +53,17 @@ V1 = View(V0 | {plus("p5")})
 SEQ = frozenset({V1})
 
 
-def u32(n):
-    return struct.pack(">I", n)
+def uleb(n):
+    """n as a minimal unsigned LEB128 varint, written here apart from the codec."""
+    out = bytearray()
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    return bytes(out + bytes((n,)))
 
 
 def blob(b):
-    return u32(len(b)) + b
+    return uleb(len(b)) + b
 
 
 def text(s):
@@ -151,8 +157,9 @@ def test_unknown_tag_rejected():
 
 def test_wire_version_checked():
     raw = bytearray(encode(Prepare(b"m", V0), KEYRING.signer_for("p1")))
-    # 2: the layout before omega and targets were derived; 3: STATE-UPDATE signed
-    for version in (2, 3, 9):
+    # 2: the layout before omega and targets were derived; 3: STATE-UPDATE
+    # signed; 4: every length and count a 4-byte integer
+    for version in (2, 3, 4, 9):
         raw[0] = version
         with pytest.raises(CodecError, match=f"unsupported wire version {version}"):
             decode(bytes(raw), VERIFIER)
@@ -163,30 +170,30 @@ read_view = FIELD_CODECS["View"][1]
 
 def test_non_canonical_view_rejected():
     # two changes out of canonical order, and one change twice
-    item_b = struct.pack(">B", 2) + b"pb" + b"\x2b"
-    item_a = struct.pack(">B", 2) + b"pa" + b"\x2b"
+    item_b = b"\x02pb\x2b"
+    item_a = b"\x02pa\x2b"
     for items in (item_b + item_a, item_a + item_a):
         with pytest.raises(CodecError, match="non-canonical view encoding"):
-            read_view(Reader(blob(u32(2) + items)))
+            read_view(Reader(blob(uleb(2) + items)))
 
 
 def test_change_has_one_encoding():
     # len | pid | sign, as a field and inside a view
     c = minus("p2")
     assert change_bytes(c) == enc("Change", c) == b"\x02p2\x2d"
-    assert View([plus("p1"), c]).canonical_bytes == u32(2) + b"\x02p1\x2b" + change_bytes(c)
+    assert View([plus("p1"), c]).canonical_bytes == uleb(2) + b"\x02p1\x2b" + change_bytes(c)
 
 
 def test_view_sign_byte_checked():
     with pytest.raises(CodecError, match="bad change sign byte"):
-        read_view(Reader(blob(u32(1) + struct.pack(">B", 2) + b"pa" + b"\x00")))
+        read_view(Reader(blob(uleb(1) + b"\x02pa\x00")))
 
 
 def test_change_with_empty_process_id_rejected():
     # as a field and inside a view
     empty = text("") + b"\x2b"
     for tag, body in ((TAG_RECONFIG, empty + enc("View", V0)),
-                      (TAG_REC_CONFIRM, blob(u32(1) + empty))):
+                      (TAG_REC_CONFIRM, blob(uleb(1) + empty))):
         with pytest.raises(CodecError, match="empty process id"):
             decode(frame(tag, body), VERIFIER)
 
@@ -208,7 +215,7 @@ def test_reconfig_proof_round_trip_verifies():
 def test_oversized_view_decodes_as_codec_error():
     # a change set past the cap must be droppable, never a crash
     count = MAX_CHANGES + 1
-    inner = u32(count) + b"".join(text(f"q{i:05d}") + b"\x2b" for i in range(count))
+    inner = uleb(count) + b"".join(text(f"q{i:05d}") + b"\x2b" for i in range(count))
     with pytest.raises(CodecError):
         decode(frame(TAG_REC_CONFIRM, blob(inner)), VERIFIER)
 
@@ -261,11 +268,21 @@ def test_strategies_cover_the_schema():
 def frame(tag, body, author="p1"):
     """Frame a hand-written body as `encode` does a canonical one: signed by
     author if its kind is signed, and with neither author nor signature if not."""
-    head = struct.pack(">BBI", WIRE_VERSION, tag, len(body))
+    head = bytes((WIRE_VERSION, tag)) + uleb(len(body))
     if tag not in SIGNED_TAGS:
         return head + body
     content = head + body + text(author)
     return content + blob(KEYRING.sign(author, content))
+
+
+def frame_body(raw):
+    """The body of a frame, found by reading its header apart from the codec."""
+    size, shift, pos = 0, 0, 2
+    while raw[pos] & 0x80:
+        size |= (raw[pos] & 0x7F) << shift
+        shift, pos = shift + 7, pos + 1
+    size |= raw[pos] << shift
+    return raw[pos + 1:pos + 1 + size]
 
 
 def test_link_only_frame_with_author_and_signature_rejected():
@@ -291,7 +308,7 @@ def test_signed_frame_without_author_and_signature_rejected():
     for msg in (Reconfig(plus("p5"), V0), Converged(SEQ, V0), Prepare(b"m", V0)):
         body = body_bytes(msg)
         with pytest.raises(CodecError, match="truncated message"):
-            decode(struct.pack(">BBI", WIRE_VERSION, msg.TAG, len(body)) + body, VERIFIER)
+            decode(bytes((WIRE_VERSION, msg.TAG)) + uleb(len(body)) + body, VERIFIER)
 
 
 @given(messages, pids)
@@ -299,7 +316,7 @@ def test_signed_frame_without_author_and_signature_rejected():
 def test_decoded_body_is_the_canonical_encoding(msg, author):
     # collections are drawn in any order; the body on the wire is canonical
     raw = encode(msg, KEYRING.signer_for(author))
-    received = raw[6:6 + struct.unpack_from(">I", raw, 2)[0]]  # the frame's body
+    received = frame_body(raw)
     decoded = decode(raw, VERIFIER)
     assert body_bytes(decoded.msg) == received
     assert body_bytes(msg) == received
@@ -321,24 +338,118 @@ def test_any_accepted_body_is_canonical(msg, data):
     assert body_bytes(decoded.msg) == bytes(body)
 
 
+# --- varints -----------------------------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1))
+@example(0)
+@example(0x7F)
+@example(0x80)
+@example(0x3FFF)
+@example(0x4000)
+@example(2**32 - 1)
+def test_every_u32_value_round_trips_as_a_minimal_varint(n):
+    raw = varint(n)
+    assert raw == uleb(n) and len(raw) == max(1, -(-n.bit_length() // 7))
+    r = Reader(raw + b"\x00")
+    assert r.varint() == n and r.pos == len(raw)
+
+
+# bytes at the edges of a varint's groups, so that overlong and over-range
+# encodings are drawn often
+EDGE_BYTES = st.sampled_from([0x00, 0x01, 0x0F, 0x10, 0x7F, 0x80, 0x81, 0x8F, 0x90, 0xFF])
+
+
+@given(st.lists(EDGE_BYTES, max_size=7).map(bytes) | st.binary(max_size=7))
+def test_a_varint_is_read_only_in_its_canonical_encoding(raw):
+    r = Reader(raw)
+    try:
+        n = r.varint()
+    except CodecError:
+        return
+    assert raw[:r.pos] == varint(n)
+
+
+def overlong(n):
+    """n's varint with one more byte: the last one continues into a zero."""
+    raw = uleb(n)
+    return raw[:-1] + bytes((raw[-1] | 0x80, 0))
+
+
+def over_five_bytes(n):
+    """n's 7-bit groups padded with continued zeros to six bytes."""
+    raw = bytes(b | 0x80 for b in uleb(n))
+    return raw + b"\x80" * (5 - len(raw)) + b"\x00"
+
+
+# a defect -> (the bytes it puts in place of a varint of n that the rest
+# follows, the error decode raises); a truncated frame ends in the varint
+VARINT_DEFECTS = {
+    "overlong": (lambda n, rest: overlong(n) + rest, "non-canonical varint"),
+    "truncated": (lambda n, rest: bytes((uleb(n)[0] | 0x80,)), "truncated message"),
+    "over five bytes": (lambda n, rest: over_five_bytes(n) + rest, "varint out of range"),
+    "over 2**32 - 1": (lambda n, rest: uleb(n + 2**32) + rest, "varint out of range"),
+}
+
+# a place -> (the value of its varint, the bytes after it, the frame of
+# the varint and those bytes)
+DELIVER_BODY = enc("bytes", b"m") + enc("View", V0)
+VARINT_PLACES = {
+    "header body length": (len(DELIVER_BODY), DELIVER_BODY,
+                           lambda b: bytes((WIRE_VERSION, Deliver.TAG)) + b),
+    "blob prefix": (1, b"m" + enc("View", V0), lambda b: frame(Deliver.TAG, b)),
+    "sequence count": (1, enc("View", V1) + enc("View", V0)
+                       + enc("tuple[Signed[Reconfig], ...]", ()),
+                       lambda b: frame(TAG_PROPOSE, b)),
+    "view change count": (len(V0), V0.canonical_bytes[1:],
+                          lambda b: frame(TAG_REC_CONFIRM, blob(b))),
+}
+
+
+@pytest.mark.parametrize("place", VARINT_PLACES)
+@pytest.mark.parametrize("defect", VARINT_DEFECTS)
+def test_non_canonical_varint_rejected(defect, place):
+    n, rest, build = VARINT_PLACES[place]
+    assert decode(build(uleb(n) + rest), VERIFIER).msg.view == V0
+    write, error = VARINT_DEFECTS[defect]
+    with pytest.raises(CodecError, match=error):
+        decode(build(write(n, rest)), VERIFIER)
+
+
+def test_reframed_install_never_reaches_rm_received():
+    # the same INSTALL with an overlong body length: were it accepted, it
+    # would be a new frame to the dedup by frame, and relayed again
+    bench = Bench(["p1", "p2", "p3", "p4"], universe=["p1", "p2", "p3", "p4", "p5"])
+    raw = encode(make_install(), KEYRING.signer_for("p1"))
+    body = frame_body(raw)
+    reframed = raw[:2] + overlong(len(body)) + body
+    node = bench.nodes["p2"]
+    assert sends_of(node.step(Receive("p1", raw)), "INSTALL")
+    actions = node.step(Receive("p3", reframed))
+    assert node.rm_received == {raw}
+    assert not sends_of(actions, "INSTALL")
+    assert [n.detail for n in notes_of(actions, "Drop")] == [
+        "undecodable message: non-canonical varint"]
+
+
 V2 = View(V1 | {plus("p6")})
 
 
 def test_sequence_out_of_order_rejected():
-    body = u32(2) + enc("View", V2) + enc("View", V1) + enc("View", V0)
+    body = uleb(2) + enc("View", V2) + enc("View", V1) + enc("View", V0)
     with pytest.raises(CodecError, match="sequence views not canonical"):
         decode(frame(TAG_CONVERGED, body), VERIFIER)
 
 
 def test_sequence_with_repeated_view_rejected():
-    body = u32(2) + enc("View", V1) + enc("View", V1) + enc("View", V0)
+    body = uleb(2) + enc("View", V1) + enc("View", V1) + enc("View", V0)
     with pytest.raises(CodecError, match="sequence views not canonical"):
         decode(frame(TAG_CONVERGED, body), VERIFIER)
 
 
 def proof_bytes(proofs):
     # the proofs in the order given
-    return u32(len(proofs)) + b"".join(
+    return uleb(len(proofs)) + b"".join(
         enc("Change", p.msg.change) + enc("View", p.msg.view) + blob(p.signature) for p in proofs)
 
 
@@ -346,7 +457,7 @@ def install_body(sigs, proofs):
     # an INSTALL body, but with the collections in the order given
     return b"".join([
         enc("frozenset[View]", SEQ), enc("View", V0),
-        u32(len(sigs)), *(text(pid) + blob(sig) for pid, sig in sigs), proof_bytes(proofs)])
+        uleb(len(sigs)), *(text(pid) + blob(sig) for pid, sig in sigs), proof_bytes(proofs)])
 
 
 def test_converged_signatures_out_of_order_rejected():
@@ -372,7 +483,7 @@ def test_reconfig_proofs_out_of_order_rejected():
 def test_certificate_signatures_out_of_order_rejected():
     cert = make_cert()
     body = b"".join([
-        blob(b"m"), enc("View", cert.view), u32(len(cert.signatures)),
+        blob(b"m"), enc("View", cert.view), uleb(len(cert.signatures)),
         *(text(pid) + blob(sig) for pid, sig in reversed(cert.signatures)),
         enc("View", V0)])
     with pytest.raises(CodecError, match="signatures not canonical"):

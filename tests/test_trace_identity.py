@@ -23,16 +23,19 @@ once, as its change tokens, where schema 2 also wrote a short digest of
 it and copied it between a note's `view_digest` and its `views`, and it
 drops the `halt` note, which repeated the `LeaveComplete` callback.  That
 moved every pin; every frame sent stayed byte-identical, and so did every
-verdict of the pinned runs.
+verdict of the pinned runs.  Wire version 5, whose lengths and counts are
+varints, moved no pin; `WIRE_PINNED` pins the bytes it sends.
 """
 
 import dataclasses
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dbrb import simnet
+from dbrb.engine import Flood, Send
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "src" / "dbrb" / "scenarios"
 
@@ -88,3 +91,42 @@ def test_trace_is_byte_identical(name, crypto, seed):
 def test_every_packaged_scenario_is_pinned():
     packaged = {p.stem for p in SCENARIOS.glob("*.json")}
     assert {name for name, _, _ in PINNED} == packaged
+
+
+# Bytes sent per kind in one run, summed from the Send and Flood actions
+# of every node, a Flood once per recipient, as the benchmark sums
+# `wire_kb_per_run`.  Traces hold no frame bytes, so these pins are what
+# a change to the wire moves, on purpose.  Wire version 5, whose lengths
+# and counts are varints, took churn_burst seed 0 from 333,478 bytes to
+# 281,153 and equivocating_n7 seed 0 under ed25519 from 110,805 to 99,479.
+WIRE_PINNED = {
+    ("churn_burst", "hmac", 0): {
+        "CONVERGED": 9636, "HISTORY": 104615, "HISTORY-REQUEST": 54, "INSTALL": 112182,
+        "PROPOSE": 13620, "REC-CONFIRM": 641, "RECONFIG": 1641, "STATE-UPDATE": 38764,
+    },
+    ("equivocating_n7", "ed25519", 0): {
+        "ACK": 687, "CONVERGED": 4760, "HISTORY": 24605, "HISTORY-REQUEST": 24,
+        "INSTALL": 43350, "PREPARE": 11237, "PROPOSE": 6253, "REC-CONFIRM": 165,
+        "RECONFIG": 840, "STATE-UPDATE": 7558,
+    },
+}
+
+
+@pytest.mark.parametrize("name,crypto,seed", sorted(WIRE_PINNED))
+def test_wire_bytes_by_kind_are_pinned(monkeypatch, name, crypto, seed):
+    sc = dataclasses.replace(simnet.Scenario.load(SCENARIOS / f"{name}.json"), crypto=crypto)
+    fanout = len(sc.universe) - 1
+    sent = Counter()
+    apply = simnet._Run._apply_actions
+
+    def counted(run, actor, actions):
+        for a in actions:
+            if isinstance(a, Send):
+                sent[a.meta["msg"]] += len(a.raw)
+            elif isinstance(a, Flood):
+                sent[a.meta["msg"]] += len(a.raw) * fanout
+        apply(run, actor, actions)
+
+    monkeypatch.setattr(simnet._Run, "_apply_actions", counted)
+    simnet.run(sc, seed)
+    assert dict(sent) == WIRE_PINNED[(name, crypto, seed)]

@@ -12,7 +12,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .crypto import MessageCertificate, Signer, Verifier, ack_payload, build_certificate
-from .engine import InvokeBroadcast, InvokeJoin, InvokeLeave, Receive, Send
+from .engine import InvokeBroadcast, Receive, Send
 from .messages import (
     Ack,
     CodecError,
@@ -78,8 +78,6 @@ class AdversaryBase:
                 self.on_message(event, decoded)
         elif isinstance(event, InvokeBroadcast):
             self.on_broadcast(event.payload)
-        elif isinstance(event, (InvokeJoin, InvokeLeave)):
-            pass
         out, self._outputs = self._outputs, []
         return out
 
@@ -143,7 +141,7 @@ class EquivocatingSender(AdversaryBase):
         for (view, payload), sigs in self.acks.quorums():
             if payload in self.certs:
                 continue
-            cert = build_certificate(view, dict(sorted(sigs.items())))
+            cert = build_certificate(view, sigs)
             self.certs[payload] = cert
             self._send_all(view.members, Commit(payload, cert, view))
 

@@ -1,5 +1,8 @@
 """Broadcast machine: prepare/ack/commit/deliver plus certificate reuse.
 
+The sender's certificate is its stored COMMIT, as for every holder, and
+`_store` is the one path that stores a COMMIT and commits it in the view.
+
 The acknowledgment fence is read from the state record (`_may_ack`), and
 it only ever tightens: from "any message" while the record holds neither
 an ack nor a conflicting pair, to the acked payload once it holds an ack,
@@ -92,15 +95,13 @@ class BroadcastMixin:
         self._wrote("acks")
 
     def _cert_scan(self) -> None:
-        if self.cer is not None or self.pid != self.sender_id:
+        if self.state_record.stored is not None or self.pid != self.sender_id:
             return
         for (v, payload), sigs in self.acks.quorums():
             if self._is_valid_view(v):
-                self.cer = build_certificate(v, dict(sorted(sigs.items())))
                 self._note("StateNote", view=v, payload=short_digest(payload),
                            detail="certificate")
-                if self.cv == self.installed:
-                    self._disseminate(Commit(payload, self.cer, self.cv))
+                self._store(Commit(payload, build_certificate(v, sigs), self.cv))
                 return
 
     def _commit_ready(self, msg: Commit) -> bool:
@@ -134,8 +135,7 @@ class BroadcastMixin:
         self._note("StateNote", view=v_cer, payload=short_digest(msg.payload),
                    detail="commit-accepted")
         if self.state_record.stored is None:
-            self._adopt_stored(msg)
-            self._disseminate(Commit(msg.payload, msg.cert, self.cv))
+            self._store(msg)
         self._send(author, Deliver(msg.payload, self.cv))
 
     def _pending_commit_scan(self) -> None:
@@ -203,28 +203,31 @@ class BroadcastMixin:
         self.state_record = replace(self.state_record, stored=msg)
         self._wrote("state_record")
 
+    def _store(self, msg: Commit) -> None:
+        """Store a certified COMMIT and commit it in this node's view.
+
+        Both guards hold at a COMMIT accepted within the f bound: it is
+        checked only in an unsuspended `cv`, which is therefore installed,
+        and correct members DELIVER only to a node that sent them a COMMIT,
+        which it does only after storing one.  One stored between views is
+        committed by `_new_view`, as is the state transfer's `_adopt_stored`.
+        """
+        self._adopt_stored(msg)
+        if self.cv == self.installed and not self.delivered:
+            self._disseminate(Commit(msg.payload, msg.cert, self.cv))
+
     def _pending_store_scan(self) -> None:
-        if not self.pending_store:
-            return
-        still = []
         for evidence in self.pending_store:
-            if self.state_record.stored is not None:
-                break
-            if self._is_valid_view(evidence.cert.view):
-                self._adopt_stored(evidence)
-                if self.cv == self.installed and not self.delivered:
-                    self._disseminate(Commit(evidence.payload, evidence.cert, self.cv))
-            else:
-                still.append(evidence)
-        self.pending_store = [] if self.state_record.stored is not None else still
+            if self.state_record.stored is None and self._is_valid_view(evidence.cert.view):
+                self._store(evidence)
+        if self.state_record.stored is not None:
+            self.pending_store = []
 
     def _new_view(self) -> None:
         """Re-disseminate whatever this node is responsible for in a fresh view."""
         ev = self.state_record.stored
-        if self.pid == self.sender_id:
-            if self.bpayload is not None and self.cer is None:
-                self._disseminate(Prepare(self.bpayload, self.cv))
-            elif self.cer is not None and not self.delivered:
-                self._disseminate(Commit(self.bpayload, self.cer, self.cv))
-        elif ev is not None and not self.delivered:
-            self._disseminate(Commit(ev.payload, ev.cert, self.cv))
+        if ev is not None:
+            if not self.delivered:
+                self._disseminate(Commit(ev.payload, ev.cert, self.cv))
+        elif self.pid == self.sender_id and self.bpayload is not None:
+            self._disseminate(Prepare(self.bpayload, self.cv))

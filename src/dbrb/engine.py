@@ -122,14 +122,13 @@ SCANS = (
     ("_rm_pending_scan", ("rm_pending", "trusted_hist")),
     ("_pending_commit_scan", ("pending_commits", "cv", "suspended", "phase",
                               "trusted_hist", "trusted_aux")),
-    ("_pending_store_scan", ("pending_store", "state_record", "cv", "installed", "delivered",
-                             "trusted_hist", "trusted_aux")),
+    ("_pending_store_scan", ("pending_store", "state_record", "trusted_hist", "trusted_aux")),
     ("_propose_buffer_scan", ("propose_buffer", "formats", "cv", "seqs", "lcseqs")),
     ("_propose_quorum_scan", ("propose_votes", "seqs", "lcseqs")),
     ("_converged_quorum_scan", ("converged_votes", "install_sent", "pool")),
     ("_pending_install_scan", ("pending_installs", "cv", "state_updates", "phase")),
     ("_maybe_propose", ("recv", "cv", "installed", "seqs")),
-    ("_cert_scan", ("cer", "acks", "cv", "installed", "trusted_hist", "trusted_aux")),
+    ("_cert_scan", ("state_record", "acks", "cv", "trusted_hist", "trusted_aux")),
     ("_deliver_scan", ("delivered", "delivers", "trusted_hist", "trusted_aux")),
     ("_confirm_scan", ("phase", "rec_confirms")),
     ("_join_kick", ("phase", "got_history", "last_reconfig_target", "trusted_hist")),
@@ -188,7 +187,6 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
 
         # broadcast state
         self.bpayload: Optional[bytes] = None
-        self.cer = None
         self.delivered = False
         self.acks = Tally()  # (view, payload): ack signatures, one per member and view
         self.delivers = Tally()  # (view, payload), one per member and view
@@ -326,9 +324,9 @@ class Node(DiscoveryMixin, RMulticastMixin, MembershipMixin, BroadcastMixin):
         only from the step's input or from another firing, and sends leave
         the node; each extra pass of `_rm_pending_scan` over its buffer
         accepts at least one parked install), a once-only value (`phase`,
-        which only moves forward, `state_record.stored`, `delivered`,
-        `cer`), a key it never fires on again (`install_sent`, and
-        `lcseqs[v]`, which each firing strictly grows), or a growth of `cv`
+        which only moves forward, `state_record.stored` and `delivered`),
+        a key it never fires on again (`install_sent`, and `lcseqs[v]`,
+        which each firing strictly grows), or a growth of `cv`
         or of the trust store (`_maybe_propose` and the kicks), which grow
         only through the finitely many views the step brings.
 

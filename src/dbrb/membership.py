@@ -223,10 +223,10 @@ class MembershipMixin:
         still: list[Propose] = []
         for item in self.propose_buffer:
             seq, v = item.seq, item.view
+            if not all(self.cv < w for w in seq):
+                continue  # never acts: within the f bound cv only grows by inclusion
             if not self._accepts(seq, v):
                 still.append(item)  # may unlock once an install fills FORMAT
-                continue
-            if not all(self.cv < w for w in seq):
                 continue
             local = self.seqs.get(v, frozenset())
             if seq <= local:

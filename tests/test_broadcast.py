@@ -96,15 +96,17 @@ def test_ack_quorum_builds_certificate_and_commits(bench4):
     actions = prime_acks(bench4, b"m", bench4.initial_view, ["p1", "p2", "p3"])
     commits = sends_of(actions, "COMMIT")
     assert sorted(c.to for c in commits) == ["p1", "p2", "p3", "p4"]
-    assert sender.cer.view == bench4.initial_view
-    assert len(sender.cer.signatures) == 3
+    stored = sender.state_record.stored
+    assert stored == Commit(b"m", stored.cert, bench4.initial_view)
+    assert stored.cert.view == bench4.initial_view
+    assert len(stored.cert.signatures) == 3
 
 
 def test_duplicate_acks_do_not_count(bench4):
     sender = bench4.nodes["p1"]
     sender.step(InvokeBroadcast(b"m"))
     prime_acks(bench4, b"m", bench4.initial_view, ["p2", "p2", "p2"])
-    assert sender.cer is None
+    assert sender.state_record.stored is None
 
 
 def test_bad_ack_signature_ignored(bench4):

@@ -114,11 +114,13 @@ def test_send_after_leave_detected():
     assert "after leaving" in v.detail
 
 
-def test_unmatched_join_fails_liveness():
+@pytest.mark.parametrize("op,actor", [("join", "p5"), ("leave", "p4")], ids=["join", "leave"])
+def test_unmatched_join_fails_liveness(op, actor):
     sc = scenario(universe=["p1", "p2", "p3", "p4", "p5"], script=[])
-    trace = synthetic([("Invoke", "p5", None, "join")])
+    trace = synthetic([("Invoke", actor, None, op)])
     v = by_prop(checker.check(trace, sc))["Liveness"]
     assert v.status == checker.FAIL
+    assert v.detail == f"{actor} invoked {op} but never completed"
 
 
 def test_validity_requires_delivery_at_stayers():
@@ -284,6 +286,9 @@ def test_malformed_trace_raises():
     trace.events[0]["step"] = 7
     with pytest.raises(checker.MalformedTrace):
         checker.check(trace, scenario())
+    # an actor outside the universe
+    with pytest.raises(checker.MalformedTrace, match="unknown actor p9 at step 0"):
+        checker.check(synthetic([("Send", "p9")]), scenario())
 
 
 def test_exit_codes():

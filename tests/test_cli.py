@@ -151,10 +151,10 @@ def test_sweep_aggregates_and_exits_zero(capsys):
 
 
 def test_sweep_prints_messages_per_run(capsys):
-    # a static4 run sends 48 messages whatever the seed
+    # a static4 run sends 40 messages whatever the seed
     assert cli.main(["sweep", "--scenario", str(SCENARIOS / "static4.json"),
                      "--seeds", "0..2"]) == 0
-    assert "messages per run: min 48  median 48  max 48" in capsys.readouterr().out.splitlines()
+    assert "messages per run: min 40  median 40  max 40" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_of_truncated_runs_exits_three(tmp_path, capsys):

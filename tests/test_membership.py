@@ -440,6 +440,22 @@ def test_install_suspends_then_completes(bench4):
     assert [(n.view, n.views) for n in installs] == [(v1, None)]
 
 
+def test_propose_left_behind_by_cv_leaves_the_buffer(bench4):
+    # a PROPOSE for {V1} in a view p2 holds no FORMAT for waits in the
+    # buffer; once p2 installs V1, no view of its sequence is above cv, so
+    # no FORMAT could let it act, and it leaves the buffer
+    node = bench4.nodes["p2"]
+    v0 = bench4.initial_view
+    v1 = View(v0 | {plus("p5")})
+    side = View(View.initial(["p1", "p2", "p3"]) | {plus("p5")})
+    bench4.deliver("p2", "p1", proofed_propose(bench4, {v1}, side))
+    assert len(node.propose_buffer) == 1 and side not in node.formats
+    bench4.deliver("p2", "p1", signed_install(bench4, frozenset({v1}), v0))
+    feed_state_updates(bench4, "p2", v0, v1, ["p1", "p3", "p4"])
+    assert node.cv == v1 and side not in node.formats
+    assert node.propose_buffer == []
+
+
 def test_install_while_suspended_drops_old_view_traffic(bench4):
     from dbrb.messages import Prepare
 

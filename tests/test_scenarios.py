@@ -1,5 +1,6 @@
 """Whole-run coverage of the harder protocol paths, across seed sweeps."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,28 @@ def test_forged_certificates_never_store():
         drops = [e for e in trace.events if e["kind"] == "Drop"
                  and "invalid certificate" in (e["detail"] or "")]
         assert drops, f"seed {seed}: forged commits were never offered"
+
+
+@pytest.mark.parametrize("name", ["static4", "silent_f", "forged_certificate",
+                                  "join_during_broadcast"])
+def test_no_correct_process_repeats_a_commit_or_deliver(monkeypatch, name):
+    # every holder, the sender included, commits its stored message once per
+    # view, and its own COMMIT coming back is not news, so no correct process
+    # sends one COMMIT or DELIVER frame to one peer twice
+    sc = simnet.Scenario.load(SCENARIOS / f"{name}.json")
+    correct = set(sc.universe) - sc.byzantine()
+    sent = Counter()
+    enqueue = simnet._Run._enqueue_send
+
+    def counted(run, frm, to, raw, meta):
+        if frm in correct and meta["msg"] in ("COMMIT", "DELIVER"):
+            sent[meta["msg"], frm, to, raw] += 1
+        enqueue(run, frm, to, raw, meta)
+
+    monkeypatch.setattr(simnet._Run, "_enqueue_send", counted)
+    for seed in range(3):
+        sent.clear()
+        run_all_pass(sc, seed)
+        assert {kind for kind, _, _, _ in sent} == {"COMMIT", "DELIVER"}, f"seed {seed}"
+        repeats = Counter(key[0] for key, n in sent.items() for _ in range(n - 1))
+        assert not repeats, f"seed {seed} repeats {dict(repeats)}"

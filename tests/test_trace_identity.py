@@ -24,7 +24,15 @@ it and copied it between a note's `view_digest` and its `views`, and it
 drops the `halt` note, which repeated the `LeaveComplete` callback.  That
 moved every pin; every frame sent stayed byte-identical, and so did every
 verdict of the pinned runs.  Wire version 5, whose lengths and counts are
-varints, moved no pin; `WIRE_PINNED` pins the bytes it sends.
+varints, moved no pin; `WIRE_PINNED` pins the bytes it sends.  The
+sender's certificate became its stored COMMIT, so the sender no longer
+commits again when its own COMMIT comes back, and no member answers that
+copy with a second DELIVER.  That moved every run with a correct sender
+(`static4`, `silent_f`, `forged_certificate`, `join_during_broadcast`,
+`leave_after_deliver`): fewer sends shift every later delay draw.  Every
+verdict of those pins stayed Pass.  The runs with no correct sender kept
+their pins: `churn_burst` broadcasts nothing, and the `equivocating_*`
+senders are Byzantine.
 """
 
 import dataclasses
@@ -55,27 +63,27 @@ PINNED = {
     ("equivocating_sender", "default", 0): "c03659ff941dd985635dbf597396baebda1ecf1f4f21e8c86160e759d07f03f7",
     ("equivocating_sender", "default", 7): "ed22a9248c92d062b70f86abc52257e24509e9fdb0a785e13667bdd4e75cf70a",
     ("equivocating_sender", "default", 42): "c9d5742e908e8152e21096114593577d71421b57581c71f77f9ef091bdc2ab57",
-    ("forged_certificate", "default", 0): "3d95133f5c055b5844427b151045371d152f3e42f2e6d5ea47980618782e7721",
-    ("forged_certificate", "default", 7): "6adafdd2cb058c56becb788055fdd3aa73f52188b524d7701cce6e798a1db813",
-    ("forged_certificate", "default", 42): "08cb5e661e477f1ec42ea7c73ce6a86c0eb9918067992816d59a5d9d4ebf7a62",
-    ("join_during_broadcast", "default", 0): "6c3f2896673e5fee47e5eb3f4f0979a83b636b7b7379df832b5ae763f28f2ce3",
-    ("join_during_broadcast", "default", 7): "5ac4c129186c2acafe1cd742327e01793dc7adb2503d159ebe1401741714df17",
-    ("join_during_broadcast", "default", 42): "de13ebf0e49162677c7bf4f26d364bfa1dd7145edbc4445efd0083d8c7c0bb26",
-    ("leave_after_deliver", "default", 0): "e7ed5ded15c53387b4da6d0c349c4306edcec54f998d2d25b179cf5054496d97",
-    ("leave_after_deliver", "default", 7): "3f79eff56a395d6d0a230c015b37c3b52f27497bdc056177c70d4cc612402035",
-    ("leave_after_deliver", "default", 42): "0fb2fdbea48c8abff9119be44118e5c455cf8649edd5aba00090e6b9329664e0",
-    ("silent_f", "default", 0): "ec2954afe1c3c6297ef8a2c736752c4e122d192225e6eb4685c9d898ee021ed9",
-    ("silent_f", "default", 7): "d6907920fe2f9eecde4458212411978f6cded7546fa5cbac474107cd0acca1da",
-    ("silent_f", "default", 42): "6d98a42471f95ccd1ed5333a22c8b3963e0a4182fca5696e15bff7f6c3250204",
-    ("static4", "default", 0): "6e610b3ee069eb13418507909221a6e06e4527cdec1db442753608e3b1b1555f",
-    ("static4", "default", 7): "81dbd33c0bd1a43c79718d597aa624e1189c244af85a983469cf51cece158ec7",
-    ("static4", "default", 42): "d9c384fba808125a6d2c994bd33d167adf6c3f0710f07634eb8593b0165be70f",
+    ("forged_certificate", "default", 0): "1688f5d91b37e052c3c8ecf6f8c63f2dca0f3349383b80dbffff030b5a368de8",
+    ("forged_certificate", "default", 7): "cf5026fcec2bb08e31c3f85ecaaac0fd270caa6e43e1c67cbcfc1e7845a4cb0c",
+    ("forged_certificate", "default", 42): "e26ab333e2d6f3bafc6d607870020a136058f7e7678b7b70643d27a94021d7ab",
+    ("join_during_broadcast", "default", 0): "2e2056150c11a47569b428e18db3face33e1910c17f649f0568196d118c605f9",
+    ("join_during_broadcast", "default", 7): "4df489324e4ed86aca84ea9a82b4a018b02ba9297dbff0d9b992b3731f88e19a",
+    ("join_during_broadcast", "default", 42): "15059ce49f8a8065fca6a8b5ce96e554552ee6f2dd06087da8e1dfb40ef85daf",
+    ("leave_after_deliver", "default", 0): "1ce33e0005705c947faa7aef305523b8b88cea70468d5a65993bf007ff570062",
+    ("leave_after_deliver", "default", 7): "1581a0a775c1749a9521d32dfa302f5e1624d6a077215892bda8015feedf1bd6",
+    ("leave_after_deliver", "default", 42): "96d98e65bcccf8e4f2a09199f7e4e760100d15ff518b3a031342cb7c32b226d9",
+    ("silent_f", "default", 0): "2d56de0d7e2c3af2884e0c489817fb90ad429cff5764682b44df72233069b059",
+    ("silent_f", "default", 7): "2413a816022e31ee8940d39bfc9f72f7da6b8789e41f41356994c21bbfd01ef0",
+    ("silent_f", "default", 42): "ce3e95a7ac970a78a0f7e05997871b5cbde56da0e45d50b55b1c7f51f67b5360",
+    ("static4", "default", 0): "3bb60af7c310f05fd761e88d7a54b98c704ced8522c3630991b2e22dc3c7775a",
+    ("static4", "default", 7): "d311df75113f49e51fe6cb7fd319dc352ae5ae0e21139c511b25ee6fde6f2fd5",
+    ("static4", "default", 42): "50d7e9266c4b27ae8667494223b5d88ef128b2741ac98f7aed37eb848fe8065f",
     ("equivocating_n7", "ed25519", 0): "00166226ec9c5b9be284696edebd11c890aed450fed08587b23b105de3a3a976",
     ("equivocating_n7", "ed25519", 7): "ea5858a303fec2e69552dc9f0c869179aafc801368bc59dfdce14cc24187f190",
     ("equivocating_n7", "ed25519", 42): "89618b918d612222bcb0d53b93e2309a1503eb9cf9d8b11550927286d5edc2f8",
-    ("static4", "ed25519", 0): "6e610b3ee069eb13418507909221a6e06e4527cdec1db442753608e3b1b1555f",
-    ("static4", "ed25519", 7): "81dbd33c0bd1a43c79718d597aa624e1189c244af85a983469cf51cece158ec7",
-    ("static4", "ed25519", 42): "d9c384fba808125a6d2c994bd33d167adf6c3f0710f07634eb8593b0165be70f",
+    ("static4", "ed25519", 0): "3bb60af7c310f05fd761e88d7a54b98c704ced8522c3630991b2e22dc3c7775a",
+    ("static4", "ed25519", 7): "d311df75113f49e51fe6cb7fd319dc352ae5ae0e21139c511b25ee6fde6f2fd5",
+    ("static4", "ed25519", 42): "50d7e9266c4b27ae8667494223b5d88ef128b2741ac98f7aed37eb848fe8065f",
 }
 
 
